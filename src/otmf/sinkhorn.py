@@ -2,13 +2,22 @@
 
 Solves min_P <P, C> - eps * H(P) over couplings with fixed marginals,
 where H(P) = -sum P_ij (log P_ij - 1). Two solver paths are provided:
-the classical diagonal-scaling updates on K = exp(-C/eps) and a
-log-domain path with epsilon annealing that stays stable down to
+the classical diagonal-scaling updates on K = exp(-C/eps), and the
+default log-domain path with epsilon annealing that stays stable down to
 eps ~ 1e-3. The lambda of the d^lambda parameterization is 1/eps.
 
-The gradient of the optimal value with respect to the input clouds is
-the fixed-plan (Danskin) gradient; it is exact for the regularized
-objective and is the quantity validated against finite differences.
+The log-domain path keeps dual potentials (f, g) and, per annealing
+stage, a stabilised kernel K~ = exp((f_i + g_j - C_ij)/eps) in one
+buffer. Its updates u = r / (K~ v), v = c / (K~^T u) are matrix-vector
+products with no exponential; whenever u or v leaves [1e-3, 1e3], and at
+the end of every stage, eps*log(u) and eps*log(v) are absorbed into
+(f, g) and K~ is rebuilt (stabilised scaling, Schmitzer 2019). In exact
+arithmetic the iterates equal those of log-sum-exp updates on (f, g).
+
+The fixed-plan (Danskin) gradient with respect to the input clouds is
+the gradient of the regularized objective at the optimal plan; it is
+exact only when the solve converged, and is the quantity validated
+against finite differences.
 """
 
 from __future__ import annotations
@@ -25,6 +34,9 @@ from .errors import ConfigError, DataError, NumericalError, ShapeMismatchError
 # until the target eps, a few burn-in updates per stage.
 _ANNEAL_FACTOR = 0.5
 _ANNEAL_BURNIN = 10
+# Scalings u, v outside [1/bound, bound] are absorbed into the potentials,
+# which keeps the stabilised kernel and the matvecs in range.
+_ABSORB_BOUND = 1e3
 
 
 @dataclass(frozen=True)
@@ -123,9 +135,13 @@ def pairwise_cost(X: np.ndarray, Y: np.ndarray) -> CostMatrix:
         raise DataError("feature cloud is empty")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
         raise NumericalError("feature cloud contains non-finite values")
-    diff = X[:, None, :] - Y[None, :, :]
-    values = np.einsum("ijk,ijk->ij", diff, diff)
-    # einsum can produce tiny negatives only through rounding of exact zeros
+    # one feature dimension at a time: two n x m arrays, never n x m x d
+    values = np.zeros((X.shape[0], Y.shape[0]))
+    diff = np.empty_like(values)
+    for k in range(X.shape[1]):
+        np.subtract.outer(X[:, k], Y[:, k], out=diff)
+        diff *= diff
+        values += diff
     np.maximum(values, 0.0, out=values)
     return CostMatrix(values)
 
@@ -189,18 +205,42 @@ def _sinkhorn_direct(C, r, c, cfg: SinkhornConfig) -> TransportPlan:
         return _finish(P, np.log(u), np.log(v), C, cfg.epsilon, it, converged, r, c)
 
 
-def _logsumexp(Z: np.ndarray, axis: int) -> np.ndarray:
-    zmax = Z.max(axis=axis, keepdims=True)
-    return np.squeeze(
-        zmax + np.log(np.exp(Z - zmax).sum(axis=axis, keepdims=True)), axis=axis
-    )
+def _fill_kernel(K: np.ndarray, f, g, C, e: float) -> None:
+    """Write the stabilised kernel exp((f_i + g_j - C_ij) / e) into K."""
+    np.add(f[:, None], g[None, :], out=K)
+    K -= C
+    K /= e
+    np.exp(K, out=K)
+
+
+def _scaling(target: np.ndarray, sums: np.ndarray, side: str, e: float):
+    """Sinkhorn scaling target / sums, and whether it calls for absorption.
+
+    A kernel row or column sum that is zero, subnormal or non-finite gives
+    a scaling that is not positive and finite, which raises.
+    """
+    s = target / sums
+    lo, hi = s.min(), s.max()
+    if not (0.0 < lo and hi < math.inf):
+        raise NumericalError(
+            f"Sinkhorn kernel {side} sums left the positive finite range at "
+            f"epsilon={e:g}; the scaling is not finite"
+        )
+    return s, not (1.0 / _ABSORB_BOUND <= lo and hi <= _ABSORB_BOUND)
+
+
+def _absorb(K, f, g, u, v, C, e: float):
+    """Fold e*log(u), e*log(v) into the potentials f, g and rebuild K."""
+    f += e * np.log(u)
+    g += e * np.log(v)
+    _fill_kernel(K, f, g, C, e)
+    return np.ones_like(u), np.ones_like(v)
 
 
 def _sinkhorn_log(C, r, c, cfg: SinkhornConfig) -> TransportPlan:
-    log_r = np.log(r)
-    log_c = np.log(c)
     f = np.zeros_like(r)
     g = np.zeros_like(c)
+    K = np.empty_like(C)  # stabilised kernel; holds the plan at the end
 
     cmax = float(C.max())
     stages = []
@@ -212,21 +252,32 @@ def _sinkhorn_log(C, r, c, cfg: SinkhornConfig) -> TransportPlan:
 
     it = 0
     converged = False
-    for e in stages[:-1]:
-        for _ in range(_ANNEAL_BURNIN):
-            f = f + e * (log_r - _logsumexp((f[:, None] + g[None, :] - C) / e, 1))
-            g = g + e * (log_c - _logsumexp((f[:, None] + g[None, :] - C) / e, 0))
-    e = stages[-1]
-    for it in range(1, cfg.max_iters + 1):
-        f = f + e * (log_r - _logsumexp((f[:, None] + g[None, :] - C) / e, 1))
-        g = g + e * (log_c - _logsumexp((f[:, None] + g[None, :] - C) / e, 0))
-        P = np.exp((f[:, None] + g[None, :] - C) / e)
-        if _marginal_error(P, r, c) <= cfg.tolerance:
-            converged = True
-            break
-    P = np.exp((f[:, None] + g[None, :] - C) / e)
+    # a failed division or exponential surfaces as a NumericalError from
+    # _scaling, so the floating-point warnings ahead of it are noise
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for stage, e in enumerate(stages, 1):
+            last = stage == len(stages)
+            _fill_kernel(K, f, g, C, e)
+            u, v = np.ones_like(r), np.ones_like(c)
+            Kv = K @ v
+            for it in range(1, (cfg.max_iters if last else _ANNEAL_BURNIN) + 1):
+                u, out = _scaling(r, Kv, "row", e)
+                if out:
+                    u, v = _absorb(K, f, g, u, v, C, e)
+                v, out = _scaling(c, K.T @ u, "column", e)
+                if out:
+                    u, v = _absorb(K, f, g, u, v, C, e)
+                Kv = K @ v
+                # column sums equal c after the v-update, so the row sums
+                # u * Kv carry the whole marginal error
+                if last and np.abs(u * Kv - r).max() <= cfg.tolerance:
+                    converged = True
+                    break
+            f += e * np.log(u)
+            g += e * np.log(v)
+        _fill_kernel(K, f, g, C, e)
     # diag(u) K diag(v) with K = exp(-C/eps) corresponds to log_u = f/eps
-    return _finish(P, f / e, g / e, C, e, it, converged, r, c)
+    return _finish(K, f / e, g / e, C, e, it, converged, r, c)
 
 
 def sinkhorn_plan(C: CostMatrix, marg: Marginals, cfg: SinkhornConfig) -> TransportPlan:
@@ -280,9 +331,11 @@ def sinkhorn_grad_features(
 ) -> np.ndarray:
     """Fixed-plan gradient of the OT objective with respect to X.
 
-    d/dx_i = sum_j P_ij * 2 (x_i - y_j). Exact for the regularized
-    objective by the envelope theorem; also the gradient used for mask
-    training.
+    d/dx_i = sum_j P_ij * 2 (x_i - y_j); also the gradient used for mask
+    training. By the envelope theorem it is the exact gradient of the
+    regularized objective only when plan is the optimal (converged) plan;
+    for a plan stopped at max_iters it is an approximation whose error
+    follows the plan's marginal error.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)

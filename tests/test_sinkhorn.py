@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
+from otmf import sinkhorn as sinkhorn_module
 from otmf.errors import ConfigError, DataError, NumericalError, ShapeMismatchError
 from otmf.sinkhorn import (
     CostMatrix,
@@ -178,6 +179,81 @@ def test_reg_objective_below_transport_cost(rng):
     C = random_cost(rng, 4)
     plan = sinkhorn_plan(C, Marginals.uniform(4, 4), SinkhornConfig(epsilon=0.2))
     assert plan.reg_objective < plan.transport_cost
+
+
+def _reference_log_sinkhorn(C, r, c, cfg):
+    """The plain log-domain loop: two log-sum-exps and a full plan per update."""
+
+    def lse(Z, axis):
+        zmax = Z.max(axis=axis, keepdims=True)
+        return np.squeeze(zmax + np.log(np.exp(Z - zmax).sum(axis=axis, keepdims=True)), axis=axis)
+
+    f, g = np.zeros_like(r), np.zeros_like(c)
+    stages, e = [], max(cfg.epsilon, float(C.max()))
+    while e > cfg.epsilon:
+        stages.append(e)
+        e *= 0.5
+    stages.append(cfg.epsilon)
+    converged, it = False, 0
+    for e in stages[:-1]:
+        for _ in range(10):
+            f = f + e * (np.log(r) - lse((f[:, None] + g[None, :] - C) / e, 1))
+            g = g + e * (np.log(c) - lse((f[:, None] + g[None, :] - C) / e, 0))
+    e = stages[-1]
+    for it in range(1, cfg.max_iters + 1):
+        f = f + e * (np.log(r) - lse((f[:, None] + g[None, :] - C) / e, 1))
+        g = g + e * (np.log(c) - lse((f[:, None] + g[None, :] - C) / e, 0))
+        P = np.exp((f[:, None] + g[None, :] - C) / e)
+        if max(np.abs(P.sum(1) - r).max(), np.abs(P.sum(0) - c).max()) <= cfg.tolerance:
+            converged = True
+            break
+    P = np.exp((f[:, None] + g[None, :] - C) / e)
+    H = -(P[P > 0] * (np.log(P[P > 0]) - 1.0)).sum()
+    return P, float((P * C).sum()) - e * H, it, converged
+
+
+def _feature_cost(rng, n, d=8):
+    """Cost between two clouds scaled to unit mean norm, as in mask training."""
+    X, Y = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+    return pairwise_cost(X / np.linalg.norm(X, axis=1).mean(), Y / np.linalg.norm(Y, axis=1).mean())
+
+
+@pytest.mark.parametrize(
+    "n, cfg, features, bound, must_absorb",
+    [
+        (64, SinkhornConfig(epsilon=0.05), True, True, True),
+        (64, SinkhornConfig(epsilon=0.1, tolerance=1e-5), True, False, False),
+        (6, SinkhornConfig(epsilon=1e-3), False, False, False),
+    ],
+    ids=["n64-eps0.05-max_iters-absorbing", "n64-eps0.1-converging", "n6-eps1e-3"],
+)
+def test_stabilised_kernel_matches_log_domain_reference(
+    rng, monkeypatch, n, cfg, features, bound, must_absorb
+):
+    C = _feature_cost(rng, n) if features else random_cost(rng, n)
+    marg = Marginals.uniform(n, n)
+    absorptions = []
+    absorb = sinkhorn_module._absorb
+    monkeypatch.setattr(
+        sinkhorn_module, "_absorb", lambda *a: absorptions.append(1) or absorb(*a)
+    )
+    plan = sinkhorn_plan(C, marg, cfg)
+    P, reg, it, converged = _reference_log_sinkhorn(C.values, marg.r, marg.c, cfg)
+    assert converged is not bound
+    assert (plan.iterations_used, plan.converged) == (it, converged)
+    np.testing.assert_allclose(plan.plan, P, rtol=0, atol=1e-12)
+    assert plan.reg_objective == pytest.approx(reg, rel=0, abs=1e-12)
+    if must_absorb:
+        assert absorptions
+
+
+def test_kernel_sum_not_positive_finite_raises():
+    r = np.full(2, 0.5)
+    for sums in ([1.0, 0.0], [1.0, np.nan], [1.0, np.inf], [1.0, 1e-320]):
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="row"):
+            sinkhorn_module._scaling(r, np.array(sums), "row", 0.1)
+    assert sinkhorn_module._scaling(r, np.array([1.0, 2.0]), "row", 0.1)[1] is False
+    assert sinkhorn_module._scaling(r, np.array([1.0, 1e-5]), "row", 0.1)[1] is True
 
 
 # ---------------------------------------------------------------------------
