@@ -13,10 +13,20 @@ incoming task's fine-tuned model. Only the selected mask moves; the
 backbone and both task vectors stay frozen throughout. After mask
 training the step's merged vector is frozen and the previous task's
 classification head is lightly re-tuned on a small labeled subsample.
+
+Each side keeps, next to its optimizer moments, a SolverState: the dual
+potentials of its last Sinkhorn solve and counts of solves, final-stage
+iterations and unconverged solves. Consecutive epochs on one side solve
+nearly the same OT problem, so each solve after the first is warm-started
+from the side's previous potentials and skips epsilon annealing. Both the
+optimizers and the solver states are created afresh at every continual
+step, because the OT batches are redrawn per step; the initial and final
+pair losses are cold solves. Each step logs its per-side counts at INFO.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -32,8 +42,15 @@ from .params import (
     pv_hadamard,
     pv_scale,
 )
-from .sinkhorn import SinkhornConfig, sinkhorn_distance, sinkhorn_grad_features
+from .sinkhorn import (
+    SinkhornConfig,
+    TransportPlan,
+    sinkhorn_distance,
+    sinkhorn_grad_features,
+)
 from .taskgen import subsample_labeled
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -128,6 +145,26 @@ class _MaskOptimizer:
         return MaskVector(out)
 
 
+@dataclass
+class SolverState:
+    """One mask side's Sinkhorn state within a continual step.
+
+    duals holds the (f, g) potentials the side's last solve ended at, the
+    warm start of its next solve; the counters sum over its solves.
+    """
+
+    duals: tuple[np.ndarray, np.ndarray] | None = None
+    solves: int = 0
+    iters: int = 0
+    unconverged: int = 0
+
+    def record(self, plan: TransportPlan) -> None:
+        self.duals = (plan.epsilon * plan.log_u, plan.epsilon * plan.log_v)
+        self.solves += 1
+        self.iters += plan.iterations_used
+        self.unconverged += not plan.converged
+
+
 def masked_fuse(
     pre: ParamVector,
     post: ParamVector,
@@ -154,18 +191,23 @@ def ot_alignment_loss_and_grad(
     target_model: ToyModel,
     inputs: np.ndarray,
     cfg: SinkhornConfig,
+    solver: SolverState | None = None,
 ) -> tuple[float, ParamVector]:
     """Sinkhorn alignment loss between merged and target features, plus
     its fixed-plan gradient with respect to the merged backbone.
 
     Both clouds are scaled to the target's unit-mean-norm convention; the
     scale is treated as a constant of the target, so the chain rule only
-    carries the factor through the merged side.
+    carries the factor through the merged side. With a solver state the
+    solve starts from its duals and records the plan into it.
     """
     fm = forward_features(merged_model, inputs)
     ft = forward_features(target_model, inputs)
     s = normalized_feature_scale(ft)
-    dist, plan = sinkhorn_distance(s * fm, s * ft, cfg)
+    init = None if solver is None else solver.duals
+    dist, plan = sinkhorn_distance(s * fm, s * ft, cfg, init=init)
+    if solver is not None:
+        solver.record(plan)
     g_feat = s * sinkhorn_grad_features(s * fm, s * ft, plan)
     g_backbone = backward(
         merged_model, None, None, wrt="backbone", feature_grad=g_feat, inputs=inputs
@@ -184,14 +226,18 @@ def ot_mask_epoch(
     epoch: int,
     cfg: FusionConfig,
     optimizer: _MaskOptimizer,
+    solver: SolverState | None = None,
 ) -> MergeState:
-    """One alternating mask update. Only the selected side's mask moves."""
+    """One alternating mask update. Only the selected side's mask moves.
+
+    solver, the selected side's SolverState, warm-starts the solve.
+    """
     if side not in ("pre", "post"):
         raise ConfigError(f"side must be 'pre' or 'post', got '{side}'")
     fused = masked_fuse(delta_pre, delta_post, state.mask_pre, state.mask_post, cfg.alpha)
     merged_model = target_model.with_backbone(reconstruct(theta0, fused))
     loss, g_backbone = ot_alignment_loss_and_grad(
-        merged_model, target_model, batch_inputs, cfg.sinkhorn
+        merged_model, target_model, batch_inputs, cfg.sinkhorn, solver
     )
     if side == "pre":
         g_mask = pv_scale(cfg.alpha, pv_hadamard(delta_pre, g_backbone))
@@ -307,6 +353,7 @@ def continual_merge(
 
         opt_pre = _MaskOptimizer(state.mask_pre, cfg)
         opt_post = _MaskOptimizer(state.mask_post, cfg)
+        solver_pre, solver_post = SolverState(), SolverState()
 
         def _pair_loss(st: MergeState) -> float:
             fused = masked_fuse(merged, incoming, st.mask_pre, st.mask_post, cfg.alpha)
@@ -321,13 +368,19 @@ def continual_merge(
             if e % 2 == 1:
                 state = ot_mask_epoch(
                     state, theta0, merged, incoming, pre_target, pre_batch,
-                    "pre", e, cfg, opt_pre,
+                    "pre", e, cfg, opt_pre, solver_pre,
                 )
             else:
                 state = ot_mask_epoch(
                     state, theta0, merged, incoming, post_target, post_batch,
-                    "post", e, cfg, opt_post,
+                    "post", e, cfg, opt_post, solver_post,
                 )
+        log.info(
+            "step %d mask-loop Sinkhorn: pre %d solves, %d iterations, "
+            "%d unconverged; post %d solves, %d iterations, %d unconverged",
+            t, solver_pre.solves, solver_pre.iters, solver_pre.unconverged,
+            solver_post.solves, solver_post.iters, solver_post.unconverged,
+        )
 
         final_pair_loss = _pair_loss(state)
 

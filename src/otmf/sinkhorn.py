@@ -14,6 +14,13 @@ the end of every stage, eps*log(u) and eps*log(v) are absorbed into
 (f, g) and K~ is rebuilt (stabilised scaling, Schmitzer 2019). In exact
 arithmetic the iterates equal those of log-sum-exp updates on (f, g).
 
+A solve may be warm-started with init=(f, g), dual potentials at
+cfg.epsilon, typically eps*log_u and eps*log_v of an earlier plan on a
+nearby cost. A warm solve skips the annealing stages and their burn-in
+updates: its single stage starts from the stabilised kernel
+exp((f_i + g_j - C_ij)/eps) and runs the same updates, convergence test
+and absorption as the last stage of a cold solve.
+
 The fixed-plan (Danskin) gradient with respect to the input clouds is
 the gradient of the regularized objective at the optimal plan; it is
 exact only when the solve converged, and is the quantity validated
@@ -146,20 +153,8 @@ def pairwise_cost(X: np.ndarray, Y: np.ndarray) -> CostMatrix:
     return CostMatrix(values)
 
 
-def _marginal_error(P: np.ndarray, r: np.ndarray, c: np.ndarray) -> float:
-    return max(
-        float(np.abs(P.sum(axis=1) - r).max()),
-        float(np.abs(P.sum(axis=0) - c).max()),
-    )
-
-
-def _entropy(P: np.ndarray) -> float:
-    mask = P > 0
-    return float(-(P[mask] * (np.log(P[mask]) - 1.0)).sum())
-
-
 def _finish(P, log_u, log_v, C, eps, it, converged, r, c) -> TransportPlan:
-    cost = float((P * C).sum())
+    rows, cols = P.sum(axis=1), P.sum(axis=0)
     # u/v are diagnostics; at tiny eps the scalings can overflow to inf
     # even though the plan itself is finite
     with np.errstate(over="ignore"):
@@ -171,9 +166,13 @@ def _finish(P, log_u, log_v, C, eps, it, converged, r, c) -> TransportPlan:
         log_u=log_u,
         log_v=log_v,
         epsilon=eps,
-        transport_cost=cost,
-        reg_objective=cost - eps * _entropy(P),
-        marginal_error=_marginal_error(P, r, c),
+        transport_cost=float((P * C).sum()),
+        # log P_ij = log_u_i + log_v_j - C_ij/eps, so <P, C> - eps*H(P)
+        # reduces to the potentials weighted by the plan's marginals
+        reg_objective=eps * float(log_u @ rows + log_v @ cols - rows.sum()),
+        marginal_error=max(
+            float(np.abs(rows - r).max()), float(np.abs(cols - c).max())
+        ),
         iterations_used=it,
         converged=converged,
     )
@@ -187,17 +186,19 @@ def _sinkhorn_direct(C, r, c, cfg: SinkhornConfig) -> TransportPlan:
         )
     u = np.ones_like(r)
     v = np.ones_like(c)
+    Kv = K @ v
     converged = False
     it = 0
     for it in range(1, cfg.max_iters + 1):
-        u = r / (K @ v)
+        u = r / Kv
         v = c / (K.T @ u)
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
             raise NumericalError(
                 "scaling vectors diverged; retry with log_domain=True"
             )
-        P = u[:, None] * K * v[None, :]
-        if _marginal_error(P, r, c) <= cfg.tolerance:
+        Kv = K @ v
+        # column sums equal c after the v-update; u * Kv are the row sums
+        if np.abs(u * Kv - r).max() <= cfg.tolerance:
             converged = True
             break
     P = u[:, None] * K * v[None, :]
@@ -237,18 +238,26 @@ def _absorb(K, f, g, u, v, C, e: float):
     return np.ones_like(u), np.ones_like(v)
 
 
-def _sinkhorn_log(C, r, c, cfg: SinkhornConfig) -> TransportPlan:
-    f = np.zeros_like(r)
-    g = np.zeros_like(c)
-    K = np.empty_like(C)  # stabilised kernel; holds the plan at the end
-
-    cmax = float(C.max())
+def _anneal_stages(cmax: float, epsilon: float) -> list[float]:
+    """Stage epsilons of a cold solve: from max(C) halving down to epsilon."""
     stages = []
-    e = max(cfg.epsilon, cmax)
-    while e > cfg.epsilon:
+    e = max(epsilon, cmax)
+    while e > epsilon:
         stages.append(e)
         e *= _ANNEAL_FACTOR
-    stages.append(cfg.epsilon)
+    stages.append(epsilon)
+    return stages
+
+
+def _sinkhorn_log(C, r, c, cfg: SinkhornConfig, init) -> TransportPlan:
+    K = np.empty_like(C)  # stabilised kernel; holds the plan at the end
+    if init is None:
+        f = np.zeros_like(r)
+        g = np.zeros_like(c)
+        stages = _anneal_stages(float(C.max()), cfg.epsilon)
+    else:
+        f, g = init
+        stages = [cfg.epsilon]
 
     it = 0
     converged = False
@@ -280,29 +289,49 @@ def _sinkhorn_log(C, r, c, cfg: SinkhornConfig) -> TransportPlan:
     return _finish(K, f / e, g / e, C, e, it, converged, r, c)
 
 
-def sinkhorn_plan(C: CostMatrix, marg: Marginals, cfg: SinkhornConfig) -> TransportPlan:
-    """Run Sinkhorn-Knopp until the marginal error meets cfg.tolerance."""
+def sinkhorn_plan(
+    C: CostMatrix, marg: Marginals, cfg: SinkhornConfig, init=None
+) -> TransportPlan:
+    """Run Sinkhorn-Knopp until the marginal error meets cfg.tolerance.
+
+    init, if given, is a pair (f, g) of dual potentials at cfg.epsilon of
+    shapes (n,) and (m,); the log-domain solve then starts from them
+    instead of annealing.
+    """
     if marg.r.shape[0] != C.n or marg.c.shape[0] != C.m:
         raise ShapeMismatchError(
             f"marginals ({marg.r.shape[0]}, {marg.c.shape[0]}) do not match "
             f"cost matrix ({C.n}, {C.m})"
         )
+    if init is not None:
+        if not cfg.log_domain:
+            raise ConfigError("a warm start (init) needs log_domain=True")
+        # copies: the solve updates the potentials in place
+        f, g = (np.array(p, dtype=np.float64) for p in init)
+        if f.shape != (C.n,) or g.shape != (C.m,):
+            raise ShapeMismatchError(
+                f"warm-start potentials {f.shape}, {g.shape} do not match "
+                f"cost matrix ({C.n}, {C.m})"
+            )
+        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
+            raise NumericalError("warm-start potentials contain non-finite values")
+        init = (f, g)
     if cfg.log_domain:
-        return _sinkhorn_log(C.values, marg.r, marg.c, cfg)
+        return _sinkhorn_log(C.values, marg.r, marg.c, cfg, init)
     return _sinkhorn_direct(C.values, marg.r, marg.c, cfg)
 
 
 def sinkhorn_distance(
-    X: np.ndarray, Y: np.ndarray, cfg: SinkhornConfig
+    X: np.ndarray, Y: np.ndarray, cfg: SinkhornConfig, init=None
 ) -> tuple[float, TransportPlan]:
     """Entropic OT alignment between two feature clouds, uniform weights.
 
     Returns the transport cost <P, C> (the reported shift value) together
     with the full plan; plan.reg_objective carries the differentiable
-    regularized value.
+    regularized value. init warm-starts the solve as in sinkhorn_plan.
     """
     C = pairwise_cost(X, Y)
-    plan = sinkhorn_plan(C, Marginals.uniform(C.n, C.m), cfg)
+    plan = sinkhorn_plan(C, Marginals.uniform(C.n, C.m), cfg, init)
     return plan.transport_cost, plan
 
 

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ConfigError, DataError
 from .models import Batch
@@ -66,6 +65,9 @@ def _sample_task(rng, centroids, n_samples, d):
 
 def generate_stream(spec: TaskStreamSpec) -> tuple[Batch, list[TaskData]]:
     """Pretraining batch plus one (train, test, unlabeled) triple per task."""
+    # imported here so that only stream generation loads scipy
+    from scipy.linalg import expm
+
     rng = np.random.default_rng(spec.seed)
     d, k = spec.input_dim, spec.classes_per_task
     base = rng.normal(0.0, _CENTROID_SPREAD, size=(k, d))

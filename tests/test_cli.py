@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import otmf
 from otmf.cli import load_config, main, resolved_config
 from otmf.errors import ConfigError
 from otmf.io import load_checkpoint, load_matrix, load_report
@@ -209,3 +214,16 @@ def test_seed_override_writes_new_subdir(pipeline, tmp_path):
     tiny_cfg, _ = pipeline
     assert run("gen", "--config", tiny_cfg, "--seed", "5") == 0
     assert (tmp_path / "run" / "seed5" / "data" / "pretrain.csv").exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # only stream generation needs scipy, and it imports it when it runs
+    src = str(Path(otmf.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    probe = ("import sys, otmf.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"

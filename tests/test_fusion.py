@@ -1,12 +1,16 @@
 
+import logging
+
 import numpy as np
 import pytest
 
+from otmf import fusion as fusion_module
 from otmf.errors import ConfigError, DataError
 from otmf.fusion import (
     FusionConfig,
     MergeState,
     ResidencyTracker,
+    SolverState,
     _MaskOptimizer,
     continual_merge,
     head_finetune,
@@ -222,6 +226,41 @@ def test_ot_mask_epoch_rejects_bad_side():
                       pools[0], "both", 1, cfg, _MaskOptimizer(state.mask_pre, cfg))
 
 
+def test_mask_epochs_warm_start_from_their_side_duals(monkeypatch):
+    theta0_model, (d_pre, d_post), _, _, pools = world(seed=16)
+    theta0 = theta0_model.backbone
+    cfg = FusionConfig(ot_epochs=4)
+    targets = {side: theta0_model.with_backbone(reconstruct(theta0, d))
+               for side, d in (("pre", d_pre), ("post", d_post))}
+    state = MergeState(step=2, merged_task_vector=d_pre,
+                       mask_pre=MaskVector.ones_like(d_pre),
+                       mask_post=MaskVector.ones_like(d_post), heads={})
+    opts = {side: _MaskOptimizer(state.mask_pre, cfg) for side in targets}
+    solvers = {side: SolverState() for side in targets}
+    inits = []
+    distance = fusion_module.sinkhorn_distance
+    monkeypatch.setattr(
+        fusion_module, "sinkhorn_distance",
+        lambda *a, init=None: inits.append(init) or distance(*a, init=init),
+    )
+    duals_before = []
+    for e in range(1, cfg.ot_epochs + 1):
+        side = "pre" if e % 2 == 1 else "post"
+        duals_before.append(solvers[side].duals)
+        state = ot_mask_epoch(state, theta0, d_pre, d_post, targets[side],
+                              pools[0], side, e, cfg, opts[side], solvers[side])
+    # each side starts cold, then from the duals its own last solve recorded
+    assert inits[0] is None and inits[1] is None
+    assert inits[2] is duals_before[2] is not None
+    assert inits[3] is duals_before[3] is not None
+    assert inits[2] is not inits[3]
+    for solver in solvers.values():
+        assert solver.solves == 2
+        assert solver.iters >= 2 and 0 <= solver.unconverged <= 2
+        f, g = solver.duals
+        assert f.shape == g.shape == (pools[0].shape[0],)
+
+
 # ---------------------------------------------------------------------------
 # head fine-tuning
 
@@ -254,6 +293,21 @@ def test_continual_merge_deterministic():
     assert a[0] == b[0]
     assert a[1].heads.keys() == b[1].heads.keys()
     assert [lg.final_pair_loss for lg in a[2]] == [lg.final_pair_loss for lg in b[2]]
+    # the warm-started mask loop carries solver state deterministically
+    assert len(a[1].ot_loss_history) == 2 * cfg.ot_epochs
+    assert a[1].ot_loss_history == b[1].ot_loss_history
+
+
+def test_continual_merge_logs_solver_counts_per_step(caplog):
+    theta0_model, deltas, heads, batches, pools = world(seed=18, T=3)
+    cfg = FusionConfig(ot_epochs=5, batch_size=8)
+    with caplog.at_level(logging.INFO, logger="otmf.fusion"):
+        continual_merge(theta0_model, deltas, heads, batches, pools, cfg, seed=0)
+    lines = [r.getMessage() for r in caplog.records if r.name == "otmf.fusion"]
+    assert len(lines) == 2
+    for step, line in zip((2, 3), lines):
+        assert line.startswith(f"step {step} ")
+        assert "pre 3 solves" in line and "post 2 solves" in line
 
 
 def test_continual_merge_accumulates_heads_and_logs():

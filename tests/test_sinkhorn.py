@@ -212,10 +212,13 @@ def _reference_log_sinkhorn(C, r, c, cfg):
     return P, float((P * C).sum()) - e * H, it, converged
 
 
-def _feature_cost(rng, n, d=8):
+def _scaled_cost(X, Y):
     """Cost between two clouds scaled to unit mean norm, as in mask training."""
-    X, Y = rng.normal(size=(n, d)), rng.normal(size=(n, d))
     return pairwise_cost(X / np.linalg.norm(X, axis=1).mean(), Y / np.linalg.norm(Y, axis=1).mean())
+
+
+def _feature_cost(rng, n, d=8):
+    return _scaled_cost(rng.normal(size=(n, d)), rng.normal(size=(n, d)))
 
 
 @pytest.mark.parametrize(
@@ -254,6 +257,65 @@ def test_kernel_sum_not_positive_finite_raises():
             sinkhorn_module._scaling(r, np.array(sums), "row", 0.1)
     assert sinkhorn_module._scaling(r, np.array([1.0, 2.0]), "row", 0.1)[1] is False
     assert sinkhorn_module._scaling(r, np.array([1.0, 1e-5]), "row", 0.1)[1] is True
+
+
+# ---------------------------------------------------------------------------
+# warm start
+
+
+def _potentials(plan):
+    return plan.epsilon * plan.log_u, plan.epsilon * plan.log_v
+
+
+def test_warm_start_from_own_potentials_converges_at_first_check(rng):
+    C = _feature_cost(rng, 32)
+    marg = Marginals.uniform(32, 32)
+    cfg = SinkhornConfig(epsilon=0.1, max_iters=20000, tolerance=1e-12)
+    cold = sinkhorn_plan(C, marg, cfg)
+    f, g = _potentials(cold)
+    init = (f.copy(), g.copy())
+    warm = sinkhorn_plan(C, marg, cfg, init=init)
+    assert cold.converged and cold.iterations_used > 1
+    assert (warm.iterations_used, warm.converged) == (1, True)
+    np.testing.assert_allclose(warm.plan, cold.plan, rtol=0, atol=1e-12)
+    # the caller's potentials are not updated in place
+    assert np.array_equal(init[0], f) and np.array_equal(init[1], g)
+
+
+def test_warm_start_from_perturbed_cost_reaches_cold_plan_in_fewer_updates(rng):
+    n, d = 32, 8
+    X, Y = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+    X_near = X + 0.02 * rng.normal(size=X.shape)
+    C_old, C = _scaled_cost(X, Y), _scaled_cost(X_near, Y)
+    marg = Marginals.uniform(n, n)
+    cfg = SinkhornConfig(epsilon=0.1, max_iters=20000, tolerance=1e-10)
+    previous = sinkhorn_plan(C_old, marg, cfg)
+    cold = sinkhorn_plan(C, marg, cfg)
+    warm = sinkhorn_plan(C, marg, cfg, init=_potentials(previous))
+    assert previous.converged and cold.converged and warm.converged
+    np.testing.assert_allclose(warm.plan, cold.plan, rtol=0, atol=1e-8)
+    stages = sinkhorn_module._anneal_stages(float(C.values.max()), cfg.epsilon)
+    cold_updates = sinkhorn_module._ANNEAL_BURNIN * (len(stages) - 1) + cold.iterations_used
+    assert warm.iterations_used < cold_updates
+
+
+def test_warm_start_validation(rng):
+    C = random_cost(rng, 3, 4)
+    marg = Marginals.uniform(3, 4)
+    cfg = SinkhornConfig()
+    f, g = np.zeros(3), np.zeros(4)
+    for bad in ((g, g), (f, f), (f[:, None], g), (f, g[:3])):
+        with pytest.raises(ShapeMismatchError):
+            sinkhorn_plan(C, marg, cfg, init=bad)
+    for value in (np.nan, np.inf, -np.inf):
+        f_bad = f.copy()
+        f_bad[1] = value
+        with pytest.raises(NumericalError, match="warm-start"):
+            sinkhorn_plan(C, marg, cfg, init=(f_bad, g))
+        with pytest.raises(NumericalError, match="warm-start"):
+            sinkhorn_plan(C, marg, cfg, init=(f, np.full(4, value)))
+    with pytest.raises(ConfigError):
+        sinkhorn_plan(C, marg, SinkhornConfig(log_domain=False), init=(f, g))
 
 
 # ---------------------------------------------------------------------------
