@@ -24,6 +24,7 @@ import logging
 import os
 import sys
 import time
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +52,6 @@ from .io import (
 from .metrics import AccuracyMatrix, accuracy, bwt, l1_shift, sinkhorn_shift
 from .models import ModelSpec, ToyModel, forward_features, init_model, train_sft
 from .params import ParamVector, pv_sub
-from .sinkhorn import SinkhornConfig
 from .taskgen import TaskStreamSpec, generate_stream
 
 log = logging.getLogger("otmf")
@@ -93,20 +93,54 @@ class RunConfig:
             )
 
 
+_TYPE_NAMES = {
+    bool: "true or false",
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    tuple[int, ...]: "a list of integers",
+}
+
+
+def _typed(val, hint, name: str):
+    """val checked against a config field's annotated type (JSON values).
+
+    A float field takes any JSON number, an int field only an integer, and
+    a tuple[int, ...] field a list of integers (returned as a tuple); bool
+    is never taken for a number.
+    """
+    number = isinstance(val, (int, float)) and not isinstance(val, bool)
+    if hint is bool:
+        ok = isinstance(val, bool)
+    elif hint is int:
+        ok = number and isinstance(val, int)
+    elif hint is float:
+        ok = number
+    elif hint is str:
+        ok = isinstance(val, str)
+    else:  # tuple[int, ...]
+        ok = isinstance(val, list) and all(
+            isinstance(v, int) and not isinstance(v, bool) for v in val
+        )
+        val = tuple(val) if ok else val
+    if not ok:
+        raise ConfigError(f"config value '{name}' must be {_TYPE_NAMES[hint]}, got {val!r}")
+    return val
+
+
 def _build_section(cls, data: dict, name: str):
     if not isinstance(data, dict):
         raise ConfigError(f"config section '{name}' must be an object")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(fields)
+    hints = typing.get_type_hints(cls)
+    unknown = set(data) - set(hints)
     if unknown:
         raise ConfigError(f"unknown keys in '{name}': {sorted(unknown)}")
     kwargs = {}
     for key, val in data.items():
-        if key == "sinkhorn":
-            val = _build_section(SinkhornConfig, val, f"{name}.sinkhorn")
-        elif key == "layer_dims":
-            val = tuple(val)
-        kwargs[key] = val
+        if dataclasses.is_dataclass(hints[key]):
+            kwargs[key] = _build_section(hints[key], val, f"{name}.{key}")
+        else:
+            kwargs[key] = _typed(val, hints[key], f"{name}.{key}")
     try:
         return cls(**kwargs)
     except TypeError as exc:
@@ -132,12 +166,12 @@ def load_config(path: str | None, seed: int | None, out: str | None) -> RunConfi
 
     cfg = RunConfig(
         stream=_build_section(TaskStreamSpec, data.get("stream", {}), "stream"),
-        model=_build_section(ModelSpec, data.get("model", {"layer_dims": (8, 16, 8)}), "model"),
+        model=_build_section(ModelSpec, data.get("model", {"layer_dims": [8, 16, 8]}), "model"),
         fusion=_build_section(FusionConfig, data.get("fusion", {}), "fusion"),
         baseline=_build_section(BaselineConfig, data.get("baseline", {}), "baseline"),
         sft=_build_section(SftConfig, data.get("sft", {}), "sft"),
-        seeds=tuple(data.get("seeds", (0,))),
-        output_dir=data.get("output_dir", "runs/default"),
+        seeds=_typed(data.get("seeds", [0]), tuple[int, ...], "seeds"),
+        output_dir=_typed(data.get("output_dir", "runs/default"), str, "output_dir"),
     )
     if seed is not None:
         cfg = dataclasses.replace(cfg, seeds=(seed,))
@@ -270,6 +304,11 @@ def _merge_otmf(cfg: RunConfig, seed: int, theta0, tasks, step_dir: Path):
             {"step": lg.step, "incoming_task": lg.incoming_task,
              "initial": lg.initial_pair_loss, "final": lg.final_pair_loss}
             for lg in logs
+        ],
+        # per step and side: mask-loop solves, marginal checks, Newton
+        # matvecs, fallbacks to scaling updates, unconverged solves
+        "mask_loop_solver": [
+            {"step": lg.step, **lg.solver_counts} for lg in logs
         ],
         "ot_loss_history": [
             [lg.step, e, side, loss]

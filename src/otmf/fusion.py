@@ -15,13 +15,18 @@ training the step's merged vector is frozen and the previous task's
 classification head is lightly re-tuned on a small labeled subsample.
 
 Each side keeps, next to its optimizer moments, a SolverState: the dual
-potentials of its last Sinkhorn solve and counts of solves, final-stage
-iterations and unconverged solves. Consecutive epochs on one side solve
-nearly the same OT problem, so each solve after the first is warm-started
-from the side's previous potentials and skips epsilon annealing. Both the
-optimizers and the solver states are created afresh at every continual
-step, because the OT batches are redrawn per step; the initial and final
-pair losses are cold solves. Each step logs its per-side counts at INFO.
+potentials of its last Sinkhorn solve and counts of solves, marginal
+checks, Newton matrix-vector products, Newton fallbacks and unconverged
+solves. Consecutive epochs on one side solve nearly the same OT problem,
+so every mask-loop solve is warm-started from the side's previous
+potentials (the first from the step's initial pair-loss solve on that
+side) and runs Newton-CG on the dual, falling back to scaling updates if
+Newton cannot make progress (see otmf.sinkhorn). Both the optimizers and
+the solver states are created afresh at every continual step, because
+the OT batches are redrawn per step; the initial and final pair losses
+are cold solves. Each step logs its per-side counts at INFO, and at
+WARNING when a mask-loop solve ended unconverged or fell back; the counts
+are returned in StepLog.solver_counts.
 """
 
 from __future__ import annotations
@@ -150,19 +155,31 @@ class SolverState:
     """One mask side's Sinkhorn state within a continual step.
 
     duals holds the (f, g) potentials the side's last solve ended at, the
-    warm start of its next solve; the counters sum over its solves.
+    warm start of its next solve; the counters sum over its solves: marginal
+    checks (Newton steps of a warm solve or scaling updates), matrix-vector
+    products with the plan in Newton directions (a scaling update costs 2),
+    warm solves that fell back to scaling updates, and unconverged solves.
     """
 
     duals: tuple[np.ndarray, np.ndarray] | None = None
     solves: int = 0
     iters: int = 0
+    matvecs: int = 0
+    fallbacks: int = 0
     unconverged: int = 0
 
     def record(self, plan: TransportPlan) -> None:
         self.duals = (plan.epsilon * plan.log_u, plan.epsilon * plan.log_v)
         self.solves += 1
         self.iters += plan.iterations_used
+        matvecs, fell_back = plan.newton
+        self.matvecs += matvecs
+        self.fallbacks += fell_back
         self.unconverged += not plan.converged
+
+    def counts(self) -> dict[str, int]:
+        """The counters, without the duals."""
+        return {k: v for k, v in vars(self).items() if k != "duals"}
 
 
 def masked_fuse(
@@ -279,6 +296,8 @@ class StepLog:
     ot_loss_history: list[tuple[int, str, float]]
     initial_pair_loss: float
     final_pair_loss: float
+    # per side ("pre", "post"): the mask loop's SolverState counts
+    solver_counts: dict[str, dict[str, int]] = field(default_factory=dict)
 
 
 def _ot_batch(rng: np.random.Generator, pool: np.ndarray, size: int) -> np.ndarray:
@@ -355,14 +374,19 @@ def continual_merge(
         opt_post = _MaskOptimizer(state.mask_post, cfg)
         solver_pre, solver_post = SolverState(), SolverState()
 
-        def _pair_loss(st: MergeState) -> float:
+        def _pair_loss(st: MergeState, pre=None, post=None) -> float:
             fused = masked_fuse(merged, incoming, st.mask_pre, st.mask_post, cfg.alpha)
             mm = theta0_model.with_backbone(reconstruct(theta0, fused))
-            lp, _ = ot_alignment_loss_and_grad(mm, pre_target, pre_batch, cfg.sinkhorn)
-            lq, _ = ot_alignment_loss_and_grad(mm, post_target, post_batch, cfg.sinkhorn)
+            lp, _ = ot_alignment_loss_and_grad(mm, pre_target, pre_batch, cfg.sinkhorn, pre)
+            lq, _ = ot_alignment_loss_and_grad(mm, post_target, post_batch, cfg.sinkhorn, post)
             return lp + lq
 
-        initial_pair_loss = _pair_loss(state)
+        initial_pair_loss = _pair_loss(state, solver_pre, solver_post)
+        # the pre side's first mask-loop solve is the problem its initial
+        # pair-loss solve just solved cold, and the post side's is close
+        # to it: both start warm from those duals, with the counts at zero
+        solver_pre = SolverState(duals=solver_pre.duals)
+        solver_post = SolverState(duals=solver_post.duals)
         history_start = len(state.ot_loss_history)
         for e in range(1, cfg.ot_epochs + 1):
             if e % 2 == 1:
@@ -375,12 +399,24 @@ def continual_merge(
                     state, theta0, merged, incoming, post_target, post_batch,
                     "post", e, cfg, opt_post, solver_post,
                 )
+        counts = {"pre": solver_pre.counts(), "post": solver_post.counts()}
         log.info(
-            "step %d mask-loop Sinkhorn: pre %d solves, %d iterations, "
-            "%d unconverged; post %d solves, %d iterations, %d unconverged",
-            t, solver_pre.solves, solver_pre.iters, solver_pre.unconverged,
-            solver_post.solves, solver_post.iters, solver_post.unconverged,
+            "step %d mask-loop Sinkhorn: %s", t,
+            "; ".join(
+                f"{side} {n['solves']} solves, {n['iters']} marginal checks, "
+                f"{n['matvecs']} Newton matvecs (a scaling update costs 2), "
+                f"{n['fallbacks']} fallbacks, {n['unconverged']} unconverged"
+                for side, n in counts.items()
+            ),
         )
+        if any(n["unconverged"] or n["fallbacks"] for n in counts.values()):
+            log.warning(
+                "step %d: mask-loop solves unconverged, so their gradients are "
+                "not exact: pre %d, post %d; fell back from Newton to scaling "
+                "updates: pre %d, post %d",
+                t, counts["pre"]["unconverged"], counts["post"]["unconverged"],
+                counts["pre"]["fallbacks"], counts["post"]["fallbacks"],
+            )
 
         final_pair_loss = _pair_loss(state)
 
@@ -416,6 +452,7 @@ def continual_merge(
                 ot_loss_history=state.ot_loss_history[history_start:],
                 initial_pair_loss=initial_pair_loss,
                 final_pair_loss=final_pair_loss,
+                solver_counts=counts,
             )
         )
 

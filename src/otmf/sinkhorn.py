@@ -16,10 +16,19 @@ arithmetic the iterates equal those of log-sum-exp updates on (f, g).
 
 A solve may be warm-started with init=(f, g), dual potentials at
 cfg.epsilon, typically eps*log_u and eps*log_v of an earlier plan on a
-nearby cost. A warm solve skips the annealing stages and their burn-in
-updates: its single stage starts from the stabilised kernel
-exp((f_i + g_j - C_ij)/eps) and runs the same updates, convergence test
-and absorption as the last stage of a cold solve.
+nearby cost. A warm solve skips annealing and runs damped inexact Newton
+ascent on the entropic dual D(f, g) = <f, r> + <g, c> - eps * sum(P),
+P = exp((f_i + g_j - C_ij)/eps) (Sinkhorn-Newton; Brauer, Clason, Lorenz,
+Wirth 2017): each step checks P's marginals, solves the Newton system's
+Schur complement by Jacobi-preconditioned conjugate gradients from
+products with P and P^T, and backtracks on D. Near the optimum, where
+warm starts begin, it converges quadratically, where scaling updates at
+eps=0.05 converge sublinearly. If P is not finite or has a zero row or
+column sum, or no step length raises D, the solve falls back to the
+stabilised scaling loop from the Newton iterate. iterations_used counts
+marginal checks (Newton steps plus fallback updates, together bounded by
+max_iters); plan.newton holds the Newton phase's matrix-vector products
+and whether it fell back. Cold solves run the scaling loop alone.
 
 The fixed-plan (Danskin) gradient with respect to the input clouds is
 the gradient of the regularized objective at the optimal plan; it is
@@ -44,6 +53,14 @@ _ANNEAL_BURNIN = 10
 # Scalings u, v outside [1/bound, bound] are absorbed into the potentials,
 # which keeps the stabilised kernel and the matvecs in range.
 _ABSORB_BOUND = 1e3
+# Newton line search on the dual: Armijo constant, halvings before the
+# scaling-loop fallback, and the relative slack that lets steps through
+# once the dual's change is below its rounding error.
+_ARMIJO_C = 1e-4
+_ARMIJO_HALVINGS = 30
+_ARMIJO_SLACK = 1e-13
+# floor of the Jacobi preconditioner, relative to the row sums
+_CG_DIAG_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -124,8 +141,11 @@ class TransportPlan:
     transport_cost: float  # <P, C>
     reg_objective: float  # <P, C> - eps * H(P); the differentiable loss
     marginal_error: float
-    iterations_used: int
+    iterations_used: int  # marginal checks
     converged: bool
+    # (plan matrix-vector products, fell back to scaling updates) of a warm
+    # solve's Newton phase; (0, False) for a cold solve
+    newton: tuple[int, bool] = (0, False)
 
 
 def pairwise_cost(X: np.ndarray, Y: np.ndarray) -> CostMatrix:
@@ -153,7 +173,9 @@ def pairwise_cost(X: np.ndarray, Y: np.ndarray) -> CostMatrix:
     return CostMatrix(values)
 
 
-def _finish(P, log_u, log_v, C, eps, it, converged, r, c) -> TransportPlan:
+def _finish(
+    P, log_u, log_v, C, eps, it, converged, r, c, newton=(0, False)
+) -> TransportPlan:
     rows, cols = P.sum(axis=1), P.sum(axis=0)
     # u/v are diagnostics; at tiny eps the scalings can overflow to inf
     # even though the plan itself is finite
@@ -175,6 +197,7 @@ def _finish(P, log_u, log_v, C, eps, it, converged, r, c) -> TransportPlan:
         ),
         iterations_used=it,
         converged=converged,
+        newton=newton,
     )
 
 
@@ -249,27 +272,137 @@ def _anneal_stages(cmax: float, epsilon: float) -> list[float]:
     return stages
 
 
+def _dual(f, g, r, c, e: float, rows) -> float:
+    """Entropic dual <f, r> + <g, c> - e * sum(P), given P's row sums."""
+    return float(f @ r + g @ c - e * rows.sum())
+
+
+def _newton_direction(P, rows, cols, r, c, e: float, err: float):
+    """Inexact Newton direction (df, dg) of the dual, and its plan products.
+
+    The Newton system (1/e) [[diag(rows), P], [P^T, diag(cols)]] d = grad
+    is reduced to its Schur complement in f,
+    S = diag(rows) - P diag(1/cols) P^T, solved by Jacobi-preconditioned
+    conjugate gradients from matrix-vector products with P and P^T only.
+    S is singular along the constant vector, which matches the null
+    direction (f + k, g - k) of the dual; the right-hand side is orthogonal
+    to it, and df is centred so that Newton steps keep the potentials'
+    gauge. CG stops at a relative residual of min(0.5, sqrt(err)) (inexact
+    Newton forcing term).
+    """
+    inv_cols = 1.0 / cols
+    rhs = e * ((r - rows) - P @ ((c - cols) * inv_cols))
+    products = 1
+    # diag(S)_i = rows_i - sum_j P_ij^2 / cols_j, floored against rounding
+    diag = rows - np.einsum("ij,ij,j->i", P, P, inv_cols)
+    np.maximum(diag, _CG_DIAG_FLOOR * rows, out=diag)
+    x = np.zeros_like(rows)
+    res = rhs.copy()
+    z = res / diag
+    p = z.copy()
+    rz = res @ z
+    stop = min(0.5, math.sqrt(err)) * math.sqrt(rhs @ rhs)
+    for _ in range(rows.shape[0]):
+        if math.sqrt(res @ res) <= stop:
+            break
+        Sp = rows * p - P @ ((P.T @ p) * inv_cols)
+        products += 2
+        pSp = p @ Sp
+        if not pSp > 0.0:
+            break
+        step = rz / pSp
+        x += step * p
+        res -= step * Sp
+        z = res / diag
+        rz, rz_old = res @ z, rz
+        p = z + (rz / rz_old) * p
+    x -= x.mean()
+    dg = (e * (c - cols) - P.T @ x) * inv_cols
+    return x, dg, products + 1
+
+
+def _newton(K, f, g, C, r, c, cfg: SinkhornConfig):
+    """Damped inexact Newton ascent on the dual at cfg.epsilon from (f, g).
+
+    Updates f, g in place and leaves the plan at (f, g) in K. Each step
+    forms the plan, checks the marginals, takes a Newton-CG direction and
+    backtracks on the dual (Armijo, with slack for rounding). Returns
+    (checks, converged, products, fell_back); fell_back is set when the
+    plan is not finite, has a zero row or column sum, or no step length
+    raises the dual, and the caller then continues with scaling updates.
+    """
+    e = cfg.epsilon
+    products = 0
+    f_try, g_try = np.empty_like(f), np.empty_like(g)
+    _fill_kernel(K, f, g, C, e)
+    rows, cols = K.sum(axis=1), K.sum(axis=0)
+    dual = _dual(f, g, r, c, e, rows)
+    # a plan that cannot be checked is no check: the scaling loop gets the
+    # whole budget, and its row/column-sum checks raise if they must
+    if not (math.isfinite(dual) and rows.min() > 0.0 and cols.min() > 0.0):
+        return 0, False, products, True
+    for check in range(1, cfg.max_iters + 1):
+        err = max(float(np.abs(rows - r).max()), float(np.abs(cols - c).max()))
+        if err <= cfg.tolerance:
+            return check, True, products, False
+        if check == cfg.max_iters:
+            break
+        df, dg, n = _newton_direction(K, rows, cols, r, c, e, err)
+        products += n
+        slope = float((r - rows) @ df + (c - cols) @ dg)
+        if not slope > 0.0:
+            return check, False, products, True
+        slack = _ARMIJO_SLACK * float(np.abs(f) @ r + np.abs(g) @ c + e * rows.sum())
+        t = 1.0
+        for _ in range(_ARMIJO_HALVINGS + 1):
+            np.add(f, t * df, out=f_try)
+            np.add(g, t * dg, out=g_try)
+            _fill_kernel(K, f_try, g_try, C, e)
+            rows_try, cols_try = K.sum(axis=1), K.sum(axis=0)
+            dual_try = _dual(f_try, g_try, r, c, e, rows_try)
+            # a NaN or -inf dual fails the comparison, and a step may not
+            # empty a row or column
+            if (
+                dual_try >= dual + _ARMIJO_C * t * slope - slack
+                and rows_try.min() > 0.0
+                and cols_try.min() > 0.0
+            ):
+                break
+            t *= 0.5
+        else:
+            return check, False, products, True
+        f[:], g[:] = f_try, g_try
+        rows, cols, dual = rows_try, cols_try, dual_try
+    return cfg.max_iters, False, products, False
+
+
 def _sinkhorn_log(C, r, c, cfg: SinkhornConfig, init) -> TransportPlan:
     K = np.empty_like(C)  # stabilised kernel; holds the plan at the end
-    if init is None:
-        f = np.zeros_like(r)
-        g = np.zeros_like(c)
-        stages = _anneal_stages(float(C.max()), cfg.epsilon)
-    else:
-        f, g = init
-        stages = [cfg.epsilon]
-
     it = 0
     converged = False
+    newton = (0, False)
     # a failed division or exponential surfaces as a NumericalError from
-    # _scaling, so the floating-point warnings ahead of it are noise
+    # _scaling (or as a Newton fallback), so the floating-point warnings
+    # ahead of it are noise
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if init is None:
+            f = np.zeros_like(r)
+            g = np.zeros_like(c)
+            stages = _anneal_stages(float(C.max()), cfg.epsilon)
+        else:
+            f, g = init
+            it, converged, products, fell_back = _newton(K, f, g, C, r, c, cfg)
+            newton = (products, fell_back)
+            # a fallback continues from the Newton iterate with the rest of
+            # the budget; otherwise K already holds the plan
+            stages = [cfg.epsilon] if fell_back else []
+        start = it
         for stage, e in enumerate(stages, 1):
             last = stage == len(stages)
             _fill_kernel(K, f, g, C, e)
             u, v = np.ones_like(r), np.ones_like(c)
             Kv = K @ v
-            for it in range(1, (cfg.max_iters if last else _ANNEAL_BURNIN) + 1):
+            for it in range(start + 1, (cfg.max_iters if last else _ANNEAL_BURNIN) + 1):
                 u, out = _scaling(r, Kv, "row", e)
                 if out:
                     u, v = _absorb(K, f, g, u, v, C, e)
@@ -284,9 +417,11 @@ def _sinkhorn_log(C, r, c, cfg: SinkhornConfig, init) -> TransportPlan:
                     break
             f += e * np.log(u)
             g += e * np.log(v)
-        _fill_kernel(K, f, g, C, e)
+        if stages:
+            _fill_kernel(K, f, g, C, e)
+    e = cfg.epsilon
     # diag(u) K diag(v) with K = exp(-C/eps) corresponds to log_u = f/eps
-    return _finish(K, f / e, g / e, C, e, it, converged, r, c)
+    return _finish(K, f / e, g / e, C, e, it, converged, r, c, newton)
 
 
 def sinkhorn_plan(
@@ -364,7 +499,9 @@ def sinkhorn_grad_features(
     training. By the envelope theorem it is the exact gradient of the
     regularized objective only when plan is the optimal (converged) plan;
     for a plan stopped at max_iters it is an approximation whose error
-    follows the plan's marginal error.
+    follows the plan's marginal error. The mask loop's warm-started
+    Newton solves converge, so its gradients meet the tolerance; cold
+    solves at small epsilon may still stop at max_iters.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)

@@ -81,6 +81,29 @@ def test_config_rejects_model_stream_mismatch(tmp_path):
         load_config(str(p), None, None)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"seeds": 5},
+        {"seeds": ["a"]},
+        {"seeds": [True]},
+        {"model": {"layer_dims": 8}},
+        {"model": {"layer_dims": [8, 16.5, 8]}},
+        {"fusion": {"sinkhorn": {"max_iters": 2.5}}},
+        {"fusion": {"alpha": "0.5"}},
+        {"fusion": {"pre_batch_mixture": 1}},
+        {"output_dir": 3},
+    ],
+    ids=lambda bad: json.dumps(bad),
+)
+def test_malformed_config_value_exits_2(tmp_path, bad):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(bad))
+    with pytest.raises(ConfigError):
+        load_config(str(p), None, None)
+    assert run("gen", "--config", p, "--out", tmp_path / "out") == 2
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -152,6 +175,10 @@ def test_merge_each_method(pipeline, method):
     if method == "otmf":
         assert len(report["ot_loss_history"]) == 6
         assert report["pair_loss"][0]["step"] == 2
+        [solver] = report["mask_loop_solver"]
+        assert solver["step"] == 2
+        assert solver["pre"]["solves"] == solver["post"]["solves"] == 3
+        assert set(solver["pre"]) == {"solves", "iters", "matvecs", "fallbacks", "unconverged"}
 
 
 def test_merge_report_byte_deterministic(pipeline):

@@ -22,13 +22,17 @@ from otmf.metrics import normalized_feature_scale
 from otmf.models import (
     Batch,
     ModelSpec,
+    ToyModel,
     cross_entropy_loss,
     forward_features,
     init_head,
     init_model,
+    task_vector,
+    train_sft,
 )
 from otmf.params import MaskVector, ParamVector, pv_add, pv_hadamard, pv_scale
 from otmf.sinkhorn import SinkhornConfig, sinkhorn_distance
+from otmf.taskgen import TaskStreamSpec, generate_stream
 
 SPEC = ModelSpec((3, 4, 3))
 
@@ -308,6 +312,92 @@ def test_continual_merge_logs_solver_counts_per_step(caplog):
     for step, line in zip((2, 3), lines):
         assert line.startswith(f"step {step} ")
         assert "pre 3 solves" in line and "post 2 solves" in line
+
+
+def test_solver_state_counts_newton_matvecs_and_fallbacks(rng):
+    X, Y = rng.normal(size=(64, 8)), rng.normal(size=(64, 8))
+    X, Y = (Z / np.linalg.norm(Z, axis=1).mean() for Z in (X, Y))
+    cfg = SinkhornConfig()
+    solver = SolverState()
+    _, cold = sinkhorn_distance(X, Y, cfg)
+    solver.record(cold)
+    f, g = solver.duals
+    _, warm = sinkhorn_distance(X + 0.02, Y, cfg, init=(f, g))
+    solver.record(warm)
+    g_far = g.copy()
+    g_far[0] -= 40 * cfg.epsilon  # Newton cannot raise the dual from here
+    _, fell_back = sinkhorn_distance(X, Y, cfg, init=(f, g_far))
+    solver.record(fell_back)
+    assert cold.newton == (0, False) and warm.newton[1] is False and fell_back.newton[1]
+    plans = (cold, warm, fell_back)
+    assert solver.counts() == {
+        "solves": 3,
+        "iters": sum(p.iterations_used for p in plans),
+        "matvecs": warm.newton[0] + fell_back.newton[0],
+        "fallbacks": 1,
+        "unconverged": sum(not p.converged for p in plans),
+    }
+
+
+def test_first_mask_loop_solves_start_from_initial_pair_loss_duals(monkeypatch):
+    theta0_model, deltas, heads, batches, pools = world(seed=19, T=2)
+    cfg = FusionConfig(ot_epochs=2, batch_size=8)
+    calls = []
+    distance = fusion_module.sinkhorn_distance
+
+    def record(*a, init=None):
+        out = distance(*a, init=init)
+        calls.append((init, out[1]))
+        return out
+
+    monkeypatch.setattr(fusion_module, "sinkhorn_distance", record)
+    continual_merge(theta0_model, deltas, heads, batches, pools, cfg, seed=0)
+    # initial pair loss (pre, post), epoch 1 (pre), epoch 2 (post), final
+    # pair loss (pre, post); the pair-loss solves stay cold
+    assert len(calls) == 6
+    assert [calls[i][0] for i in (0, 1, 4, 5)] == [None] * 4
+    for pair_loss, epoch in ((0, 2), (1, 3)):
+        plan = calls[pair_loss][1]
+        f, g = calls[epoch][0]
+        np.testing.assert_array_equal(f, plan.epsilon * plan.log_u)
+        np.testing.assert_array_equal(g, plan.epsilon * plan.log_v)
+
+
+def test_default_stream_seed1_mask_loop_solves_converge_without_fallback():
+    # default config, seed 1: with scaling updates, step 3 stopped 93 of its
+    # 100 mask-loop solves at max_iters
+    stream, spec = TaskStreamSpec(seed=1), ModelSpec((8, 16, 8))
+    pretrain, tasks = generate_stream(stream)
+    k = stream.classes_per_task
+    pre = train_sft(spec, init_model(spec, seed=1), "pretrain", pretrain, k, 300, 0.1, seed=1)
+    theta0 = ToyModel(spec=spec, backbone=pre.backbone, heads={})
+    sfts = [train_sft(spec, theta0, td.task_id, td.train, k, 300, 0.1, seed=101 + i)
+            for i, td in enumerate(tasks)]
+    cfg = FusionConfig()
+    _, _, logs = continual_merge(
+        theta0, [task_vector(m, theta0) for m in sfts],
+        [m.heads[td.task_id] for m, td in zip(sfts, tasks)],
+        [td.train for td in tasks], [td.unlabeled for td in tasks], cfg, seed=1,
+    )
+    assert [lg.step for lg in logs] == [2, 3]
+    for lg in logs:
+        for side in ("pre", "post"):
+            counts = lg.solver_counts[side]
+            assert counts["solves"] == cfg.ot_epochs // 2
+            assert counts["unconverged"] == 0 and counts["fallbacks"] == 0
+            assert counts["matvecs"] > 0
+
+
+def test_continual_merge_warns_on_unconverged_mask_loop_solves(caplog):
+    theta0_model, deltas, heads, batches, pools = world(seed=18, T=3)
+    cfg = FusionConfig(ot_epochs=4, batch_size=8,
+                       sinkhorn=SinkhornConfig(max_iters=1, tolerance=1e-300))
+    with caplog.at_level(logging.INFO, logger="otmf.fusion"):
+        _, _, logs = continual_merge(theta0_model, deltas, heads, batches, pools, cfg, seed=0)
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert [w.split(":")[0] for w in warnings] == ["step 2", "step 3"]
+    for lg in logs:
+        assert lg.solver_counts["pre"]["unconverged"] == 2
 
 
 def test_continual_merge_accumulates_heads_and_logs():

@@ -181,8 +181,11 @@ def test_reg_objective_below_transport_cost(rng):
     assert plan.reg_objective < plan.transport_cost
 
 
-def _reference_log_sinkhorn(C, r, c, cfg):
-    """The plain log-domain loop: two log-sum-exps and a full plan per update."""
+def _reference_log_sinkhorn(C, r, c, cfg, init=None):
+    """The plain log-domain loop: two log-sum-exps and a full plan per update.
+
+    From init=(f, g), if given, it runs the last stage only.
+    """
 
     def lse(Z, axis):
         zmax = Z.max(axis=axis, keepdims=True)
@@ -194,6 +197,9 @@ def _reference_log_sinkhorn(C, r, c, cfg):
         stages.append(e)
         e *= 0.5
     stages.append(cfg.epsilon)
+    if init is not None:
+        f, g = (np.array(p) for p in init)
+        stages = stages[-1:]
     converged, it = False, 0
     for e in stages[:-1]:
         for _ in range(10):
@@ -297,6 +303,124 @@ def test_warm_start_from_perturbed_cost_reaches_cold_plan_in_fewer_updates(rng):
     stages = sinkhorn_module._anneal_stages(float(C.values.max()), cfg.epsilon)
     cold_updates = sinkhorn_module._ANNEAL_BURNIN * (len(stages) - 1) + cold.iterations_used
     assert warm.iterations_used < cold_updates
+
+
+def _unit(Z):
+    return Z / np.linalg.norm(Z, axis=1).mean()
+
+
+def _newton_problem(rng, n=64, d=8):
+    """A mask-loop warm solve at the default eps=0.05: unit-mean-norm clouds,
+    X moved a little, and the potentials of the solve before the move."""
+    X, Y = _unit(rng.normal(size=(n, d))), _unit(rng.normal(size=(n, d)))
+    _, previous = sinkhorn_distance(X, Y, SinkhornConfig())
+    return X + 0.02 * rng.normal(size=X.shape), Y, _potentials(previous)
+
+
+def test_warm_newton_solve_converges_where_scaling_stalls(rng):
+    X, Y, init = _newton_problem(rng)
+    cfg = SinkhornConfig()
+    _, cold = sinkhorn_distance(X, Y, cfg)
+    _, warm = sinkhorn_distance(X, Y, cfg, init=init)
+    assert (cold.iterations_used, cold.converged) == (cfg.max_iters, False)
+    assert warm.converged and warm.newton[1] is False
+    assert warm.iterations_used < 10
+    # Newton steps leave the null direction (f + k, g - k) alone: sum(f) stays
+    f, _ = _potentials(warm)
+    assert f.sum() == pytest.approx(init[0].sum(), rel=0, abs=1e-9)
+    P, n = warm.plan, X.shape[0]
+    assert np.abs(P.sum(axis=1) - 1.0 / n).max() <= cfg.tolerance
+    assert np.abs(P.sum(axis=0) - 1.0 / n).max() <= cfg.tolerance
+
+    # the envelope gradient against central differences of the optimal
+    # regularized objective, each solved to 1e-12 from the converged duals
+    tight = SinkhornConfig(tolerance=1e-12, max_iters=50)
+
+    def objective(Xf):
+        _, plan = sinkhorn_distance(Xf, Y, tight, init=_potentials(warm))
+        assert plan.converged
+        return plan.reg_objective
+
+    h = 1e-5
+    fd = np.zeros_like(X)
+    for i in range(X.shape[0]):
+        for j in range(X.shape[1]):
+            xp, xm = X.copy(), X.copy()
+            xp[i, j] += h
+            xm[i, j] -= h
+            fd[i, j] = (objective(xp) - objective(xm)) / (2 * h)
+    g = sinkhorn_grad_features(X, Y, warm)
+    # the cold plan, stopped at max_iters, misses by about 3e-4 here
+    assert np.linalg.norm(g - fd) / np.linalg.norm(fd) < 1e-5
+
+
+@pytest.mark.parametrize("start", ["column-far-below", "plan-overflows"])
+def test_newton_falls_back_to_the_scaling_loop_from_its_iterate(rng, monkeypatch, start):
+    X, Y, (f, g) = _newton_problem(rng)
+    C = pairwise_cost(X, Y)
+    marg = Marginals.uniform(C.n, C.m)
+    cfg = SinkhornConfig()
+    outcomes = []
+    newton = sinkhorn_module._newton
+    monkeypatch.setattr(
+        sinkhorn_module, "_newton", lambda *a: outcomes.append(newton(*a)) or outcomes[-1]
+    )
+    if start == "column-far-below":
+        # column 0 scaled by exp(-40): every Newton step length overshoots
+        g = g.copy()
+        g[0] -= 40 * cfg.epsilon
+        plan = sinkhorn_plan(C, marg, cfg, init=(f, g))
+        checks, converged, _, fell_back = outcomes[0]
+        assert fell_back and not converged and plan.newton[1]
+        rest = SinkhornConfig(max_iters=cfg.max_iters - checks)
+        P, reg, it, ref_converged = _reference_log_sinkhorn(
+            C.values, marg.r, marg.c, rest, init=(f, g)
+        )
+        assert (plan.iterations_used, plan.converged) == (checks + it, ref_converged)
+        np.testing.assert_allclose(plan.plan, P, rtol=0, atol=1e-12)
+        assert plan.reg_objective == pytest.approx(reg, rel=0, abs=1e-12)
+    else:
+        # exp((f + g - C)/eps) overflows: no marginal check is possible, and
+        # the scaling loop's kernel-sum check raises as it would from there
+        with pytest.raises(NumericalError, match="row sums"):
+            sinkhorn_plan(C, marg, cfg, init=(f + 50.0, g))
+        assert outcomes[0] == (0, False, 0, True)
+
+
+def test_max_iters_caps_newton_steps_and_fallback_updates(rng, monkeypatch):
+    X, Y, (f, g) = _newton_problem(rng)
+    C = pairwise_cost(X, Y)
+    marg = Marginals.uniform(C.n, C.m)
+    directions = []
+    direction = sinkhorn_module._newton_direction
+    monkeypatch.setattr(
+        sinkhorn_module, "_newton_direction",
+        lambda *a: directions.append(1) or direction(*a),
+    )
+    assert sinkhorn_plan(C, marg, SinkhornConfig(), init=(f, g)).iterations_used > 3
+    for max_iters in (1, 2, 3):
+        directions.clear()
+        plan = sinkhorn_plan(C, marg, SinkhornConfig(max_iters=max_iters), init=(f, g))
+        assert (plan.iterations_used, plan.converged) == (max_iters, False)
+        # a Newton step between consecutive checks, none after the last
+        assert len(directions) == max_iters - 1
+    g_far = g.copy()
+    g_far[0] -= 40 * SinkhornConfig().epsilon
+    for max_iters in (2, 5):
+        plan = sinkhorn_plan(C, marg, SinkhornConfig(max_iters=max_iters), init=(f, g_far))
+        assert plan.newton[1]
+        assert (plan.iterations_used, plan.converged) == (max_iters, False)
+
+
+def test_warm_newton_solve_is_bit_identical_across_runs(rng):
+    X, Y, init = _newton_problem(rng)
+    a = sinkhorn_distance(X, Y, SinkhornConfig(), init=init)[1]
+    b = sinkhorn_distance(X, Y, SinkhornConfig(), init=init)[1]
+    for name in ("plan", "log_u", "log_v"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert (a.iterations_used, a.newton, a.reg_objective) == (
+        b.iterations_used, b.newton, b.reg_objective
+    )
 
 
 def test_warm_start_validation(rng):
