@@ -2,12 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .baselines import (
-    BaselineConfig,
-    continual_swa,
-    continual_task_arithmetic,
-    continual_ties,
-)
+from .baselines import BaselineConfig, baseline_fold
 from .fusion import (
     FusionConfig,
     MergeState,
@@ -28,15 +23,7 @@ from .io import (
     save_matrix,
     save_report,
 )
-from .metrics import (
-    AccuracyMatrix,
-    ShiftReport,
-    accuracy,
-    bwt,
-    l1_shift,
-    sinkhorn_shift,
-    total_shift,
-)
+from .metrics import AccuracyMatrix, accuracy, bwt, l1_shift, sinkhorn_shift
 from .models import Batch, ModelSpec, ToyModel, forward_features, forward_logits
 from .params import MaskVector, ParamVector, pv_add, pv_hadamard, pv_scale, pv_sub
 from .sinkhorn import (

@@ -9,53 +9,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .params import ParamVector
+from .params import ParamVector, pv_scale
 
 _METHODS = ("swa", "task_arithmetic", "ties")
 
 
 @dataclass(frozen=True)
 class BaselineConfig:
-    method: str = "swa"
     scaling: float = 0.3  # task-arithmetic coefficient
     trim_fraction: float = 0.2  # ties top-magnitude keep rate
 
     def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ConfigError(f"unknown baseline method '{self.method}'")
         if not 0.0 < self.trim_fraction <= 1.0:
             raise ConfigError(f"trim_fraction must be in (0, 1], got {self.trim_fraction}")
         if not math.isfinite(self.scaling):
             raise ConfigError(f"scaling must be finite, got {self.scaling}")
-
-
-def continual_swa(theta0: ParamVector, task_vectors: Sequence[ParamVector]) -> ParamVector:
-    """Running average of task vectors, updated incrementally."""
-    if len(task_vectors) < 1:
-        raise DataError("need at least one task vector")
-    avg = task_vectors[0]
-    for t, delta in enumerate(task_vectors[1:], start=2):
-        avg = ParamVector(
-            {n: avg[n] + (delta[n] - avg[n]) / t for n in avg.layers()}
-        )
-    return avg
-
-
-def continual_task_arithmetic(
-    theta0: ParamVector, task_vectors: Sequence[ParamVector], scaling: float
-) -> ParamVector:
-    """Sequentially accumulated sum of task vectors, scaled once."""
-    if len(task_vectors) < 1:
-        raise DataError("need at least one task vector")
-    acc = task_vectors[0]
-    for delta in task_vectors[1:]:
-        acc = ParamVector({n: acc[n] + delta[n] for n in acc.layers()})
-    return ParamVector({n: scaling * acc[n] for n in acc.layers()})
 
 
 def _trim(flat: np.ndarray, trim_fraction: float) -> np.ndarray:
@@ -90,23 +63,32 @@ def ties_merge_pair(
     return merged.with_flat(out)
 
 
-def continual_ties(
-    theta0: ParamVector, task_vectors: Sequence[ParamVector], trim_fraction: float
-) -> ParamVector:
-    """Pairwise streaming ties-merging in stream order."""
-    if len(task_vectors) < 2:
-        raise DataError("need at least two task vectors")
-    merged = task_vectors[0]
-    for incoming in task_vectors[1:]:
-        merged = ties_merge_pair(merged, incoming, trim_fraction)
-    return merged
+def baseline_fold(
+    method: str, cfg: BaselineConfig, task_vectors: Iterable[ParamVector]
+) -> Iterator[ParamVector]:
+    """Yield the merged task vector after each incoming task vector.
 
-
-def run_baseline(
-    theta0: ParamVector, task_vectors: Sequence[ParamVector], cfg: BaselineConfig
-) -> ParamVector:
-    if cfg.method == "swa":
-        return continual_swa(theta0, task_vectors)
-    if cfg.method == "task_arithmetic":
-        return continual_task_arithmetic(theta0, task_vectors, cfg.scaling)
-    return continual_ties(theta0, task_vectors, cfg.trim_fraction)
+    swa keeps the running mean, task_arithmetic the running sum, scaled by
+    cfg.scaling on output, and ties the left fold of ties_merge_pair. The
+    first yield is the first vector alone (scaled, for task arithmetic).
+    Vectors are pulled one at a time, so a lazy iterable keeps one incoming
+    vector resident. A stream of fewer than two vectors raises DataError
+    once it is exhausted.
+    """
+    if method not in _METHODS:
+        raise ConfigError(f"unknown baseline method '{method}'")
+    t = 0
+    for t, delta in enumerate(task_vectors, start=1):
+        if t == 1:
+            merged = delta
+        elif method == "swa":
+            merged = ParamVector(
+                {n: merged[n] + (delta[n] - merged[n]) / t for n in merged.layers()}
+            )
+        elif method == "task_arithmetic":
+            merged = ParamVector({n: merged[n] + delta[n] for n in merged.layers()})
+        else:
+            merged = ties_merge_pair(merged, delta, cfg.trim_fraction)
+        yield pv_scale(cfg.scaling, merged) if method == "task_arithmetic" else merged
+    if t < 2:
+        raise DataError("continual merging needs at least 2 task vectors")

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import BaselineConfig, ties_merge_pair
+from .baselines import BaselineConfig, baseline_fold
 from .errors import (
     ConfigError,
     DataError,
@@ -271,133 +271,54 @@ def _sft_path(cfg: RunConfig, seed: int, tid: str) -> Path:
     return path
 
 
-def _merge_otmf(cfg: RunConfig, seed: int, theta0, tasks, step_dir: Path):
-    """Mask-trained merge; task checkpoints stream through a loader so at
-    most the current merged and incoming vectors are materialized."""
-    tids = [t[0] for t in tasks]
-    heads, train_batches, pools = [], [], []
-    for tid, train, _, unlabeled in tasks:
-        sft = load_checkpoint(_sft_path(cfg, seed, tid))
-        heads.append(sft.heads[tid])
-        train_batches.append(train)
-        pools.append(unlabeled)
-        del sft
+def _task_loader(cfg: RunConfig, seed: int, theta0: ToyModel, tids: list[str],
+                 on_read=None):
+    """Index -> (task vector, head) of that task's fine-tuned checkpoint,
+    read from disk once per call; on_read(i, model), if given, sees the
+    model read."""
 
-    def loader(i: int) -> ParamVector:
+    def load(i: int):
         sft = load_checkpoint(_sft_path(cfg, seed, tids[i]))
-        return pv_sub(sft.backbone, theta0.backbone)
+        if on_read is not None:
+            on_read(i, sft)
+        return pv_sub(sft.backbone, theta0.backbone), sft.heads[tids[i]]
 
-    step_logs: dict[int, dict] = {}
-
-    def on_step(step: int, theta: ParamVector, step_heads: dict) -> None:
-        model = ToyModel(spec=cfg.model, backbone=theta, heads=step_heads)
-        save_checkpoint(step_dir / f"step{step:02d}.ckpt", model)
-        step_logs[step] = {"theta": theta, "heads": dict(step_heads)}
-
-    final_theta, state, logs = continual_merge(
-        theta0, loader, heads, train_batches, pools, cfg.fusion,
-        seed=seed, on_step=on_step,
-    )
-    final = ToyModel(spec=cfg.model, backbone=final_theta, heads=dict(state.heads))
-    extra = {
-        "pair_loss": [
-            {"step": lg.step, "incoming_task": lg.incoming_task,
-             "initial": lg.initial_pair_loss, "final": lg.final_pair_loss}
-            for lg in logs
-        ],
-        # per step and side: mask-loop solves, marginal checks, Newton
-        # matvecs, fallbacks to scaling updates, unconverged solves
-        "mask_loop_solver": [
-            {"step": lg.step, **lg.solver_counts} for lg in logs
-        ],
-        "ot_loss_history": [
-            [lg.step, e, side, loss]
-            for lg in logs
-            for e, side, loss in lg.ot_loss_history
-        ],
-    }
-    return final, step_logs, extra
-
-
-def _merge_baseline(cfg: RunConfig, seed: int, theta0, tasks, step_dir: Path):
-    """Streaming baseline fold; one incoming checkpoint resident at a time."""
-    method = cfg.baseline.method
-    tids = [t[0] for t in tasks]
-    heads: dict[str, ParamVector] = {}
-    merged: ParamVector | None = None
-    acc_sum: ParamVector | None = None
-    step_logs: dict[int, dict] = {}
-
-    for t, tid in enumerate(tids, start=1):
-        sft = load_checkpoint(_sft_path(cfg, seed, tid))
-        heads[tid] = sft.heads[tid]
-        delta = pv_sub(sft.backbone, theta0.backbone)
-        del sft
-        if t == 1:
-            merged, acc_sum = delta, delta
-        elif method == "swa":
-            merged = ParamVector(
-                {n: merged[n] + (delta[n] - merged[n]) / t for n in merged.layers()}
-            )
-        elif method == "task_arithmetic":
-            acc_sum = ParamVector({n: acc_sum[n] + delta[n] for n in acc_sum.layers()})
-            merged = ParamVector(
-                {n: cfg.baseline.scaling * acc_sum[n] for n in acc_sum.layers()}
-            )
-        else:
-            merged = ties_merge_pair(merged, delta, cfg.baseline.trim_fraction)
-        if t >= 2:
-            theta = reconstruct(theta0.backbone, merged)
-            model = ToyModel(spec=cfg.model, backbone=theta, heads=dict(heads))
-            save_checkpoint(step_dir / f"step{t:02d}.ckpt", model)
-            step_logs[t] = {"theta": theta, "heads": dict(heads)}
-
-    final = ToyModel(
-        spec=cfg.model, backbone=reconstruct(theta0.backbone, merged), heads=heads
-    )
-    return final, step_logs, {}
+    return load
 
 
 def cmd_merge(cfg: RunConfig, seed: int, method: str) -> dict:
+    """Stream the task checkpoints through one merge method, reading each
+    once, and score every step as soon as it is merged."""
     if method not in _MERGE_METHODS:
         raise ConfigError(f"unknown merge method '{method}'")
-    if method != "otmf" and cfg.baseline.method != method:
-        cfg = dataclasses.replace(
-            cfg, baseline=dataclasses.replace(cfg.baseline, method=method)
-        )
     _, tasks = _load_data(cfg, seed)
     theta0 = _load_theta0(cfg, seed)
+    tids = [t[0] for t in tasks]
     step_dir = _seed_dir(cfg, seed) / "merged" / method
     step_dir.mkdir(parents=True, exist_ok=True)
-
-    timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    if method == "otmf":
-        final, step_logs, extra = _merge_otmf(cfg, seed, theta0, tasks, step_dir)
-    else:
-        final, step_logs, extra = _merge_baseline(cfg, seed, theta0, tasks, step_dir)
-    timings["merge_seconds"] = time.perf_counter() - t0
-    save_checkpoint(step_dir / "final.ckpt", final)
-
-    # accuracy matrix: row 1 is the first fine-tuned model alone
-    T = len(tasks)
-    mat = AccuracyMatrix(T)
-    first = load_checkpoint(_sft_path(cfg, seed, tasks[0][0]))
-    mat.set(1, 1, accuracy(first, tasks[0][0], tasks[0][2]))
-    for step, entry in sorted(step_logs.items()):
-        model = ToyModel(spec=cfg.model, backbone=entry["theta"], heads=entry["heads"])
-        for i in range(1, step + 1):
-            tid, _, test, _ = tasks[i - 1]
-            mat.set(step, i, accuracy(model, tid, test))
-
-    # per-step shift of the merged model against the two models it fused
+    mat = AccuracyMatrix(len(tasks))
     shifts = []
-    prev = first
-    for step, entry in sorted(step_logs.items()):
-        tid, _, _, post_pool = tasks[step - 1]
-        incoming = load_checkpoint(_sft_path(cfg, seed, tid))
-        model = ToyModel(spec=cfg.model, backbone=entry["theta"], heads=entry["heads"])
+    # the fine-tuned model read last, the incoming side of the step's shift,
+    # and the model the step's pre-side shift compares against: task01's
+    # fine-tuned model at step 2, then the previous step's merged model
+    models = {}
+
+    def on_read(i: int, sft: ToyModel) -> None:
+        models["incoming"] = sft
+        if i == 0:
+            models["prev"] = sft
+            # accuracy row 1 is the first fine-tuned model alone
+            mat.set(1, 1, accuracy(sft, tids[0], tasks[0][2]))
+
+    def on_step(step: int, theta: ParamVector, heads: dict) -> None:
+        model = ToyModel(spec=cfg.model, backbone=theta, heads=heads)
+        save_checkpoint(step_dir / f"step{step:02d}.ckpt", model)
+        for i in range(1, step + 1):
+            mat.set(step, i, accuracy(model, tids[i - 1], tasks[i - 1][2]))
+        # shift of the merged model against the two models it fused
+        prev, incoming = models["prev"], models["incoming"]
         pre_pool = np.concatenate([t[3] for t in tasks[: step - 1]])
+        post_pool = tasks[step - 1][3]
         shifts.append(
             {
                 "step": step,
@@ -407,7 +328,50 @@ def cmd_merge(cfg: RunConfig, seed: int, method: str) -> dict:
                 "sinkhorn_post": sinkhorn_shift(model, incoming, post_pool, cfg.fusion.sinkhorn),
             }
         )
-        prev = model
+        models["prev"] = model
+
+    load = _task_loader(cfg, seed, theta0, tids, on_read)
+    t0 = time.perf_counter()
+    if method == "otmf":
+        final_theta, state, logs = continual_merge(
+            theta0, load, [t[1] for t in tasks], [t[3] for t in tasks], cfg.fusion,
+            seed=seed, on_step=on_step,
+        )
+        heads = dict(state.heads)
+        extra = {
+            "pair_loss": [
+                {"step": lg.step, "incoming_task": lg.incoming_task,
+                 "initial": lg.initial_pair_loss, "final": lg.final_pair_loss}
+                for lg in logs
+            ],
+            # per step and side: mask-loop solves, marginal checks, Newton
+            # matvecs, fallbacks to scaling updates, unconverged solves
+            "mask_loop_solver": [
+                {"step": lg.step, **lg.solver_counts} for lg in logs
+            ],
+            "ot_loss_history": [
+                [lg.step, e, side, loss]
+                for lg in logs
+                for e, side, loss in lg.ot_loss_history
+            ],
+        }
+    else:
+        heads, extra = {}, {}
+
+        def task_vectors():
+            for i, tid in enumerate(tids):
+                delta, heads[tid] = load(i)
+                yield delta
+
+        fold = baseline_fold(method, cfg.baseline, task_vectors())
+        for step, delta_m in enumerate(fold, start=1):
+            if step >= 2:
+                final_theta = reconstruct(theta0.backbone, delta_m)
+                on_step(step, final_theta, dict(heads))
+    # the merge together with the per-step checkpoints and evaluation
+    timings = {"merge_seconds": time.perf_counter() - t0}
+    final = ToyModel(spec=cfg.model, backbone=final_theta, heads=heads)
+    save_checkpoint(step_dir / "final.ckpt", final)
 
     report = {
         "tool_version": __version__,
@@ -481,20 +445,13 @@ def cmd_ablate_alpha(cfg: RunConfig, seed: int, grid: list[float]) -> dict:
     _, tasks = _load_data(cfg, seed)
     theta0 = _load_theta0(cfg, seed)
     tids = [t[0] for t in tasks]
-    heads, train_batches, pools = [], [], []
-    deltas = []
-    for tid, train, _, unlabeled in tasks:
-        sft = load_checkpoint(_sft_path(cfg, seed, tid))
-        heads.append(sft.heads[tid])
-        deltas.append(pv_sub(sft.backbone, theta0.backbone))
-        train_batches.append(train)
-        pools.append(unlabeled)
+    load = _task_loader(cfg, seed, theta0, tids)
 
     rows = []
     for alpha in grid:
         fcfg = dataclasses.replace(cfg.fusion, alpha=float(alpha))
         final_theta, state, _ = continual_merge(
-            theta0, deltas, heads, train_batches, pools, fcfg, seed=seed
+            theta0, load, [t[1] for t in tasks], [t[3] for t in tasks], fcfg, seed=seed
         )
         model = ToyModel(spec=cfg.model, backbone=final_theta, heads=dict(state.heads))
         accs = [accuracy(model, tid, tasks[i][2]) for i, tid in enumerate(tids)]

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -300,6 +300,10 @@ class StepLog:
     solver_counts: dict[str, dict[str, int]] = field(default_factory=dict)
 
 
+# a task's (task vector, classification head)
+TaskPair = tuple[ParamVector, ParamVector]
+
+
 def _ot_batch(rng: np.random.Generator, pool: np.ndarray, size: int) -> np.ndarray:
     if pool.shape[0] <= size:
         return pool.copy()
@@ -309,8 +313,7 @@ def _ot_batch(rng: np.random.Generator, pool: np.ndarray, size: int) -> np.ndarr
 
 def continual_merge(
     theta0_model: ToyModel,
-    task_vectors: Sequence[ParamVector] | Callable[[int], ParamVector],
-    task_heads: Sequence[ParamVector],
+    tasks: Iterable[TaskPair] | Callable[[int], TaskPair],
     task_train_batches: Sequence[Batch],
     task_unlabeled: Sequence[np.ndarray],
     cfg: FusionConfig,
@@ -318,21 +321,23 @@ def continual_merge(
     tracker: ResidencyTracker | None = None,
     on_step: Callable[[int, ParamVector, dict[str, ParamVector]], None] | None = None,
 ) -> tuple[ParamVector, MergeState, list[StepLog]]:
-    """Stream the task vectors through alternating OT mask training.
+    """Stream the tasks' (task vector, head) pairs through alternating OT
+    mask training.
 
-    task_vectors may be a callable index -> vector so only the current
-    merged vector and the incoming vector are ever materialized. on_step,
-    if given, receives (step, merged parameters, heads) after each step.
-    Returns the final merged parameters, the end state, and per-step logs.
+    tasks may be a callable index -> pair, called once per task in stream
+    order, so only the current merged vector and the incoming vector are
+    ever materialized. on_step, if given, receives (step, merged
+    parameters, heads) after each step. Returns the final merged
+    parameters, the end state, and per-step logs.
     """
-    if callable(task_vectors):
-        load, T = task_vectors, len(task_heads)
+    if callable(tasks):
+        load, T = tasks, len(task_train_batches)
     else:
-        vecs = list(task_vectors)
-        load, T = (lambda i: vecs[i]), len(vecs)
+        pairs = list(tasks)
+        load, T = pairs.__getitem__, len(pairs)
     if T < 2:
         raise DataError("continual merging needs at least 2 task vectors")
-    if not (len(task_heads) == len(task_train_batches) == len(task_unlabeled) == T):
+    if not (len(task_train_batches) == len(task_unlabeled) == T):
         raise DataError("per-task inputs must all have length T")
 
     tracker = tracker or ResidencyTracker()
@@ -340,25 +345,27 @@ def continual_merge(
     theta0 = tracker.acquire(theta0_model.backbone)
     task_ids = [f"task{t + 1:02d}" for t in range(T)]
 
-    merged = tracker.acquire(load(0))
+    merged, head = load(0)
+    tracker.acquire(merged)
     state = MergeState(
         step=1,
         merged_task_vector=merged,
         mask_pre=MaskVector.ones_like(merged),
         mask_post=MaskVector.ones_like(merged),
-        heads={task_ids[0]: task_heads[0]},
+        heads={task_ids[0]: head},
     )
     logs: list[StepLog] = []
 
     for t in range(2, T + 1):
-        incoming = tracker.acquire(load(t - 1))
+        incoming, head = load(t - 1)
+        tracker.acquire(incoming)
         state = replace(
             state,
             step=t,
             mask_pre=MaskVector.ones_like(merged),
             mask_post=MaskVector.ones_like(merged),
         )
-        state.heads[task_ids[t - 1]] = task_heads[t - 1]
+        state.heads[task_ids[t - 1]] = head
 
         pre_target = theta0_model.with_backbone(reconstruct(theta0, merged))
         post_target = theta0_model.with_backbone(reconstruct(theta0, incoming))

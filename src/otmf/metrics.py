@@ -2,29 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DataError, ShapeMismatchError
 from .models import Batch, ToyModel, forward_features, forward_logits
 from .sinkhorn import SinkhornConfig, sinkhorn_distance
-
-
-@dataclass
-class ShiftReport:
-    delta_pre: float
-    delta_post: float
-    sinkhorn_pre: float
-    sinkhorn_post: float
-
-    @property
-    def delta_total(self) -> float:
-        return self.delta_pre + self.delta_post
-
-    @property
-    def sinkhorn_total(self) -> float:
-        return self.sinkhorn_pre + self.sinkhorn_post
 
 
 class AccuracyMatrix:
@@ -87,22 +69,6 @@ def sinkhorn_shift(
     s = normalized_feature_scale(fr)
     dist, _ = sinkhorn_distance(s * fm, s * fr, cfg)
     return dist
-
-
-def total_shift(
-    merged: ToyModel,
-    pre_model: ToyModel,
-    post_model: ToyModel,
-    pre_inputs: np.ndarray,
-    post_inputs: np.ndarray,
-    sinkhorn_cfg: SinkhornConfig,
-) -> ShiftReport:
-    return ShiftReport(
-        delta_pre=l1_shift(merged, pre_model, pre_inputs),
-        delta_post=l1_shift(merged, post_model, post_inputs),
-        sinkhorn_pre=sinkhorn_shift(merged, pre_model, pre_inputs, sinkhorn_cfg),
-        sinkhorn_post=sinkhorn_shift(merged, post_model, post_inputs, sinkhorn_cfg),
-    )
 
 
 def accuracy(model: ToyModel, task: str, batch: Batch) -> float:

@@ -134,6 +134,3 @@ def pv_scale(s: float, v: ParamVector) -> ParamVector:
         raise NumericalError(f"scale factor is not finite: {s}")
     return ParamVector({n: s * v[n] for n in v.layers()})
 
-
-def pv_zeros_like(v: ParamVector) -> ParamVector:
-    return ParamVector({n: np.zeros_like(a) for n, a in v.entries.items()})

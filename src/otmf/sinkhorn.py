@@ -1,15 +1,14 @@
 """Entropic optimal transport on feature clouds.
 
 Solves min_P <P, C> - eps * H(P) over couplings with fixed marginals,
-where H(P) = -sum P_ij (log P_ij - 1). Two solver paths are provided:
-the classical diagonal-scaling updates on K = exp(-C/eps), and the
-default log-domain path with epsilon annealing that stays stable down to
-eps ~ 1e-3. The lambda of the d^lambda parameterization is 1/eps.
+where H(P) = -sum P_ij (log P_ij - 1), by log-domain Sinkhorn with
+epsilon annealing, which stays stable down to eps ~ 1e-3. The lambda of
+the d^lambda parameterization is 1/eps.
 
-The log-domain path keeps dual potentials (f, g) and, per annealing
-stage, a stabilised kernel K~ = exp((f_i + g_j - C_ij)/eps) in one
-buffer. Its updates u = r / (K~ v), v = c / (K~^T u) are matrix-vector
-products with no exponential; whenever u or v leaves [1e-3, 1e3], and at
+The solver keeps dual potentials (f, g) and, per annealing stage, a
+stabilised kernel K~ = exp((f_i + g_j - C_ij)/eps) in one buffer. Its
+updates u = r / (K~ v), v = c / (K~^T u) are matrix-vector products
+with no exponential; whenever u or v leaves [1e-3, 1e3], and at
 the end of every stage, eps*log(u) and eps*log(v) are absorbed into
 (f, g) and K~ is rebuilt (stabilised scaling, Schmitzer 2019). In exact
 arithmetic the iterates equal those of log-sum-exp updates on (f, g).
@@ -46,7 +45,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError, ShapeMismatchError
 
-# Annealing schedule for the log-domain path: start near max(C), halve
+# Annealing schedule of a cold solve: start near max(C), halve
 # until the target eps, a few burn-in updates per stage.
 _ANNEAL_FACTOR = 0.5
 _ANNEAL_BURNIN = 10
@@ -68,7 +67,6 @@ class SinkhornConfig:
     epsilon: float = 0.05
     max_iters: int = 500
     tolerance: float = 1e-6
-    log_domain: bool = True
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -133,7 +131,7 @@ class Marginals:
 @dataclass
 class TransportPlan:
     plan: np.ndarray
-    u: np.ndarray  # positive scalings in direct mode, exp(f/eps) in log mode
+    u: np.ndarray  # exp(f/eps), with P = diag(u) exp(-C/eps) diag(v)
     v: np.ndarray
     log_u: np.ndarray
     log_v: np.ndarray
@@ -199,34 +197,6 @@ def _finish(
         converged=converged,
         newton=newton,
     )
-
-
-def _sinkhorn_direct(C, r, c, cfg: SinkhornConfig) -> TransportPlan:
-    K = np.exp(-C / cfg.epsilon)
-    if np.any(K.sum(axis=1) == 0.0) or np.any(K.sum(axis=0) == 0.0):
-        raise NumericalError(
-            "kernel exp(-C/epsilon) underflowed to zero; retry with log_domain=True"
-        )
-    u = np.ones_like(r)
-    v = np.ones_like(c)
-    Kv = K @ v
-    converged = False
-    it = 0
-    for it in range(1, cfg.max_iters + 1):
-        u = r / Kv
-        v = c / (K.T @ u)
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-            raise NumericalError(
-                "scaling vectors diverged; retry with log_domain=True"
-            )
-        Kv = K @ v
-        # column sums equal c after the v-update; u * Kv are the row sums
-        if np.abs(u * Kv - r).max() <= cfg.tolerance:
-            converged = True
-            break
-    P = u[:, None] * K * v[None, :]
-    with np.errstate(divide="ignore"):
-        return _finish(P, np.log(u), np.log(v), C, cfg.epsilon, it, converged, r, c)
 
 
 def _fill_kernel(K: np.ndarray, f, g, C, e: float) -> None:
@@ -430,8 +400,8 @@ def sinkhorn_plan(
     """Run Sinkhorn-Knopp until the marginal error meets cfg.tolerance.
 
     init, if given, is a pair (f, g) of dual potentials at cfg.epsilon of
-    shapes (n,) and (m,); the log-domain solve then starts from them
-    instead of annealing.
+    shapes (n,) and (m,); the solve then starts from them instead of
+    annealing.
     """
     if marg.r.shape[0] != C.n or marg.c.shape[0] != C.m:
         raise ShapeMismatchError(
@@ -439,8 +409,6 @@ def sinkhorn_plan(
             f"cost matrix ({C.n}, {C.m})"
         )
     if init is not None:
-        if not cfg.log_domain:
-            raise ConfigError("a warm start (init) needs log_domain=True")
         # copies: the solve updates the potentials in place
         f, g = (np.array(p, dtype=np.float64) for p in init)
         if f.shape != (C.n,) or g.shape != (C.m,):
@@ -451,9 +419,7 @@ def sinkhorn_plan(
         if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
             raise NumericalError("warm-start potentials contain non-finite values")
         init = (f, g)
-    if cfg.log_domain:
-        return _sinkhorn_log(C.values, marg.r, marg.c, cfg, init)
-    return _sinkhorn_direct(C.values, marg.r, marg.c, cfg)
+    return _sinkhorn_log(C.values, marg.r, marg.c, cfg, init)
 
 
 def sinkhorn_distance(

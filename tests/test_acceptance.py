@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from otmf.baselines import continual_swa, continual_task_arithmetic, ties_merge_pair
+from otmf.baselines import BaselineConfig, baseline_fold, ties_merge_pair
 from otmf.fusion import (
     FusionConfig,
     MergeState,
@@ -92,7 +92,7 @@ def run_otmf(seed, cfg=None):
     cfg = cfg or FusionConfig()
     snapshots = {}
     final, state, logs = continual_merge(
-        theta0, deltas, heads, train_batches, pools, cfg, seed=seed,
+        theta0, zip(deltas, heads), train_batches, pools, cfg, seed=seed,
         on_step=lambda step, theta, hs: snapshots.__setitem__(step, (theta, hs)),
     )
     return tasks, theta0, sfts, deltas, final, state, logs, snapshots
@@ -300,10 +300,10 @@ def test_criterion_5_alignment_efficacy(capsys):
     otmf_l1 = (l1_shift(final_model, prev_model, pre_inputs)
                + l1_shift(final_model, sfts[-1], post_inputs))
 
-    ta_full = ToyModel(spec=MODEL, backbone=reconstruct(
-        theta0.backbone, continual_task_arithmetic(theta0.backbone, deltas, 0.3)), heads={})
-    ta_prev = ToyModel(spec=MODEL, backbone=reconstruct(
-        theta0.backbone, continual_task_arithmetic(theta0.backbone, deltas[:-1], 0.3)), heads={})
+    *_, ta_prev, ta_full = (
+        ToyModel(spec=MODEL, backbone=reconstruct(theta0.backbone, merged), heads={})
+        for merged in baseline_fold("task_arithmetic", BaselineConfig(scaling=0.3), deltas)
+    )
     ta_l1 = (l1_shift(ta_full, ta_prev, pre_inputs)
              + l1_shift(ta_full, sfts[-1], post_inputs))
 
@@ -326,21 +326,13 @@ def test_criterion_6_forgetting_comparison(capsys):
         bwts["otmf"].append(bwt(mat))
 
         sft_heads = {td.task_id: m.heads[td.task_id] for m, td in zip(sfts, tasks)}
-        for name, fold in (
-            ("swa", lambda pre: continual_swa(theta0.backbone, pre)),
-            ("task_arithmetic",
-             lambda pre: continual_task_arithmetic(theta0.backbone, pre, 0.3)),
-            ("ties", None),
-        ):
+        fold_cfg = BaselineConfig(scaling=0.3, trim_fraction=0.2)
+        for name in ("swa", "task_arithmetic", "ties"):
             mat_b = AccuracyMatrix(len(tasks))
             mat_b.set(1, 1, accuracy(sfts[0], tasks[0].task_id, tasks[0].test))
-            merged_ties = deltas[0]
-            for step in range(2, len(tasks) + 1):
-                if name == "ties":
-                    merged_ties = ties_merge_pair(merged_ties, deltas[step - 1], 0.2)
-                    merged = merged_ties
-                else:
-                    merged = fold(deltas[:step])
+            for step, merged in enumerate(baseline_fold(name, fold_cfg, deltas), start=1):
+                if step == 1:
+                    continue
                 model = ToyModel(spec=MODEL,
                                  backbone=reconstruct(theta0.backbone, merged),
                                  heads=sft_heads)
@@ -399,7 +391,7 @@ def test_criterion_8_constant_memory(capsys):
                    for _ in range(T)]
         pools = [rng.normal(size=(16, 3)) for _ in range(T)]
         tracker = ResidencyTracker()
-        continual_merge(theta0_model, deltas, heads, batches, pools,
+        continual_merge(theta0_model, zip(deltas, heads), batches, pools,
                         FusionConfig(ot_epochs=4, batch_size=8), seed=0,
                         tracker=tracker)
         residents[T] = tracker.max_resident
@@ -450,7 +442,7 @@ def test_criterion_10_baseline_oracles(capsys):
 
     # (a) swa equals the batch mean to 1e-12
     vecs = [rand_pv() for _ in range(9)]
-    avg = continual_swa(vecs[0], vecs)
+    *_, avg = baseline_fold("swa", BaselineConfig(), vecs)
     swa_err = max(
         float(np.abs(avg[n] - np.stack([v[n] for v in vecs]).mean(axis=0)).max())
         for n in avg.layers()

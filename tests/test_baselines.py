@@ -5,16 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otmf.baselines import (
-    BaselineConfig,
-    continual_swa,
-    continual_task_arithmetic,
-    continual_ties,
-    run_baseline,
-    ties_merge_pair,
-)
+from otmf.baselines import BaselineConfig, baseline_fold, ties_merge_pair
 from otmf.errors import ConfigError, DataError
 from otmf.params import ParamVector
+
+
+def folded(method, vecs, **cfg):
+    """The fold's merged vector after the last incoming vector."""
+    *_, last = baseline_fold(method, BaselineConfig(**cfg), vecs)
+    return last
 
 
 def random_vectors(seed, count, layout=(("w", (3, 2)), ("b", (4,)))):
@@ -49,7 +48,7 @@ def reference_ties(a_flat, b_flat, trim_fraction):
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        BaselineConfig(method="magic")
+        folded("magic", random_vectors(0, 2))
     with pytest.raises(ConfigError):
         BaselineConfig(trim_fraction=0.0)
     with pytest.raises(ConfigError):
@@ -59,7 +58,7 @@ def test_config_validation():
 def test_swa_equals_batch_mean():
     vecs = random_vectors(0, 7)
     theta0 = vecs[0]
-    avg = continual_swa(theta0, vecs)
+    avg = folded("swa", vecs)
     for n in theta0.layers():
         stacked = np.stack([v[n] for v in vecs])
         np.testing.assert_allclose(avg[n], stacked.mean(axis=0), atol=1e-12)
@@ -67,13 +66,13 @@ def test_swa_equals_batch_mean():
 
 def test_swa_identical_vectors_identity():
     v = random_vectors(1, 1)[0]
-    merged = continual_swa(v, [v, v, v])
+    merged = folded("swa", [v, v, v])
     assert merged == v
 
 
 def test_task_arithmetic_is_scaled_sum():
     vecs = random_vectors(2, 4)
-    merged = continual_task_arithmetic(vecs[0], vecs, 0.3)
+    merged = folded("task_arithmetic", vecs, scaling=0.3)
     for n in vecs[0].layers():
         np.testing.assert_allclose(merged[n], 0.3 * sum(v[n] for v in vecs), atol=1e-12)
 
@@ -98,27 +97,21 @@ def test_ties_sign_tie_elects_positive():
 def test_continual_ties_is_left_fold():
     vecs = random_vectors(5, 3)
     step = ties_merge_pair(ties_merge_pair(vecs[0], vecs[1], 0.4), vecs[2], 0.4)
-    assert continual_ties(vecs[0], vecs, 0.4) == step
+    assert folded("ties", vecs, trim_fraction=0.4) == step
 
 
 def test_input_validation():
     v = random_vectors(0, 1)[0]
-    with pytest.raises(DataError):
-        continual_swa(v, [])
-    with pytest.raises(DataError):
-        continual_task_arithmetic(v, [], 0.3)
-    with pytest.raises(DataError):
-        continual_ties(v, [v], 0.2)
+    for method in ("swa", "task_arithmetic", "ties"):
+        for vecs in ([], [v]):
+            with pytest.raises(DataError):
+                folded(method, vecs)
 
 
-def test_run_baseline_dispatch():
-    vecs = random_vectors(3, 3)
-    assert run_baseline(vecs[0], vecs, BaselineConfig(method="swa")) == continual_swa(
-        vecs[0], vecs
-    )
-    assert run_baseline(
-        vecs[0], vecs, BaselineConfig(method="task_arithmetic", scaling=0.3)
-    ) == continual_task_arithmetic(vecs[0], vecs, 0.3)
-    assert run_baseline(
-        vecs[0], vecs, BaselineConfig(method="ties", trim_fraction=0.2)
-    ) == continual_ties(vecs[0], vecs, 0.2)
+def test_fold_yields_each_prefix_merge():
+    vecs = random_vectors(3, 4)
+    for method in ("swa", "task_arithmetic", "ties"):
+        steps = list(baseline_fold(method, BaselineConfig(), vecs))
+        assert len(steps) == len(vecs)
+        for t in range(2, len(vecs) + 1):
+            assert steps[t - 1] == folded(method, vecs[:t])

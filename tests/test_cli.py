@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import otmf
+import otmf.cli
 from otmf.cli import load_config, main, resolved_config
 from otmf.errors import ConfigError
 from otmf.io import load_checkpoint, load_matrix, load_report
@@ -93,6 +94,8 @@ def test_config_rejects_model_stream_mismatch(tmp_path):
         {"fusion": {"alpha": "0.5"}},
         {"fusion": {"pre_batch_mixture": 1}},
         {"output_dir": 3},
+        {"baseline": {"method": "ties"}},
+        {"fusion": {"sinkhorn": {"log_domain": True}}},
     ],
     ids=lambda bad: json.dumps(bad),
 )
@@ -179,6 +182,22 @@ def test_merge_each_method(pipeline, method):
         assert solver["step"] == 2
         assert solver["pre"]["solves"] == solver["post"]["solves"] == 3
         assert set(solver["pre"]) == {"solves", "iters", "matvecs", "fallbacks", "unconverged"}
+
+
+def test_merge_reads_each_task_checkpoint_once(pipeline, monkeypatch):
+    tiny_cfg, _ = pipeline
+    reads = []
+
+    def counting_load(path):
+        reads.append(Path(path).name)
+        return load_checkpoint(path)
+
+    monkeypatch.setattr(otmf.cli, "load_checkpoint", counting_load)
+    for method in ("otmf", "swa", "task_arithmetic", "ties"):
+        reads.clear()
+        assert run("merge", "--config", tiny_cfg, "--method", method) == 0
+        assert sorted(r for r in reads if r.startswith("task")) == [
+            "task01.ckpt", "task02.ckpt"], method
 
 
 def test_merge_report_byte_deterministic(pipeline):

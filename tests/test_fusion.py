@@ -109,14 +109,14 @@ def test_reconstruct_is_addition(rng):
 # mask gradient
 
 
-def _reg_objective(theta0, d_pre, d_post, m_pre, m_post, target, inputs, cfg):
+def _reg_plan(theta0, d_pre, d_post, m_pre, m_post, target, inputs, cfg, init=None):
     fused = masked_fuse(d_pre, d_post, m_pre, m_post, cfg.alpha)
     merged = target.with_backbone(reconstruct(theta0, fused))
     fm = forward_features(merged, inputs)
     ft = forward_features(target, inputs)
     s = normalized_feature_scale(ft)
-    _, plan = sinkhorn_distance(s * fm, s * ft, cfg.sinkhorn)
-    return plan.reg_objective
+    _, plan = sinkhorn_distance(s * fm, s * ft, cfg.sinkhorn, init=init)
+    return plan
 
 
 @pytest.mark.parametrize("side", ["pre", "post"])
@@ -145,6 +145,12 @@ def test_mask_gradient_matches_fd(side):
     base = m_pre if side == "pre" else m_post
     grad = np.concatenate([(base[n] - moved[n]).ravel() for n in base.layers()])
 
+    # every finite-difference solve starts from the duals of the cold solve
+    # at the unperturbed masks, so it runs Newton on the dual and converges
+    # (a start from a converged solve's duals could pass the marginal test
+    # without moving)
+    cold = _reg_plan(theta0, d_pre, d_post, m_pre, m_post, target, inputs, cfg)
+    init = (cold.epsilon * cold.log_u, cold.epsilon * cold.log_v)
     h = 1e-6
     flat = base.flatten()
     fd = np.zeros_like(flat)
@@ -155,12 +161,13 @@ def test_mask_gradient_matches_fd(side):
         mp = MaskVector.ones_like(base).with_flat(plus)
         mm = MaskVector.ones_like(base).with_flat(minus)
         if side == "pre":
-            lp = _reg_objective(theta0, d_pre, d_post, mp, m_post, target, inputs, cfg)
-            lm = _reg_objective(theta0, d_pre, d_post, mm, m_post, target, inputs, cfg)
+            pp = _reg_plan(theta0, d_pre, d_post, mp, m_post, target, inputs, cfg, init)
+            pm = _reg_plan(theta0, d_pre, d_post, mm, m_post, target, inputs, cfg, init)
         else:
-            lp = _reg_objective(theta0, d_pre, d_post, m_pre, mp, target, inputs, cfg)
-            lm = _reg_objective(theta0, d_pre, d_post, m_pre, mm, target, inputs, cfg)
-        fd[i] = (lp - lm) / (2 * h)
+            pp = _reg_plan(theta0, d_pre, d_post, m_pre, mp, target, inputs, cfg, init)
+            pm = _reg_plan(theta0, d_pre, d_post, m_pre, mm, target, inputs, cfg, init)
+        assert pp.converged and pm.converged
+        fd[i] = (pp.reg_objective - pm.reg_objective) / (2 * h)
     assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-4
 
 
@@ -292,8 +299,8 @@ def test_head_finetune_reduces_loss(rng):
 def test_continual_merge_deterministic():
     theta0_model, deltas, heads, batches, pools = world(seed=10, T=3)
     cfg = FusionConfig(ot_epochs=6, batch_size=8)
-    a = continual_merge(theta0_model, deltas, heads, batches, pools, cfg, seed=1)
-    b = continual_merge(theta0_model, deltas, heads, batches, pools, cfg, seed=1)
+    a = continual_merge(theta0_model, zip(deltas, heads), batches, pools, cfg, seed=1)
+    b = continual_merge(theta0_model, zip(deltas, heads), batches, pools, cfg, seed=1)
     assert a[0] == b[0]
     assert a[1].heads.keys() == b[1].heads.keys()
     assert [lg.final_pair_loss for lg in a[2]] == [lg.final_pair_loss for lg in b[2]]
@@ -306,7 +313,7 @@ def test_continual_merge_logs_solver_counts_per_step(caplog):
     theta0_model, deltas, heads, batches, pools = world(seed=18, T=3)
     cfg = FusionConfig(ot_epochs=5, batch_size=8)
     with caplog.at_level(logging.INFO, logger="otmf.fusion"):
-        continual_merge(theta0_model, deltas, heads, batches, pools, cfg, seed=0)
+        continual_merge(theta0_model, zip(deltas, heads), batches, pools, cfg, seed=0)
     lines = [r.getMessage() for r in caplog.records if r.name == "otmf.fusion"]
     assert len(lines) == 2
     for step, line in zip((2, 3), lines):
@@ -351,7 +358,7 @@ def test_first_mask_loop_solves_start_from_initial_pair_loss_duals(monkeypatch):
         return out
 
     monkeypatch.setattr(fusion_module, "sinkhorn_distance", record)
-    continual_merge(theta0_model, deltas, heads, batches, pools, cfg, seed=0)
+    continual_merge(theta0_model, zip(deltas, heads), batches, pools, cfg, seed=0)
     # initial pair loss (pre, post), epoch 1 (pre), epoch 2 (post), final
     # pair loss (pre, post); the pair-loss solves stay cold
     assert len(calls) == 6
@@ -374,10 +381,9 @@ def test_default_stream_seed1_mask_loop_solves_converge_without_fallback():
     sfts = [train_sft(spec, theta0, td.task_id, td.train, k, 300, 0.1, seed=101 + i)
             for i, td in enumerate(tasks)]
     cfg = FusionConfig()
+    pairs = [(task_vector(m, theta0), m.heads[td.task_id]) for m, td in zip(sfts, tasks)]
     _, _, logs = continual_merge(
-        theta0, [task_vector(m, theta0) for m in sfts],
-        [m.heads[td.task_id] for m, td in zip(sfts, tasks)],
-        [td.train for td in tasks], [td.unlabeled for td in tasks], cfg, seed=1,
+        theta0, pairs, [td.train for td in tasks], [td.unlabeled for td in tasks], cfg, seed=1,
     )
     assert [lg.step for lg in logs] == [2, 3]
     for lg in logs:
@@ -393,7 +399,7 @@ def test_continual_merge_warns_on_unconverged_mask_loop_solves(caplog):
     cfg = FusionConfig(ot_epochs=4, batch_size=8,
                        sinkhorn=SinkhornConfig(max_iters=1, tolerance=1e-300))
     with caplog.at_level(logging.INFO, logger="otmf.fusion"):
-        _, _, logs = continual_merge(theta0_model, deltas, heads, batches, pools, cfg, seed=0)
+        _, _, logs = continual_merge(theta0_model, zip(deltas, heads), batches, pools, cfg, seed=0)
     warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
     assert [w.split(":")[0] for w in warnings] == ["step 2", "step 3"]
     for lg in logs:
@@ -404,7 +410,7 @@ def test_continual_merge_accumulates_heads_and_logs():
     theta0_model, deltas, heads, batches, pools = world(seed=11, T=4)
     cfg = FusionConfig(ot_epochs=4, batch_size=8)
     final, state, logs = continual_merge(
-        theta0_model, deltas, heads, batches, pools, cfg, seed=0
+        theta0_model, zip(deltas, heads), batches, pools, cfg, seed=0
     )
     assert sorted(state.heads) == ["task01", "task02", "task03", "task04"]
     assert [lg.step for lg in logs] == [2, 3, 4]
@@ -420,13 +426,13 @@ def test_continual_merge_callable_loader_and_residency():
 
     def loader(i):
         loads.append(i)
-        return deltas[i]
+        return deltas[i], heads[i]
 
     final_lazy, *_ = continual_merge(
-        theta0_model, loader, heads, batches, pools, cfg, seed=2, tracker=tracker
+        theta0_model, loader, batches, pools, cfg, seed=2, tracker=tracker
     )
     final_eager, *_ = continual_merge(
-        theta0_model, deltas, heads, batches, pools, cfg, seed=2
+        theta0_model, zip(deltas, heads), batches, pools, cfg, seed=2
     )
     assert final_lazy == final_eager
     assert loads == list(range(6))
@@ -438,7 +444,7 @@ def test_continual_merge_on_step_callback():
     cfg = FusionConfig(ot_epochs=4, batch_size=8)
     seen = []
     final, state, _ = continual_merge(
-        theta0_model, deltas, heads, batches, pools, cfg, seed=0,
+        theta0_model, zip(deltas, heads), batches, pools, cfg, seed=0,
         on_step=lambda step, theta, hs: seen.append((step, theta, sorted(hs))),
     )
     assert [s for s, _, _ in seen] == [2, 3]
@@ -450,10 +456,10 @@ def test_continual_merge_input_validation():
     theta0_model, deltas, heads, batches, pools = world(seed=14, T=2)
     cfg = FusionConfig(ot_epochs=2)
     with pytest.raises(DataError):
-        continual_merge(theta0_model, deltas[:1], heads[:1], batches[:1], pools[:1],
+        continual_merge(theta0_model, zip(deltas[:1], heads[:1]), batches[:1], pools[:1],
                         cfg, seed=0)
     with pytest.raises(DataError):
-        continual_merge(theta0_model, deltas, heads[:1], batches, pools, cfg, seed=0)
+        continual_merge(theta0_model, zip(deltas, heads), batches[:1], pools, cfg, seed=0)
 
 
 def test_adam_and_sgd_both_supported():
@@ -461,6 +467,6 @@ def test_adam_and_sgd_both_supported():
     for optimizer in ("adam", "sgd"):
         cfg = FusionConfig(ot_epochs=4, optimizer=optimizer, mask_lr=0.05)
         final, _, logs = continual_merge(
-            theta0_model, deltas, heads, batches, pools, cfg, seed=0
+            theta0_model, zip(deltas, heads), batches, pools, cfg, seed=0
         )
         assert np.isfinite(logs[-1].final_pair_loss)

@@ -5,23 +5,15 @@ from conftest import small_model
 from otmf.errors import DataError
 from otmf.metrics import (
     AccuracyMatrix,
-    ShiftReport,
     accuracy,
     bwt,
     l1_shift,
     normalized_feature_scale,
     sinkhorn_shift,
-    total_shift,
 )
 from otmf.models import Batch, forward_features
 from otmf.params import ParamVector
 from otmf.sinkhorn import SinkhornConfig
-
-
-def test_shift_report_totals():
-    r = ShiftReport(delta_pre=1.0, delta_post=2.0, sinkhorn_pre=0.25, sinkhorn_post=0.5)
-    assert r.delta_total == 3.0
-    assert r.sinkhorn_total == 0.75
 
 
 def test_l1_shift_self_zero_and_symmetric(rng):
@@ -60,16 +52,6 @@ def test_normalized_feature_scale(rng):
     s = normalized_feature_scale(feats)
     assert np.linalg.norm(s * feats, axis=1).mean() == pytest.approx(1.0)
     assert normalized_feature_scale(np.zeros((3, 2))) == 1.0
-
-
-def test_total_shift_assembles_components(rng):
-    merged, pre, post = small_model(rng), small_model(rng), small_model(rng)
-    xp, xq = rng.normal(size=(6, 3)), rng.normal(size=(7, 3))
-    cfg = SinkhornConfig()
-    rep = total_shift(merged, pre, post, xp, xq, cfg)
-    assert rep.delta_pre == pytest.approx(l1_shift(merged, pre, xp))
-    assert rep.delta_post == pytest.approx(l1_shift(merged, post, xq))
-    assert rep.sinkhorn_pre == pytest.approx(sinkhorn_shift(merged, pre, xp, cfg))
 
 
 def test_accuracy_ties_break_low(rng):

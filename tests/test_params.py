@@ -12,7 +12,6 @@ from otmf.params import (
     pv_hadamard,
     pv_scale,
     pv_sub,
-    pv_zeros_like,
 )
 
 finite_arrays = hnp.arrays(
@@ -128,9 +127,6 @@ def test_mask_ones_like(rng):
     assert mask.signature() == pv.signature()
     for n in mask.layers():
         np.testing.assert_array_equal(mask[n], np.ones_like(pv[n]))
-    zeros = pv_zeros_like(pv)
-    for n in zeros.layers():
-        np.testing.assert_array_equal(zeros[n], np.zeros_like(pv[n]))
 
 
 def random_pv_helper(rng):
