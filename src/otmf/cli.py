@@ -50,8 +50,8 @@ from .io import (
     save_report,
 )
 from .metrics import AccuracyMatrix, accuracy, bwt, l1_shift, sinkhorn_shift
-from .models import ModelSpec, ToyModel, forward_features, init_model, train_sft
-from .params import ParamVector, pv_sub
+from .models import ModelSpec, ToyModel, forward_features, init_model, task_vector, train_sft
+from .params import ParamVector
 from .taskgen import TaskStreamSpec, generate_stream
 
 log = logging.getLogger("otmf")
@@ -94,7 +94,6 @@ class RunConfig:
 
 
 _TYPE_NAMES = {
-    bool: "true or false",
     int: "an integer",
     float: "a number",
     str: "a string",
@@ -110,9 +109,7 @@ def _typed(val, hint, name: str):
     is never taken for a number.
     """
     number = isinstance(val, (int, float)) and not isinstance(val, bool)
-    if hint is bool:
-        ok = isinstance(val, bool)
-    elif hint is int:
+    if hint is int:
         ok = number and isinstance(val, int)
     elif hint is float:
         ok = number
@@ -281,7 +278,7 @@ def _task_loader(cfg: RunConfig, seed: int, theta0: ToyModel, tids: list[str],
         sft = load_checkpoint(_sft_path(cfg, seed, tids[i]))
         if on_read is not None:
             on_read(i, sft)
-        return pv_sub(sft.backbone, theta0.backbone), sft.heads[tids[i]]
+        return task_vector(sft, theta0), sft.heads[tids[i]]
 
     return load
 

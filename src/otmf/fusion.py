@@ -38,8 +38,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .metrics import normalized_feature_scale
-from .models import Batch, ToyModel, backward, forward_features
+from .metrics import normalized_feature_scale, sinkhorn_shift
+from .models import Batch, ToyModel, backward, forward_features, head_gradient
 from .params import (
     MaskVector,
     ParamVector,
@@ -68,7 +68,6 @@ class FusionConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     batch_size: int = 64
-    pre_batch_mixture: bool = True  # pre-side OT batch mixes all seen tasks
     head_epochs: int = 100
     head_lr: float = 0.01
     head_fraction: float = 0.25
@@ -226,10 +225,7 @@ def ot_alignment_loss_and_grad(
     if solver is not None:
         solver.record(plan)
     g_feat = s * sinkhorn_grad_features(s * fm, s * ft, plan)
-    g_backbone = backward(
-        merged_model, None, None, wrt="backbone", feature_grad=g_feat, inputs=inputs
-    )
-    return dist, g_backbone
+    return dist, backward(merged_model, inputs, g_feat)
 
 
 def ot_mask_epoch(
@@ -275,18 +271,18 @@ def head_finetune(
     epochs: int,
     lr: float,
 ) -> ParamVector:
-    """Cross-entropy gradient descent on one head; backbone frozen."""
+    """Cross-entropy gradient descent on one head. The backbone is frozen,
+    so the subset's features are computed once."""
     if labeled_subset.size == 0:
         raise DataError("empty labeled subset")
-    model = merged_model
+    if task not in merged_model.heads:
+        raise DataError(f"model has no head for task '{task}'")
+    head = merged_model.heads[task]
+    feats = forward_features(merged_model, labeled_subset.inputs)
     for _ in range(epochs):
-        g = backward(model, task, labeled_subset, wrt="head")
-        head = model.heads[task]
-        model = model.with_head(
-            task,
-            ParamVector({n: head[n] - lr * g[n] for n in ("weight", "bias")}),
-        )
-    return model.heads[task]
+        g, _ = head_gradient(feats, head, labeled_subset.labels)
+        head = ParamVector({n: head[n] - lr * g[n] for n in ("weight", "bias")})
+    return head
 
 
 @dataclass
@@ -370,10 +366,8 @@ def continual_merge(
         pre_target = theta0_model.with_backbone(reconstruct(theta0, merged))
         post_target = theta0_model.with_backbone(reconstruct(theta0, incoming))
 
-        if cfg.pre_batch_mixture:
-            pre_pool = np.concatenate(task_unlabeled[: t - 1])
-        else:
-            pre_pool = task_unlabeled[t - 2]
+        # the pre-side OT batch mixes all seen tasks
+        pre_pool = np.concatenate(task_unlabeled[: t - 1])
         pre_batch = _ot_batch(rng, pre_pool, cfg.batch_size)
         post_batch = _ot_batch(rng, task_unlabeled[t - 1], cfg.batch_size)
 
@@ -384,8 +378,8 @@ def continual_merge(
         def _pair_loss(st: MergeState, pre=None, post=None) -> float:
             fused = masked_fuse(merged, incoming, st.mask_pre, st.mask_post, cfg.alpha)
             mm = theta0_model.with_backbone(reconstruct(theta0, fused))
-            lp, _ = ot_alignment_loss_and_grad(mm, pre_target, pre_batch, cfg.sinkhorn, pre)
-            lq, _ = ot_alignment_loss_and_grad(mm, post_target, post_batch, cfg.sinkhorn, post)
+            lp = sinkhorn_shift(mm, pre_target, pre_batch, cfg.sinkhorn, pre)
+            lq = sinkhorn_shift(mm, post_target, post_batch, cfg.sinkhorn, post)
             return lp + lq
 
         initial_pair_loss = _pair_loss(state, solver_pre, solver_post)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ShapeMismatchError
+from .errors import ConfigError, DataError, ShapeMismatchError
 from .models import Batch, ModelSpec, ToyModel
 from .params import ParamVector
 
@@ -62,44 +62,47 @@ def load_checkpoint(path: str | Path) -> ToyModel:
     sep = raw.find(b"\ndata\n")
     if not raw.startswith(_CKPT_MAGIC.encode()) or sep < 0:
         raise DataError(f"{path}: not a checkpoint file")
-    header = raw[: sep + 5].decode("utf-8").splitlines()
     payload = raw[sep + 6 :]
+    # a header line that does not parse (text, number, array name or model
+    # spec) fails in here with one of the caught errors
+    try:
+        header = raw[: sep + 5].decode("utf-8").splitlines()
+        version = header[0].split()[-1]
+        if version != f"v{_CKPT_VERSION}":
+            raise DataError(f"{path}: unsupported checkpoint version {version}")
+        layer_dims = tuple(int(t) for t in header[1].split()[1:])
+        spec = ModelSpec(layer_dims=layer_dims, activation=header[2].split()[1])
 
-    version = header[0].split()[-1]
-    if version != f"v{_CKPT_VERSION}":
-        raise DataError(f"{path}: unsupported checkpoint version {version}")
-    layer_dims = tuple(int(t) for t in header[1].split()[1:])
-    activation = header[2].split()[1]
-    spec = ModelSpec(layer_dims=layer_dims, activation=activation)
+        arrays: list[tuple[str, tuple[int, ...]]] = []
+        for line in header[3:]:
+            if line == "data":
+                break
+            _, name, *dims = line.split()
+            arrays.append((name, tuple(int(d) for d in dims)))
 
-    arrays: list[tuple[str, tuple[int, ...]]] = []
-    for line in header[3:]:
-        if line == "data":
-            break
-        _, name, *dims = line.split()
-        arrays.append((name, tuple(int(d) for d in dims)))
+        expected = sum(int(np.prod(s)) for _, s in arrays) * 8
+        if len(payload) != expected:
+            raise DataError(
+                f"{path}: payload has {len(payload)} bytes, header declares {expected}"
+            )
 
-    expected = sum(int(np.prod(s)) for _, s in arrays) * 8
-    if len(payload) != expected:
-        raise DataError(
-            f"{path}: payload has {len(payload)} bytes, header declares {expected}"
-        )
-
-    backbone: dict[str, np.ndarray] = {}
-    heads: dict[str, dict[str, np.ndarray]] = {}
-    ofs = 0
-    for name, shape in arrays:
-        size = int(np.prod(shape))
-        arr = np.frombuffer(payload, dtype="<f8", count=size, offset=ofs).reshape(shape)
-        ofs += size * 8
-        kind, rest = name.split("/", 1)
-        if kind == "backbone":
-            backbone[rest] = arr
-        elif kind == "head":
-            task, pname = rest.split("/", 1)
-            heads.setdefault(task, {})[pname] = arr
-        else:
-            raise DataError(f"{path}: unknown array group '{kind}'")
+        backbone: dict[str, np.ndarray] = {}
+        heads: dict[str, dict[str, np.ndarray]] = {}
+        ofs = 0
+        for name, shape in arrays:
+            size = int(np.prod(shape))
+            arr = np.frombuffer(payload, dtype="<f8", count=size, offset=ofs).reshape(shape)
+            ofs += size * 8
+            kind, rest = name.split("/", 1)
+            if kind == "backbone":
+                backbone[rest] = arr
+            elif kind == "head":
+                task, pname = rest.split("/", 1)
+                heads.setdefault(task, {})[pname] = arr
+            else:
+                raise DataError(f"{path}: unknown array group '{kind}'")
+    except (ValueError, IndexError, ConfigError) as exc:
+        raise DataError(f"{path}: malformed checkpoint header: {exc}") from exc
     if not backbone:
         raise DataError(f"{path}: checkpoint declares no backbone arrays")
     return ToyModel(

@@ -60,14 +60,26 @@ def l1_shift(merged: ToyModel, reference: ToyModel, inputs: np.ndarray) -> float
 
 
 def sinkhorn_shift(
-    merged: ToyModel, reference: ToyModel, inputs: np.ndarray, cfg: SinkhornConfig
+    merged: ToyModel,
+    reference: ToyModel,
+    inputs: np.ndarray,
+    cfg: SinkhornConfig,
+    solver=None,
 ) -> float:
     """Sinkhorn distance between the feature clouds, with both clouds scaled
-    to the reference model's unit-mean-norm convention."""
+    to the reference model's unit-mean-norm convention.
+
+    solver, if given, is an object with a duals attribute and a
+    record(plan) method, such as otmf.fusion.SolverState: the solve starts
+    from its duals (None for a cold solve) and the plan is recorded into it.
+    """
     fm = forward_features(merged, inputs)
     fr = forward_features(reference, inputs)
     s = normalized_feature_scale(fr)
-    dist, _ = sinkhorn_distance(s * fm, s * fr, cfg)
+    init = None if solver is None else solver.duals
+    dist, plan = sinkhorn_distance(s * fm, s * fr, cfg, init=init)
+    if solver is not None:
+        solver.record(plan)
     return dist
 
 

@@ -86,9 +86,6 @@ class ToyModel:
         heads[task] = head
         return replace(self, heads=heads)
 
-    def head_classes(self, task: str) -> int:
-        return self.heads[task]["weight"].shape[0]
-
 
 def backbone_layout(spec: ModelSpec) -> list[tuple[str, tuple[int, ...]]]:
     layout = []
@@ -197,49 +194,42 @@ def _backprop_backbone(model: ToyModel, acts, pre, grad_features: np.ndarray) ->
     return ParamVector(ordered)
 
 
-def backward(
-    model: ToyModel,
-    task: str | None,
-    batch: Batch | None,
-    wrt: str,
-    feature_grad: np.ndarray | None = None,
-    inputs: np.ndarray | None = None,
-) -> ParamVector:
-    """Reverse-mode gradients of either the cross-entropy loss (labels) or
-    a supplied upstream feature gradient (OT mode).
+def backward(model: ToyModel, inputs: np.ndarray, feature_grad: np.ndarray) -> ParamVector:
+    """Backbone gradient of a loss whose gradient with respect to the
+    features of inputs is feature_grad (the OT alignment path)."""
+    acts, pre = _forward_trace(model, inputs)
+    return _backprop_backbone(model, acts, pre, feature_grad)
 
-    wrt selects the parameter block: "backbone" or "head". In OT mode pass
-    feature_grad plus the raw inputs and leave batch as None.
+
+def head_gradient(
+    features: np.ndarray, head: ParamVector, labels: np.ndarray
+) -> tuple[ParamVector, np.ndarray]:
+    """Softmax cross-entropy gradient of a head on fixed features.
+
+    Returns the head's gradient and the loss's gradient with respect to
+    the logits.
     """
-    if wrt not in ("backbone", "head"):
-        raise ConfigError(f"wrt must be 'backbone' or 'head', got '{wrt}'")
-    if feature_grad is not None:
-        if wrt != "backbone":
-            raise ConfigError("feature-gradient mode only applies to the backbone")
-        if inputs is None:
-            raise DataError("feature-gradient mode needs the raw inputs")
-        acts, pre = _forward_trace(model, inputs)
-        return _backprop_backbone(model, acts, pre, feature_grad)
+    probs = _softmax(features @ head["weight"].T + head["bias"])
+    n = features.shape[0]
+    dlogits = probs.copy()
+    dlogits[np.arange(n), labels] -= 1.0
+    dlogits /= n
+    grad = ParamVector({"weight": dlogits.T @ features, "bias": dlogits.sum(axis=0)})
+    return grad, dlogits
 
-    if batch is None or task is None:
-        raise DataError("label mode needs a task id and a labeled batch")
+
+def label_gradients(
+    model: ToyModel, task: str, batch: Batch
+) -> tuple[ParamVector, ParamVector]:
+    """Backbone and head gradients of the task's cross-entropy loss, from
+    one forward pass."""
     if task not in model.heads:
         raise DataError(f"model has no head for task '{task}'")
     head = model.heads[task]
     acts, pre = _forward_trace(model, batch.inputs)
-    feats = acts[-1]
-    logits = feats @ head["weight"].T + head["bias"]
-    probs = _softmax(logits)
-    n = batch.size
-    dlogits = probs.copy()
-    dlogits[np.arange(n), batch.labels] -= 1.0
-    dlogits /= n
-    if wrt == "head":
-        return ParamVector(
-            {"weight": dlogits.T @ feats, "bias": dlogits.sum(axis=0)}
-        )
-    dfeats = dlogits @ head["weight"]
-    return _backprop_backbone(model, acts, pre, dfeats)
+    g_head, dlogits = head_gradient(acts[-1], head, batch.labels)
+    g_back = _backprop_backbone(model, acts, pre, dlogits @ head["weight"])
+    return g_back, g_head
 
 
 def train_sft(
@@ -262,8 +252,7 @@ def train_sft(
     head = init_head(spec, num_classes, rng)
     model = ToyModel(spec=spec, backbone=init.backbone, heads={task: head})
     for _ in range(epochs):
-        g_back = backward(model, task, train_batch, wrt="backbone")
-        g_head = backward(model, task, train_batch, wrt="head")
+        g_back, g_head = label_gradients(model, task, train_batch)
         new_back = ParamVector(
             {n: model.backbone[n] - lr * g_back[n] for n in model.backbone.layers()}
         )

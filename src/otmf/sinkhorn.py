@@ -76,11 +76,6 @@ class SinkhornConfig:
         if self.max_iters < 1:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
 
-    @property
-    def regularization_strength(self) -> float:
-        """The lambda of the lambda-parameterized formulation (= 1/epsilon)."""
-        return 1.0 / self.epsilon
-
 
 @dataclass(frozen=True)
 class CostMatrix:
@@ -131,8 +126,7 @@ class Marginals:
 @dataclass
 class TransportPlan:
     plan: np.ndarray
-    u: np.ndarray  # exp(f/eps), with P = diag(u) exp(-C/eps) diag(v)
-    v: np.ndarray
+    # f/eps and g/eps: P = diag(exp(log_u)) exp(-C/eps) diag(exp(log_v))
     log_u: np.ndarray
     log_v: np.ndarray
     epsilon: float
@@ -140,7 +134,7 @@ class TransportPlan:
     reg_objective: float  # <P, C> - eps * H(P); the differentiable loss
     marginal_error: float
     iterations_used: int  # marginal checks
-    converged: bool
+    converged: bool  # marginal_error <= tolerance
     # (plan matrix-vector products, fell back to scaling updates) of a warm
     # solve's Newton phase; (0, False) for a cold solve
     newton: tuple[int, bool] = (0, False)
@@ -171,18 +165,12 @@ def pairwise_cost(X: np.ndarray, Y: np.ndarray) -> CostMatrix:
     return CostMatrix(values)
 
 
-def _finish(
-    P, log_u, log_v, C, eps, it, converged, r, c, newton=(0, False)
-) -> TransportPlan:
+def _finish(P, log_u, log_v, C, cfg: SinkhornConfig, it, r, c, newton) -> TransportPlan:
     rows, cols = P.sum(axis=1), P.sum(axis=0)
-    # u/v are diagnostics; at tiny eps the scalings can overflow to inf
-    # even though the plan itself is finite
-    with np.errstate(over="ignore"):
-        u, v = np.exp(log_u), np.exp(log_v)
+    eps = cfg.epsilon
+    error = max(float(np.abs(rows - r).max()), float(np.abs(cols - c).max()))
     return TransportPlan(
         plan=P,
-        u=u,
-        v=v,
         log_u=log_u,
         log_v=log_v,
         epsilon=eps,
@@ -190,11 +178,9 @@ def _finish(
         # log P_ij = log_u_i + log_v_j - C_ij/eps, so <P, C> - eps*H(P)
         # reduces to the potentials weighted by the plan's marginals
         reg_objective=eps * float(log_u @ rows + log_v @ cols - rows.sum()),
-        marginal_error=max(
-            float(np.abs(rows - r).max()), float(np.abs(cols - c).max())
-        ),
+        marginal_error=error,
         iterations_used=it,
-        converged=converged,
+        converged=error <= cfg.tolerance,
         newton=newton,
     )
 
@@ -297,9 +283,9 @@ def _newton(K, f, g, C, r, c, cfg: SinkhornConfig):
     Updates f, g in place and leaves the plan at (f, g) in K. Each step
     forms the plan, checks the marginals, takes a Newton-CG direction and
     backtracks on the dual (Armijo, with slack for rounding). Returns
-    (checks, converged, products, fell_back); fell_back is set when the
-    plan is not finite, has a zero row or column sum, or no step length
-    raises the dual, and the caller then continues with scaling updates.
+    (checks, products, fell_back); fell_back is set when the plan is not
+    finite, has a zero row or column sum, or no step length raises the
+    dual, and the caller then continues with scaling updates.
     """
     e = cfg.epsilon
     products = 0
@@ -310,18 +296,18 @@ def _newton(K, f, g, C, r, c, cfg: SinkhornConfig):
     # a plan that cannot be checked is no check: the scaling loop gets the
     # whole budget, and its row/column-sum checks raise if they must
     if not (math.isfinite(dual) and rows.min() > 0.0 and cols.min() > 0.0):
-        return 0, False, products, True
+        return 0, products, True
     for check in range(1, cfg.max_iters + 1):
         err = max(float(np.abs(rows - r).max()), float(np.abs(cols - c).max()))
         if err <= cfg.tolerance:
-            return check, True, products, False
+            return check, products, False
         if check == cfg.max_iters:
             break
         df, dg, n = _newton_direction(K, rows, cols, r, c, e, err)
         products += n
         slope = float((r - rows) @ df + (c - cols) @ dg)
         if not slope > 0.0:
-            return check, False, products, True
+            return check, products, True
         slack = _ARMIJO_SLACK * float(np.abs(f) @ r + np.abs(g) @ c + e * rows.sum())
         t = 1.0
         for _ in range(_ARMIJO_HALVINGS + 1):
@@ -340,16 +326,15 @@ def _newton(K, f, g, C, r, c, cfg: SinkhornConfig):
                 break
             t *= 0.5
         else:
-            return check, False, products, True
+            return check, products, True
         f[:], g[:] = f_try, g_try
         rows, cols, dual = rows_try, cols_try, dual_try
-    return cfg.max_iters, False, products, False
+    return cfg.max_iters, products, False
 
 
 def _sinkhorn_log(C, r, c, cfg: SinkhornConfig, init) -> TransportPlan:
     K = np.empty_like(C)  # stabilised kernel; holds the plan at the end
     it = 0
-    converged = False
     newton = (0, False)
     # a failed division or exponential surfaces as a NumericalError from
     # _scaling (or as a Newton fallback), so the floating-point warnings
@@ -361,7 +346,7 @@ def _sinkhorn_log(C, r, c, cfg: SinkhornConfig, init) -> TransportPlan:
             stages = _anneal_stages(float(C.max()), cfg.epsilon)
         else:
             f, g = init
-            it, converged, products, fell_back = _newton(K, f, g, C, r, c, cfg)
+            it, products, fell_back = _newton(K, f, g, C, r, c, cfg)
             newton = (products, fell_back)
             # a fallback continues from the Newton iterate with the rest of
             # the budget; otherwise K already holds the plan
@@ -383,7 +368,6 @@ def _sinkhorn_log(C, r, c, cfg: SinkhornConfig, init) -> TransportPlan:
                 # column sums equal c after the v-update, so the row sums
                 # u * Kv carry the whole marginal error
                 if last and np.abs(u * Kv - r).max() <= cfg.tolerance:
-                    converged = True
                     break
             f += e * np.log(u)
             g += e * np.log(v)
@@ -391,7 +375,7 @@ def _sinkhorn_log(C, r, c, cfg: SinkhornConfig, init) -> TransportPlan:
             _fill_kernel(K, f, g, C, e)
     e = cfg.epsilon
     # diag(u) K diag(v) with K = exp(-C/eps) corresponds to log_u = f/eps
-    return _finish(K, f / e, g / e, C, e, it, converged, r, c, newton)
+    return _finish(K, f / e, g / e, C, cfg, it, r, c, newton)
 
 
 def sinkhorn_plan(

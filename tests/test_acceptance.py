@@ -198,8 +198,7 @@ def test_criterion_2_gradient_fidelity(capsys):
             s = cloud_scale * normalized_feature_scale(ft)
             _, plan = sinkhorn_distance(s * fm, s * ft, scfg)
             g_feat = s * sinkhorn_grad_features(s * fm, s * ft, plan)
-            g_backbone = backward(merged, None, None, wrt="backbone",
-                                  feature_grad=g_feat, inputs=inputs)
+            g_backbone = backward(merged, inputs, g_feat)
             g_mask = np.concatenate(
                 [(alpha * d_pre[n] * g_backbone[n]).ravel() for n in d_pre.layers()]
             )

@@ -11,7 +11,8 @@ import otmf
 import otmf.cli
 from otmf.cli import load_config, main, resolved_config
 from otmf.errors import ConfigError
-from otmf.io import load_checkpoint, load_matrix, load_report
+from otmf.io import load_checkpoint, load_matrix, load_report, save_checkpoint
+from otmf.models import ModelSpec, init_model
 
 
 TINY = {
@@ -123,6 +124,28 @@ def test_exit_code_bad_grid(pipeline):
     tiny_cfg, _ = pipeline
     assert run("ablate-alpha", "--config", tiny_cfg, "--grid", "0,2") == 2
     assert run("ablate-alpha", "--config", tiny_cfg, "--grid", "zero") == 2
+
+
+@pytest.mark.parametrize(
+    "line, bad",
+    [
+        ("layer_dims 4 8 4", "layer_dims 4 8x 4"),
+        ("array backbone/layer0.weight 8 4", "array backbone/layer0.weight 8x 4"),
+        ("layer_dims 4 8 4", "layer_dims"),
+        ("activation tanh", "activation"),
+        ("array backbone/layer0.weight 8 4", "array"),
+        ("array backbone/layer0.weight 8 4", "array layer0.weight 8 4"),
+    ],
+    ids=["dim-not-integer", "array-dim-not-integer", "short-layer_dims",
+         "short-activation", "short-array", "name-without-group"],
+)
+def test_exit_code_malformed_checkpoint_header(tmp_path, line, bad):
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(path, init_model(ModelSpec((4, 8, 4)), seed=0))
+    raw = path.read_bytes()
+    assert raw.count(line.encode() + b"\n") == 1
+    path.write_bytes(raw.replace(line.encode() + b"\n", bad.encode() + b"\n"))
+    assert run("eval", "--checkpoint", path, "--out", tmp_path / "out") == 3
 
 
 def test_unknown_method_rejected_by_parser(tiny_cfg):

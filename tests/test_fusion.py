@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from otmf import fusion as fusion_module
+from otmf import metrics as metrics_module
+from otmf import models as models_module
 from otmf.errors import ConfigError, DataError
 from otmf.fusion import (
     FusionConfig,
@@ -135,22 +137,25 @@ def test_mask_gradient_matches_fd(side):
     m_pre = MaskVector.ones_like(d_pre)
     m_post = MaskVector.ones_like(d_post)
 
+    # the analytic gradient and every finite-difference solve start from the
+    # duals of the cold solve at the unperturbed masks, so they run Newton on
+    # the dual and converge (a start from a converged solve's duals could
+    # pass the marginal test without moving)
+    cold = _reg_plan(theta0, d_pre, d_post, m_pre, m_post, target, inputs, cfg)
+    init = (cold.epsilon * cold.log_u, cold.epsilon * cold.log_v)
+
     # a unit sgd step recovers the raw gradient: grad = mask_before - mask_after
     state = MergeState(step=2, merged_task_vector=d_pre,
                        mask_pre=m_pre, mask_post=m_post, heads={})
     opt = _MaskOptimizer(m_pre, cfg)
+    solver = SolverState(duals=init)
     new = ot_mask_epoch(state, theta0, d_pre, d_post, target, inputs,
-                        side, epoch=1, cfg=cfg, optimizer=opt)
+                        side, epoch=1, cfg=cfg, optimizer=opt, solver=solver)
+    assert solver.solves == 1 and solver.unconverged == 0
     moved = new.mask_pre if side == "pre" else new.mask_post
     base = m_pre if side == "pre" else m_post
     grad = np.concatenate([(base[n] - moved[n]).ravel() for n in base.layers()])
 
-    # every finite-difference solve starts from the duals of the cold solve
-    # at the unperturbed masks, so it runs Newton on the dual and converges
-    # (a start from a converged solve's duals could pass the marginal test
-    # without moving)
-    cold = _reg_plan(theta0, d_pre, d_post, m_pre, m_post, target, inputs, cfg)
-    init = (cold.epsilon * cold.log_u, cold.epsilon * cold.log_v)
     h = 1e-6
     flat = base.flatten()
     fd = np.zeros_like(flat)
@@ -292,6 +297,29 @@ def test_head_finetune_reduces_loss(rng):
     assert after < before
 
 
+def test_each_gradient_runs_one_forward_pass(monkeypatch):
+    theta0_model, deltas, heads, batches, pools = world(seed=20, T=3)
+    traces = []
+    trace = models_module._forward_trace
+    monkeypatch.setattr(models_module, "_forward_trace",
+                        lambda *a: traces.append(1) or trace(*a))
+    # SFT takes both gradients from one pass per epoch
+    train_sft(SPEC, theta0_model, "t", batches[0], 3, epochs=7, lr=0.1, seed=0)
+    assert len(traces) == 7
+    # the head is tuned on the frozen backbone's features, computed once
+    traces.clear()
+    head_finetune(theta0_model.with_head("t", heads[0]), "t", batches[0], epochs=9, lr=0.1)
+    assert len(traces) == 1
+    # the pair losses run no backward pass: one per mask epoch in all
+    backwards = []
+    backward = fusion_module.backward
+    monkeypatch.setattr(fusion_module, "backward",
+                        lambda *a, **k: backwards.append(1) or backward(*a, **k))
+    cfg = FusionConfig(ot_epochs=4, batch_size=8)
+    continual_merge(theta0_model, zip(deltas, heads), batches, pools, cfg, seed=0)
+    assert len(backwards) == 2 * cfg.ot_epochs
+
+
 # ---------------------------------------------------------------------------
 # continual loop
 
@@ -357,7 +385,9 @@ def test_first_mask_loop_solves_start_from_initial_pair_loss_duals(monkeypatch):
         calls.append((init, out[1]))
         return out
 
+    # the mask loop solves in fusion, the pair losses through metrics
     monkeypatch.setattr(fusion_module, "sinkhorn_distance", record)
+    monkeypatch.setattr(metrics_module, "sinkhorn_distance", record)
     continual_merge(theta0_model, zip(deltas, heads), batches, pools, cfg, seed=0)
     # initial pair loss (pre, post), epoch 1 (pre), epoch 2 (post), final
     # pair loss (pre, post); the pair-loss solves stay cold

@@ -14,6 +14,7 @@ from otmf.models import (
     forward_logits,
     init_head,
     init_model,
+    label_gradients,
     task_vector,
     train_sft,
 )
@@ -81,6 +82,8 @@ def test_logits_require_head(rng):
     model = small_model(rng)
     with pytest.raises(DataError):
         forward_logits(model, "task01", rng.normal(size=(2, 3)))
+    with pytest.raises(DataError):
+        label_gradients(model, "task01", make_batch(rng))
 
 
 def _fd_check(loss_fn, params: ParamVector, grad: ParamVector, h=1e-6, tol=1e-6):
@@ -101,7 +104,7 @@ def test_backbone_gradient_matches_fd(rng, activation):
     model = init_model(spec, seed=3).with_head("t", init_head(spec, 3, rng))
     # keep relu pre-activations away from the kink
     batch = make_batch(rng)
-    grad = backward(model, "t", batch, wrt="backbone")
+    grad, _ = label_gradients(model, "t", batch)
 
     def loss(backbone):
         return cross_entropy_loss(model.with_backbone(backbone), "t", batch)
@@ -113,7 +116,7 @@ def test_head_gradient_matches_fd(rng):
     spec = ModelSpec((3, 4, 3))
     model = init_model(spec, seed=3).with_head("t", init_head(spec, 3, rng))
     batch = make_batch(rng)
-    grad = backward(model, "t", batch, wrt="head")
+    _, grad = label_gradients(model, "t", batch)
 
     def loss(head):
         return cross_entropy_loss(model.with_head("t", head), "t", batch)
@@ -127,26 +130,12 @@ def test_feature_grad_mode_matches_fd(rng):
     model = init_model(spec, seed=5)
     inputs = rng.normal(size=(6, 3))
     w = rng.normal(size=(6, 2))
-    grad = backward(model, None, None, wrt="backbone", feature_grad=w, inputs=inputs)
+    grad = backward(model, inputs, w)
 
     def loss(backbone):
         return float((w * forward_features(model.with_backbone(backbone), inputs)).sum())
 
     _fd_check(loss, model.backbone, grad)
-
-
-def test_backward_mode_validation(rng):
-    model = small_model(rng, num_heads=1)
-    batch = make_batch(rng)
-    with pytest.raises(ConfigError):
-        backward(model, "task01", batch, wrt="everything")
-    with pytest.raises(ConfigError):
-        backward(model, None, None, wrt="head", feature_grad=np.ones((2, 3)),
-                 inputs=np.ones((2, 3)))
-    with pytest.raises(DataError):
-        backward(model, None, None, wrt="backbone", feature_grad=np.ones((2, 3)))
-    with pytest.raises(DataError):
-        backward(model, None, None, wrt="backbone")
 
 
 def test_train_sft_deterministic_and_learns(rng):

@@ -35,7 +35,6 @@ def test_config_validation():
         SinkhornConfig(tolerance=-1.0)
     with pytest.raises(ConfigError):
         SinkhornConfig(max_iters=0)
-    assert SinkhornConfig(epsilon=0.25).regularization_strength == 4.0
 
 
 def test_cost_matrix_validation():
@@ -150,7 +149,7 @@ def test_scaling_form_consistency(rng):
     cfg = SinkhornConfig(epsilon=0.3)
     plan = sinkhorn_plan(C, Marginals.uniform(n, n), cfg)
     K = np.exp(-C.values / cfg.epsilon)
-    rebuilt = plan.u[:, None] * K * plan.v[None, :]
+    rebuilt = np.exp(plan.log_u)[:, None] * K * np.exp(plan.log_v)[None, :]
     np.testing.assert_allclose(rebuilt, plan.plan, atol=1e-9)
 
 
@@ -351,8 +350,8 @@ def test_newton_falls_back_to_the_scaling_loop_from_its_iterate(rng, monkeypatch
         g = g.copy()
         g[0] -= 40 * cfg.epsilon
         plan = sinkhorn_plan(C, marg, cfg, init=(f, g))
-        checks, converged, _, fell_back = outcomes[0]
-        assert fell_back and not converged and plan.newton[1]
+        checks, _, fell_back = outcomes[0]
+        assert fell_back and plan.newton[1]
         rest = SinkhornConfig(max_iters=cfg.max_iters - checks)
         P, reg, it, ref_converged = _reference_log_sinkhorn(
             C.values, marg.r, marg.c, rest, init=(f, g)
@@ -365,7 +364,24 @@ def test_newton_falls_back_to_the_scaling_loop_from_its_iterate(rng, monkeypatch
         # the scaling loop's kernel-sum check raises as it would from there
         with pytest.raises(NumericalError, match="row sums"):
             sinkhorn_plan(C, marg, cfg, init=(f + 50.0, g))
-        assert outcomes[0] == (0, False, 0, True)
+        assert outcomes[0] == (0, 0, True)
+
+
+@pytest.mark.parametrize("tolerance", [1e-6, 1e-300])
+def test_converged_means_marginal_error_within_tolerance(tolerance):
+    # cold, warm and fallen-back solves alike. At 1e-300 a scaling loop that
+    # Newton fell back to can meet its row test u * Kv == r exactly while the
+    # plan's marginal error is about 5e-17 (seeds 3-5 here)
+    cfg = SinkhornConfig(tolerance=tolerance)
+    for seed in range(6):
+        X, Y, (f, g) = _newton_problem(np.random.default_rng(seed))
+        g_far = g.copy()
+        g_far[0] -= 40 * cfg.epsilon
+        plans = [sinkhorn_distance(X, Y, cfg, init=init)[1]
+                 for init in (None, (f, g), (f, g_far))]
+        assert plans[0].newton == (0, False) and plans[2].newton[1]
+        for plan in plans:
+            assert plan.converged == (plan.marginal_error <= cfg.tolerance), seed
 
 
 def test_max_iters_caps_newton_steps_and_fallback_updates(rng, monkeypatch):
