@@ -5,8 +5,6 @@ __version__ = "0.1.0"
 from .baselines import BaselineConfig, baseline_fold
 from .fusion import (
     FusionConfig,
-    MergeState,
-    ResidencyTracker,
     continual_merge,
     head_finetune,
     masked_fuse,

@@ -199,10 +199,6 @@ def _seed_dir(cfg: RunConfig, seed: int) -> Path:
     return d
 
 
-def _stream_for(cfg: RunConfig, seed: int) -> TaskStreamSpec:
-    return dataclasses.replace(cfg.stream, seed=seed)
-
-
 def _task_ids(cfg: RunConfig) -> list[str]:
     return [f"task{t + 1:02d}" for t in range(cfg.stream.num_tasks)]
 
@@ -210,7 +206,7 @@ def _task_ids(cfg: RunConfig) -> list[str]:
 def cmd_gen(cfg: RunConfig, seed: int) -> None:
     out = _seed_dir(cfg, seed) / "data"
     out.mkdir(exist_ok=True)
-    pretrain, tasks = generate_stream(_stream_for(cfg, seed))
+    pretrain, tasks = generate_stream(cfg.stream, seed)
     save_batch(out / "pretrain.csv", pretrain)
     for td in tasks:
         save_batch(out / f"{td.task_id}_train.csv", td.train)
@@ -268,19 +264,15 @@ def _sft_path(cfg: RunConfig, seed: int, tid: str) -> Path:
     return path
 
 
-def _task_loader(cfg: RunConfig, seed: int, theta0: ToyModel, tids: list[str],
-                 on_read=None):
-    """Index -> (task vector, head) of that task's fine-tuned checkpoint,
-    read from disk once per call; on_read(i, model), if given, sees the
-    model read."""
-
-    def load(i: int):
-        sft = load_checkpoint(_sft_path(cfg, seed, tids[i]))
+def _task_stream(cfg: RunConfig, seed: int, theta0: ToyModel, tasks, on_read=None):
+    """Yield each task's (task vector, head, train batch, unlabeled set),
+    reading its fine-tuned checkpoint when the task is pulled; on_read(i,
+    model), if given, sees the model read."""
+    for i, (tid, train, _, unlabeled) in enumerate(tasks):
+        sft = load_checkpoint(_sft_path(cfg, seed, tid))
         if on_read is not None:
             on_read(i, sft)
-        return task_vector(sft, theta0), sft.heads[tids[i]]
-
-    return load
+        yield task_vector(sft, theta0), sft.heads[tid], train, unlabeled
 
 
 def cmd_merge(cfg: RunConfig, seed: int, method: str) -> dict:
@@ -327,14 +319,12 @@ def cmd_merge(cfg: RunConfig, seed: int, method: str) -> dict:
         )
         models["prev"] = model
 
-    load = _task_loader(cfg, seed, theta0, tids, on_read)
+    stream = _task_stream(cfg, seed, theta0, tasks, on_read)
     t0 = time.perf_counter()
     if method == "otmf":
-        final_theta, state, logs = continual_merge(
-            theta0, load, [t[1] for t in tasks], [t[3] for t in tasks], cfg.fusion,
-            seed=seed, on_step=on_step,
+        final_theta, heads, logs = continual_merge(
+            theta0, stream, cfg.fusion, seed=seed, on_step=on_step
         )
-        heads = dict(state.heads)
         extra = {
             "pair_loss": [
                 {"step": lg.step, "incoming_task": lg.incoming_task,
@@ -356,8 +346,7 @@ def cmd_merge(cfg: RunConfig, seed: int, method: str) -> dict:
         heads, extra = {}, {}
 
         def task_vectors():
-            for i, tid in enumerate(tids):
-                delta, heads[tid] = load(i)
+            for tid, (delta, heads[tid], _, _) in zip(tids, stream):
                 yield delta
 
         fold = baseline_fold(method, cfg.baseline, task_vectors())
@@ -442,15 +431,14 @@ def cmd_ablate_alpha(cfg: RunConfig, seed: int, grid: list[float]) -> dict:
     _, tasks = _load_data(cfg, seed)
     theta0 = _load_theta0(cfg, seed)
     tids = [t[0] for t in tasks]
-    load = _task_loader(cfg, seed, theta0, tids)
 
     rows = []
     for alpha in grid:
         fcfg = dataclasses.replace(cfg.fusion, alpha=float(alpha))
-        final_theta, state, _ = continual_merge(
-            theta0, load, [t[1] for t in tasks], [t[3] for t in tasks], fcfg, seed=seed
+        final_theta, heads, _ = continual_merge(
+            theta0, _task_stream(cfg, seed, theta0, tasks), fcfg, seed=seed
         )
-        model = ToyModel(spec=cfg.model, backbone=final_theta, heads=dict(state.heads))
+        model = ToyModel(spec=cfg.model, backbone=final_theta, heads=heads)
         accs = [accuracy(model, tid, tasks[i][2]) for i, tid in enumerate(tids)]
         rows.append([float(alpha), *accs, float(np.mean(accs))])
         log.info("seed %d: alpha %.2f avg accuracy %.4f", seed, alpha, rows[-1][-1])

@@ -25,15 +25,15 @@ Newton cannot make progress (see otmf.sinkhorn). Both the optimizers and
 the solver states are created afresh at every continual step, because
 the OT batches are redrawn per step; the initial and final pair losses
 are cold solves. Each step logs its per-side counts at INFO, and at
-WARNING when a mask-loop solve ended unconverged or fell back; the counts
-are returned in StepLog.solver_counts.
+WARNING the unconverged solves and the fallbacks when there are any; the
+counts are returned in StepLog.solver_counts.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -57,16 +57,16 @@ from .taskgen import subsample_labeled
 
 log = logging.getLogger(__name__)
 
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class FusionConfig:
     alpha: float = 0.8
     ot_epochs: int = 100
     mask_lr: float = 0.2
-    optimizer: str = "adam"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 64
     head_epochs: int = 100
     head_lr: float = 0.01
@@ -80,72 +80,33 @@ class FusionConfig:
             raise ConfigError("ot_epochs must be >= 1")
         if self.mask_lr <= 0:
             raise ConfigError("mask_lr must be > 0")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"unknown optimizer '{self.optimizer}'")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
 
 
-@dataclass
-class MergeState:
-    step: int
-    merged_task_vector: ParamVector
-    mask_pre: MaskVector
-    mask_post: MaskVector
-    heads: dict[str, ParamVector]
-    ot_loss_history: list[tuple[int, str, float]] = field(default_factory=list)
-
-
-class ResidencyTracker:
-    """Counts task-vector-shaped parameter vectors retained across epochs.
-
-    The continual loop registers exactly the long-lived residents (the
-    backbone template, the current merged vector, the incoming vector);
-    per-epoch temporaries are released within the epoch and never
-    accumulate with the number of tasks.
-    """
-
-    def __init__(self):
-        self._live: set[int] = set()
-        self.max_resident = 0
-
-    def acquire(self, v: ParamVector) -> ParamVector:
-        self._live.add(id(v))
-        self.max_resident = max(self.max_resident, len(self._live))
-        return v
-
-    def release(self, v: ParamVector) -> None:
-        self._live.discard(id(v))
-
-    @property
-    def resident(self) -> int:
-        return len(self._live)
+# a mask pair (pre, post)
+Masks = tuple[MaskVector, MaskVector]
 
 
 class _MaskOptimizer:
-    """Adam or plain SGD over one mask's layer arrays."""
+    """Adam over one mask's layer arrays."""
 
     def __init__(self, template: ParamVector, cfg: FusionConfig):
-        self.cfg = cfg
+        self.lr = cfg.mask_lr
         self.t = 0
         self.m = {n: np.zeros_like(a) for n, a in template.entries.items()}
         self.v = {n: np.zeros_like(a) for n, a in template.entries.items()}
 
     def step(self, mask: MaskVector, grad: ParamVector) -> MaskVector:
-        cfg = self.cfg
-        if cfg.optimizer == "sgd":
-            return MaskVector(
-                {n: mask[n] - cfg.mask_lr * grad[n] for n in mask.layers()}
-            )
         self.t += 1
-        b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+        b1, b2 = _ADAM_BETA1, _ADAM_BETA2
         out = {}
         for n in mask.layers():
             self.m[n] = b1 * self.m[n] + (1 - b1) * grad[n]
             self.v[n] = b2 * self.v[n] + (1 - b2) * grad[n] ** 2
             mhat = self.m[n] / (1 - b1**self.t)
             vhat = self.v[n] / (1 - b2**self.t)
-            out[n] = mask[n] - cfg.mask_lr * mhat / (np.sqrt(vhat) + cfg.adam_eps)
+            out[n] = mask[n] - self.lr * mhat / (np.sqrt(vhat) + _ADAM_EPS)
         return MaskVector(out)
 
 
@@ -229,39 +190,36 @@ def ot_alignment_loss_and_grad(
 
 
 def ot_mask_epoch(
-    state: MergeState,
+    masks: Masks,
     theta0: ParamVector,
     delta_pre: ParamVector,
     delta_post: ParamVector,
     target_model: ToyModel,
     batch_inputs: np.ndarray,
     side: str,
-    epoch: int,
     cfg: FusionConfig,
     optimizer: _MaskOptimizer,
     solver: SolverState | None = None,
-) -> MergeState:
-    """One alternating mask update. Only the selected side's mask moves.
+) -> tuple[Masks, float]:
+    """One alternating mask update: the new (pre, post) masks and the
+    epoch's OT loss. Only the selected side's mask moves.
 
-    solver, the selected side's SolverState, warm-starts the solve.
+    optimizer is any object with step(mask, grad) -> mask; solver, the
+    selected side's SolverState, warm-starts the solve.
     """
     if side not in ("pre", "post"):
         raise ConfigError(f"side must be 'pre' or 'post', got '{side}'")
-    fused = masked_fuse(delta_pre, delta_post, state.mask_pre, state.mask_post, cfg.alpha)
+    m_pre, m_post = masks
+    fused = masked_fuse(delta_pre, delta_post, m_pre, m_post, cfg.alpha)
     merged_model = target_model.with_backbone(reconstruct(theta0, fused))
     loss, g_backbone = ot_alignment_loss_and_grad(
         merged_model, target_model, batch_inputs, cfg.sinkhorn, solver
     )
     if side == "pre":
         g_mask = pv_scale(cfg.alpha, pv_hadamard(delta_pre, g_backbone))
-        new_pre = optimizer.step(state.mask_pre, g_mask)
-        new_post = state.mask_post
-    else:
-        g_mask = pv_scale(1.0 - cfg.alpha, pv_hadamard(delta_post, g_backbone))
-        new_pre = state.mask_pre
-        new_post = optimizer.step(state.mask_post, g_mask)
-    state.ot_loss_history.append((epoch, side, loss))
-    return replace(state, mask_pre=new_pre, mask_post=new_post)
+        return (optimizer.step(m_pre, g_mask), m_post), loss
+    g_mask = pv_scale(1.0 - cfg.alpha, pv_hadamard(delta_post, g_backbone))
+    return (m_pre, optimizer.step(m_post, g_mask)), loss
 
 
 def head_finetune(
@@ -296,8 +254,9 @@ class StepLog:
     solver_counts: dict[str, dict[str, int]] = field(default_factory=dict)
 
 
-# a task's (task vector, classification head)
-TaskPair = tuple[ParamVector, ParamVector]
+# a task as streamed: (task vector, classification head, train batch,
+# unlabeled set)
+Task = tuple[ParamVector, ParamVector, Batch, np.ndarray]
 
 
 def _ot_batch(rng: np.random.Generator, pool: np.ndarray, size: int) -> np.ndarray:
@@ -307,99 +266,89 @@ def _ot_batch(rng: np.random.Generator, pool: np.ndarray, size: int) -> np.ndarr
     return pool[np.sort(idx)]
 
 
+def _warn_on_solver_trouble(step: int, counts: dict[str, dict[str, int]]) -> None:
+    """WARNING naming the unconverged solves and the fallbacks, when any."""
+    trouble = [
+        f"{what}: pre {counts['pre'][key]}, post {counts['post'][key]}"
+        for key, what in (
+            ("unconverged", "mask-loop solves unconverged, so their gradients are not exact"),
+            ("fallbacks", "fell back from Newton to scaling updates"),
+        )
+        if counts["pre"][key] or counts["post"][key]
+    ]
+    if trouble:
+        log.warning("step %d: %s", step, "; ".join(trouble))
+
+
 def continual_merge(
     theta0_model: ToyModel,
-    tasks: Iterable[TaskPair] | Callable[[int], TaskPair],
-    task_train_batches: Sequence[Batch],
-    task_unlabeled: Sequence[np.ndarray],
+    tasks: Iterable[Task],
     cfg: FusionConfig,
     seed: int = 0,
-    tracker: ResidencyTracker | None = None,
     on_step: Callable[[int, ParamVector, dict[str, ParamVector]], None] | None = None,
-) -> tuple[ParamVector, MergeState, list[StepLog]]:
-    """Stream the tasks' (task vector, head) pairs through alternating OT
-    mask training.
+) -> tuple[ParamVector, dict[str, ParamVector], list[StepLog]]:
+    """Stream the tasks through alternating OT mask training.
 
-    tasks may be a callable index -> pair, called once per task in stream
-    order, so only the current merged vector and the incoming vector are
-    ever materialized. on_step, if given, receives (step, merged
-    parameters, heads) after each step. Returns the final merged
-    parameters, the end state, and per-step logs.
+    Tasks are pulled one at a time, in stream order, so a lazy iterable
+    keeps one incoming task vector resident next to the merged one. The
+    seen tasks' unlabeled sets are kept for the pre-side OT batch, and the
+    previous task's train batch for its head re-tune. on_step, if given,
+    receives (step, merged parameters, heads) after each step. Returns the
+    final merged parameters, the heads and the per-step logs. A stream of
+    fewer than two tasks raises DataError once it is exhausted.
     """
-    if callable(tasks):
-        load, T = tasks, len(task_train_batches)
-    else:
-        pairs = list(tasks)
-        load, T = pairs.__getitem__, len(pairs)
-    if T < 2:
-        raise DataError("continual merging needs at least 2 task vectors")
-    if not (len(task_train_batches) == len(task_unlabeled) == T):
-        raise DataError("per-task inputs must all have length T")
-
-    tracker = tracker or ResidencyTracker()
     rng = np.random.default_rng(seed)
-    theta0 = tracker.acquire(theta0_model.backbone)
-    task_ids = [f"task{t + 1:02d}" for t in range(T)]
-
-    merged, head = load(0)
-    tracker.acquire(merged)
-    state = MergeState(
-        step=1,
-        merged_task_vector=merged,
-        mask_pre=MaskVector.ones_like(merged),
-        mask_post=MaskVector.ones_like(merged),
-        heads={task_ids[0]: head},
-    )
+    theta0 = theta0_model.backbone
+    heads: dict[str, ParamVector] = {}
+    seen_unlabeled: list[np.ndarray] = []
     logs: list[StepLog] = []
 
-    for t in range(2, T + 1):
-        incoming, head = load(t - 1)
-        tracker.acquire(incoming)
-        state = replace(
-            state,
-            step=t,
-            mask_pre=MaskVector.ones_like(merged),
-            mask_post=MaskVector.ones_like(merged),
-        )
-        state.heads[task_ids[t - 1]] = head
+    t = 0
+    for t, (incoming, head, train, unlabeled) in enumerate(tasks, start=1):
+        heads[f"task{t:02d}"] = head
+        if t == 1:
+            merged, prev_train = incoming, train
+            seen_unlabeled.append(unlabeled)
+            continue
 
         pre_target = theta0_model.with_backbone(reconstruct(theta0, merged))
         post_target = theta0_model.with_backbone(reconstruct(theta0, incoming))
 
         # the pre-side OT batch mixes all seen tasks
-        pre_pool = np.concatenate(task_unlabeled[: t - 1])
-        pre_batch = _ot_batch(rng, pre_pool, cfg.batch_size)
-        post_batch = _ot_batch(rng, task_unlabeled[t - 1], cfg.batch_size)
+        pre_batch = _ot_batch(rng, np.concatenate(seen_unlabeled), cfg.batch_size)
+        post_batch = _ot_batch(rng, unlabeled, cfg.batch_size)
+        seen_unlabeled.append(unlabeled)
 
-        opt_pre = _MaskOptimizer(state.mask_pre, cfg)
-        opt_post = _MaskOptimizer(state.mask_post, cfg)
+        masks = (MaskVector.ones_like(merged), MaskVector.ones_like(merged))
+        opt_pre = _MaskOptimizer(masks[0], cfg)
+        opt_post = _MaskOptimizer(masks[1], cfg)
         solver_pre, solver_post = SolverState(), SolverState()
 
-        def _pair_loss(st: MergeState, pre=None, post=None) -> float:
-            fused = masked_fuse(merged, incoming, st.mask_pre, st.mask_post, cfg.alpha)
+        def _pair_loss(masks: Masks, pre=None, post=None) -> float:
+            fused = masked_fuse(merged, incoming, *masks, cfg.alpha)
             mm = theta0_model.with_backbone(reconstruct(theta0, fused))
             lp = sinkhorn_shift(mm, pre_target, pre_batch, cfg.sinkhorn, pre)
             lq = sinkhorn_shift(mm, post_target, post_batch, cfg.sinkhorn, post)
             return lp + lq
 
-        initial_pair_loss = _pair_loss(state, solver_pre, solver_post)
+        initial_pair_loss = _pair_loss(masks, solver_pre, solver_post)
         # the pre side's first mask-loop solve is the problem its initial
         # pair-loss solve just solved cold, and the post side's is close
         # to it: both start warm from those duals, with the counts at zero
         solver_pre = SolverState(duals=solver_pre.duals)
         solver_post = SolverState(duals=solver_post.duals)
-        history_start = len(state.ot_loss_history)
+        history: list[tuple[int, str, float]] = []
         for e in range(1, cfg.ot_epochs + 1):
             if e % 2 == 1:
-                state = ot_mask_epoch(
-                    state, theta0, merged, incoming, pre_target, pre_batch,
-                    "pre", e, cfg, opt_pre, solver_pre,
-                )
+                side, target, batch, opt, solver = (
+                    "pre", pre_target, pre_batch, opt_pre, solver_pre)
             else:
-                state = ot_mask_epoch(
-                    state, theta0, merged, incoming, post_target, post_batch,
-                    "post", e, cfg, opt_post, solver_post,
-                )
+                side, target, batch, opt, solver = (
+                    "post", post_target, post_batch, opt_post, solver_post)
+            masks, loss = ot_mask_epoch(
+                masks, theta0, merged, incoming, target, batch, side, cfg, opt, solver
+            )
+            history.append((e, side, loss))
         counts = {"pre": solver_pre.counts(), "post": solver_post.counts()}
         log.info(
             "step %d mask-loop Sinkhorn: %s", t,
@@ -410,52 +359,38 @@ def continual_merge(
                 for side, n in counts.items()
             ),
         )
-        if any(n["unconverged"] or n["fallbacks"] for n in counts.values()):
-            log.warning(
-                "step %d: mask-loop solves unconverged, so their gradients are "
-                "not exact: pre %d, post %d; fell back from Newton to scaling "
-                "updates: pre %d, post %d",
-                t, counts["pre"]["unconverged"], counts["post"]["unconverged"],
-                counts["pre"]["fallbacks"], counts["post"]["fallbacks"],
-            )
+        _warn_on_solver_trouble(t, counts)
 
-        final_pair_loss = _pair_loss(state)
-
-        new_merged = masked_fuse(
-            merged, incoming, state.mask_pre, state.mask_post, cfg.alpha
-        )
-        tracker.release(merged)
-        tracker.release(incoming)
-        merged = tracker.acquire(new_merged)
-        state = replace(state, merged_task_vector=merged)
+        final_pair_loss = _pair_loss(masks)
+        merged = masked_fuse(merged, incoming, *masks, cfg.alpha)
 
         # light re-tune of the pre task's head on a labeled subsample
-        prev_task = task_ids[t - 2]
+        prev_task = f"task{t - 1:02d}"
         merged_model = ToyModel(
             spec=theta0_model.spec,
             backbone=reconstruct(theta0, merged),
-            heads=dict(state.heads),
+            heads=dict(heads),
         )
-        subset = subsample_labeled(
-            task_train_batches[t - 2], cfg.head_fraction, seed=seed + t
-        )
-        state.heads[prev_task] = head_finetune(
+        subset = subsample_labeled(prev_train, cfg.head_fraction, seed=seed + t)
+        heads[prev_task] = head_finetune(
             merged_model, prev_task, subset, cfg.head_epochs, cfg.head_lr
         )
+        prev_train = train
 
         if on_step is not None:
-            on_step(t, reconstruct(theta0, merged), dict(state.heads))
+            on_step(t, reconstruct(theta0, merged), dict(heads))
 
         logs.append(
             StepLog(
                 step=t,
-                incoming_task=task_ids[t - 1],
-                ot_loss_history=state.ot_loss_history[history_start:],
+                incoming_task=f"task{t:02d}",
+                ot_loss_history=history,
                 initial_pair_loss=initial_pair_loss,
                 final_pair_loss=final_pair_loss,
                 solver_counts=counts,
             )
         )
 
-    final_theta = reconstruct(theta0, merged)
-    return final_theta, state, logs
+    if t < 2:
+        raise DataError("continual merging needs at least 2 task vectors")
+    return reconstruct(theta0, merged), heads, logs

@@ -138,9 +138,15 @@ def load_matrix(path: str | Path) -> tuple[np.ndarray, list[str]]:
     columns = lines[0].split(",")
     if len(lines) == 1:
         return np.empty((0, len(columns))), columns
-    rows = [[float(v) for v in line.split(",")] for line in lines[1:] if line]
-    m = np.array(rows, dtype=np.float64)
-    if m.shape[1] != len(columns):
+    # a cell that is not a number, or rows of unequal width, fail in here
+    try:
+        m = np.array(
+            [[float(v) for v in line.split(",")] for line in lines[1:] if line],
+            dtype=np.float64,
+        )
+    except ValueError as exc:
+        raise DataError(f"{path}: malformed matrix row: {exc}") from exc
+    if m.ndim != 2 or m.shape[1] != len(columns):
         raise DataError(f"{path}: row width does not match header")
     return m, columns
 

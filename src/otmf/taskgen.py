@@ -31,7 +31,6 @@ class TaskStreamSpec:
     classes_per_task: int = 4
     samples_per_task: int = 150
     heterogeneity: float = 3.5
-    seed: int = 0
 
     def __post_init__(self):
         if self.num_tasks < 2:
@@ -63,12 +62,13 @@ def _sample_task(rng, centroids, n_samples, d):
     return x[order], y[order]
 
 
-def generate_stream(spec: TaskStreamSpec) -> tuple[Batch, list[TaskData]]:
-    """Pretraining batch plus one (train, test, unlabeled) triple per task."""
+def generate_stream(spec: TaskStreamSpec, seed: int = 0) -> tuple[Batch, list[TaskData]]:
+    """Pretraining batch plus one (train, test, unlabeled) triple per task,
+    drawn from seed."""
     # imported here so that only stream generation loads scipy
     from scipy.linalg import expm
 
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     d, k = spec.input_dim, spec.classes_per_task
     base = rng.normal(0.0, _CENTROID_SPREAD, size=(k, d))
 

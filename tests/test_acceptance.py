@@ -6,6 +6,7 @@ The empirical criteria (5-7) run on the frozen default synthetic stream
 with the default model and training settings, matching the CLI defaults.
 """
 
+import gc
 import json
 import time
 from functools import lru_cache
@@ -15,8 +16,6 @@ import numpy as np
 from otmf.baselines import BaselineConfig, baseline_fold, ties_merge_pair
 from otmf.fusion import (
     FusionConfig,
-    MergeState,
-    ResidencyTracker,
     _MaskOptimizer,
     continual_merge,
     head_finetune,
@@ -63,8 +62,8 @@ def report(capsys, n, ok, detail):
 @lru_cache(maxsize=None)
 def build_world(seed):
     """Default stream + pretrained backbone + per-task fine-tuned models."""
-    stream = TaskStreamSpec(seed=seed)
-    pretrain, tasks = generate_stream(stream)
+    stream = TaskStreamSpec()
+    pretrain, tasks = generate_stream(stream, seed)
     base = init_model(MODEL, seed=seed)
     theta0 = train_sft(MODEL, base, "pretrain", pretrain, stream.classes_per_task,
                        SFT_EPOCHS, SFT_LR, seed=seed)
@@ -91,11 +90,11 @@ def run_otmf(seed, cfg=None):
     deltas, heads, train_batches, pools = merge_inputs(tasks, theta0, sfts)
     cfg = cfg or FusionConfig()
     snapshots = {}
-    final, state, logs = continual_merge(
-        theta0, zip(deltas, heads), train_batches, pools, cfg, seed=seed,
+    final, merged_heads, logs = continual_merge(
+        theta0, zip(deltas, heads, train_batches, pools), cfg, seed=seed,
         on_step=lambda step, theta, hs: snapshots.__setitem__(step, (theta, hs)),
     )
-    return tasks, theta0, sfts, deltas, final, state, logs, snapshots
+    return tasks, theta0, sfts, deltas, final, merged_heads, logs, snapshots
 
 
 def accuracy_matrix_from_snapshots(tasks, sfts, snapshots):
@@ -256,28 +255,29 @@ def test_criterion_4_schedule_conformance(capsys):
     pre_target = theta0_model.with_backbone(reconstruct(theta0, d_pre))
     post_target = theta0_model.with_backbone(reconstruct(theta0, d_post))
     inputs = rng.normal(size=(12, 3))
-    state = MergeState(step=2, merged_task_vector=d_pre,
-                       mask_pre=MaskVector.ones_like(d_pre),
-                       mask_post=MaskVector.ones_like(d_post), heads={})
-    opts = {"pre": _MaskOptimizer(state.mask_pre, cfg),
-            "post": _MaskOptimizer(state.mask_post, cfg)}
+    masks = (MaskVector.ones_like(d_pre), MaskVector.ones_like(d_post))
+    opts = {"pre": _MaskOptimizer(masks[0], cfg), "post": _MaskOptimizer(masks[1], cfg)}
     pre_bits = d_pre.flatten().copy()
     post_bits = d_post.flatten().copy()
     frozen_ok = True
     for e in range(1, cfg.ot_epochs + 1):
         side = "pre" if e % 2 == 1 else "post"
         target = pre_target if side == "pre" else post_target
-        before_pre = state.mask_pre.flatten().copy()
-        before_post = state.mask_post.flatten().copy()
-        state = ot_mask_epoch(state, theta0, d_pre, d_post, target, inputs,
-                              side, e, cfg, opts[side])
+        before_pre, before_post = (m.flatten().copy() for m in masks)
+        masks, _ = ot_mask_epoch(masks, theta0, d_pre, d_post, target, inputs,
+                                 side, cfg, opts[side])
         if side == "pre":
-            frozen_ok &= np.array_equal(state.mask_post.flatten(), before_post)
+            frozen_ok &= np.array_equal(masks[1].flatten(), before_post)
         else:
-            frozen_ok &= np.array_equal(state.mask_pre.flatten(), before_pre)
+            frozen_ok &= np.array_equal(masks[0].flatten(), before_pre)
         frozen_ok &= np.array_equal(d_pre.flatten(), pre_bits)
         frozen_ok &= np.array_equal(d_post.flatten(), post_bits)
-    sides = [s for _, s, _ in state.ot_loss_history]
+    # the schedule the merge runs: one step fusing d_pre and d_post
+    tasks = [(d, init_head(spec, 3, rng),
+              Batch(rng.normal(size=(12, 3)), rng.integers(0, 3, size=12)), inputs)
+             for d in (d_pre, d_post)]
+    _, _, [step_log] = continual_merge(theta0_model, tasks, cfg, seed=4)
+    sides = [s for _, s, _ in step_log.ot_loss_history]
     alternation_ok = sides == ["pre", "post"] * 5
     ok = frozen_ok and alternation_ok
     report(capsys, 4, ok,
@@ -287,7 +287,7 @@ def test_criterion_4_schedule_conformance(capsys):
 
 def test_criterion_5_alignment_efficacy(capsys):
     t0 = time.perf_counter()
-    tasks, theta0, sfts, deltas, final, state, logs, snapshots = run_otmf(0)
+    tasks, theta0, sfts, deltas, final, _, logs, snapshots = run_otmf(0)
     ratios = [lg.final_pair_loss / lg.initial_pair_loss for lg in logs]
 
     # l1 total shift at the final step: merged vs previous merged (pre side)
@@ -319,7 +319,7 @@ def test_criterion_6_forgetting_comparison(capsys):
     avgs = {"otmf": [], "swa": [], "task_arithmetic": [], "ties": []}
     bwts = {"otmf": [], "task_arithmetic": []}
     for seed in range(5):
-        tasks, theta0, sfts, deltas, final, state, logs, snapshots = run_otmf(seed)
+        tasks, theta0, sfts, deltas, final, _, logs, snapshots = run_otmf(seed)
         mat = accuracy_matrix_from_snapshots(tasks, sfts, snapshots)
         avgs["otmf"].append(mat.final_average())
         bwts["otmf"].append(bwt(mat))
@@ -360,8 +360,8 @@ def test_criterion_7_alpha_ablation_shape(capsys):
     averages = []
     for alpha in grid:
         cfg = FusionConfig(alpha=alpha)
-        tasks, theta0, sfts, deltas, final, state, logs, _ = run_otmf(0, cfg)
-        model = ToyModel(spec=MODEL, backbone=final, heads=dict(state.heads))
+        tasks, theta0, sfts, deltas, final, heads, logs, _ = run_otmf(0, cfg)
+        model = ToyModel(spec=MODEL, backbone=final, heads=heads)
         accs = [accuracy(model, td.task_id, td.test) for td in tasks]
         averages.append(float(np.mean(accs)))
     best = int(np.argmax(averages))
@@ -380,23 +380,35 @@ def test_criterion_8_constant_memory(capsys):
     rng = np.random.default_rng(8)
     spec = ModelSpec((3, 4, 3))
     theta0_model = init_model(spec, seed=8)
-    residents = {}
+    layout = theta0_model.backbone.signature()
+
+    def live_vectors():
+        gc.collect()
+        return sum(1 for o in gc.get_objects()
+                   if isinstance(o, ParamVector) and o.signature() == layout)
+
+    def tasks(T, live):
+        # each task is built when it is pulled, after counting what is live
+        for _ in range(T):
+            live.append(live_vectors())
+            yield (ParamVector({n: 0.2 * rng.normal(size=a.shape)
+                                for n, a in theta0_model.backbone.entries.items()}),
+                   init_head(spec, 3, rng),
+                   Batch(rng.normal(size=(12, 3)), rng.integers(0, 3, size=12)),
+                   rng.normal(size=(16, 3)))
+
+    live = {}
     for T in (5, 10):
-        deltas = [ParamVector({n: 0.2 * rng.normal(size=a.shape)
-                               for n, a in theta0_model.backbone.entries.items()})
-                  for _ in range(T)]
-        heads = [init_head(spec, 3, rng) for _ in range(T)]
-        batches = [Batch(rng.normal(size=(12, 3)), rng.integers(0, 3, size=12))
-                   for _ in range(T)]
-        pools = [rng.normal(size=(16, 3)) for _ in range(T)]
-        tracker = ResidencyTracker()
-        continual_merge(theta0_model, zip(deltas, heads), batches, pools,
-                        FusionConfig(ot_epochs=4, batch_size=8), seed=0,
-                        tracker=tracker)
-        residents[T] = tracker.max_resident
-    ok = all(v <= 3 for v in residents.values()) and residents[5] == residents[10]
+        live[T] = []
+        continual_merge(theta0_model, tasks(T, live[T]),
+                        FusionConfig(ot_epochs=4, batch_size=8), seed=0)
+    # task t is pulled before step t; from step 3 on every pull sees the
+    # same number of vectors, whatever the step and T
+    steady = {n for counts in live.values() for n in counts[2:]}
+    ok = len(steady) == 1
     report(capsys, 8, ok,
-           f"max resident task-vector arrays {residents} (<= 3, independent of T)")
+           f"live backbone-layout parameter vectors at each pull {live}: "
+           f"{sorted(steady)} from step 3 on, independent of step and T")
 
 
 def test_criterion_9_determinism(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -97,6 +98,8 @@ def test_config_rejects_model_stream_mismatch(tmp_path):
         {"output_dir": 3},
         {"baseline": {"method": "ties"}},
         {"fusion": {"sinkhorn": {"log_domain": True}}},
+        {"fusion": {"optimizer": "adam"}},
+        {"stream": {"seed": 1}},
     ],
     ids=lambda bad: json.dumps(bad),
 )
@@ -146,6 +149,63 @@ def test_exit_code_malformed_checkpoint_header(tmp_path, line, bad):
     assert raw.count(line.encode() + b"\n") == 1
     path.write_bytes(raw.replace(line.encode() + b"\n", bad.encode() + b"\n"))
     assert run("eval", "--checkpoint", path, "--out", tmp_path / "out") == 3
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A tiny run through gen and train, for tests to copy and corrupt."""
+    root = tmp_path_factory.mktemp("trained")
+    cfg = root / "cfg.json"
+    cfg.write_text(json.dumps(dict(TINY, output_dir=str(root / "run"))))
+    assert run("gen", "--config", cfg) == 0
+    assert run("train", "--config", cfg) == 0
+    return cfg, root / "run"
+
+
+def _edit_row(raw: bytes, row: int, edit) -> bytes:
+    lines = raw.split(b"\n")
+    lines[row] = edit(lines[row])
+    return b"\n".join(lines)
+
+
+def _nan_payload(raw: bytes) -> bytes:
+    start = raw.index(b"\ndata\n") + 6
+    return raw[:start] + np.float64(np.nan).tobytes() + raw[start + 8:]
+
+
+_WEIGHT = b"array backbone/layer0.weight "
+
+# file under the seed directory, its corruption, and the exit code of a merge
+FAULTS = {
+    "truncated-payload": ("checkpoints/task02.ckpt", lambda raw: raw[:-8], 3),
+    "empty-checkpoint": ("checkpoints/task02.ckpt", lambda raw: b"", 3),
+    "transposed-shape": (
+        "checkpoints/task02.ckpt",
+        lambda raw: raw.replace(_WEIGHT + b"8 4\n", _WEIGHT + b"4 8\n"), 3),
+    "missing-label-column": (
+        "data/task02_test.csv", lambda raw: raw.replace(b",label\n", b",y\n", 1), 3),
+    "nan-payload": ("checkpoints/task02.ckpt", _nan_payload, 4),
+    "ragged-row-long": (
+        "data/task02_test.csv", lambda raw: _edit_row(raw, 2, lambda r: r + b",0"), 3),
+    "ragged-row-short": (
+        "data/task02_test.csv",
+        lambda raw: _edit_row(raw, 2, lambda r: r.rsplit(b",", 1)[0]), 3),
+    "non-numeric-cell": (
+        "data/task02_test.csv", lambda raw: _edit_row(raw, 1, lambda r: b"x" + r), 3),
+}
+
+
+@pytest.mark.parametrize("target, corrupt, code", FAULTS.values(), ids=FAULTS.keys())
+def test_exit_code_corrupted_input(trained, tmp_path, target, corrupt, code):
+    cfg, trained_run = trained
+    out = tmp_path / "run"
+    shutil.copytree(trained_run, out)
+    path = out / "seed0" / target
+    raw = path.read_bytes()
+    bad = corrupt(raw)
+    assert bad != raw
+    path.write_bytes(bad)
+    assert run("merge", "--config", cfg, "--out", out, "--method", "ties") == code
 
 
 def test_unknown_method_rejected_by_parser(tiny_cfg):

@@ -1,4 +1,5 @@
 
+import dataclasses
 import logging
 
 import numpy as np
@@ -10,8 +11,6 @@ from otmf import models as models_module
 from otmf.errors import ConfigError, DataError
 from otmf.fusion import (
     FusionConfig,
-    MergeState,
-    ResidencyTracker,
     SolverState,
     _MaskOptimizer,
     continual_merge,
@@ -56,6 +55,15 @@ def world(seed=0, T=2):
     return theta0_model, deltas, heads, batches, pools
 
 
+def stream(deltas, heads, batches, pools):
+    """The tasks as continual_merge takes them."""
+    return list(zip(deltas, heads, batches, pools))
+
+
+def ones(delta):
+    return MaskVector.ones_like(delta), MaskVector.ones_like(delta)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         FusionConfig(alpha=1.5)
@@ -63,8 +71,6 @@ def test_config_validation():
         FusionConfig(ot_epochs=0)
     with pytest.raises(ConfigError):
         FusionConfig(mask_lr=0.0)
-    with pytest.raises(ConfigError):
-        FusionConfig(optimizer="lbfgs")
 
 
 def test_masked_fuse_endpoints(rng):
@@ -127,8 +133,6 @@ def test_mask_gradient_matches_fd(side):
     theta0 = theta0_model.backbone
     cfg = FusionConfig(
         alpha=0.6,
-        optimizer="sgd",
-        mask_lr=1.0,
         sinkhorn=SinkhornConfig(epsilon=0.1, max_iters=20000, tolerance=1e-10),
     )
     target_delta = d_pre if side == "pre" else d_post
@@ -144,17 +148,19 @@ def test_mask_gradient_matches_fd(side):
     cold = _reg_plan(theta0, d_pre, d_post, m_pre, m_post, target, inputs, cfg)
     init = (cold.epsilon * cold.log_u, cold.epsilon * cold.log_v)
 
-    # a unit sgd step recovers the raw gradient: grad = mask_before - mask_after
-    state = MergeState(step=2, merged_task_vector=d_pre,
-                       mask_pre=m_pre, mask_post=m_post, heads={})
-    opt = _MaskOptimizer(m_pre, cfg)
+    # an optimizer that records the raw gradient it is given
+    class Recorder:
+        def step(self, mask, grad):
+            self.grad = grad
+            return mask
+
+    opt = Recorder()
     solver = SolverState(duals=init)
-    new = ot_mask_epoch(state, theta0, d_pre, d_post, target, inputs,
-                        side, epoch=1, cfg=cfg, optimizer=opt, solver=solver)
+    ot_mask_epoch((m_pre, m_post), theta0, d_pre, d_post, target, inputs,
+                  side, cfg=cfg, optimizer=opt, solver=solver)
     assert solver.solves == 1 and solver.unconverged == 0
-    moved = new.mask_pre if side == "pre" else new.mask_post
     base = m_pre if side == "pre" else m_post
-    grad = np.concatenate([(base[n] - moved[n]).ravel() for n in base.layers()])
+    grad = opt.grad.flatten()
 
     h = 1e-6
     flat = base.flatten()
@@ -182,14 +188,13 @@ def test_ot_loss_decreases_toward_target():
     cfg = FusionConfig(alpha=0.5, mask_lr=0.1)
     target = theta0_model.with_backbone(reconstruct(theta0, d_pre))
     inputs = pools[0]
-    state = MergeState(step=2, merged_task_vector=d_pre,
-                       mask_pre=MaskVector.ones_like(d_pre),
-                       mask_post=MaskVector.ones_like(d_post), heads={})
-    opt = _MaskOptimizer(state.mask_pre, cfg)
-    for e in range(1, 31):
-        state = ot_mask_epoch(state, theta0, d_pre, d_post, target, inputs,
-                              "pre", e, cfg, opt)
-    losses = [l for _, _, l in state.ot_loss_history]
+    masks = ones(d_pre)
+    opt = _MaskOptimizer(masks[0], cfg)
+    losses = []
+    for _ in range(30):
+        masks, loss = ot_mask_epoch(masks, theta0, d_pre, d_post, target, inputs,
+                                    "pre", cfg, opt)
+        losses.append(loss)
     assert losses[-1] < 0.5 * losses[0]
 
 
@@ -203,43 +208,40 @@ def test_alternation_schedule_and_frozen_state():
     cfg = FusionConfig(ot_epochs=10)
     pre_target = theta0_model.with_backbone(reconstruct(theta0, d_pre))
     post_target = theta0_model.with_backbone(reconstruct(theta0, d_post))
-    state = MergeState(step=2, merged_task_vector=d_pre,
-                       mask_pre=MaskVector.ones_like(d_pre),
-                       mask_post=MaskVector.ones_like(d_post), heads={})
-    opts = {"pre": _MaskOptimizer(state.mask_pre, cfg),
-            "post": _MaskOptimizer(state.mask_post, cfg)}
+    masks = ones(d_pre)
+    opts = {"pre": _MaskOptimizer(masks[0], cfg), "post": _MaskOptimizer(masks[1], cfg)}
     pre_snapshot = d_pre.flatten().copy()
     post_snapshot = d_post.flatten().copy()
     for e in range(1, cfg.ot_epochs + 1):
         side = "pre" if e % 2 == 1 else "post"
         target = pre_target if side == "pre" else post_target
-        before = (state.mask_pre.flatten().copy(), state.mask_post.flatten().copy())
-        state = ot_mask_epoch(state, theta0, d_pre, d_post, target,
-                              pools[0], side, e, cfg, opts[side])
+        before = tuple(m.flatten().copy() for m in masks)
+        masks, _ = ot_mask_epoch(masks, theta0, d_pre, d_post, target,
+                                 pools[0], side, cfg, opts[side])
         # the non-selected mask and both task vectors are bit-identical
         if side == "pre":
-            assert np.array_equal(state.mask_post.flatten(), before[1])
-            assert not np.array_equal(state.mask_pre.flatten(), before[0])
+            assert np.array_equal(masks[1].flatten(), before[1])
+            assert not np.array_equal(masks[0].flatten(), before[0])
         else:
-            assert np.array_equal(state.mask_pre.flatten(), before[0])
-            assert not np.array_equal(state.mask_post.flatten(), before[1])
+            assert np.array_equal(masks[0].flatten(), before[0])
+            assert not np.array_equal(masks[1].flatten(), before[1])
         assert np.array_equal(d_pre.flatten(), pre_snapshot)
         assert np.array_equal(d_post.flatten(), post_snapshot)
-    sides = [s for _, s, _ in state.ot_loss_history]
-    epochs = [e for e, _, _ in state.ot_loss_history]
-    assert epochs == list(range(1, 11))
-    assert sides == ["pre", "post"] * 5
+    # continual_merge records each epoch's (epoch, side) in that order
+    theta0_model, deltas, heads, batches, pools = world(seed=6, T=2)
+    _, _, [lg] = continual_merge(theta0_model, stream(deltas, heads, batches, pools),
+                                 dataclasses.replace(cfg, batch_size=8), seed=0)
+    assert [e for e, _, _ in lg.ot_loss_history] == list(range(1, 11))
+    assert [s for _, s, _ in lg.ot_loss_history] == ["pre", "post"] * 5
 
 
 def test_ot_mask_epoch_rejects_bad_side():
     theta0_model, (d_pre, d_post), _, _, pools = world(seed=7)
     cfg = FusionConfig()
-    state = MergeState(step=2, merged_task_vector=d_pre,
-                       mask_pre=MaskVector.ones_like(d_pre),
-                       mask_post=MaskVector.ones_like(d_post), heads={})
+    masks = ones(d_pre)
     with pytest.raises(ConfigError):
-        ot_mask_epoch(state, theta0_model.backbone, d_pre, d_post, theta0_model,
-                      pools[0], "both", 1, cfg, _MaskOptimizer(state.mask_pre, cfg))
+        ot_mask_epoch(masks, theta0_model.backbone, d_pre, d_post, theta0_model,
+                      pools[0], "both", cfg, _MaskOptimizer(masks[0], cfg))
 
 
 def test_mask_epochs_warm_start_from_their_side_duals(monkeypatch):
@@ -248,10 +250,8 @@ def test_mask_epochs_warm_start_from_their_side_duals(monkeypatch):
     cfg = FusionConfig(ot_epochs=4)
     targets = {side: theta0_model.with_backbone(reconstruct(theta0, d))
                for side, d in (("pre", d_pre), ("post", d_post))}
-    state = MergeState(step=2, merged_task_vector=d_pre,
-                       mask_pre=MaskVector.ones_like(d_pre),
-                       mask_post=MaskVector.ones_like(d_post), heads={})
-    opts = {side: _MaskOptimizer(state.mask_pre, cfg) for side in targets}
+    masks = ones(d_pre)
+    opts = {side: _MaskOptimizer(masks[0], cfg) for side in targets}
     solvers = {side: SolverState() for side in targets}
     inits = []
     distance = fusion_module.sinkhorn_distance
@@ -263,8 +263,8 @@ def test_mask_epochs_warm_start_from_their_side_duals(monkeypatch):
     for e in range(1, cfg.ot_epochs + 1):
         side = "pre" if e % 2 == 1 else "post"
         duals_before.append(solvers[side].duals)
-        state = ot_mask_epoch(state, theta0, d_pre, d_post, targets[side],
-                              pools[0], side, e, cfg, opts[side], solvers[side])
+        masks, _ = ot_mask_epoch(masks, theta0, d_pre, d_post, targets[side],
+                                 pools[0], side, cfg, opts[side], solvers[side])
     # each side starts cold, then from the duals its own last solve recorded
     assert inits[0] is None and inits[1] is None
     assert inits[2] is duals_before[2] is not None
@@ -316,7 +316,7 @@ def test_each_gradient_runs_one_forward_pass(monkeypatch):
     monkeypatch.setattr(fusion_module, "backward",
                         lambda *a, **k: backwards.append(1) or backward(*a, **k))
     cfg = FusionConfig(ot_epochs=4, batch_size=8)
-    continual_merge(theta0_model, zip(deltas, heads), batches, pools, cfg, seed=0)
+    continual_merge(theta0_model, stream(deltas, heads, batches, pools), cfg, seed=0)
     assert len(backwards) == 2 * cfg.ot_epochs
 
 
@@ -327,21 +327,21 @@ def test_each_gradient_runs_one_forward_pass(monkeypatch):
 def test_continual_merge_deterministic():
     theta0_model, deltas, heads, batches, pools = world(seed=10, T=3)
     cfg = FusionConfig(ot_epochs=6, batch_size=8)
-    a = continual_merge(theta0_model, zip(deltas, heads), batches, pools, cfg, seed=1)
-    b = continual_merge(theta0_model, zip(deltas, heads), batches, pools, cfg, seed=1)
+    a = continual_merge(theta0_model, stream(deltas, heads, batches, pools), cfg, seed=1)
+    b = continual_merge(theta0_model, stream(deltas, heads, batches, pools), cfg, seed=1)
     assert a[0] == b[0]
-    assert a[1].heads.keys() == b[1].heads.keys()
+    assert a[1].keys() == b[1].keys()
     assert [lg.final_pair_loss for lg in a[2]] == [lg.final_pair_loss for lg in b[2]]
     # the warm-started mask loop carries solver state deterministically
-    assert len(a[1].ot_loss_history) == 2 * cfg.ot_epochs
-    assert a[1].ot_loss_history == b[1].ot_loss_history
+    assert sum(len(lg.ot_loss_history) for lg in a[2]) == 2 * cfg.ot_epochs
+    assert [lg.ot_loss_history for lg in a[2]] == [lg.ot_loss_history for lg in b[2]]
 
 
 def test_continual_merge_logs_solver_counts_per_step(caplog):
     theta0_model, deltas, heads, batches, pools = world(seed=18, T=3)
     cfg = FusionConfig(ot_epochs=5, batch_size=8)
     with caplog.at_level(logging.INFO, logger="otmf.fusion"):
-        continual_merge(theta0_model, zip(deltas, heads), batches, pools, cfg, seed=0)
+        continual_merge(theta0_model, stream(deltas, heads, batches, pools), cfg, seed=0)
     lines = [r.getMessage() for r in caplog.records if r.name == "otmf.fusion"]
     assert len(lines) == 2
     for step, line in zip((2, 3), lines):
@@ -388,7 +388,7 @@ def test_first_mask_loop_solves_start_from_initial_pair_loss_duals(monkeypatch):
     # the mask loop solves in fusion, the pair losses through metrics
     monkeypatch.setattr(fusion_module, "sinkhorn_distance", record)
     monkeypatch.setattr(metrics_module, "sinkhorn_distance", record)
-    continual_merge(theta0_model, zip(deltas, heads), batches, pools, cfg, seed=0)
+    continual_merge(theta0_model, stream(deltas, heads, batches, pools), cfg, seed=0)
     # initial pair loss (pre, post), epoch 1 (pre), epoch 2 (post), final
     # pair loss (pre, post); the pair-loss solves stay cold
     assert len(calls) == 6
@@ -403,17 +403,19 @@ def test_first_mask_loop_solves_start_from_initial_pair_loss_duals(monkeypatch):
 def test_default_stream_seed1_mask_loop_solves_converge_without_fallback():
     # default config, seed 1: with scaling updates, step 3 stopped 93 of its
     # 100 mask-loop solves at max_iters
-    stream, spec = TaskStreamSpec(seed=1), ModelSpec((8, 16, 8))
-    pretrain, tasks = generate_stream(stream)
-    k = stream.classes_per_task
+    spec = ModelSpec((8, 16, 8))
+    pretrain, tasks = generate_stream(TaskStreamSpec(), seed=1)
+    k = TaskStreamSpec().classes_per_task
     pre = train_sft(spec, init_model(spec, seed=1), "pretrain", pretrain, k, 300, 0.1, seed=1)
     theta0 = ToyModel(spec=spec, backbone=pre.backbone, heads={})
     sfts = [train_sft(spec, theta0, td.task_id, td.train, k, 300, 0.1, seed=101 + i)
             for i, td in enumerate(tasks)]
     cfg = FusionConfig()
-    pairs = [(task_vector(m, theta0), m.heads[td.task_id]) for m, td in zip(sfts, tasks)]
     _, _, logs = continual_merge(
-        theta0, pairs, [td.train for td in tasks], [td.unlabeled for td in tasks], cfg, seed=1,
+        theta0,
+        [(task_vector(m, theta0), m.heads[td.task_id], td.train, td.unlabeled)
+         for m, td in zip(sfts, tasks)],
+        cfg, seed=1,
     )
     assert [lg.step for lg in logs] == [2, 3]
     for lg in logs:
@@ -429,52 +431,75 @@ def test_continual_merge_warns_on_unconverged_mask_loop_solves(caplog):
     cfg = FusionConfig(ot_epochs=4, batch_size=8,
                        sinkhorn=SinkhornConfig(max_iters=1, tolerance=1e-300))
     with caplog.at_level(logging.INFO, logger="otmf.fusion"):
-        _, _, logs = continual_merge(theta0_model, zip(deltas, heads), batches, pools, cfg, seed=0)
+        _, _, logs = continual_merge(
+            theta0_model, stream(deltas, heads, batches, pools), cfg, seed=0)
     warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
     assert [w.split(":")[0] for w in warnings] == ["step 2", "step 3"]
     for lg in logs:
         assert lg.solver_counts["pre"]["unconverged"] == 2
 
 
+def test_continual_merge_warning_names_only_what_occurred(caplog, monkeypatch):
+    # every mask-loop solve converges but is reported as fallen back
+    theta0_model, deltas, heads, batches, pools = world(seed=18, T=3)
+    cfg = FusionConfig(ot_epochs=4, batch_size=8)
+    distance = fusion_module.sinkhorn_distance
+
+    def fell_back(*a, init=None):
+        dist, plan = distance(*a, init=init)
+        return dist, dataclasses.replace(plan, newton=(plan.newton[0], True))
+
+    monkeypatch.setattr(fusion_module, "sinkhorn_distance", fell_back)
+    with caplog.at_level(logging.INFO, logger="otmf.fusion"):
+        _, _, logs = continual_merge(
+            theta0_model, stream(deltas, heads, batches, pools), cfg, seed=0)
+    for lg in logs:
+        assert lg.solver_counts["pre"]["unconverged"] == lg.solver_counts["post"]["unconverged"] == 0
+        assert lg.solver_counts["pre"]["fallbacks"] == lg.solver_counts["post"]["fallbacks"] == 2
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warnings == [
+        f"step {t}: fell back from Newton to scaling updates: pre 2, post 2" for t in (2, 3)
+    ]
+
+
 def test_continual_merge_accumulates_heads_and_logs():
     theta0_model, deltas, heads, batches, pools = world(seed=11, T=4)
     cfg = FusionConfig(ot_epochs=4, batch_size=8)
-    final, state, logs = continual_merge(
-        theta0_model, zip(deltas, heads), batches, pools, cfg, seed=0
+    final, merged_heads, logs = continual_merge(
+        theta0_model, stream(deltas, heads, batches, pools), cfg, seed=0
     )
-    assert sorted(state.heads) == ["task01", "task02", "task03", "task04"]
+    assert sorted(merged_heads) == ["task01", "task02", "task03", "task04"]
     assert [lg.step for lg in logs] == [2, 3, 4]
     assert all(len(lg.ot_loss_history) == cfg.ot_epochs for lg in logs)
     assert final.signature() == theta0_model.backbone.signature()
 
 
-def test_continual_merge_callable_loader_and_residency():
+def test_continual_merge_pulls_each_task_once_in_order():
     theta0_model, deltas, heads, batches, pools = world(seed=12, T=6)
     cfg = FusionConfig(ot_epochs=4, batch_size=8)
-    tracker = ResidencyTracker()
-    loads = []
+    pulls = []
 
-    def loader(i):
-        loads.append(i)
-        return deltas[i], heads[i]
+    def lazy():
+        for i, task in enumerate(stream(deltas, heads, batches, pools)):
+            pulls.append(i)
+            yield task
 
-    final_lazy, *_ = continual_merge(
-        theta0_model, loader, batches, pools, cfg, seed=2, tracker=tracker
+    final_lazy, heads_lazy, logs_lazy = continual_merge(theta0_model, lazy(), cfg, seed=2)
+    final_list, heads_list, logs_list = continual_merge(
+        theta0_model, stream(deltas, heads, batches, pools), cfg, seed=2
     )
-    final_eager, *_ = continual_merge(
-        theta0_model, zip(deltas, heads), batches, pools, cfg, seed=2
-    )
-    assert final_lazy == final_eager
-    assert loads == list(range(6))
-    assert tracker.max_resident <= 3
+    assert pulls == list(range(6))
+    assert final_lazy == final_list
+    assert heads_lazy == heads_list
+    assert [lg.ot_loss_history for lg in logs_lazy] == [lg.ot_loss_history for lg in logs_list]
 
 
 def test_continual_merge_on_step_callback():
     theta0_model, deltas, heads, batches, pools = world(seed=13, T=3)
     cfg = FusionConfig(ot_epochs=4, batch_size=8)
     seen = []
-    final, state, _ = continual_merge(
-        theta0_model, zip(deltas, heads), batches, pools, cfg, seed=0,
+    final, _, _ = continual_merge(
+        theta0_model, stream(deltas, heads, batches, pools), cfg, seed=0,
         on_step=lambda step, theta, hs: seen.append((step, theta, sorted(hs))),
     )
     assert [s for s, _, _ in seen] == [2, 3]
@@ -485,18 +510,7 @@ def test_continual_merge_on_step_callback():
 def test_continual_merge_input_validation():
     theta0_model, deltas, heads, batches, pools = world(seed=14, T=2)
     cfg = FusionConfig(ot_epochs=2)
-    with pytest.raises(DataError):
-        continual_merge(theta0_model, zip(deltas[:1], heads[:1]), batches[:1], pools[:1],
-                        cfg, seed=0)
-    with pytest.raises(DataError):
-        continual_merge(theta0_model, zip(deltas, heads), batches[:1], pools, cfg, seed=0)
-
-
-def test_adam_and_sgd_both_supported():
-    theta0_model, deltas, heads, batches, pools = world(seed=15, T=2)
-    for optimizer in ("adam", "sgd"):
-        cfg = FusionConfig(ot_epochs=4, optimizer=optimizer, mask_lr=0.05)
-        final, _, logs = continual_merge(
-            theta0_model, zip(deltas, heads), batches, pools, cfg, seed=0
-        )
-        assert np.isfinite(logs[-1].final_pair_loss)
+    tasks = stream(deltas, heads, batches, pools)
+    for short in (tasks[:1], []):
+        with pytest.raises(DataError):
+            continual_merge(theta0_model, iter(short), cfg, seed=0)

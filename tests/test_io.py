@@ -95,9 +95,10 @@ def test_matrix_validation(tmp_path, rng):
     (tmp_path / "empty.csv").write_text("")
     with pytest.raises(DataError):
         load_matrix(tmp_path / "empty.csv")
-    (tmp_path / "ragged.csv").write_text("a,b\n1.0,2.0,3.0\n")
-    with pytest.raises((DataError, ValueError)):
-        load_matrix(tmp_path / "ragged.csv")
+    for body in ("1.0,2.0,3.0\n", "1.0,2.0\n1.0\n", "1.0,2.0\n1.0,2.0,3.0\n", "1.0,x2.0\n"):
+        (tmp_path / "ragged.csv").write_text("a,b\n" + body)
+        with pytest.raises(DataError):
+            load_matrix(tmp_path / "ragged.csv")
 
 
 def test_batch_roundtrip(tmp_path, rng):

@@ -36,8 +36,8 @@ def test_stream_shapes_and_ids():
 
 
 def test_stream_deterministic():
-    a_pre, a_tasks = generate_stream(TaskStreamSpec(seed=3))
-    b_pre, b_tasks = generate_stream(TaskStreamSpec(seed=3))
+    a_pre, a_tasks = generate_stream(TaskStreamSpec(), seed=3)
+    b_pre, b_tasks = generate_stream(TaskStreamSpec(), seed=3)
     np.testing.assert_array_equal(a_pre.inputs, b_pre.inputs)
     for ta, tb in zip(a_tasks, b_tasks):
         np.testing.assert_array_equal(ta.train.inputs, tb.train.inputs)
@@ -46,8 +46,8 @@ def test_stream_deterministic():
 
 
 def test_different_seeds_differ():
-    a, _ = generate_stream(TaskStreamSpec(seed=0))
-    b, _ = generate_stream(TaskStreamSpec(seed=1))
+    a, _ = generate_stream(TaskStreamSpec(), seed=0)
+    b, _ = generate_stream(TaskStreamSpec(), seed=1)
     assert not np.array_equal(a.inputs, b.inputs)
 
 
@@ -55,7 +55,7 @@ def test_heterogeneity_spreads_tasks():
     """Class means drift apart between tasks as the knob grows."""
 
     def mean_gap(het):
-        _, tasks = generate_stream(TaskStreamSpec(seed=0, heterogeneity=het))
+        _, tasks = generate_stream(TaskStreamSpec(heterogeneity=het), seed=0)
         gaps = []
         for a, b in zip(tasks, tasks[1:]):
             for c in range(4):
