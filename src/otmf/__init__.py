@@ -14,7 +14,6 @@ from .io import (
     load_batch,
     load_checkpoint,
     load_matrix,
-    load_report,
     save_batch,
     save_checkpoint,
     save_features,
@@ -23,7 +22,7 @@ from .io import (
 )
 from .metrics import AccuracyMatrix, accuracy, bwt, l1_shift, sinkhorn_shift
 from .models import Batch, ModelSpec, ToyModel, forward_features, forward_logits
-from .params import MaskVector, ParamVector, pv_add, pv_hadamard, pv_scale, pv_sub
+from .params import ParamVector, pv_add, pv_scale, pv_sub
 from .sinkhorn import (
     CostMatrix,
     Marginals,

@@ -220,11 +220,21 @@ def _load_data(cfg: RunConfig, seed: int):
     data = _seed_dir(cfg, seed) / "data"
     if not (data / "pretrain.csv").exists():
         raise DataError(f"dataset missing under {data}; run `otmf gen` first")
-    pretrain = load_batch(data / "pretrain.csv")
+
+    def labeled(name: str):
+        batch = load_batch(data / name)
+        if batch.labels.max() >= cfg.stream.classes_per_task:
+            raise DataError(
+                f"{data / name}: label {batch.labels.max()} is not below "
+                f"classes_per_task {cfg.stream.classes_per_task}"
+            )
+        return batch
+
+    pretrain = labeled("pretrain.csv")
     tasks = []
     for tid in _task_ids(cfg):
-        train = load_batch(data / f"{tid}_train.csv")
-        test = load_batch(data / f"{tid}_test.csv")
+        train = labeled(f"{tid}_train.csv")
+        test = labeled(f"{tid}_test.csv")
         unlabeled, _ = load_matrix(data / f"{tid}_unlabeled.csv")
         tasks.append((tid, train, test, unlabeled))
     return pretrain, tasks

@@ -37,16 +37,10 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, ShapeMismatchError
 from .metrics import normalized_feature_scale, sinkhorn_shift
 from .models import Batch, ToyModel, backward, forward_features, head_gradient
-from .params import (
-    MaskVector,
-    ParamVector,
-    pv_add,
-    pv_hadamard,
-    pv_scale,
-)
+from .params import ParamVector, pv_add
 from .sinkhorn import (
     SinkhornConfig,
     TransportPlan,
@@ -84,30 +78,28 @@ class FusionConfig:
             raise ConfigError("batch_size must be >= 1")
 
 
-# a mask pair (pre, post)
-Masks = tuple[MaskVector, MaskVector]
+# a mask pair (pre, post): float64 arrays in the task vectors' flatten()
+# order, elementwise multipliers that start at exactly 1
+Masks = tuple[np.ndarray, np.ndarray]
 
 
 class _MaskOptimizer:
-    """Adam over one mask's layer arrays."""
+    """Adam over one flat mask."""
 
-    def __init__(self, template: ParamVector, cfg: FusionConfig):
+    def __init__(self, template: np.ndarray, cfg: FusionConfig):
         self.lr = cfg.mask_lr
         self.t = 0
-        self.m = {n: np.zeros_like(a) for n, a in template.entries.items()}
-        self.v = {n: np.zeros_like(a) for n, a in template.entries.items()}
+        self.m = np.zeros_like(template)
+        self.v = np.zeros_like(template)
 
-    def step(self, mask: MaskVector, grad: ParamVector) -> MaskVector:
+    def step(self, mask: np.ndarray, grad: np.ndarray) -> np.ndarray:
         self.t += 1
         b1, b2 = _ADAM_BETA1, _ADAM_BETA2
-        out = {}
-        for n in mask.layers():
-            self.m[n] = b1 * self.m[n] + (1 - b1) * grad[n]
-            self.v[n] = b2 * self.v[n] + (1 - b2) * grad[n] ** 2
-            mhat = self.m[n] / (1 - b1**self.t)
-            vhat = self.v[n] / (1 - b2**self.t)
-            out[n] = mask[n] - self.lr * mhat / (np.sqrt(vhat) + _ADAM_EPS)
-        return MaskVector(out)
+        self.m = b1 * self.m + (1 - b1) * grad
+        self.v = b2 * self.v + (1 - b2) * grad**2
+        mhat = self.m / (1 - b1**self.t)
+        vhat = self.v / (1 - b2**self.t)
+        return mask - self.lr * mhat / (np.sqrt(vhat) + _ADAM_EPS)
 
 
 @dataclass
@@ -145,16 +137,25 @@ class SolverState:
 def masked_fuse(
     pre: ParamVector,
     post: ParamVector,
-    m_pre: MaskVector,
-    m_post: MaskVector,
+    m_pre: np.ndarray,
+    m_post: np.ndarray,
     alpha: float,
 ) -> ParamVector:
-    """Convex combination of the masked task vectors."""
+    """Convex combination of the masked task vectors, with pre's layout.
+
+    Both masks must have shape (num_params,): a length-1 mask would
+    otherwise broadcast.
+    """
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
-    return pv_add(
-        pv_scale(alpha, pv_hadamard(m_pre, pre)),
-        pv_scale(1.0 - alpha, pv_hadamard(m_post, post)),
+    if pre.signature() != post.signature():
+        raise ShapeMismatchError(f"task vector layouts differ: {pre} vs {post}")
+    n = pre.num_params()
+    for side, m in (("pre", m_pre), ("post", m_post)):
+        if np.shape(m) != (n,):
+            raise ShapeMismatchError(f"{side} mask has shape {np.shape(m)}, expected ({n},)")
+    return pre.with_flat(
+        alpha * (m_pre * pre.flatten()) + (1.0 - alpha) * (m_post * post.flatten())
     )
 
 
@@ -216,9 +217,9 @@ def ot_mask_epoch(
         merged_model, target_model, batch_inputs, cfg.sinkhorn, solver
     )
     if side == "pre":
-        g_mask = pv_scale(cfg.alpha, pv_hadamard(delta_pre, g_backbone))
+        g_mask = cfg.alpha * (delta_pre.flatten() * g_backbone.flatten())
         return (optimizer.step(m_pre, g_mask), m_post), loss
-    g_mask = pv_scale(1.0 - cfg.alpha, pv_hadamard(delta_post, g_backbone))
+    g_mask = (1.0 - cfg.alpha) * (delta_post.flatten() * g_backbone.flatten())
     return (m_pre, optimizer.step(m_post, g_mask)), loss
 
 
@@ -319,7 +320,7 @@ def continual_merge(
         post_batch = _ot_batch(rng, unlabeled, cfg.batch_size)
         seen_unlabeled.append(unlabeled)
 
-        masks = (MaskVector.ones_like(merged), MaskVector.ones_like(merged))
+        masks = (np.ones(merged.num_params()), np.ones(merged.num_params()))
         opt_pre = _MaskOptimizer(masks[0], cfg)
         opt_post = _MaskOptimizer(masks[1], cfg)
         solver_pre, solver_post = SolverState(), SolverState()

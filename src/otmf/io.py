@@ -148,6 +148,8 @@ def load_matrix(path: str | Path) -> tuple[np.ndarray, list[str]]:
         raise DataError(f"{path}: malformed matrix row: {exc}") from exc
     if m.ndim != 2 or m.shape[1] != len(columns):
         raise DataError(f"{path}: row width does not match header")
+    if not np.isfinite(m).all():
+        raise DataError(f"{path}: a cell is nan or infinite")
     return m, columns
 
 
@@ -162,7 +164,11 @@ def load_batch(path: str | Path) -> Batch:
     m, columns = load_matrix(path)
     if not columns or columns[-1] != "label":
         raise DataError(f"{path}: expected a trailing 'label' column")
-    return Batch(m[:, :-1], m[:, -1].astype(np.int64))
+    labels = m[:, -1]
+    # the cells are finite (load_matrix); 2**53 keeps the cast exact
+    if not np.all((labels == np.trunc(labels)) & (np.abs(labels) <= 2.0**53)):
+        raise DataError(f"{path}: a label is not an integer")
+    return Batch(m[:, :-1], labels.astype(np.int64))
 
 
 def save_features(path: str | Path, features: np.ndarray, source: str) -> None:
@@ -185,7 +191,3 @@ def save_report(path: str | Path, report: dict) -> None:
     """Structured key-value report; sorted keys keep the bytes reproducible."""
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     Path(path).write_text(text + "\n", encoding="utf-8")
-
-
-def load_report(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))

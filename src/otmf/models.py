@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeMismatchError
+from .errors import ConfigError, DataError, NumericalError, ShapeMismatchError
 from .params import ParamVector, pv_sub
 
 _ACTIVATIONS = ("tanh", "relu")
@@ -81,11 +81,6 @@ class ToyModel:
             raise ShapeMismatchError("replacement backbone has a different layout")
         return replace(self, backbone=backbone)
 
-    def with_head(self, task: str, head: ParamVector) -> "ToyModel":
-        heads = dict(self.heads)
-        heads[task] = head
-        return replace(self, heads=heads)
-
 
 def backbone_layout(spec: ModelSpec) -> list[tuple[str, tuple[int, ...]]]:
     layout = []
@@ -131,7 +126,12 @@ def _activate_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _forward_trace(model: ToyModel, inputs: np.ndarray):
-    """Forward pass keeping pre/post-activation values for backprop."""
+    """Forward pass keeping pre/post-activation values for backprop.
+
+    A non-finite pre-activation (finite weights can overflow) raises
+    NumericalError; it is checked before the activation, since tanh maps
+    inf to a finite +-1.
+    """
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.spec.input_dim:
         raise ShapeMismatchError(
@@ -140,13 +140,16 @@ def _forward_trace(model: ToyModel, inputs: np.ndarray):
     acts = [x]
     pre = []
     h = x
-    for i in range(model.spec.num_layers):
-        w = model.backbone[f"layer{i}.weight"]
-        b = model.backbone[f"layer{i}.bias"]
-        z = h @ w.T + b
-        h = _activate(z, model.spec.activation)
-        pre.append(z)
-        acts.append(h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(model.spec.num_layers):
+            w = model.backbone[f"layer{i}.weight"]
+            b = model.backbone[f"layer{i}.bias"]
+            z = h @ w.T + b
+            if not np.isfinite(z).all():
+                raise NumericalError(f"layer {i} pre-activation is not finite")
+            h = _activate(z, model.spec.activation)
+            pre.append(z)
+            acts.append(h)
     return acts, pre
 
 

@@ -1,8 +1,9 @@
 """Flat, layer-keyed parameter algebra.
 
 A ParamVector is an ordered map from layer name to a dense float64 array.
-It is the common currency for model weights, task vectors (deviations from
-the shared backbone), and the learnable masks that modulate them. All
+It is the common currency for model weights and task vectors (deviations
+from the shared backbone); flatten() and with_flat() convert to and from
+one flat array in layer order, the form the fusion masks take. All
 arithmetic is elementwise, allocates fresh output, and requires identical
 shape signatures.
 """
@@ -51,9 +52,6 @@ class ParamVector:
     def __getitem__(self, name: str) -> np.ndarray:
         return self._entries[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParamVector):
             return NotImplemented
@@ -90,18 +88,6 @@ class ParamVector:
         return f"ParamVector({sig})"
 
 
-class MaskVector(ParamVector):
-    """Learnable elementwise multiplier over a task vector.
-
-    Same layout as the vector it modulates; entries are unconstrained
-    reals and start at exactly 1.
-    """
-
-    @classmethod
-    def ones_like(cls, template: ParamVector) -> "MaskVector":
-        return cls({n: np.ones_like(a) for n, a in template.entries.items()})
-
-
 def _check_shapes(a: ParamVector, b: ParamVector) -> None:
     sa, sb = dict(a.signature()), dict(b.signature())
     if list(sa) != list(sb) or sa != sb:
@@ -122,11 +108,6 @@ def pv_add(a: ParamVector, b: ParamVector) -> ParamVector:
 def pv_sub(a: ParamVector, b: ParamVector) -> ParamVector:
     _check_shapes(a, b)
     return ParamVector({n: a[n] - b[n] for n in a.layers()})
-
-
-def pv_hadamard(m: ParamVector, v: ParamVector) -> ParamVector:
-    _check_shapes(m, v)
-    return ParamVector({n: m[n] * v[n] for n in m.layers()})
 
 
 def pv_scale(s: float, v: ParamVector) -> ParamVector:

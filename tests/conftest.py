@@ -22,7 +22,5 @@ def small_model(rng, dims=(3, 4, 3), num_heads=0, classes=3) -> ToyModel:
     backbone = ParamVector(
         {n: a + 0.1 * rng.normal(size=a.shape) for n, a in model.backbone.entries.items()}
     )
-    model = model.with_backbone(backbone)
-    for i in range(num_heads):
-        model = model.with_head(f"task{i + 1:02d}", init_head(spec, classes, rng))
-    return model
+    heads = {f"task{i + 1:02d}": init_head(spec, classes, rng) for i in range(num_heads)}
+    return ToyModel(spec=spec, backbone=backbone, heads=heads)

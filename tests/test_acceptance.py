@@ -36,7 +36,7 @@ from otmf.models import (
     task_vector,
     train_sft,
 )
-from otmf.params import MaskVector, ParamVector
+from otmf.params import ParamVector
 from otmf.sinkhorn import (
     CostMatrix,
     Marginals,
@@ -178,7 +178,7 @@ def test_criterion_2_gradient_fidelity(capsys):
             target = theta0_model.with_backbone(reconstruct(theta0, d_pre))
             inputs = rng.normal(size=(6, 3))
             alpha = 0.6
-            m_post = MaskVector.ones_like(d_post)
+            m_post = np.ones(d_post.num_params())
 
             def obj_mask(m_pre):
                 fused = masked_fuse(d_pre, d_post, m_pre, m_post, alpha)
@@ -189,7 +189,7 @@ def test_criterion_2_gradient_fidelity(capsys):
                 _, plan = sinkhorn_distance(s * fm, s * ft, scfg)
                 return plan.reg_objective
 
-            m_pre = MaskVector.ones_like(d_pre)
+            m_pre = np.ones(d_pre.num_params())
             fused = masked_fuse(d_pre, d_post, m_pre, m_post, alpha)
             merged = target.with_backbone(reconstruct(theta0, fused))
             fm = forward_features(merged, inputs)
@@ -201,14 +201,12 @@ def test_criterion_2_gradient_fidelity(capsys):
             g_mask = np.concatenate(
                 [(alpha * d_pre[n] * g_backbone[n]).ravel() for n in d_pre.layers()]
             )
-            flat = m_pre.flatten()
-            fd_mask = np.zeros_like(flat)
-            for i in range(flat.size):
-                plus, minus = flat.copy(), flat.copy()
+            fd_mask = np.zeros_like(m_pre)
+            for i in range(m_pre.size):
+                plus, minus = m_pre.copy(), m_pre.copy()
                 plus[i] += h
                 minus[i] -= h
-                fd_mask[i] = (obj_mask(m_pre.with_flat(plus))
-                              - obj_mask(m_pre.with_flat(minus))) / (2 * h)
+                fd_mask[i] = (obj_mask(plus) - obj_mask(minus)) / (2 * h)
             worst_mask = max(worst_mask,
                              np.linalg.norm(g_mask - fd_mask) / np.linalg.norm(fd_mask))
     elapsed = time.perf_counter() - t0
@@ -224,7 +222,7 @@ def test_criterion_3_endpoint_identities(capsys):
     theta0 = theta0_model.backbone
     d_pre = ParamVector({n: rng.normal(size=a.shape) for n, a in theta0.entries.items()})
     d_post = ParamVector({n: rng.normal(size=a.shape) for n, a in theta0.entries.items()})
-    ones = MaskVector.ones_like(d_pre)
+    ones = np.ones(d_pre.num_params())
     head = init_head(MODEL, 4, rng)
     x = rng.normal(size=(100, 8))
 
@@ -255,7 +253,7 @@ def test_criterion_4_schedule_conformance(capsys):
     pre_target = theta0_model.with_backbone(reconstruct(theta0, d_pre))
     post_target = theta0_model.with_backbone(reconstruct(theta0, d_post))
     inputs = rng.normal(size=(12, 3))
-    masks = (MaskVector.ones_like(d_pre), MaskVector.ones_like(d_post))
+    masks = (np.ones(d_pre.num_params()), np.ones(d_post.num_params()))
     opts = {"pre": _MaskOptimizer(masks[0], cfg), "post": _MaskOptimizer(masks[1], cfg)}
     pre_bits = d_pre.flatten().copy()
     post_bits = d_post.flatten().copy()
@@ -263,13 +261,13 @@ def test_criterion_4_schedule_conformance(capsys):
     for e in range(1, cfg.ot_epochs + 1):
         side = "pre" if e % 2 == 1 else "post"
         target = pre_target if side == "pre" else post_target
-        before_pre, before_post = (m.flatten().copy() for m in masks)
+        before_pre, before_post = (m.copy() for m in masks)
         masks, _ = ot_mask_epoch(masks, theta0, d_pre, d_post, target, inputs,
                                  side, cfg, opts[side])
         if side == "pre":
-            frozen_ok &= np.array_equal(masks[1].flatten(), before_post)
+            frozen_ok &= np.array_equal(masks[1], before_post)
         else:
-            frozen_ok &= np.array_equal(masks[0].flatten(), before_pre)
+            frozen_ok &= np.array_equal(masks[0], before_pre)
         frozen_ok &= np.array_equal(d_pre.flatten(), pre_bits)
         frozen_ok &= np.array_equal(d_post.flatten(), post_bits)
     # the schedule the merge runs: one step fusing d_pre and d_post
@@ -490,7 +488,8 @@ def test_criterion_10_baseline_oracles(capsys):
 
     # (c) head_finetune with lr=0 is an exact no-op
     spec = ModelSpec((3, 4, 3))
-    model = init_model(spec, seed=10).with_head("t", init_head(spec, 3, rng))
+    model = ToyModel(spec=spec, backbone=init_model(spec, seed=10).backbone,
+                     heads={"t": init_head(spec, 3, rng)})
     batch = Batch(rng.normal(size=(10, 3)), rng.integers(0, 3, size=10))
     tuned = head_finetune(model, "t", batch, epochs=25, lr=0.0)
     noop = tuned == model.heads["t"]

@@ -12,7 +12,7 @@ import otmf
 import otmf.cli
 from otmf.cli import load_config, main, resolved_config
 from otmf.errors import ConfigError
-from otmf.io import load_checkpoint, load_matrix, load_report, save_checkpoint
+from otmf.io import load_checkpoint, load_matrix, save_checkpoint
 from otmf.models import ModelSpec, init_model
 
 
@@ -168,9 +168,16 @@ def _edit_row(raw: bytes, row: int, edit) -> bytes:
     return b"\n".join(lines)
 
 
-def _nan_payload(raw: bytes) -> bytes:
-    start = raw.index(b"\ndata\n") + 6
-    return raw[:start] + np.float64(np.nan).tobytes() + raw[start + 8:]
+def _first_payload_entry(value: float):
+    def corrupt(raw: bytes) -> bytes:
+        start = raw.index(b"\ndata\n") + 6
+        return raw[:start] + np.float64(value).tobytes() + raw[start + 8:]
+    return corrupt
+
+
+def _label(value: bytes):
+    """Set the label of a dataset's first row."""
+    return lambda raw: _edit_row(raw, 1, lambda r: r.rsplit(b",", 1)[0] + b"," + value)
 
 
 _WEIGHT = b"array backbone/layer0.weight "
@@ -184,7 +191,9 @@ FAULTS = {
         lambda raw: raw.replace(_WEIGHT + b"8 4\n", _WEIGHT + b"4 8\n"), 3),
     "missing-label-column": (
         "data/task02_test.csv", lambda raw: raw.replace(b",label\n", b",y\n", 1), 3),
-    "nan-payload": ("checkpoints/task02.ckpt", _nan_payload, 4),
+    "nan-payload": ("checkpoints/task02.ckpt", _first_payload_entry(np.nan), 4),
+    # finite, but the merged model's first pre-activation overflows
+    "overflow-payload": ("checkpoints/task02.ckpt", _first_payload_entry(1e308), 4),
     "ragged-row-long": (
         "data/task02_test.csv", lambda raw: _edit_row(raw, 2, lambda r: r + b",0"), 3),
     "ragged-row-short": (
@@ -192,6 +201,13 @@ FAULTS = {
         lambda raw: _edit_row(raw, 2, lambda r: r.rsplit(b",", 1)[0]), 3),
     "non-numeric-cell": (
         "data/task02_test.csv", lambda raw: _edit_row(raw, 1, lambda r: b"x" + r), 3),
+    "nan-cell": (
+        "data/task02_test.csv",
+        lambda raw: _edit_row(raw, 1, lambda r: b"nan" + r[r.index(b","):]), 3),
+    "fractional-label": ("data/task02_test.csv", _label(b"1.5"), 3),
+    # the tiny stream has 3 classes per task
+    "label-out-of-range": ("data/task02_test.csv", _label(b"7"), 3),
+    "train-label-out-of-range": ("data/task01_train.csv", _label(b"7"), 3),
 }
 
 
@@ -249,7 +265,7 @@ def test_train_writes_checkpoints(pipeline):
 def test_merge_each_method(pipeline, method):
     tiny_cfg, seed_dir = pipeline
     assert run("merge", "--config", tiny_cfg, "--method", method) == 0
-    report = load_report(seed_dir / f"report_{method}.json")
+    report = json.loads((seed_dir / f"report_{method}.json").read_text())
     assert report["method"] == method
     assert 0.0 <= report["average_accuracy"] <= 1.0
     assert report["config"]["sft"]["epochs"] == 30
@@ -297,7 +313,7 @@ def test_eval_self_shift_is_zero(pipeline):
     tiny_cfg, seed_dir = pipeline
     ckpt = seed_dir / "checkpoints" / "task01.ckpt"
     assert run("eval", "--config", tiny_cfg, "--checkpoint", ckpt) == 0
-    report = load_report(seed_dir / "eval" / "eval_report.json")
+    report = json.loads((seed_dir / "eval" / "eval_report.json").read_text())
     entry = next(e for e in report["per_task"] if e["task"] == "task01")
     assert entry["delta_l1"] == 0.0
     # entropic self-distance is blurred away from zero at the default epsilon
@@ -333,7 +349,7 @@ def test_ablate_alpha_table(pipeline):
     assert cols == ["alpha", "task01", "task02", "average"]
     np.testing.assert_array_equal(table[:, 0], [0.0, 0.5, 1.0])
     np.testing.assert_allclose(table[:, 1:3].mean(axis=1), table[:, 3], atol=1e-12)
-    report = load_report(seed_dir / "report_ablate.json")
+    report = json.loads((seed_dir / "report_ablate.json").read_text())
     best = int(np.argmax(table[:, 3]))
     assert report["best_alpha"] == table[best, 0]
     assert report["best_average_accuracy"] == table[best, 3]

@@ -8,7 +8,7 @@ import pytest
 from otmf import fusion as fusion_module
 from otmf import metrics as metrics_module
 from otmf import models as models_module
-from otmf.errors import ConfigError, DataError
+from otmf.errors import ConfigError, DataError, ShapeMismatchError
 from otmf.fusion import (
     FusionConfig,
     SolverState,
@@ -31,7 +31,7 @@ from otmf.models import (
     task_vector,
     train_sft,
 )
-from otmf.params import MaskVector, ParamVector, pv_add, pv_hadamard, pv_scale
+from otmf.params import ParamVector
 from otmf.sinkhorn import SinkhornConfig, sinkhorn_distance
 from otmf.taskgen import TaskStreamSpec, generate_stream
 
@@ -61,7 +61,7 @@ def stream(deltas, heads, batches, pools):
 
 
 def ones(delta):
-    return MaskVector.ones_like(delta), MaskVector.ones_like(delta)
+    return np.ones(delta.num_params()), np.ones(delta.num_params())
 
 
 def test_config_validation():
@@ -75,9 +75,9 @@ def test_config_validation():
 
 def test_masked_fuse_endpoints(rng):
     theta0_model, (d_pre, d_post), *_ = world(seed=1)
-    ones = MaskVector.ones_like(d_pre)
-    fused_pre = masked_fuse(d_pre, d_post, ones, ones, alpha=1.0)
-    fused_post = masked_fuse(d_pre, d_post, ones, ones, alpha=0.0)
+    m_pre, m_post = ones(d_pre)
+    fused_pre = masked_fuse(d_pre, d_post, m_pre, m_post, alpha=1.0)
+    fused_post = masked_fuse(d_pre, d_post, m_pre, m_post, alpha=0.0)
     assert fused_pre == d_pre
     assert fused_post == d_post
     x = rng.normal(size=(5, 3))
@@ -94,16 +94,35 @@ def test_masked_fuse_endpoints(rng):
 
 def test_masked_fuse_convexity(rng):
     _, (d_pre, d_post), *_ = world(seed=2)
-    m_pre = MaskVector({n: rng.normal(size=a.shape) for n, a in d_pre.entries.items()})
-    m_post = MaskVector({n: rng.normal(size=a.shape) for n, a in d_post.entries.items()})
+    m_pre = rng.normal(size=d_pre.num_params())
+    m_post = rng.normal(size=d_post.num_params())
     fused = masked_fuse(d_pre, d_post, m_pre, m_post, alpha=0.7)
-    expected = pv_add(
-        pv_scale(0.7, pv_hadamard(m_pre, d_pre)),
-        pv_scale(1.0 - 0.7, pv_hadamard(m_post, d_post)),
-    )
-    assert fused == expected
+    # the per-layer formula on each layer's slice of the flat masks, bit-exact
+    ofs = 0
+    for n in d_pre.layers():
+        shape, size = d_pre[n].shape, d_pre[n].size
+        mp = m_pre[ofs:ofs + size].reshape(shape)
+        mq = m_post[ofs:ofs + size].reshape(shape)
+        expected = 0.7 * (mp * d_pre[n]) + (1.0 - 0.7) * (mq * d_post[n])
+        assert np.array_equal(fused[n], expected)
+        ofs += size
     with pytest.raises(ConfigError):
         masked_fuse(d_pre, d_post, m_pre, m_post, alpha=-0.1)
+
+
+def test_masked_fuse_rejects_mismatched_shapes():
+    _, (d_pre, d_post), *_ = world(seed=2)
+    n = d_pre.num_params()
+    # the same number of entries in another layout
+    other = ParamVector({"w": np.ones(n)})
+    with pytest.raises(ShapeMismatchError):
+        masked_fuse(d_pre, other, np.ones(n), np.ones(n), 0.5)
+    # a length-1 mask would broadcast; a column or a short mask would not fit
+    for bad in (np.ones(1), np.ones(n - 1), np.ones((n, 1))):
+        with pytest.raises(ShapeMismatchError):
+            masked_fuse(d_pre, d_post, bad, np.ones(n), 0.5)
+        with pytest.raises(ShapeMismatchError):
+            masked_fuse(d_pre, d_post, np.ones(n), bad, 0.5)
 
 
 def test_reconstruct_is_addition(rng):
@@ -138,8 +157,7 @@ def test_mask_gradient_matches_fd(side):
     target_delta = d_pre if side == "pre" else d_post
     target = theta0_model.with_backbone(reconstruct(theta0, target_delta))
     inputs = pools[0][:8]
-    m_pre = MaskVector.ones_like(d_pre)
-    m_post = MaskVector.ones_like(d_post)
+    m_pre, m_post = ones(d_pre)
 
     # the analytic gradient and every finite-difference solve start from the
     # duals of the cold solve at the unperturbed masks, so they run Newton on
@@ -160,26 +178,22 @@ def test_mask_gradient_matches_fd(side):
                   side, cfg=cfg, optimizer=opt, solver=solver)
     assert solver.solves == 1 and solver.unconverged == 0
     base = m_pre if side == "pre" else m_post
-    grad = opt.grad.flatten()
 
     h = 1e-6
-    flat = base.flatten()
-    fd = np.zeros_like(flat)
-    for i in range(flat.size):
-        plus, minus = flat.copy(), flat.copy()
+    fd = np.zeros_like(base)
+    for i in range(base.size):
+        plus, minus = base.copy(), base.copy()
         plus[i] += h
         minus[i] -= h
-        mp = MaskVector.ones_like(base).with_flat(plus)
-        mm = MaskVector.ones_like(base).with_flat(minus)
         if side == "pre":
-            pp = _reg_plan(theta0, d_pre, d_post, mp, m_post, target, inputs, cfg, init)
-            pm = _reg_plan(theta0, d_pre, d_post, mm, m_post, target, inputs, cfg, init)
+            pp = _reg_plan(theta0, d_pre, d_post, plus, m_post, target, inputs, cfg, init)
+            pm = _reg_plan(theta0, d_pre, d_post, minus, m_post, target, inputs, cfg, init)
         else:
-            pp = _reg_plan(theta0, d_pre, d_post, m_pre, mp, target, inputs, cfg, init)
-            pm = _reg_plan(theta0, d_pre, d_post, m_pre, mm, target, inputs, cfg, init)
+            pp = _reg_plan(theta0, d_pre, d_post, m_pre, plus, target, inputs, cfg, init)
+            pm = _reg_plan(theta0, d_pre, d_post, m_pre, minus, target, inputs, cfg, init)
         assert pp.converged and pm.converged
         fd[i] = (pp.reg_objective - pm.reg_objective) / (2 * h)
-    assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-4
+    assert np.linalg.norm(opt.grad - fd) / np.linalg.norm(fd) < 1e-4
 
 
 def test_ot_loss_decreases_toward_target():
@@ -215,16 +229,16 @@ def test_alternation_schedule_and_frozen_state():
     for e in range(1, cfg.ot_epochs + 1):
         side = "pre" if e % 2 == 1 else "post"
         target = pre_target if side == "pre" else post_target
-        before = tuple(m.flatten().copy() for m in masks)
+        before = tuple(m.copy() for m in masks)
         masks, _ = ot_mask_epoch(masks, theta0, d_pre, d_post, target,
                                  pools[0], side, cfg, opts[side])
         # the non-selected mask and both task vectors are bit-identical
         if side == "pre":
-            assert np.array_equal(masks[1].flatten(), before[1])
-            assert not np.array_equal(masks[0].flatten(), before[0])
+            assert np.array_equal(masks[1], before[1])
+            assert not np.array_equal(masks[0], before[0])
         else:
-            assert np.array_equal(masks[0].flatten(), before[0])
-            assert not np.array_equal(masks[1].flatten(), before[1])
+            assert np.array_equal(masks[0], before[0])
+            assert not np.array_equal(masks[1], before[1])
         assert np.array_equal(d_pre.flatten(), pre_snapshot)
         assert np.array_equal(d_post.flatten(), post_snapshot)
     # continual_merge records each epoch's (epoch, side) in that order
@@ -283,17 +297,17 @@ def test_mask_epochs_warm_start_from_their_side_duals(monkeypatch):
 
 def test_head_finetune_zero_lr_is_noop(rng):
     theta0_model, _, (head, _), (batch, _), _ = world(seed=8)
-    model = theta0_model.with_head("t", head)
+    model = ToyModel(SPEC, theta0_model.backbone, {"t": head})
     tuned = head_finetune(model, "t", batch, epochs=20, lr=0.0)
     assert tuned == head
 
 
 def test_head_finetune_reduces_loss(rng):
     theta0_model, _, (head, _), (batch, _), _ = world(seed=9)
-    model = theta0_model.with_head("t", head)
+    model = ToyModel(SPEC, theta0_model.backbone, {"t": head})
     tuned = head_finetune(model, "t", batch, epochs=100, lr=0.2)
     before = cross_entropy_loss(model, "t", batch)
-    after = cross_entropy_loss(model.with_head("t", tuned), "t", batch)
+    after = cross_entropy_loss(ToyModel(SPEC, model.backbone, {"t": tuned}), "t", batch)
     assert after < before
 
 
@@ -308,7 +322,8 @@ def test_each_gradient_runs_one_forward_pass(monkeypatch):
     assert len(traces) == 7
     # the head is tuned on the frozen backbone's features, computed once
     traces.clear()
-    head_finetune(theta0_model.with_head("t", heads[0]), "t", batches[0], epochs=9, lr=0.1)
+    head_finetune(ToyModel(SPEC, theta0_model.backbone, {"t": heads[0]}), "t", batches[0],
+                  epochs=9, lr=0.1)
     assert len(traces) == 1
     # the pair losses run no backward pass: one per mask epoch in all
     backwards = []

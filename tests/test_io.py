@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from otmf.io import (
     load_batch,
     load_checkpoint,
     load_matrix,
-    load_report,
     save_batch,
     save_checkpoint,
     save_features,
@@ -134,7 +135,7 @@ def test_report_roundtrip_and_determinism(tmp_path):
     save_report(p1, report)
     save_report(p2, {"nested": {"y": 2, "z": "x"}, "a": [1.5, None], "b": 1})
     assert p1.read_bytes() == p2.read_bytes()
-    assert load_report(p1) == report
+    assert json.loads(p1.read_text()) == report
 
 
 def test_report_rejects_nan(tmp_path):

@@ -11,7 +11,7 @@ from otmf.metrics import (
     normalized_feature_scale,
     sinkhorn_shift,
 )
-from otmf.models import Batch, forward_features
+from otmf.models import Batch, ModelSpec, ToyModel, forward_features
 from otmf.params import ParamVector
 from otmf.sinkhorn import SinkhornConfig
 
@@ -55,11 +55,9 @@ def test_normalized_feature_scale(rng):
 
 
 def test_accuracy_ties_break_low(rng):
-    model = small_model(rng, dims=(2, 2))
     # a head of zeros makes every logit equal, so argmax picks class 0
-    model = model.with_head(
-        "t", ParamVector({"weight": np.zeros((3, 2)), "bias": np.zeros(3)})
-    )
+    head = ParamVector({"weight": np.zeros((3, 2)), "bias": np.zeros(3)})
+    model = ToyModel(ModelSpec((2, 2)), small_model(rng, dims=(2, 2)).backbone, {"t": head})
     batch = Batch(rng.normal(size=(5, 2)), np.array([0, 0, 1, 2, 0]))
     assert accuracy(model, "t", batch) == pytest.approx(3 / 5)
 

@@ -101,7 +101,7 @@ def _fd_check(loss_fn, params: ParamVector, grad: ParamVector, h=1e-6, tol=1e-6)
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 def test_backbone_gradient_matches_fd(rng, activation):
     spec = ModelSpec((3, 4, 3), activation=activation)
-    model = init_model(spec, seed=3).with_head("t", init_head(spec, 3, rng))
+    model = ToyModel(spec, init_model(spec, seed=3).backbone, {"t": init_head(spec, 3, rng)})
     # keep relu pre-activations away from the kink
     batch = make_batch(rng)
     grad, _ = label_gradients(model, "t", batch)
@@ -114,12 +114,12 @@ def test_backbone_gradient_matches_fd(rng, activation):
 
 def test_head_gradient_matches_fd(rng):
     spec = ModelSpec((3, 4, 3))
-    model = init_model(spec, seed=3).with_head("t", init_head(spec, 3, rng))
+    model = ToyModel(spec, init_model(spec, seed=3).backbone, {"t": init_head(spec, 3, rng)})
     batch = make_batch(rng)
     _, grad = label_gradients(model, "t", batch)
 
     def loss(head):
-        return cross_entropy_loss(model.with_head("t", head), "t", batch)
+        return cross_entropy_loss(ToyModel(spec, model.backbone, {"t": head}), "t", batch)
 
     _fd_check(loss, model.heads["t"], grad)
 

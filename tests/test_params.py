@@ -5,14 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from otmf.errors import NumericalError, ShapeMismatchError
-from otmf.params import (
-    MaskVector,
-    ParamVector,
-    pv_add,
-    pv_hadamard,
-    pv_scale,
-    pv_sub,
-)
+from otmf.params import ParamVector, pv_add, pv_scale, pv_sub
 
 finite_arrays = hnp.arrays(
     np.float64,
@@ -87,7 +80,7 @@ def test_with_flat_rejects_wrong_length():
 @settings(deadline=None)
 def test_elementwise_algebra(pair):
     a, b = pair
-    for op, ref in ((pv_add, np.add), (pv_sub, np.subtract), (pv_hadamard, np.multiply)):
+    for op, ref in ((pv_add, np.add), (pv_sub, np.subtract)):
         out = op(a, b)
         for n in a.layers():
             np.testing.assert_array_equal(out[n], ref(a[n], b[n]))
@@ -120,14 +113,3 @@ def test_layer_order_matters():
     with pytest.raises(ShapeMismatchError):
         pv_add(a, b)
 
-
-def test_mask_ones_like(rng):
-    pv = random_pv_helper(rng)
-    mask = MaskVector.ones_like(pv)
-    assert mask.signature() == pv.signature()
-    for n in mask.layers():
-        np.testing.assert_array_equal(mask[n], np.ones_like(pv[n]))
-
-
-def random_pv_helper(rng):
-    return ParamVector({"a": rng.normal(size=(3, 2)), "b": rng.normal(size=4)})
