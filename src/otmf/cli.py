@@ -22,6 +22,7 @@ import dataclasses
 import json
 import logging
 import os
+import resource
 import sys
 import time
 import typing
@@ -285,9 +286,38 @@ def _task_stream(cfg: RunConfig, seed: int, theta0: ToyModel, tasks, on_read=Non
         yield task_vector(sft, theta0), sft.heads[tid], train, unlabeled
 
 
+class _Reservoir:
+    """A seeded uniform sample of the rows added so far, without replacement
+    (Vitter 1985, Algorithm R), holding as many rows as the first block.
+
+    The first block is copied in whole; each later row, the n-th added
+    (0-based), replaces a uniform slot j in [0, n] when j is a slot.
+    """
+
+    def __init__(self, seed: int):
+        self.rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        self.rows: np.ndarray | None = None
+        self.added = 0
+
+    def add(self, block: np.ndarray) -> None:
+        if self.rows is None:
+            self.rows = np.array(block, dtype=np.float64)
+        else:
+            slots = self.rng.integers(0, self.added + np.arange(1, len(block) + 1))
+            for row, j in zip(block, slots):
+                if j < len(self.rows):
+                    self.rows[j] = row
+        self.added += len(block)
+
+
 def cmd_merge(cfg: RunConfig, seed: int, method: str) -> dict:
     """Stream the task checkpoints through one merge method, reading each
-    once, and score every step as soon as it is merged."""
+    once, and score every step as soon as it is merged.
+
+    A step's pre-side shift is measured on a seeded reservoir sample of the
+    seen tasks' unlabeled sets, one task's set in size, so its OT problem
+    does not grow with the stream; at step 2 the sample is task01's set.
+    """
     if method not in _MERGE_METHODS:
         raise ConfigError(f"unknown merge method '{method}'")
     _, tasks = _load_data(cfg, seed)
@@ -301,6 +331,9 @@ def cmd_merge(cfg: RunConfig, seed: int, method: str) -> dict:
     # and the model the step's pre-side shift compares against: task01's
     # fine-tuned model at step 2, then the previous step's merged model
     models = {}
+    # the pre-side shift's inputs: a sample of the tasks before the incoming one
+    seen = _Reservoir(seed)
+    max_shift_n = 0
 
     def on_read(i: int, sft: ToyModel) -> None:
         models["incoming"] = sft
@@ -308,16 +341,20 @@ def cmd_merge(cfg: RunConfig, seed: int, method: str) -> dict:
             models["prev"] = sft
             # accuracy row 1 is the first fine-tuned model alone
             mat.set(1, 1, accuracy(sft, tids[0], tasks[0][2]))
+        else:
+            seen.add(tasks[i - 1][3])
 
     def on_step(step: int, theta: ParamVector, heads: dict) -> None:
+        nonlocal max_shift_n
         model = ToyModel(spec=cfg.model, backbone=theta, heads=heads)
         save_checkpoint(step_dir / f"step{step:02d}.ckpt", model)
         for i in range(1, step + 1):
             mat.set(step, i, accuracy(model, tids[i - 1], tasks[i - 1][2]))
         # shift of the merged model against the two models it fused
         prev, incoming = models["prev"], models["incoming"]
-        pre_pool = np.concatenate([t[3] for t in tasks[: step - 1]])
+        pre_pool = seen.rows
         post_pool = tasks[step - 1][3]
+        max_shift_n = max(max_shift_n, len(pre_pool), len(post_pool))
         shifts.append(
             {
                 "step": step,
@@ -365,7 +402,12 @@ def cmd_merge(cfg: RunConfig, seed: int, method: str) -> dict:
                 final_theta = reconstruct(theta0.backbone, delta_m)
                 on_step(step, final_theta, dict(heads))
     # the merge together with the per-step checkpoints and evaluation
-    timings = {"merge_seconds": time.perf_counter() - t0}
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    timings = {"merge_seconds": time.perf_counter() - t0, "peak_rss_mb": peak_rss_mb}
+    log.info(
+        "seed %d: %s peak RSS %.1f MB, largest shift problem %d points",
+        seed, method, peak_rss_mb, max_shift_n,
+    )
     final = ToyModel(spec=cfg.model, backbone=final_theta, heads=heads)
     save_checkpoint(step_dir / "final.ckpt", final)
 

@@ -159,12 +159,20 @@ def forward_features(model: ToyModel, inputs: np.ndarray) -> np.ndarray:
     return acts[-1]
 
 
+def _logits(features: np.ndarray, head: ParamVector) -> np.ndarray:
+    """The head applied to features. A non-finite logit (a finite head can
+    overflow) raises NumericalError, as a non-finite pre-activation does."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = features @ head["weight"].T + head["bias"]
+    if not np.isfinite(logits).all():
+        raise NumericalError("head logits are not finite")
+    return logits
+
+
 def forward_logits(model: ToyModel, task: str, inputs: np.ndarray) -> np.ndarray:
     if task not in model.heads:
         raise DataError(f"model has no head for task '{task}'")
-    head = model.heads[task]
-    feats = forward_features(model, inputs)
-    return feats @ head["weight"].T + head["bias"]
+    return _logits(forward_features(model, inputs), model.heads[task])
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -212,7 +220,7 @@ def head_gradient(
     Returns the head's gradient and the loss's gradient with respect to
     the logits.
     """
-    probs = _softmax(features @ head["weight"].T + head["bias"])
+    probs = _softmax(_logits(features, head))
     n = features.shape[0]
     dlogits = probs.copy()
     dlogits[np.arange(n), labels] -= 1.0

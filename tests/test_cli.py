@@ -3,6 +3,8 @@ import os
 import shutil
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +12,10 @@ import pytest
 
 import otmf
 import otmf.cli
-from otmf.cli import load_config, main, resolved_config
+from otmf.cli import _Reservoir, cmd_merge, load_config, main, resolved_config
 from otmf.errors import ConfigError
 from otmf.io import load_checkpoint, load_matrix, save_checkpoint
+from otmf.metrics import l1_shift, sinkhorn_shift
 from otmf.models import ModelSpec, init_model
 
 
@@ -180,6 +183,17 @@ def _label(value: bytes):
     return lambda raw: _edit_row(raw, 1, lambda r: r.rsplit(b",", 1)[0] + b"," + value)
 
 
+def _head_row(value: float):
+    """Set the first row of task02's head weight. The head is the last
+    array group of task02.ckpt: a k x d weight, then k biases."""
+    k, d = TINY["stream"]["classes_per_task"], TINY["model"]["layer_dims"][-1]
+
+    def corrupt(raw: bytes) -> bytes:
+        start = len(raw) - (k * d + k) * 8
+        return raw[:start] + np.full(d, value).tobytes() + raw[start + d * 8:]
+    return corrupt
+
+
 _WEIGHT = b"array backbone/layer0.weight "
 
 # file under the seed directory, its corruption, and the exit code of a merge
@@ -194,6 +208,8 @@ FAULTS = {
     "nan-payload": ("checkpoints/task02.ckpt", _first_payload_entry(np.nan), 4),
     # finite, but the merged model's first pre-activation overflows
     "overflow-payload": ("checkpoints/task02.ckpt", _first_payload_entry(1e308), 4),
+    # finite, but task02's logits overflow (some feature sums pass 1 in size)
+    "overflow-head": ("checkpoints/task02.ckpt", _head_row(np.finfo(np.float64).max), 4),
     "ragged-row-long": (
         "data/task02_test.csv", lambda raw: _edit_row(raw, 2, lambda r: r + b",0"), 3),
     "ragged-row-short": (
@@ -307,6 +323,137 @@ def test_merge_report_byte_deterministic(pipeline):
     assert run("merge", "--config", tiny_cfg, "--method", "otmf") == 0
     assert (seed_dir / "report_otmf.json").read_bytes() == report1
     assert (seed_dir / "merged" / "otmf" / "final.ckpt").read_bytes() == ckpt1
+
+
+def test_merge_step2_shift_is_on_task01_set(pipeline):
+    # step 2's pre-side shift is measured on task01's whole set
+    tiny_cfg, seed_dir = pipeline
+    assert run("merge", "--config", tiny_cfg, "--method", "ties") == 0
+    [shift] = json.loads((seed_dir / "report_ties.json").read_text())["shifts"]
+    merged = load_checkpoint(seed_dir / "merged" / "ties" / "step02.ckpt")
+    task01 = load_checkpoint(seed_dir / "checkpoints" / "task01.ckpt")
+    pool, _ = load_matrix(seed_dir / "data" / "task01_unlabeled.csv")
+    sinkhorn = load_config(str(tiny_cfg), None, None).fusion.sinkhorn
+    assert shift["delta_pre"] == l1_shift(merged, task01, pool)
+    assert shift["sinkhorn_pre"] == sinkhorn_shift(merged, task01, pool, sinkhorn)
+
+
+# ---------------------------------------------------------------------------
+# the seen-task reservoir behind merge's pre-side shift
+
+
+def _blocks(num_blocks, rows=32):
+    """Blocks of rows whose first column is the block's index."""
+    rng = np.random.default_rng(0)
+    return [np.column_stack([np.full(rows, float(b)), rng.normal(size=(rows, 2))])
+            for b in range(num_blocks)]
+
+
+def test_reservoir_holds_first_block_size():
+    res = _Reservoir(seed=0)
+    for rows in (32, 5, 32, 100):
+        res.add(np.ones((rows, 3)))
+        assert res.rows.shape == (32, 3)
+    assert res.added == 169
+
+
+def test_reservoir_first_fill_is_a_copy():
+    first, *rest = _blocks(4)
+    kept = first.copy()
+    res = _Reservoir(seed=0)
+    res.add(first)
+    assert not np.shares_memory(res.rows, first)
+    np.testing.assert_array_equal(res.rows, first)
+    for block in rest:
+        res.add(block)
+    assert not np.array_equal(res.rows, kept)
+    np.testing.assert_array_equal(first, kept)
+
+
+def test_reservoir_is_seeded():
+    def sample(seed):
+        res = _Reservoir(seed)
+        for block in _blocks(5):
+            res.add(block)
+        return res.rows.tobytes()
+
+    assert sample(3) == sample(3)
+    assert sample(3) != sample(4)
+
+
+def test_reservoir_is_uniform_over_blocks():
+    # Algorithm R: every row added so far is kept with the same chance, so
+    # each of t - 1 equal blocks holds 1/(t - 1) of the sample on average
+    blocks = _blocks(4)
+    shares = []
+    for seed in range(300):
+        res = _Reservoir(seed)
+        for block in blocks:
+            res.add(block)
+        shares.append(np.bincount(res.rows[:, 0].astype(int), minlength=4) / 32)
+    np.testing.assert_allclose(np.mean(shares, axis=0), 0.25, atol=0.02)
+
+
+def _stream_cfg(root: Path, num_tasks: int) -> Path:
+    path = root / f"cfg{num_tasks}.json"
+    path.write_text(json.dumps(dict(
+        TINY,
+        stream=dict(TINY["stream"], num_tasks=num_tasks, samples_per_task=60),
+        fusion=dict(TINY["fusion"], ot_epochs=4),
+        sft={"epochs": 5, "lr": 0.1},
+        output_dir=str(root / "run"),
+    )))
+    return path
+
+
+@pytest.fixture(scope="module")
+def long_stream(tmp_path_factory):
+    """A 12-task tiny run through gen and train, and configs for the stream
+    of its first 4 tasks and of all 12."""
+    root = tmp_path_factory.mktemp("long")
+    cfgs = {t: _stream_cfg(root, t) for t in (4, 12)}
+    assert run("gen", "--config", cfgs[12]) == 0
+    assert run("train", "--config", cfgs[12]) == 0
+    return cfgs, root / "run" / "seed0"
+
+
+def test_merge_pre_shift_samples_earlier_tasks(long_stream, monkeypatch):
+    cfgs, seed_dir = long_stream
+    pools = []
+
+    def recording_l1_shift(merged, reference, inputs):
+        pools.append(inputs.copy())
+        return l1_shift(merged, reference, inputs)
+
+    monkeypatch.setattr(otmf.cli, "l1_shift", recording_l1_shift)
+    assert run("merge", "--config", cfgs[12], "--method", "ties") == 0
+    sets = [load_matrix(seed_dir / "data" / f"task{t:02d}_unlabeled.csv")[0]
+            for t in range(1, 13)]
+    # each step shifts its pre side first, then its post side
+    for step, pre_pool in enumerate(pools[::2], start=2):
+        assert pre_pool.shape == sets[0].shape, step
+        earlier = {row.tobytes() for s in sets[: step - 1] for row in s}
+        assert all(row.tobytes() in earlier for row in pre_pool), step
+
+
+@pytest.mark.parametrize("method", ["ties", "otmf"])
+def test_merge_memory_does_not_grow_with_stream(long_stream, method):
+    """Traced peak memory of the merge path is flat from 4 to 12 tasks,
+    and the 12-task merge stays within a wall bound."""
+    cfgs, _ = long_stream
+    peaks, walls = {}, {}
+    for t, path in cfgs.items():
+        cfg = load_config(str(path), None, None)
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            cmd_merge(cfg, 0, method)
+            walls[t] = time.perf_counter() - t0
+            peaks[t] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[12] <= 1.5 * peaks[4], peaks
+    assert walls[12] < 10.0, walls
 
 
 def test_eval_self_shift_is_zero(pipeline):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import small_model
-from otmf.errors import ConfigError, DataError, ShapeMismatchError
+from otmf.errors import ConfigError, DataError, NumericalError, ShapeMismatchError
 from otmf.models import (
     Batch,
     ModelSpec,
@@ -12,6 +12,7 @@ from otmf.models import (
     cross_entropy_loss,
     forward_features,
     forward_logits,
+    head_gradient,
     init_head,
     init_model,
     label_gradients,
@@ -84,6 +85,23 @@ def test_logits_require_head(rng):
         forward_logits(model, "task01", rng.normal(size=(2, 3)))
     with pytest.raises(DataError):
         label_gradients(model, "task01", make_batch(rng))
+
+
+def test_overflowing_logits_raise(rng):
+    # every feature is tanh(10), so a head row of the largest finite float
+    # overflows; a finite head must not score on inf logits
+    model = small_model(rng)
+    backbone = dict(model.backbone.entries)
+    backbone["layer1.weight"] = np.zeros_like(backbone["layer1.weight"])
+    backbone["layer1.bias"] = np.full_like(backbone["layer1.bias"], 10.0)
+    head = ParamVector({"weight": np.full((3, 3), np.finfo(np.float64).max),
+                        "bias": np.zeros(3)})
+    model = ToyModel(model.spec, ParamVector(backbone), {"t": head})
+    batch = make_batch(rng)
+    with pytest.raises(NumericalError):
+        forward_logits(model, "t", batch.inputs)
+    with pytest.raises(NumericalError):
+        head_gradient(forward_features(model, batch.inputs), head, batch.labels)
 
 
 def _fd_check(loss_fn, params: ParamVector, grad: ParamVector, h=1e-6, tol=1e-6):
