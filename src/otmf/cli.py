@@ -204,7 +204,12 @@ def _task_ids(cfg: RunConfig) -> list[str]:
     return [f"task{t + 1:02d}" for t in range(cfg.stream.num_tasks)]
 
 
+def _peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def cmd_gen(cfg: RunConfig, seed: int) -> None:
+    t0 = time.perf_counter()
     out = _seed_dir(cfg, seed) / "data"
     out.mkdir(exist_ok=True)
     pretrain, tasks = generate_stream(cfg.stream, seed)
@@ -214,7 +219,10 @@ def cmd_gen(cfg: RunConfig, seed: int) -> None:
         save_batch(out / f"{td.task_id}_test.csv", td.test)
         cols = [f"x{i}" for i in range(td.unlabeled.shape[1])]
         save_matrix(out / f"{td.task_id}_unlabeled.csv", td.unlabeled, cols)
-    log.info("seed %d: wrote %d task datasets to %s", seed, len(tasks), out)
+    timings = {"gen_seconds": time.perf_counter() - t0, "peak_rss_mb": _peak_rss_mb()}
+    save_report(_seed_dir(cfg, seed) / "timings_gen.json", timings)
+    log.info("seed %d: wrote %d task datasets to %s in %.2f s, peak RSS %.1f MB",
+             seed, len(tasks), out, timings["gen_seconds"], timings["peak_rss_mb"])
 
 
 def _load_data(cfg: RunConfig, seed: int):
@@ -242,22 +250,32 @@ def _load_data(cfg: RunConfig, seed: int):
 
 
 def cmd_train(cfg: RunConfig, seed: int) -> None:
+    t0 = time.perf_counter()
     pretrain, tasks = _load_data(cfg, seed)
     ckpt = _seed_dir(cfg, seed) / "checkpoints"
     ckpt.mkdir(exist_ok=True)
     k = cfg.stream.classes_per_task
+    sft_seconds = {}
 
-    base = init_model(cfg.model, seed=seed)
-    pre = train_sft(cfg.model, base, "pretrain", pretrain, k,
-                    cfg.sft.epochs, cfg.sft.lr, seed=seed)
+    def sft(init: ToyModel, task: str, batch, sft_seed: int) -> ToyModel:
+        t = time.perf_counter()
+        model = train_sft(cfg.model, init, task, batch, k,
+                          cfg.sft.epochs, cfg.sft.lr, seed=sft_seed)
+        sft_seconds[task] = time.perf_counter() - t
+        return model
+
+    pre = sft(init_model(cfg.model, seed=seed), "pretrain", pretrain, seed)
     save_checkpoint(ckpt / "pretrained.ckpt", pre)
     theta0 = ToyModel(spec=cfg.model, backbone=pre.backbone, heads={})
 
     for i, (tid, train, _, _) in enumerate(tasks):
-        model = train_sft(cfg.model, theta0, tid, train, k,
-                          cfg.sft.epochs, cfg.sft.lr, seed=seed + 100 + i)
-        save_checkpoint(ckpt / f"{tid}.ckpt", model)
+        save_checkpoint(ckpt / f"{tid}.ckpt", sft(theta0, tid, train, seed + 100 + i))
         log.info("seed %d: trained %s", seed, tid)
+    timings = {"train_seconds": time.perf_counter() - t0, "sft_seconds": sft_seconds,
+               "peak_rss_mb": _peak_rss_mb()}
+    save_report(_seed_dir(cfg, seed) / "timings_train.json", timings)
+    log.info("seed %d: trained %d models in %.2f s, peak RSS %.1f MB",
+             seed, len(sft_seconds), timings["train_seconds"], timings["peak_rss_mb"])
 
 
 def _load_theta0(cfg: RunConfig, seed: int) -> ToyModel:
@@ -402,7 +420,7 @@ def cmd_merge(cfg: RunConfig, seed: int, method: str) -> dict:
                 final_theta = reconstruct(theta0.backbone, delta_m)
                 on_step(step, final_theta, dict(heads))
     # the merge together with the per-step checkpoints and evaluation
-    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    peak_rss_mb = _peak_rss_mb()
     timings = {"merge_seconds": time.perf_counter() - t0, "peak_rss_mb": peak_rss_mb}
     log.info(
         "seed %d: %s peak RSS %.1f MB, largest shift problem %d points",

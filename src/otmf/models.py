@@ -10,6 +10,7 @@ list and are validated against central finite differences in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Mapping
 
 import numpy as np
 
@@ -125,29 +126,28 @@ def _activate_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
     return (z > 0.0).astype(np.float64)
 
 
-def _forward_trace(model: ToyModel, inputs: np.ndarray):
+def _forward_trace(spec: ModelSpec, backbone: Mapping[str, np.ndarray], inputs: np.ndarray):
     """Forward pass keeping pre/post-activation values for backprop.
 
-    A non-finite pre-activation (finite weights can overflow) raises
-    NumericalError; it is checked before the activation, since tanh maps
-    inf to a finite +-1.
+    backbone maps each layer name of backbone_layout(spec) to its array (a
+    ParamVector is one such mapping). A non-finite pre-activation (finite
+    weights can overflow) raises NumericalError; it is checked before the
+    activation, since tanh maps inf to a finite +-1.
     """
     x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.spec.input_dim:
-        raise ShapeMismatchError(
-            f"inputs must be n x {model.spec.input_dim}, got {x.shape}"
-        )
+    if x.ndim != 2 or x.shape[1] != spec.input_dim:
+        raise ShapeMismatchError(f"inputs must be n x {spec.input_dim}, got {x.shape}")
     acts = [x]
     pre = []
     h = x
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(model.spec.num_layers):
-            w = model.backbone[f"layer{i}.weight"]
-            b = model.backbone[f"layer{i}.bias"]
+        for i in range(spec.num_layers):
+            w = backbone[f"layer{i}.weight"]
+            b = backbone[f"layer{i}.bias"]
             z = h @ w.T + b
             if not np.isfinite(z).all():
                 raise NumericalError(f"layer {i} pre-activation is not finite")
-            h = _activate(z, model.spec.activation)
+            h = _activate(z, spec.activation)
             pre.append(z)
             acts.append(h)
     return acts, pre
@@ -155,11 +155,11 @@ def _forward_trace(model: ToyModel, inputs: np.ndarray):
 
 def forward_features(model: ToyModel, inputs: np.ndarray) -> np.ndarray:
     """Latent features: activations of the last backbone layer."""
-    acts, _ = _forward_trace(model, inputs)
+    acts, _ = _forward_trace(model.spec, model.backbone, inputs)
     return acts[-1]
 
 
-def _logits(features: np.ndarray, head: ParamVector) -> np.ndarray:
+def _logits(features: np.ndarray, head: Mapping[str, np.ndarray]) -> np.ndarray:
     """The head applied to features. A non-finite logit (a finite head can
     overflow) raises NumericalError, as a non-finite pre-activation does."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -176,7 +176,10 @@ def forward_logits(model: ToyModel, task: str, inputs: np.ndarray) -> np.ndarray
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
+    # finite logits whose row spread exceeds the float maximum overflow to
+    # -inf here, and exp maps -inf to 0, the exact limit
+    with np.errstate(over="ignore"):
+        z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
 
@@ -188,28 +191,42 @@ def cross_entropy_loss(model: ToyModel, task: str, batch: Batch) -> float:
     return float(-np.log(probs[np.arange(n), batch.labels] + 1e-300).mean())
 
 
-def _backprop_backbone(model: ToyModel, acts, pre, grad_features: np.ndarray) -> ParamVector:
+def _backprop_backbone(
+    spec: ModelSpec, backbone: Mapping[str, np.ndarray], acts, pre, grad_features: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Backbone gradient, in layout order, from a _forward_trace of backbone
+    and the loss's gradient with respect to its features."""
     grads = {}
     delta = np.asarray(grad_features, dtype=np.float64)
     if delta.shape != acts[-1].shape:
         raise ShapeMismatchError(
             f"feature gradient shape {delta.shape} != features {acts[-1].shape}"
         )
-    for i in reversed(range(model.spec.num_layers)):
-        dz = delta * _activate_grad(pre[i], acts[i + 1], model.spec.activation)
+    for i in reversed(range(spec.num_layers)):
+        dz = delta * _activate_grad(pre[i], acts[i + 1], spec.activation)
         grads[f"layer{i}.weight"] = dz.T @ acts[i]
         grads[f"layer{i}.bias"] = dz.sum(axis=0)
         if i > 0:
-            delta = dz @ model.backbone[f"layer{i}.weight"]
-    ordered = {name: grads[name] for name, _ in backbone_layout(model.spec)}
-    return ParamVector(ordered)
+            delta = dz @ backbone[f"layer{i}.weight"]
+    return {name: grads[name] for name, _ in backbone_layout(spec)}
 
 
 def backward(model: ToyModel, inputs: np.ndarray, feature_grad: np.ndarray) -> ParamVector:
     """Backbone gradient of a loss whose gradient with respect to the
     features of inputs is feature_grad (the OT alignment path)."""
-    acts, pre = _forward_trace(model, inputs)
-    return _backprop_backbone(model, acts, pre, feature_grad)
+    acts, pre = _forward_trace(model.spec, model.backbone, inputs)
+    return ParamVector(_backprop_backbone(model.spec, model.backbone, acts, pre, feature_grad))
+
+
+def _head_grads(
+    features: np.ndarray, head: Mapping[str, np.ndarray], labels: np.ndarray
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    probs = _softmax(_logits(features, head))
+    n = features.shape[0]
+    dlogits = probs.copy()
+    dlogits[np.arange(n), labels] -= 1.0
+    dlogits /= n
+    return {"weight": dlogits.T @ features, "bias": dlogits.sum(axis=0)}, dlogits
 
 
 def head_gradient(
@@ -220,13 +237,20 @@ def head_gradient(
     Returns the head's gradient and the loss's gradient with respect to
     the logits.
     """
-    probs = _softmax(_logits(features, head))
-    n = features.shape[0]
-    dlogits = probs.copy()
-    dlogits[np.arange(n), labels] -= 1.0
-    dlogits /= n
-    grad = ParamVector({"weight": dlogits.T @ features, "bias": dlogits.sum(axis=0)})
-    return grad, dlogits
+    grad, dlogits = _head_grads(features, head, labels)
+    return ParamVector(grad), dlogits
+
+
+def _label_grads(
+    spec: ModelSpec,
+    backbone: Mapping[str, np.ndarray],
+    head: Mapping[str, np.ndarray],
+    batch: Batch,
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    acts, pre = _forward_trace(spec, backbone, batch.inputs)
+    g_head, dlogits = _head_grads(acts[-1], head, batch.labels)
+    g_back = _backprop_backbone(spec, backbone, acts, pre, dlogits @ head["weight"])
+    return g_back, g_head
 
 
 def label_gradients(
@@ -236,11 +260,18 @@ def label_gradients(
     one forward pass."""
     if task not in model.heads:
         raise DataError(f"model has no head for task '{task}'")
-    head = model.heads[task]
-    acts, pre = _forward_trace(model, batch.inputs)
-    g_head, dlogits = head_gradient(acts[-1], head, batch.labels)
-    g_back = _backprop_backbone(model, acts, pre, dlogits @ head["weight"])
-    return g_back, g_head
+    g_back, g_head = _label_grads(model.spec, model.backbone, model.heads[task], batch)
+    return ParamVector(g_back), ParamVector(g_head)
+
+
+def _views(flat: np.ndarray, signature) -> dict[str, np.ndarray]:
+    """Per-layer views of consecutive slices of flat, in signature order."""
+    views, ofs = {}, 0
+    for name, shape in signature:
+        size = int(np.prod(shape))
+        views[name] = flat[ofs : ofs + size].reshape(shape)
+        ofs += size
+    return views
 
 
 def train_sft(
@@ -255,23 +286,36 @@ def train_sft(
 ) -> ToyModel:
     """Full-batch gradient-descent fine-tuning of backbone + fresh head.
 
-    Deterministic given the seed; the seed only affects head initialization.
+    Backbone and head live in one flat float64 buffer with per-layer views,
+    and their gradients in a second one. Each epoch takes both gradients
+    from one forward pass, updates the whole buffer in one step and checks
+    it once: a non-finite parameter raises NumericalError. The model is
+    built once, at the end. Deterministic given the seed; the seed only
+    affects head initialization.
     """
     if train_batch.size == 0:
         raise DataError("empty training batch")
     rng = np.random.default_rng(seed)
     head = init_head(spec, num_classes, rng)
-    model = ToyModel(spec=spec, backbone=init.backbone, heads={task: head})
+    n_back = init.backbone.num_params()
+    flat = np.concatenate([init.backbone.flatten(), head.flatten()])
+    grad = np.empty_like(flat)
+
+    def split(buf):
+        return (_views(buf[:n_back], init.backbone.signature()),
+                _views(buf[n_back:], head.signature()))
+
+    params, grad_views = split(flat), split(grad)
     for _ in range(epochs):
-        g_back, g_head = label_gradients(model, task, train_batch)
-        new_back = ParamVector(
-            {n: model.backbone[n] - lr * g_back[n] for n in model.backbone.layers()}
-        )
-        new_head = ParamVector(
-            {n: model.heads[task][n] - lr * g_head[n] for n in ("weight", "bias")}
-        )
-        model = ToyModel(spec=spec, backbone=new_back, heads={task: new_head})
-    return model
+        for views, g in zip(grad_views, _label_grads(spec, *params, train_batch)):
+            for name, arr in g.items():
+                views[name][...] = arr
+        with np.errstate(over="ignore", invalid="ignore"):
+            flat -= lr * grad
+        if not np.isfinite(flat).all():
+            raise NumericalError(f"fine-tuning '{task}' produced non-finite parameters")
+    backbone, head = (ParamVector(views) for views in params)
+    return ToyModel(spec=spec, backbone=backbone, heads={task: head})
 
 
 def task_vector(model: ToyModel, base: ToyModel) -> ParamVector:

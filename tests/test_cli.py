@@ -41,6 +41,13 @@ def run(*args):
     return main([str(a) for a in args])
 
 
+def _cli_env():
+    """The environment for an `otmf` subprocess that imports this otmf."""
+    src = str(Path(otmf.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)
+
+
 @pytest.fixture
 def pipeline(tiny_cfg, tmp_path):
     assert run("gen", "--config", tiny_cfg) == 0
@@ -263,6 +270,33 @@ def test_gen_writes_deterministic_datasets(tiny_cfg, tmp_path):
     assert run("gen", "--config", tiny_cfg) == 0
     after = {p.name: p.read_bytes() for p in data.iterdir()}
     assert before == after
+
+
+def test_sft_overflow_exits_4_without_warnings(tmp_path):
+    # a step size near the float maximum overflows logits and parameters
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sft": {"lr": 1.7e308, "epochs": 20},
+                               "stream": {"samples_per_task": 40}}))
+    assert run("gen", "--config", cfg, "--out", tmp_path / "run") == 0
+    out = subprocess.run(
+        [sys.executable, "-m", "otmf.cli", "train", "--config", str(cfg),
+         "--out", str(tmp_path / "run")],
+        env=_cli_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 4, out.stderr
+    assert "numerical failure" in out.stderr
+    assert "RuntimeWarning" not in out.stderr
+
+
+def test_gen_and_train_write_timings(pipeline):
+    _, seed_dir = pipeline
+    gen = json.loads((seed_dir / "timings_gen.json").read_text())
+    assert set(gen) == {"gen_seconds", "peak_rss_mb"}
+    train = json.loads((seed_dir / "timings_train.json").read_text())
+    assert set(train) == {"train_seconds", "sft_seconds", "peak_rss_mb"}
+    assert list(train["sft_seconds"]) == ["pretrain", "task01", "task02"]
+    assert sum(train["sft_seconds"].values()) <= train["train_seconds"]
+    assert min(gen["peak_rss_mb"], train["peak_rss_mb"]) > 0
 
 
 def test_train_writes_checkpoints(pipeline):
@@ -508,14 +542,23 @@ def test_seed_override_writes_new_subdir(pipeline, tmp_path):
     assert (tmp_path / "run" / "seed5" / "data" / "pretrain.csv").exists()
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # only stream generation needs scipy, and it imports it when it runs
-    src = str(Path(otmf.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    probe = ("import sys, otmf.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True, text=True, check=True, timeout=120,
+def test_cli_import_leaves_scipy_unloaded(tiny_cfg):
+    # scipy is a test-only dependency: no command may load it
+    probe = (
+        "import sys\n"
+        "from otmf.cli import main\n"
+        "cfg = sys.argv[1]\n"
+        "for args in (['gen'], ['train'], ['merge', '--method', 'otmf'],\n"
+        "             ['merge', '--method', 'ties'], ['ablate-alpha', '--grid', '0.5'],\n"
+        "             ['eval', '--checkpoint', sys.argv[2]]):\n"
+        "    if main([*args, '--config', cfg]) != 0:\n"
+        "        sys.exit(f'{args} failed')\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
+    final = tiny_cfg.parent / "run" / "seed0" / "merged" / "otmf" / "final.ckpt"
+    out = subprocess.run(
+        [sys.executable, "-c", probe, str(tiny_cfg), str(final)], env=_cli_env(),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"

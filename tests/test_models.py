@@ -4,6 +4,7 @@ import pytest
 from conftest import small_model
 from otmf.errors import ConfigError, DataError, NumericalError, ShapeMismatchError
 from otmf.models import (
+    _softmax,
     Batch,
     ModelSpec,
     ToyModel,
@@ -169,6 +170,54 @@ def test_train_sft_deterministic_and_learns(rng):
     assert cross_entropy_loss(m1, "t", batch) < cross_entropy_loss(fresh, "t", batch)
     preds_ok = (np.argmax(forward_logits(m1, "t", x), axis=1) == y).mean()
     assert preds_ok > 0.9
+
+
+def _reference_sft(spec, init, task, batch, num_classes, epochs, lr, seed):
+    """The per-layer ParamVector loop that train_sft's flat buffer replaces."""
+    head = init_head(spec, num_classes, np.random.default_rng(seed))
+    model = ToyModel(spec=spec, backbone=init.backbone, heads={task: head})
+    for _ in range(epochs):
+        g_back, g_head = label_gradients(model, task, batch)
+        new_back = ParamVector(
+            {n: model.backbone[n] - lr * g_back[n] for n in model.backbone.layers()}
+        )
+        new_head = ParamVector(
+            {n: model.heads[task][n] - lr * g_head[n] for n in ("weight", "bias")}
+        )
+        model = ToyModel(spec=spec, backbone=new_back, heads={task: new_head})
+    return model
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_train_sft_matches_per_layer_loop(rng, activation):
+    # same arithmetic in the same order, so the flat buffer is exact
+    spec = ModelSpec((4, 7, 5, 3), activation=activation)
+    init = init_model(spec, seed=3)
+    batch = make_batch(rng, n=30, d=4, k=4)
+    got = train_sft(spec, init, "t", batch, 4, epochs=25, lr=0.3, seed=11)
+    want = _reference_sft(spec, init, "t", batch, 4, epochs=25, lr=0.3, seed=11)
+    assert got.backbone.signature() == want.backbone.signature()
+    for name in want.backbone.layers():
+        assert got.backbone[name].tobytes() == want.backbone[name].tobytes()
+    assert list(got.heads) == ["t"]
+    assert got.heads["t"].signature() == want.heads["t"].signature()
+    for name in ("weight", "bias"):
+        assert got.heads["t"][name].tobytes() == want.heads["t"][name].tobytes()
+
+
+def test_train_sft_overflowing_update_raises_without_warnings(rng):
+    # the first step overflows the update itself, silently (the suite turns
+    # any RuntimeWarning into an error), into the per-epoch finite check
+    spec = ModelSpec((3, 6, 3), activation="relu")
+    batch = Batch(1e3 * rng.normal(size=(40, 3)), rng.integers(0, 3, size=40))
+    with pytest.raises(NumericalError, match="non-finite parameters"):
+        train_sft(spec, init_model(spec, seed=0), "t", batch, 3,
+                  epochs=20, lr=np.finfo(np.float64).max, seed=0)
+
+
+def test_softmax_survives_overflowing_row_spread():
+    # the row spread 2e308 overflows to inf; exp(-inf) = 0 is the exact limit
+    np.testing.assert_array_equal(_softmax(np.array([[1e308, -1e308]])), [[1.0, 0.0]])
 
 
 def test_task_vector_is_difference(rng):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from otmf.errors import ConfigError
 from otmf.models import Batch
-from otmf.taskgen import TaskStreamSpec, generate_stream, subsample_labeled
+from otmf.taskgen import TaskStreamSpec, _rotation, generate_stream, subsample_labeled
 
 
 def test_spec_validation():
@@ -115,3 +116,21 @@ def test_subsample_rejects_bad_fraction(rng):
         subsample_labeled(batch, 0.0, seed=0)
     with pytest.raises(ConfigError):
         subsample_labeled(batch, 1.5, seed=0)
+
+
+@pytest.mark.parametrize("h", [0.0, 3.5, 10.0])
+def test_rotation_matches_scipy_expm(h):
+    rng = np.random.default_rng(int(h * 10))
+    for d in (2, 5, 8):
+        for _ in range(20):
+            raw = rng.normal(size=(d, d))
+            skew = (raw - raw.T) / 2.0
+            rot = _rotation(h, skew)
+            np.testing.assert_allclose(rot, expm(h * skew), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(rot @ rot.T, np.eye(d), rtol=0, atol=1e-12)
+            assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_rotation_at_zero_heterogeneity_is_identity():
+    raw = np.random.default_rng(1).normal(size=(8, 8))
+    np.testing.assert_array_equal(_rotation(0.0, raw - raw.T), np.eye(8))
