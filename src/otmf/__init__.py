@@ -28,7 +28,6 @@ from .sinkhorn import (
     Marginals,
     SinkhornConfig,
     TransportPlan,
-    exact_ot_oracle,
     pairwise_cost,
     sinkhorn_distance,
     sinkhorn_grad_features,

@@ -21,6 +21,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import resource
 import sys
@@ -96,7 +97,7 @@ class RunConfig:
 
 _TYPE_NAMES = {
     int: "an integer",
-    float: "a number",
+    float: "a finite number",
     str: "a string",
     tuple[int, ...]: "a list of integers",
 }
@@ -105,15 +106,17 @@ _TYPE_NAMES = {
 def _typed(val, hint, name: str):
     """val checked against a config field's annotated type (JSON values).
 
-    A float field takes any JSON number, an int field only an integer, and
-    a tuple[int, ...] field a list of integers (returned as a tuple); bool
-    is never taken for a number.
+    A float field takes any finite JSON number (Python's json also reads
+    NaN and Infinity, which range checks would let through), an int field
+    only an integer, and a tuple[int, ...] field a list of integers
+    (returned as a tuple); bool is never taken for a number.
     """
     number = isinstance(val, (int, float)) and not isinstance(val, bool)
     if hint is int:
         ok = number and isinstance(val, int)
     elif hint is float:
-        ok = number
+        # NaN fails both comparisons; an integer of any size compares exactly
+        ok = number and -math.inf < val < math.inf
     elif hint is str:
         ok = isinstance(val, str)
     else:  # tuple[int, ...]

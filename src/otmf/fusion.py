@@ -108,9 +108,9 @@ class SolverState:
 
     duals holds the (f, g) potentials the side's last solve ended at, the
     warm start of its next solve; the counters sum over its solves: marginal
-    checks (Newton steps of a warm solve or scaling updates), matrix-vector
+    checks (Newton steps and fallback scaling updates), matrix-vector
     products with the plan in Newton directions (a scaling update costs 2),
-    warm solves that fell back to scaling updates, and unconverged solves.
+    solves that fell back to scaling updates, and unconverged solves.
     """
 
     duals: tuple[np.ndarray, np.ndarray] | None = None

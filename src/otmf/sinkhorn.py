@@ -1,33 +1,37 @@
 """Entropic optimal transport on feature clouds.
 
 Solves min_P <P, C> - eps * H(P) over couplings with fixed marginals,
-where H(P) = -sum P_ij (log P_ij - 1), by log-domain Sinkhorn with
-epsilon annealing, which stays stable down to eps ~ 1e-3. The lambda of
-the d^lambda parameterization is 1/eps.
+where H(P) = -sum P_ij (log P_ij - 1), in the log domain: dual potentials
+(f, g) and P = exp((f_i + g_j - C_ij)/eps). The lambda of the d^lambda
+parameterization is 1/eps.
 
-The solver keeps dual potentials (f, g) and, per annealing stage, a
-stabilised kernel K~ = exp((f_i + g_j - C_ij)/eps) in one buffer. Its
-updates u = r / (K~ v), v = c / (K~^T u) are matrix-vector products
-with no exponential; whenever u or v leaves [1e-3, 1e3], and at
+Every solve ends in the same Newton finish at cfg.epsilon: damped inexact
+Newton ascent on the entropic dual D(f, g) = <f, r> + <g, c> - eps * sum(P)
+(Sinkhorn-Newton; Brauer, Clason, Lorenz, Wirth 2017). Each step checks
+P's marginals, solves the Newton system's Schur complement by
+Jacobi-preconditioned conjugate gradients from products with P and P^T,
+and backtracks on D. Near the optimum it converges quadratically, where
+scaling updates at eps=0.05 converge sublinearly. A warm solve starts it
+from init=(f, g), dual potentials at cfg.epsilon, typically eps*log_u and
+eps*log_v of an earlier plan on a nearby cost. A cold solve starts it from
+an annealed burn-in: from eps near max(C), halving down to the stage above
+cfg.epsilon, a few scaling updates per stage. A Newton phase that stops
+without falling back ends with one column scaling, so every plan's column
+sums are c and its mass is 1 up to rounding.
+
+Scaling updates run in a stabilised kernel K~ = exp((f_i + g_j - C_ij)/eps)
+kept in one buffer: u = r / (K~ v), v = c / (K~^T u) are matrix-vector
+products with no exponential; whenever u or v leaves [1e-3, 1e3], and at
 the end of every stage, eps*log(u) and eps*log(v) are absorbed into
-(f, g) and K~ is rebuilt (stabilised scaling, Schmitzer 2019). In exact
-arithmetic the iterates equal those of log-sum-exp updates on (f, g).
-
-A solve may be warm-started with init=(f, g), dual potentials at
-cfg.epsilon, typically eps*log_u and eps*log_v of an earlier plan on a
-nearby cost. A warm solve skips annealing and runs damped inexact Newton
-ascent on the entropic dual D(f, g) = <f, r> + <g, c> - eps * sum(P),
-P = exp((f_i + g_j - C_ij)/eps) (Sinkhorn-Newton; Brauer, Clason, Lorenz,
-Wirth 2017): each step checks P's marginals, solves the Newton system's
-Schur complement by Jacobi-preconditioned conjugate gradients from
-products with P and P^T, and backtracks on D. Near the optimum, where
-warm starts begin, it converges quadratically, where scaling updates at
-eps=0.05 converge sublinearly. If P is not finite or has a zero row or
-column sum, or no step length raises D, the solve falls back to the
-stabilised scaling loop from the Newton iterate. iterations_used counts
-marginal checks (Newton steps plus fallback updates, together bounded by
-max_iters); plan.newton holds the Newton phase's matrix-vector products
-and whether it fell back. Cold solves run the scaling loop alone.
+(f, g) and K~ is rebuilt (stabilised scaling with epsilon annealing,
+Schmitzer 2019). In exact arithmetic the iterates equal those of
+log-sum-exp updates on (f, g). Besides the burn-in they are the fallback:
+if P is not finite or has a zero row or column sum, or no step length
+raises D, the scaling loop continues at cfg.epsilon from the Newton
+iterate. iterations_used counts marginal checks at cfg.epsilon (Newton
+steps plus fallback updates, together bounded by max_iters; burn-in
+updates are not counted); plan.newton holds the Newton phase's
+matrix-vector products and whether it fell back.
 
 The fixed-plan (Danskin) gradient with respect to the input clouds is
 the gradient of the regularized objective at the optimal plan; it is
@@ -37,7 +41,6 @@ against finite differences.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -45,8 +48,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError, ShapeMismatchError
 
-# Annealing schedule of a cold solve: start near max(C), halve
-# until the target eps, a few burn-in updates per stage.
+# Burn-in of a cold solve: start near max(C), halve down to the stage
+# above the target eps, a few scaling updates per stage.
 _ANNEAL_FACTOR = 0.5
 _ANNEAL_BURNIN = 10
 # Scalings u, v outside [1/bound, bound] are absorbed into the potentials,
@@ -135,8 +138,8 @@ class TransportPlan:
     marginal_error: float
     iterations_used: int  # marginal checks
     converged: bool  # marginal_error <= tolerance
-    # (plan matrix-vector products, fell back to scaling updates) of a warm
-    # solve's Newton phase; (0, False) for a cold solve
+    # (plan matrix-vector products, fell back to scaling updates) of the
+    # solve's Newton phase
     newton: tuple[int, bool] = (0, False)
 
 
@@ -217,14 +220,14 @@ def _absorb(K, f, g, u, v, C, e: float):
     return np.ones_like(u), np.ones_like(v)
 
 
-def _anneal_stages(cmax: float, epsilon: float) -> list[float]:
-    """Stage epsilons of a cold solve: from max(C) halving down to epsilon."""
+def _burnin_stages(cmax: float, epsilon: float) -> list[float]:
+    """Burn-in stage epsilons of a cold solve: from max(C) halving while
+    above epsilon."""
     stages = []
-    e = max(epsilon, cmax)
+    e = cmax
     while e > epsilon:
         stages.append(e)
         e *= _ANNEAL_FACTOR
-    stages.append(epsilon)
     return stages
 
 
@@ -332,60 +335,74 @@ def _newton(K, f, g, C, r, c, cfg: SinkhornConfig):
     return cfg.max_iters, products, False
 
 
+def _scale(K, f, g, C, r, c, e: float, updates: int, tolerance=None) -> int:
+    """Up to `updates` stabilised scaling updates at e from (f, g).
+
+    Folds the scalings into f, g and returns the number of updates made;
+    with a tolerance, stops at the first update whose row sums meet it.
+    K is left stale: the caller refills it from the new (f, g).
+    """
+    _fill_kernel(K, f, g, C, e)
+    u, v = np.ones_like(r), np.ones_like(c)
+    Kv = K @ v
+    done = 0
+    for done in range(1, updates + 1):
+        u, out = _scaling(r, Kv, "row", e)
+        if out:
+            u, v = _absorb(K, f, g, u, v, C, e)
+        v, out = _scaling(c, K.T @ u, "column", e)
+        if out:
+            u, v = _absorb(K, f, g, u, v, C, e)
+        Kv = K @ v
+        # column sums equal c after the v-update, so the row sums u * Kv
+        # carry the whole marginal error
+        if tolerance is not None and np.abs(u * Kv - r).max() <= tolerance:
+            break
+    f += e * np.log(u)
+    g += e * np.log(v)
+    return done
+
+
 def _sinkhorn_log(C, r, c, cfg: SinkhornConfig, init) -> TransportPlan:
     K = np.empty_like(C)  # stabilised kernel; holds the plan at the end
-    it = 0
-    newton = (0, False)
+    e = cfg.epsilon
     # a failed division or exponential surfaces as a NumericalError from
     # _scaling (or as a Newton fallback), so the floating-point warnings
     # ahead of it are noise
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if init is None:
-            f = np.zeros_like(r)
-            g = np.zeros_like(c)
-            stages = _anneal_stages(float(C.max()), cfg.epsilon)
+            f, g = np.zeros_like(r), np.zeros_like(c)
+            # burn-in: a few scaling updates per annealing stage above eps
+            for stage in _burnin_stages(float(C.max()), e):
+                _scale(K, f, g, C, r, c, stage, _ANNEAL_BURNIN)
         else:
             f, g = init
-            it, products, fell_back = _newton(K, f, g, C, r, c, cfg)
-            newton = (products, fell_back)
-            # a fallback continues from the Newton iterate with the rest of
-            # the budget; otherwise K already holds the plan
-            stages = [cfg.epsilon] if fell_back else []
-        start = it
-        for stage, e in enumerate(stages, 1):
-            last = stage == len(stages)
+        it, products, fell_back = _newton(K, f, g, C, r, c, cfg)
+        if fell_back:
+            # the scaling loop continues from the Newton iterate with the
+            # rest of the budget
+            it += _scale(K, f, g, C, r, c, e, cfg.max_iters - it, cfg.tolerance)
             _fill_kernel(K, f, g, C, e)
-            u, v = np.ones_like(r), np.ones_like(c)
-            Kv = K @ v
-            for it in range(start + 1, (cfg.max_iters if last else _ANNEAL_BURNIN) + 1):
-                u, out = _scaling(r, Kv, "row", e)
-                if out:
-                    u, v = _absorb(K, f, g, u, v, C, e)
-                v, out = _scaling(c, K.T @ u, "column", e)
-                if out:
-                    u, v = _absorb(K, f, g, u, v, C, e)
-                Kv = K @ v
-                # column sums equal c after the v-update, so the row sums
-                # u * Kv carry the whole marginal error
-                if last and np.abs(u * Kv - r).max() <= cfg.tolerance:
-                    break
-            f += e * np.log(u)
+        else:
+            # K holds the plan at (f, g); one closing column scaling gives it
+            # column sums c, and so mass 1, as the scaling loop's last
+            # update does
+            v, _ = _scaling(c, K.sum(axis=0), "column", e)
             g += e * np.log(v)
-        if stages:
-            _fill_kernel(K, f, g, C, e)
-    e = cfg.epsilon
+            K *= v
     # diag(u) K diag(v) with K = exp(-C/eps) corresponds to log_u = f/eps
-    return _finish(K, f / e, g / e, C, cfg, it, r, c, newton)
+    return _finish(K, f / e, g / e, C, cfg, it, r, c, (products, fell_back))
 
 
 def sinkhorn_plan(
     C: CostMatrix, marg: Marginals, cfg: SinkhornConfig, init=None
 ) -> TransportPlan:
-    """Run Sinkhorn-Knopp until the marginal error meets cfg.tolerance.
+    """Solve until the marginal error meets cfg.tolerance or max_iters
+    marginal checks are spent.
 
     init, if given, is a pair (f, g) of dual potentials at cfg.epsilon of
-    shapes (n,) and (m,); the solve then starts from them instead of
-    annealing.
+    shapes (n,) and (m,); the Newton finish then starts from them instead
+    of from an annealed burn-in.
     """
     if marg.r.shape[0] != C.n or marg.c.shape[0] != C.m:
         raise ShapeMismatchError(
@@ -420,26 +437,6 @@ def sinkhorn_distance(
     return plan.transport_cost, plan
 
 
-def exact_ot_oracle(C: CostMatrix) -> float:
-    """Exact OT cost for uniform marginals by permutation enumeration.
-
-    For square cost matrices with uniform marginals the LP optimum is
-    attained at a permutation, so the minimum over all n! assignments is
-    exact. Deliberately brute force; serves as the solver's test oracle.
-    """
-    if C.n != C.m:
-        raise ShapeMismatchError(f"oracle needs a square matrix, got {C.n}x{C.m}")
-    if C.n > 8:
-        raise DataError(f"oracle limited to n <= 8, got n={C.n}")
-    values = C.values
-    best = math.inf
-    for perm in itertools.permutations(range(C.n)):
-        total = sum(values[i, perm[i]] for i in range(C.n))
-        if total < best:
-            best = total
-    return best / C.n
-
-
 def sinkhorn_grad_features(
     X: np.ndarray, Y: np.ndarray, plan: TransportPlan
 ) -> np.ndarray:
@@ -449,9 +446,9 @@ def sinkhorn_grad_features(
     training. By the envelope theorem it is the exact gradient of the
     regularized objective only when plan is the optimal (converged) plan;
     for a plan stopped at max_iters it is an approximation whose error
-    follows the plan's marginal error. The mask loop's warm-started
-    Newton solves converge, so its gradients meet the tolerance; cold
-    solves at small epsilon may still stop at max_iters.
+    follows the plan's marginal error. Every solve ends in a Newton
+    finish, which converges quadratically near the optimum; a solve that
+    falls back to scaling updates may still stop at max_iters.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)

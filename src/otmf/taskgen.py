@@ -112,11 +112,14 @@ def subsample_labeled(batch: Batch, fraction: float, seed: int) -> Batch:
         raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
     if fraction == 1.0:
         return batch
-    classes = np.unique(batch.labels)
+    # labels are non-negative integers (Batch checks), so bincount finds the
+    # classes; np.unique would import numpy.ma, about 12 ms per process
+    sizes = np.bincount(batch.labels)
+    classes = np.flatnonzero(sizes)
+    sizes = sizes[classes]
     total = math.ceil(fraction * batch.size)
     # largest-remainder apportionment of the total across classes, keeping
     # every class represented when the budget allows
-    sizes = np.array([np.count_nonzero(batch.labels == c) for c in classes])
     exact = fraction * sizes
     counts = np.floor(exact).astype(int)
     if total >= len(classes):

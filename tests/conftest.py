@@ -1,10 +1,14 @@
-"""Shared fixtures: small random models and parameter vectors."""
+"""Shared fixtures: small random models, parameter vectors and the OT oracle."""
+
+import itertools
 
 import numpy as np
 import pytest
 
+from otmf.errors import DataError, ShapeMismatchError
 from otmf.models import ModelSpec, ToyModel, init_head, init_model
 from otmf.params import ParamVector
+from otmf.sinkhorn import CostMatrix
 
 
 @pytest.fixture
@@ -24,3 +28,19 @@ def small_model(rng, dims=(3, 4, 3), num_heads=0, classes=3) -> ToyModel:
     )
     heads = {f"task{i + 1:02d}": init_head(spec, classes, rng) for i in range(num_heads)}
     return ToyModel(spec=spec, backbone=backbone, heads=heads)
+
+
+def exact_ot_oracle(C: CostMatrix) -> float:
+    """Exact OT cost for uniform marginals by permutation enumeration.
+
+    For square cost matrices with uniform marginals the LP optimum is
+    attained at a permutation, so the minimum over all n! assignments is
+    exact. Deliberately brute force; serves as the solver's test oracle.
+    """
+    if C.n != C.m:
+        raise ShapeMismatchError(f"oracle needs a square matrix, got {C.n}x{C.m}")
+    if C.n > 8:
+        raise DataError(f"oracle limited to n <= 8, got n={C.n}")
+    values = C.values
+    perms = itertools.permutations(range(C.n))
+    return min(sum(values[i, p[i]] for i in range(C.n)) for p in perms) / C.n

@@ -13,6 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from conftest import exact_ot_oracle
 from otmf.baselines import BaselineConfig, baseline_fold, ties_merge_pair
 from otmf.fusion import (
     FusionConfig,
@@ -41,7 +42,6 @@ from otmf.sinkhorn import (
     CostMatrix,
     Marginals,
     SinkhornConfig,
-    exact_ot_oracle,
     sinkhorn_distance,
     sinkhorn_grad_features,
     sinkhorn_plan,

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 
 import otmf
 import otmf.cli
+from otmf import sinkhorn as sinkhorn_module
 from otmf.cli import _Reservoir, cmd_merge, load_config, main, resolved_config
 from otmf.errors import ConfigError
 from otmf.io import load_checkpoint, load_matrix, save_checkpoint
@@ -119,6 +121,47 @@ def test_malformed_config_value_exits_2(tmp_path, bad):
     with pytest.raises(ConfigError):
         load_config(str(p), None, None)
     assert run("gen", "--config", p, "--out", tmp_path / "out") == 2
+
+
+FLOAT_KEYS = [
+    "baseline.scaling", "baseline.trim_fraction", "sft.lr", "fusion.alpha",
+    "fusion.mask_lr", "fusion.head_lr", "fusion.head_fraction",
+    "fusion.sinkhorn.epsilon", "fusion.sinkhorn.tolerance", "stream.heterogeneity",
+]
+
+
+def test_float_keys_are_every_float_config_field():
+    def floats(section, prefix):
+        for key, val in section.items():
+            if isinstance(val, dict):
+                yield from floats(val, f"{prefix}{key}.")
+            elif isinstance(val, float):
+                yield prefix + key
+
+    resolved = resolved_config(load_config(None, None, None))
+    assert sorted(floats(resolved, "")) == sorted(FLOAT_KEYS)
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_config_value_exits_2(tmp_path, key):
+    # Python's json reads NaN and Infinity, and range checks such as
+    # lr <= 0 let both through
+    *sections, leaf = key.split(".")
+    p = tmp_path / "bad.json"
+    for value in (math.nan, math.inf, -math.inf):
+        bad = {leaf: value}
+        for section in reversed(sections):
+            bad = {section: bad}
+        p.write_text(json.dumps(bad))
+        with pytest.raises(ConfigError, match="finite"):
+            load_config(str(p), None, None)
+        assert run("gen", "--config", p, "--out", tmp_path / "out") == 2
+
+
+def test_tiny_finite_tolerance_is_valid(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"fusion": {"sinkhorn": {"tolerance": 1e-300}}}))
+    assert load_config(str(p), None, None).fusion.sinkhorn.tolerance == 1e-300
 
 
 # ---------------------------------------------------------------------------
@@ -562,3 +605,45 @@ def test_cli_import_leaves_scipy_unloaded(tiny_cfg):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_merge_otmf_leaves_numpy_ma_unloaded(pipeline):
+    # np.unique imports numpy.ma, about 12 ms per process; the head
+    # subsample finds its classes with np.bincount instead
+    cfg, _ = pipeline
+    probe = (
+        "import sys\n"
+        "from otmf.cli import main\n"
+        "if main(['merge', '--method', 'otmf', '--config', sys.argv[1]]) != 0:\n"
+        "    sys.exit('merge failed')\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe, str(cfg)], env=_cli_env(),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+def test_default_config_solves_all_converge(tmp_path, monkeypatch):
+    # every OT solve of merge (otmf and ties) and eval on the default
+    # config: the mask loop's warm solves and the cold pair-loss and shift
+    # solves alike end in a converged Newton finish
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"output_dir": str(tmp_path / "run")}))
+    assert run("gen", "--config", cfg) == 0
+    assert run("train", "--config", cfg) == 0
+    plans = []
+    solve = sinkhorn_module.sinkhorn_plan
+    monkeypatch.setattr(
+        sinkhorn_module, "sinkhorn_plan",
+        lambda *a, **k: plans.append(solve(*a, **k)) or plans[-1],
+    )
+    final = tmp_path / "run" / "seed0" / "merged" / "otmf" / "final.ckpt"
+    for args in (["merge", "--method", "otmf"], ["merge", "--method", "ties"],
+                 ["eval", "--checkpoint", final]):
+        plans.clear()
+        assert run(*args, "--config", cfg) == 0
+        assert plans, args
+        assert all(p.converged and not p.newton[1] for p in plans), args

@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
+from conftest import exact_ot_oracle
 from otmf import sinkhorn as sinkhorn_module
 from otmf.errors import ConfigError, DataError, NumericalError, ShapeMismatchError
 from otmf.sinkhorn import (
     CostMatrix,
     Marginals,
     SinkhornConfig,
-    exact_ot_oracle,
     pairwise_cost,
     sinkhorn_distance,
     sinkhorn_grad_features,
@@ -226,6 +226,9 @@ def test_stabilised_kernel_matches_log_domain_reference(
     monkeypatch.setattr(
         sinkhorn_module, "_absorb", lambda *a: absorptions.append(1) or absorb(*a)
     )
+    # a Newton phase that falls back before its first check leaves the
+    # scaling loop, from the burn-in potentials, the whole budget
+    monkeypatch.setattr(sinkhorn_module, "_newton", lambda *a: (0, 0, True))
     plan = sinkhorn_plan(C, marg, cfg)
     P, reg, it, converged = _reference_log_sinkhorn(C.values, marg.r, marg.c, cfg)
     assert converged is not bound
@@ -280,8 +283,8 @@ def test_warm_start_from_perturbed_cost_reaches_cold_plan_in_fewer_updates(rng):
     warm = sinkhorn_plan(C, marg, cfg, init=_potentials(previous))
     assert previous.converged and cold.converged and warm.converged
     np.testing.assert_allclose(warm.plan, cold.plan, rtol=0, atol=1e-8)
-    stages = sinkhorn_module._anneal_stages(float(C.values.max()), cfg.epsilon)
-    cold_updates = sinkhorn_module._ANNEAL_BURNIN * (len(stages) - 1) + cold.iterations_used
+    stages = sinkhorn_module._burnin_stages(float(C.values.max()), cfg.epsilon)
+    cold_updates = sinkhorn_module._ANNEAL_BURNIN * len(stages) + cold.iterations_used
     assert warm.iterations_used < cold_updates
 
 
@@ -297,12 +300,14 @@ def _newton_problem(rng, n=64, d=8):
     return X + 0.02 * rng.normal(size=X.shape), Y, _potentials(previous)
 
 
-def test_warm_newton_solve_converges_where_scaling_stalls(rng):
+def test_warm_newton_solve_converges_where_scaling_stalls(rng, monkeypatch):
     X, Y, init = _newton_problem(rng)
     cfg = SinkhornConfig()
     _, cold = sinkhorn_distance(X, Y, cfg)
     _, warm = sinkhorn_distance(X, Y, cfg, init=init)
-    assert (cold.iterations_used, cold.converged) == (cfg.max_iters, False)
+    # the cold solve's Newton finish converges too
+    assert cold.converged and cold.newton[1] is False
+    assert cold.iterations_used < 10
     assert warm.converged and warm.newton[1] is False
     assert warm.iterations_used < 10
     # Newton steps leave the null direction (f + k, g - k) alone: sum(f) stays
@@ -330,8 +335,14 @@ def test_warm_newton_solve_converges_where_scaling_stalls(rng):
             xm[i, j] -= h
             fd[i, j] = (objective(xp) - objective(xm)) / (2 * h)
     g = sinkhorn_grad_features(X, Y, warm)
-    # the cold plan, stopped at max_iters, misses by about 3e-4 here
     assert np.linalg.norm(g - fd) / np.linalg.norm(fd) < 1e-5
+    # the scaling loop alone, from the annealed burn-in, stalls: it stops
+    # at max_iters, and its plan's gradient misses by about 3e-4 here
+    monkeypatch.setattr(sinkhorn_module, "_newton", lambda *a: (0, 0, True))
+    _, stalled = sinkhorn_distance(X, Y, cfg)
+    assert (stalled.iterations_used, stalled.converged) == (cfg.max_iters, False)
+    g_stalled = sinkhorn_grad_features(X, Y, stalled)
+    assert np.linalg.norm(g_stalled - fd) / np.linalg.norm(fd) > 1e-4
 
 
 @pytest.mark.parametrize("start", ["column-far-below", "plan-overflows"])
@@ -379,9 +390,24 @@ def test_converged_means_marginal_error_within_tolerance(tolerance):
         g_far[0] -= 40 * cfg.epsilon
         plans = [sinkhorn_distance(X, Y, cfg, init=init)[1]
                  for init in (None, (f, g), (f, g_far))]
-        assert plans[0].newton == (0, False) and plans[2].newton[1]
+        # every solve runs the Newton finish, the cold one from its burn-in
+        assert plans[0].newton[0] > 0 and plans[2].newton[1]
         for plan in plans:
             assert plan.converged == (plan.marginal_error <= cfg.tolerance), seed
+
+
+def test_cold_solve_at_unreachable_tolerance_keeps_the_budget():
+    # at 1e-300 a Newton phase with budget to spare stops near 1e-17 and
+    # falls back; Newton checks and fallback updates together stay within
+    # max_iters, burn-in not counted, and the plan keeps mass 1
+    for max_iters in (1, 5, 50, 500):
+        cfg = SinkhornConfig(tolerance=1e-300, max_iters=max_iters)
+        for seed in range(3):
+            X, Y, _ = _newton_problem(np.random.default_rng(seed))
+            _, plan = sinkhorn_distance(X, Y, cfg)
+            assert 1 <= plan.iterations_used <= max_iters
+            assert not plan.converged and plan.marginal_error > 0.0
+            assert plan.plan.sum() == pytest.approx(1.0, rel=0, abs=1e-12)
 
 
 def test_max_iters_caps_newton_steps_and_fallback_updates(rng, monkeypatch):

@@ -97,6 +97,45 @@ def test_subsample_budget_and_stratification(batch, fraction, seed):
         assert match.any()
 
 
+def _subsample_with_unique(batch, fraction, seed):
+    """subsample_labeled as it was written with np.unique, the reference."""
+    classes = np.unique(batch.labels)
+    total = math.ceil(fraction * batch.size)
+    sizes = np.array([np.count_nonzero(batch.labels == c) for c in classes])
+    exact = fraction * sizes
+    counts = np.floor(exact).astype(int)
+    if total >= len(classes):
+        counts = np.maximum(counts, 1)
+    counts = np.minimum(counts, sizes)
+    order = np.argsort(-(exact - np.floor(exact)), kind="stable")
+    i = 0
+    while counts.sum() < total:
+        j = order[i % len(classes)]
+        if counts[j] < sizes[j]:
+            counts[j] += 1
+        i += 1
+    while counts.sum() > total:
+        counts[int(np.argmax(counts))] -= 1
+    rng = np.random.default_rng(seed)
+    keep = [rng.permutation(np.flatnonzero(batch.labels == c))[:cnt]
+            for c, cnt in zip(classes, counts)]
+    sel = np.sort(np.concatenate(keep))
+    return Batch(batch.inputs[sel], batch.labels[sel])
+
+
+@given(st.lists(st.integers(0, 9), min_size=1, max_size=60),
+       st.floats(0.05, 0.99), st.integers(0, 5))
+@settings(deadline=None, max_examples=80)
+def test_subsample_equals_the_unique_version(labels, fraction, seed):
+    # label sets with gaps, such as {1, 4, 9}, as well as contiguous ones
+    labels = np.array(labels)
+    batch = Batch(np.random.default_rng(seed).normal(size=(labels.size, 2)), labels)
+    sub = subsample_labeled(batch, fraction, seed=seed)
+    ref = _subsample_with_unique(batch, fraction, seed)
+    np.testing.assert_array_equal(sub.inputs, ref.inputs)
+    np.testing.assert_array_equal(sub.labels, ref.labels)
+
+
 def test_subsample_deterministic(rng):
     batch = Batch(rng.normal(size=(40, 3)), rng.integers(0, 4, size=40))
     a = subsample_labeled(batch, 0.25, seed=9)
