@@ -228,33 +228,40 @@ def cmd_gen(cfg: RunConfig, seed: int) -> None:
              seed, len(tasks), out, timings["gen_seconds"], timings["peak_rss_mb"])
 
 
-def _load_data(cfg: RunConfig, seed: int):
+def _data_dir(cfg: RunConfig, seed: int) -> Path:
     data = _seed_dir(cfg, seed) / "data"
-    if not (data / "pretrain.csv").exists():
+    if not data.is_dir():
         raise DataError(f"dataset missing under {data}; run `otmf gen` first")
+    return data
 
-    def labeled(name: str):
-        batch = load_batch(data / name)
-        if batch.labels.max() >= cfg.stream.classes_per_task:
-            raise DataError(
-                f"{data / name}: label {batch.labels.max()} is not below "
-                f"classes_per_task {cfg.stream.classes_per_task}"
-            )
-        return batch
 
-    pretrain = labeled("pretrain.csv")
+def _load_labeled(cfg: RunConfig, path: Path):
+    batch = load_batch(path)
+    if batch.labels.max() >= cfg.stream.classes_per_task:
+        raise DataError(
+            f"{path}: label {batch.labels.max()} is not below "
+            f"classes_per_task {cfg.stream.classes_per_task}"
+        )
+    return batch
+
+
+def _load_tasks(cfg: RunConfig, seed: int):
+    """Each task's (id, train batch, test batch, unlabeled set); the
+    pretraining set is read by `train` alone."""
+    data = _data_dir(cfg, seed)
     tasks = []
     for tid in _task_ids(cfg):
-        train = labeled(f"{tid}_train.csv")
-        test = labeled(f"{tid}_test.csv")
+        train = _load_labeled(cfg, data / f"{tid}_train.csv")
+        test = _load_labeled(cfg, data / f"{tid}_test.csv")
         unlabeled, _ = load_matrix(data / f"{tid}_unlabeled.csv")
         tasks.append((tid, train, test, unlabeled))
-    return pretrain, tasks
+    return tasks
 
 
 def cmd_train(cfg: RunConfig, seed: int) -> None:
     t0 = time.perf_counter()
-    pretrain, tasks = _load_data(cfg, seed)
+    pretrain = _load_labeled(cfg, _data_dir(cfg, seed) / "pretrain.csv")
+    tasks = _load_tasks(cfg, seed)
     ckpt = _seed_dir(cfg, seed) / "checkpoints"
     ckpt.mkdir(exist_ok=True)
     k = cfg.stream.classes_per_task
@@ -341,7 +348,7 @@ def cmd_merge(cfg: RunConfig, seed: int, method: str) -> dict:
     """
     if method not in _MERGE_METHODS:
         raise ConfigError(f"unknown merge method '{method}'")
-    _, tasks = _load_data(cfg, seed)
+    tasks = _load_tasks(cfg, seed)
     theta0 = _load_theta0(cfg, seed)
     tids = [t[0] for t in tasks]
     step_dir = _seed_dir(cfg, seed) / "merged" / method
@@ -460,7 +467,7 @@ def cmd_eval(cfg: RunConfig, seed: int, checkpoint: str) -> dict:
         raise ShapeMismatchError(
             f"checkpoint spec {model.spec} does not match configured {cfg.model}"
         )
-    _, tasks = _load_data(cfg, seed)
+    tasks = _load_tasks(cfg, seed)
     out = _seed_dir(cfg, seed) / "eval"
     out.mkdir(exist_ok=True)
 
@@ -501,7 +508,7 @@ def cmd_ablate_alpha(cfg: RunConfig, seed: int, grid: list[float]) -> dict:
         raise ConfigError("alpha grid is empty")
     if any(not 0.0 <= a <= 1.0 for a in grid):
         raise ConfigError(f"alpha grid values must lie in [0, 1]: {grid}")
-    _, tasks = _load_data(cfg, seed)
+    tasks = _load_tasks(cfg, seed)
     theta0 = _load_theta0(cfg, seed)
     tids = [t[0] for t in tasks]
 

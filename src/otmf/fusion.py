@@ -14,6 +14,13 @@ backbone and both task vectors stay frozen throughout. After mask
 training the step's merged vector is frozen and the previous task's
 classification head is lightly re-tuned on a small labeled subsample.
 
+The epochs run on one flat buffer (FlatStep): once per continual step,
+the backbone and both task vectors are flattened, and once per side the
+target's scaled features are computed (OTTarget). Each epoch then writes
+the merged backbone into the buffer, runs one forward pass on its
+per-layer views, solves, and back-propagates from that same pass into a
+flat gradient; no ParamVector is built inside the loop.
+
 Each side keeps, next to its optimizer moments, a SolverState: the dual
 potentials of its last Sinkhorn solve and counts of solves, marginal
 checks, Newton matrix-vector products, Newton fallbacks and unconverged
@@ -23,24 +30,33 @@ potentials (the first from the step's initial pair-loss solve on that
 side) and runs Newton-CG on the dual, falling back to scaling updates if
 Newton cannot make progress (see otmf.sinkhorn). Both the optimizers and
 the solver states are created afresh at every continual step, because
-the OT batches are redrawn per step; the initial and final pair losses
-are cold solves. Each step logs its per-side counts at INFO, and at
-WARNING the unconverged solves and the fallbacks when there are any; the
-counts are returned in StepLog.solver_counts.
+the OT batches are redrawn per step; the initial pair loss is a cold
+solve, and each side of the final pair loss starts from the duals of
+that side's last mask-loop solve. Each step logs its per-side counts at
+INFO, and at WARNING the unconverged solves and the fallbacks when there
+are any; the counts are returned in StepLog.solver_counts.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeMismatchError
 from .metrics import normalized_feature_scale, sinkhorn_shift
-from .models import Batch, ToyModel, backward, forward_features, head_gradient
-from .params import ParamVector, pv_add
+from .models import (
+    Batch,
+    ModelSpec,
+    ToyModel,
+    _forward_trace,
+    backward,
+    forward_features,
+    head_gradient,
+)
+from .params import ParamVector, layer_views, pv_add
 from .sinkhorn import (
     SinkhornConfig,
     TransportPlan,
@@ -107,10 +123,12 @@ class SolverState:
     """One mask side's Sinkhorn state within a continual step.
 
     duals holds the (f, g) potentials the side's last solve ended at, the
-    warm start of its next solve; the counters sum over its solves: marginal
-    checks (Newton steps and fallback scaling updates), matrix-vector
-    products with the plan in Newton directions (a scaling update costs 2),
-    solves that fell back to scaling updates, and unconverged solves.
+    warm start of its next solve (after the last mask epoch, of the side's
+    final pair-loss solve); the counters sum over its solves: marginal
+    checks (Newton steps and fallback scaling updates; the row scaling
+    that starts every Newton finish is not one), matrix-vector products
+    with the plan in Newton directions (a scaling update costs 2), solves
+    that fell back to scaling updates, and unconverged solves.
     """
 
     duals: tuple[np.ndarray, np.ndarray] | None = None
@@ -164,39 +182,90 @@ def reconstruct(theta0: ParamVector, delta_m: ParamVector) -> ParamVector:
     return pv_add(theta0, delta_m)
 
 
+class FlatStep:
+    """One continual step's frozen backbone and task vectors, flat.
+
+    theta0, pre and post are flat arrays in the backbone's flatten()
+    order; fuse() writes the merged backbone
+    theta0 + alpha * (m_pre . pre) + (1 - alpha) * (m_post . post) into one
+    buffer, with the per-element arithmetic of masked_fuse and reconstruct,
+    and returns its per-layer views.
+    """
+
+    def __init__(self, theta0_model: ToyModel, pre: ParamVector, post: ParamVector):
+        layout = theta0_model.backbone.signature()
+        for side, delta in (("pre", pre), ("post", post)):
+            if delta.signature() != layout:
+                raise ShapeMismatchError(
+                    f"{side} task vector layout {delta} differs from the backbone")
+        self.spec = theta0_model.spec
+        self.theta0 = theta0_model.backbone.flatten()
+        self.pre, self.post = pre.flatten(), post.flatten()
+        self.theta = np.empty_like(self.theta0)
+        self._post_term = np.empty_like(self.theta0)
+        self.backbone = layer_views(self.theta, layout)
+
+    def fuse(self, masks: Masks, alpha: float) -> dict[str, np.ndarray]:
+        for side, m in zip(("pre", "post"), masks):
+            if np.shape(m) != self.theta.shape:
+                raise ShapeMismatchError(
+                    f"{side} mask has shape {np.shape(m)}, expected {self.theta.shape}")
+        np.multiply(masks[0], self.pre, out=self.theta)
+        self.theta *= alpha
+        np.multiply(masks[1], self.post, out=self._post_term)
+        self._post_term *= 1.0 - alpha
+        self.theta += self._post_term
+        self.theta += self.theta0
+        return self.backbone
+
+
+@dataclass(frozen=True)
+class OTTarget:
+    """One side's OT target for a continual step: the batch inputs, and the
+    target model's features on them scaled to unit mean norm (s * f_t)
+    with their scale s. Both stay constant for the step."""
+
+    inputs: np.ndarray
+    scale: float
+    features: np.ndarray
+
+    @classmethod
+    def of(cls, model: ToyModel, inputs: np.ndarray) -> "OTTarget":
+        ft = forward_features(model, inputs)
+        s = normalized_feature_scale(ft)
+        return cls(inputs, s, s * ft)
+
+
 def ot_alignment_loss_and_grad(
-    merged_model: ToyModel,
-    target_model: ToyModel,
-    inputs: np.ndarray,
+    spec: ModelSpec,
+    backbone: Mapping[str, np.ndarray],
+    target: OTTarget,
     cfg: SinkhornConfig,
     solver: SolverState | None = None,
-) -> tuple[float, ParamVector]:
-    """Sinkhorn alignment loss between merged and target features, plus
-    its fixed-plan gradient with respect to the merged backbone.
+) -> tuple[float, np.ndarray]:
+    """Sinkhorn alignment loss between the features of backbone and the
+    target's, plus its fixed-plan gradient with respect to backbone, flat.
 
     Both clouds are scaled to the target's unit-mean-norm convention; the
     scale is treated as a constant of the target, so the chain rule only
-    carries the factor through the merged side. With a solver state the
-    solve starts from its duals and records the plan into it.
+    carries the factor through the merged side. One forward pass gives the
+    features and the gradient. With a solver state the solve starts from
+    its duals and records the plan into it.
     """
-    fm = forward_features(merged_model, inputs)
-    ft = forward_features(target_model, inputs)
-    s = normalized_feature_scale(ft)
+    trace = _forward_trace(spec, backbone, target.inputs)
+    fm = target.scale * trace[0][-1]
     init = None if solver is None else solver.duals
-    dist, plan = sinkhorn_distance(s * fm, s * ft, cfg, init=init)
+    dist, plan = sinkhorn_distance(fm, target.features, cfg, init=init)
     if solver is not None:
         solver.record(plan)
-    g_feat = s * sinkhorn_grad_features(s * fm, s * ft, plan)
-    return dist, backward(merged_model, inputs, g_feat)
+    g_feat = target.scale * sinkhorn_grad_features(fm, target.features, plan)
+    return dist, backward(spec, backbone, trace, g_feat)
 
 
 def ot_mask_epoch(
     masks: Masks,
-    theta0: ParamVector,
-    delta_pre: ParamVector,
-    delta_post: ParamVector,
-    target_model: ToyModel,
-    batch_inputs: np.ndarray,
+    step: FlatStep,
+    target: OTTarget,
     side: str,
     cfg: FusionConfig,
     optimizer: _MaskOptimizer,
@@ -210,17 +279,12 @@ def ot_mask_epoch(
     """
     if side not in ("pre", "post"):
         raise ConfigError(f"side must be 'pre' or 'post', got '{side}'")
+    backbone = step.fuse(masks, cfg.alpha)
+    loss, grad = ot_alignment_loss_and_grad(step.spec, backbone, target, cfg.sinkhorn, solver)
     m_pre, m_post = masks
-    fused = masked_fuse(delta_pre, delta_post, m_pre, m_post, cfg.alpha)
-    merged_model = target_model.with_backbone(reconstruct(theta0, fused))
-    loss, g_backbone = ot_alignment_loss_and_grad(
-        merged_model, target_model, batch_inputs, cfg.sinkhorn, solver
-    )
     if side == "pre":
-        g_mask = cfg.alpha * (delta_pre.flatten() * g_backbone.flatten())
-        return (optimizer.step(m_pre, g_mask), m_post), loss
-    g_mask = (1.0 - cfg.alpha) * (delta_post.flatten() * g_backbone.flatten())
-    return (m_pre, optimizer.step(m_post, g_mask)), loss
+        return (optimizer.step(m_pre, cfg.alpha * (step.pre * grad)), m_post), loss
+    return (m_pre, optimizer.step(m_post, (1.0 - cfg.alpha) * (step.post * grad))), loss
 
 
 def head_finetune(
@@ -231,17 +295,18 @@ def head_finetune(
     lr: float,
 ) -> ParamVector:
     """Cross-entropy gradient descent on one head. The backbone is frozen,
-    so the subset's features are computed once."""
+    so the subset's features are computed once; the epochs update plain
+    arrays."""
     if labeled_subset.size == 0:
         raise DataError("empty labeled subset")
     if task not in merged_model.heads:
         raise DataError(f"model has no head for task '{task}'")
-    head = merged_model.heads[task]
+    head = dict(merged_model.heads[task].entries)
     feats = forward_features(merged_model, labeled_subset.inputs)
     for _ in range(epochs):
         g, _ = head_gradient(feats, head, labeled_subset.labels)
-        head = ParamVector({n: head[n] - lr * g[n] for n in ("weight", "bias")})
-    return head
+        head = {n: head[n] - lr * g[n] for n in ("weight", "bias")}
+    return ParamVector(head)
 
 
 @dataclass
@@ -338,17 +403,14 @@ def continual_merge(
         # to it: both start warm from those duals, with the counts at zero
         solver_pre = SolverState(duals=solver_pre.duals)
         solver_post = SolverState(duals=solver_post.duals)
+        flat = FlatStep(theta0_model, merged, incoming)
+        pre_side = (OTTarget.of(pre_target, pre_batch), opt_pre, solver_pre)
+        post_side = (OTTarget.of(post_target, post_batch), opt_post, solver_post)
         history: list[tuple[int, str, float]] = []
         for e in range(1, cfg.ot_epochs + 1):
-            if e % 2 == 1:
-                side, target, batch, opt, solver = (
-                    "pre", pre_target, pre_batch, opt_pre, solver_pre)
-            else:
-                side, target, batch, opt, solver = (
-                    "post", post_target, post_batch, opt_post, solver_post)
-            masks, loss = ot_mask_epoch(
-                masks, theta0, merged, incoming, target, batch, side, cfg, opt, solver
-            )
+            side = "pre" if e % 2 == 1 else "post"
+            target, opt, solver = pre_side if side == "pre" else post_side
+            masks, loss = ot_mask_epoch(masks, flat, target, side, cfg, opt, solver)
             history.append((e, side, loss))
         counts = {"pre": solver_pre.counts(), "post": solver_post.counts()}
         log.info(
@@ -362,7 +424,10 @@ def continual_merge(
         )
         _warn_on_solver_trouble(t, counts)
 
-        final_pair_loss = _pair_loss(masks)
+        # each side of the final pair loss is one mask update away from the
+        # side's last mask-loop solve, and starts from its duals
+        final_pair_loss = _pair_loss(
+            masks, SolverState(duals=solver_pre.duals), SolverState(duals=solver_post.duals))
         merged = masked_fuse(merged, incoming, *masks, cfg.alpha)
 
         # light re-tune of the pre task's head on a labeled subsample

@@ -15,7 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError, ShapeMismatchError
-from .params import ParamVector, pv_sub
+from .params import ParamVector, layer_views, pv_sub
 
 _ACTIVATIONS = ("tanh", "relu")
 
@@ -211,34 +211,34 @@ def _backprop_backbone(
     return {name: grads[name] for name, _ in backbone_layout(spec)}
 
 
-def backward(model: ToyModel, inputs: np.ndarray, feature_grad: np.ndarray) -> ParamVector:
-    """Backbone gradient of a loss whose gradient with respect to the
-    features of inputs is feature_grad (the OT alignment path)."""
-    acts, pre = _forward_trace(model.spec, model.backbone, inputs)
-    return ParamVector(_backprop_backbone(model.spec, model.backbone, acts, pre, feature_grad))
+def backward(
+    spec: ModelSpec, backbone: Mapping[str, np.ndarray], trace, feature_grad: np.ndarray
+) -> np.ndarray:
+    """Flat backbone gradient, in layout order, of a loss whose gradient
+    with respect to the features is feature_grad (the OT alignment path).
+
+    trace is the _forward_trace of backbone on the loss's inputs, so the
+    gradient reuses the forward pass that gave the features.
+    """
+    acts, pre = trace
+    grads = _backprop_backbone(spec, backbone, acts, pre, feature_grad)
+    return np.concatenate([g.ravel() for g in grads.values()])
 
 
-def _head_grads(
+def head_gradient(
     features: np.ndarray, head: Mapping[str, np.ndarray], labels: np.ndarray
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Softmax cross-entropy gradient of a head on fixed features.
+
+    Returns the head's gradient ("weight", "bias") and the loss's gradient
+    with respect to the logits.
+    """
     probs = _softmax(_logits(features, head))
     n = features.shape[0]
     dlogits = probs.copy()
     dlogits[np.arange(n), labels] -= 1.0
     dlogits /= n
     return {"weight": dlogits.T @ features, "bias": dlogits.sum(axis=0)}, dlogits
-
-
-def head_gradient(
-    features: np.ndarray, head: ParamVector, labels: np.ndarray
-) -> tuple[ParamVector, np.ndarray]:
-    """Softmax cross-entropy gradient of a head on fixed features.
-
-    Returns the head's gradient and the loss's gradient with respect to
-    the logits.
-    """
-    grad, dlogits = _head_grads(features, head, labels)
-    return ParamVector(grad), dlogits
 
 
 def _label_grads(
@@ -248,7 +248,7 @@ def _label_grads(
     batch: Batch,
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
     acts, pre = _forward_trace(spec, backbone, batch.inputs)
-    g_head, dlogits = _head_grads(acts[-1], head, batch.labels)
+    g_head, dlogits = head_gradient(acts[-1], head, batch.labels)
     g_back = _backprop_backbone(spec, backbone, acts, pre, dlogits @ head["weight"])
     return g_back, g_head
 
@@ -262,16 +262,6 @@ def label_gradients(
         raise DataError(f"model has no head for task '{task}'")
     g_back, g_head = _label_grads(model.spec, model.backbone, model.heads[task], batch)
     return ParamVector(g_back), ParamVector(g_head)
-
-
-def _views(flat: np.ndarray, signature) -> dict[str, np.ndarray]:
-    """Per-layer views of consecutive slices of flat, in signature order."""
-    views, ofs = {}, 0
-    for name, shape in signature:
-        size = int(np.prod(shape))
-        views[name] = flat[ofs : ofs + size].reshape(shape)
-        ofs += size
-    return views
 
 
 def train_sft(
@@ -302,8 +292,8 @@ def train_sft(
     grad = np.empty_like(flat)
 
     def split(buf):
-        return (_views(buf[:n_back], init.backbone.signature()),
-                _views(buf[n_back:], head.signature()))
+        return (layer_views(buf[:n_back], init.backbone.signature()),
+                layer_views(buf[n_back:], head.signature()))
 
     params, grad_views = split(flat), split(grad)
     for _ in range(epochs):

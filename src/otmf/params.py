@@ -3,7 +3,8 @@
 A ParamVector is an ordered map from layer name to a dense float64 array.
 It is the common currency for model weights and task vectors (deviations
 from the shared backbone); flatten() and with_flat() convert to and from
-one flat array in layer order, the form the fusion masks take. All
+one flat array in layer order, the form the fusion masks take, and
+layer_views() reads a flat array layer by layer without copying. All
 arithmetic is elementwise, allocates fresh output, and requires identical
 shape signatures.
 """
@@ -76,16 +77,21 @@ class ParamVector:
             raise ShapeMismatchError(
                 f"flat array has {flat.size} entries, expected {self.num_params()}"
             )
-        out = {}
-        ofs = 0
-        for name, a in self._entries.items():
-            out[name] = flat[ofs : ofs + a.size].reshape(a.shape)
-            ofs += a.size
-        return ParamVector(out)
+        return ParamVector(layer_views(flat, self.signature()))
 
     def __repr__(self):
         sig = ", ".join(f"{n}{list(s)}" for n, s in self.signature())
         return f"ParamVector({sig})"
+
+
+def layer_views(flat: np.ndarray, signature) -> dict[str, np.ndarray]:
+    """Per-layer views of consecutive slices of flat, in signature order."""
+    views, ofs = {}, 0
+    for name, shape in signature:
+        size = int(np.prod(shape))
+        views[name] = flat[ofs : ofs + size].reshape(shape)
+        ofs += size
+    return views
 
 
 def _check_shapes(a: ParamVector, b: ParamVector) -> None:

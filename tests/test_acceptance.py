@@ -16,7 +16,9 @@ import numpy as np
 from conftest import exact_ot_oracle
 from otmf.baselines import BaselineConfig, baseline_fold, ties_merge_pair
 from otmf.fusion import (
+    FlatStep,
     FusionConfig,
+    OTTarget,
     _MaskOptimizer,
     continual_merge,
     head_finetune,
@@ -29,7 +31,6 @@ from otmf.models import (
     Batch,
     ModelSpec,
     ToyModel,
-    backward,
     forward_features,
     forward_logits,
     init_head,
@@ -189,18 +190,22 @@ def test_criterion_2_gradient_fidelity(capsys):
                 _, plan = sinkhorn_distance(s * fm, s * ft, scfg)
                 return plan.reg_objective
 
-            m_pre = np.ones(d_pre.num_params())
-            fused = masked_fuse(d_pre, d_post, m_pre, m_post, alpha)
-            merged = target.with_backbone(reconstruct(theta0, fused))
-            fm = forward_features(merged, inputs)
+            # the gradient the mask loop takes: one epoch on the pre side,
+            # with the target's scale times cloud_scale
             ft = forward_features(target, inputs)
             s = cloud_scale * normalized_feature_scale(ft)
-            _, plan = sinkhorn_distance(s * fm, s * ft, scfg)
-            g_feat = s * sinkhorn_grad_features(s * fm, s * ft, plan)
-            g_backbone = backward(merged, inputs, g_feat)
-            g_mask = np.concatenate(
-                [(alpha * d_pre[n] * g_backbone[n]).ravel() for n in d_pre.layers()]
-            )
+
+            class Recorder:
+                def step(self, mask, grad):
+                    self.grad = grad
+                    return mask
+
+            recorder = Recorder()
+            m_pre = np.ones(d_pre.num_params())
+            ot_mask_epoch((m_pre, m_post), FlatStep(theta0_model, d_pre, d_post),
+                          OTTarget(inputs, s, s * ft), "pre",
+                          FusionConfig(alpha=alpha, sinkhorn=scfg), recorder)
+            g_mask = recorder.grad
             fd_mask = np.zeros_like(m_pre)
             for i in range(m_pre.size):
                 plus, minus = m_pre.copy(), m_pre.copy()
@@ -257,12 +262,13 @@ def test_criterion_4_schedule_conformance(capsys):
     opts = {"pre": _MaskOptimizer(masks[0], cfg), "post": _MaskOptimizer(masks[1], cfg)}
     pre_bits = d_pre.flatten().copy()
     post_bits = d_post.flatten().copy()
+    step = FlatStep(theta0_model, d_pre, d_post)
     frozen_ok = True
     for e in range(1, cfg.ot_epochs + 1):
         side = "pre" if e % 2 == 1 else "post"
         target = pre_target if side == "pre" else post_target
         before_pre, before_post = (m.copy() for m in masks)
-        masks, _ = ot_mask_epoch(masks, theta0, d_pre, d_post, target, inputs,
+        masks, _ = ot_mask_epoch(masks, step, OTTarget.of(target, inputs),
                                  side, cfg, opts[side])
         if side == "pre":
             frozen_ok &= np.array_equal(masks[1], before_post)
@@ -270,6 +276,9 @@ def test_criterion_4_schedule_conformance(capsys):
             frozen_ok &= np.array_equal(masks[0], before_pre)
         frozen_ok &= np.array_equal(d_pre.flatten(), pre_bits)
         frozen_ok &= np.array_equal(d_post.flatten(), post_bits)
+        # the flat copies the epochs read stay bit-identical too
+        frozen_ok &= np.array_equal(step.pre, pre_bits)
+        frozen_ok &= np.array_equal(step.post, post_bits)
     # the schedule the merge runs: one step fusing d_pre and d_post
     tasks = [(d, init_head(spec, 3, rng),
               Batch(rng.normal(size=(12, 3)), rng.integers(0, 3, size=12)), inputs)

@@ -176,6 +176,21 @@ def test_exit_code_missing_data(tiny_cfg, tmp_path):
     assert run("train", "--config", tiny_cfg, "--out", tmp_path / "empty") == 3
 
 
+def test_only_train_reads_the_pretraining_set(pipeline):
+    tiny_cfg, seed_dir = pipeline
+    final = seed_dir / "merged" / "otmf" / "final.ckpt"
+    (seed_dir / "data" / "pretrain.csv").unlink()
+    assert run("merge", "--config", tiny_cfg, "--method", "otmf") == 0
+    assert run("eval", "--config", tiny_cfg, "--checkpoint", final) == 0
+    assert run("ablate-alpha", "--config", tiny_cfg, "--grid", "0.5") == 0
+    assert run("train", "--config", tiny_cfg) == 3
+    # a missing dataset is still a data error for every command that reads it
+    shutil.rmtree(seed_dir / "data")
+    assert run("merge", "--config", tiny_cfg, "--method", "otmf") == 3
+    assert run("eval", "--config", tiny_cfg, "--checkpoint", final) == 3
+    assert run("ablate-alpha", "--config", tiny_cfg, "--grid", "0.5") == 3
+
+
 def test_exit_code_bad_grid(pipeline):
     tiny_cfg, _ = pipeline
     assert run("ablate-alpha", "--config", tiny_cfg, "--grid", "0,2") == 2

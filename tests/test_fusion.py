@@ -10,7 +10,9 @@ from otmf import metrics as metrics_module
 from otmf import models as models_module
 from otmf.errors import ConfigError, DataError, ShapeMismatchError
 from otmf.fusion import (
+    FlatStep,
     FusionConfig,
+    OTTarget,
     SolverState,
     _MaskOptimizer,
     continual_merge,
@@ -24,6 +26,7 @@ from otmf.models import (
     Batch,
     ModelSpec,
     ToyModel,
+    backward,
     cross_entropy_loss,
     forward_features,
     init_head,
@@ -32,7 +35,7 @@ from otmf.models import (
     train_sft,
 )
 from otmf.params import ParamVector
-from otmf.sinkhorn import SinkhornConfig, sinkhorn_distance
+from otmf.sinkhorn import SinkhornConfig, sinkhorn_distance, sinkhorn_grad_features
 from otmf.taskgen import TaskStreamSpec, generate_stream
 
 SPEC = ModelSpec((3, 4, 3))
@@ -176,8 +179,8 @@ def test_mask_gradient_matches_fd(side):
 
     opt = Recorder()
     solver = SolverState(duals=init)
-    ot_mask_epoch((m_pre, m_post), theta0, d_pre, d_post, target, inputs,
-                  side, cfg=cfg, optimizer=opt, solver=solver)
+    ot_mask_epoch((m_pre, m_post), FlatStep(theta0_model, d_pre, d_post),
+                  OTTarget.of(target, inputs), side, cfg=cfg, optimizer=opt, solver=solver)
     assert solver.solves == 1 and solver.unconverged == 0
     base = m_pre if side == "pre" else m_post
 
@@ -207,12 +210,86 @@ def test_ot_loss_decreases_toward_target():
     inputs = pools[0]
     masks = ones(d_pre)
     opt = _MaskOptimizer(masks[0], cfg)
+    step, ot_target = FlatStep(theta0_model, d_pre, d_post), OTTarget.of(target, inputs)
     losses = []
     for _ in range(30):
-        masks, loss = ot_mask_epoch(masks, theta0, d_pre, d_post, target, inputs,
-                                    "pre", cfg, opt)
+        masks, loss = ot_mask_epoch(masks, step, ot_target, "pre", cfg, opt)
         losses.append(loss)
     assert losses[-1] < 0.5 * losses[0]
+
+
+def _reference_epoch(masks, theta0_model, d_pre, d_post, target, inputs, side, cfg, opt,
+                     solver):
+    """The epoch that ot_mask_epoch replaces: masked_fuse, reconstruct,
+    both models' features, the solve, and a backward pass from a second
+    forward trace of the merged model."""
+    m_pre, m_post = masks
+    fused = masked_fuse(d_pre, d_post, m_pre, m_post, cfg.alpha)
+    merged = target.with_backbone(reconstruct(theta0_model.backbone, fused))
+    fm = forward_features(merged, inputs)
+    ft = forward_features(target, inputs)
+    s = normalized_feature_scale(ft)
+    loss, plan = sinkhorn_distance(s * fm, s * ft, cfg.sinkhorn, init=solver.duals)
+    solver.record(plan)
+    g_feat = s * sinkhorn_grad_features(s * fm, s * ft, plan)
+    trace = models_module._forward_trace(SPEC, merged.backbone, inputs)
+    g_backbone = backward(SPEC, merged.backbone, trace, g_feat)
+    if side == "pre":
+        return (opt.step(m_pre, cfg.alpha * (d_pre.flatten() * g_backbone)), m_post), loss
+    return (m_pre, opt.step(m_post, (1.0 - cfg.alpha) * (d_post.flatten() * g_backbone))), loss
+
+
+@pytest.mark.parametrize("alpha", [0.8, 0.35])
+def test_flat_epoch_equals_the_param_vector_composition(alpha):
+    theta0_model, (d_pre, d_post), _, _, pools = world(seed=21)
+    theta0 = theta0_model.backbone
+    cfg = FusionConfig(alpha=alpha)
+    models = {"pre": theta0_model.with_backbone(reconstruct(theta0, d_pre)),
+              "post": theta0_model.with_backbone(reconstruct(theta0, d_post))}
+    inputs = {"pre": pools[0], "post": pools[1]}
+    step = FlatStep(theta0_model, d_pre, d_post)
+    targets = {side: OTTarget.of(models[side], inputs[side]) for side in models}
+    runs = {}
+    for name in ("flat", "reference"):
+        masks = ones(d_pre)
+        opts = {side: _MaskOptimizer(masks[0], cfg) for side in models}
+        solvers = {side: SolverState() for side in models}
+        trail = []
+        for e in range(1, 9):
+            side = "pre" if e % 2 == 1 else "post"
+            if name == "flat":
+                masks, loss = ot_mask_epoch(masks, step, targets[side], side, cfg,
+                                            opts[side], solvers[side])
+            else:
+                masks, loss = _reference_epoch(masks, theta0_model, d_pre, d_post,
+                                               models[side], inputs[side], side, cfg,
+                                               opts[side], solvers[side])
+            trail.append((masks, loss))
+        runs[name] = trail, solvers
+    (flat, flat_solvers), (ref, ref_solvers) = runs["flat"], runs["reference"]
+    for (masks, loss), (ref_masks, ref_loss) in zip(flat, ref):
+        assert loss == ref_loss
+        assert np.array_equal(masks[0], ref_masks[0])
+        assert np.array_equal(masks[1], ref_masks[1])
+    for side in ("pre", "post"):
+        assert flat_solvers[side].counts() == ref_solvers[side].counts()
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(flat_solvers[side].duals, ref_solvers[side].duals))
+    # the masks moved, so the comparison covers fused backbones away from theta0 + pre + post
+    assert not np.array_equal(flat[-1][0][0], ones(d_pre)[0])
+
+
+def test_flat_step_rejects_mismatched_layouts_and_masks():
+    theta0_model, (d_pre, d_post), *_ = world(seed=2)
+    n = d_pre.num_params()
+    with pytest.raises(ShapeMismatchError):
+        FlatStep(theta0_model, d_pre, ParamVector({"w": np.ones(n)}))
+    step = FlatStep(theta0_model, d_pre, d_post)
+    for bad in (np.ones(1), np.ones(n - 1), np.ones((n, 1))):
+        with pytest.raises(ShapeMismatchError):
+            step.fuse((bad, np.ones(n)), 0.5)
+        with pytest.raises(ShapeMismatchError):
+            step.fuse((np.ones(n), bad), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +306,13 @@ def test_alternation_schedule_and_frozen_state():
     opts = {"pre": _MaskOptimizer(masks[0], cfg), "post": _MaskOptimizer(masks[1], cfg)}
     pre_snapshot = d_pre.flatten().copy()
     post_snapshot = d_post.flatten().copy()
+    step = FlatStep(theta0_model, d_pre, d_post)
     for e in range(1, cfg.ot_epochs + 1):
         side = "pre" if e % 2 == 1 else "post"
         target = pre_target if side == "pre" else post_target
         before = tuple(m.copy() for m in masks)
-        masks, _ = ot_mask_epoch(masks, theta0, d_pre, d_post, target,
-                                 pools[0], side, cfg, opts[side])
+        masks, _ = ot_mask_epoch(masks, step, OTTarget.of(target, pools[0]),
+                                 side, cfg, opts[side])
         # the non-selected mask and both task vectors are bit-identical
         if side == "pre":
             assert np.array_equal(masks[1], before[1])
@@ -244,6 +322,8 @@ def test_alternation_schedule_and_frozen_state():
             assert not np.array_equal(masks[1], before[1])
         assert np.array_equal(d_pre.flatten(), pre_snapshot)
         assert np.array_equal(d_post.flatten(), post_snapshot)
+        assert np.array_equal(step.pre, pre_snapshot)
+        assert np.array_equal(step.post, post_snapshot)
     # continual_merge records each epoch's (epoch, side) in that order
     theta0_model, deltas, heads, batches, pools = world(seed=6, T=2)
     _, _, [lg] = continual_merge(theta0_model, stream(deltas, heads, batches, pools),
@@ -257,16 +337,18 @@ def test_ot_mask_epoch_rejects_bad_side():
     cfg = FusionConfig()
     masks = ones(d_pre)
     with pytest.raises(ConfigError):
-        ot_mask_epoch(masks, theta0_model.backbone, d_pre, d_post, theta0_model,
-                      pools[0], "both", cfg, _MaskOptimizer(masks[0], cfg))
+        ot_mask_epoch(masks, FlatStep(theta0_model, d_pre, d_post),
+                      OTTarget.of(theta0_model, pools[0]), "both", cfg,
+                      _MaskOptimizer(masks[0], cfg))
 
 
 def test_mask_epochs_warm_start_from_their_side_duals(monkeypatch):
     theta0_model, (d_pre, d_post), _, _, pools = world(seed=16)
     theta0 = theta0_model.backbone
     cfg = FusionConfig(ot_epochs=4)
-    targets = {side: theta0_model.with_backbone(reconstruct(theta0, d))
+    targets = {side: OTTarget.of(theta0_model.with_backbone(reconstruct(theta0, d)), pools[0])
                for side, d in (("pre", d_pre), ("post", d_post))}
+    step = FlatStep(theta0_model, d_pre, d_post)
     masks = ones(d_pre)
     opts = {side: _MaskOptimizer(masks[0], cfg) for side in targets}
     solvers = {side: SolverState() for side in targets}
@@ -280,8 +362,8 @@ def test_mask_epochs_warm_start_from_their_side_duals(monkeypatch):
     for e in range(1, cfg.ot_epochs + 1):
         side = "pre" if e % 2 == 1 else "post"
         duals_before.append(solvers[side].duals)
-        masks, _ = ot_mask_epoch(masks, theta0, d_pre, d_post, targets[side],
-                                 pools[0], side, cfg, opts[side], solvers[side])
+        masks, _ = ot_mask_epoch(masks, step, targets[side], side, cfg, opts[side],
+                                 solvers[side])
     # each side starts cold, then from the duals its own last solve recorded
     assert inits[0] is None and inits[1] is None
     assert inits[2] is duals_before[2] is not None
@@ -333,9 +415,18 @@ def test_each_gradient_runs_one_forward_pass(monkeypatch):
     backward = fusion_module.backward
     monkeypatch.setattr(fusion_module, "backward",
                         lambda *a, **k: backwards.append(1) or backward(*a, **k))
+    # and each mask epoch runs one forward trace, whose backward pass reuses
+    # it; per step there are 4 more per pair loss (merged and target
+    # features on each side), 2 for the targets' OT features and 1 for the
+    # head re-tune
+    traces.clear()
+    monkeypatch.setattr(fusion_module, "_forward_trace",
+                        lambda *a: traces.append(1) or trace(*a))
     cfg = FusionConfig(ot_epochs=4, batch_size=8)
     continual_merge(theta0_model, stream(deltas, heads, batches, pools), cfg, seed=0)
-    assert len(backwards) == 2 * cfg.ot_epochs
+    steps = len(deltas) - 1
+    assert len(backwards) == steps * cfg.ot_epochs
+    assert len(traces) == steps * (cfg.ot_epochs + 2 * 4 + 2 + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -408,12 +499,13 @@ def test_first_mask_loop_solves_start_from_initial_pair_loss_duals(monkeypatch):
     monkeypatch.setattr(metrics_module, "sinkhorn_distance", record)
     continual_merge(theta0_model, stream(deltas, heads, batches, pools), cfg, seed=0)
     # initial pair loss (pre, post), epoch 1 (pre), epoch 2 (post), final
-    # pair loss (pre, post); the pair-loss solves stay cold
+    # pair loss (pre, post): only the initial pair-loss solves are cold, and
+    # each later solve starts from its side's previous one
     assert len(calls) == 6
-    assert [calls[i][0] for i in (0, 1, 4, 5)] == [None] * 4
-    for pair_loss, epoch in ((0, 2), (1, 3)):
-        plan = calls[pair_loss][1]
-        f, g = calls[epoch][0]
+    assert [calls[i][0] for i in (0, 1)] == [None] * 2
+    for previous, solve in ((0, 2), (1, 3), (2, 4), (3, 5)):
+        plan = calls[previous][1]
+        f, g = calls[solve][0]
         np.testing.assert_array_equal(f, plan.epsilon * plan.log_u)
         np.testing.assert_array_equal(g, plan.epsilon * plan.log_v)
 

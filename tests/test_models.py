@@ -4,6 +4,7 @@ import pytest
 from conftest import small_model
 from otmf.errors import ConfigError, DataError, NumericalError, ShapeMismatchError
 from otmf.models import (
+    _forward_trace,
     _softmax,
     Batch,
     ModelSpec,
@@ -149,7 +150,9 @@ def test_feature_grad_mode_matches_fd(rng):
     model = init_model(spec, seed=5)
     inputs = rng.normal(size=(6, 3))
     w = rng.normal(size=(6, 2))
-    grad = backward(model, inputs, w)
+    # from the forward trace that gave the features, as the mask loop does
+    trace = _forward_trace(spec, model.backbone, inputs)
+    grad = model.backbone.with_flat(backward(spec, model.backbone, trace, w))
 
     def loss(backbone):
         return float((w * forward_features(model.with_backbone(backbone), inputs)).sum())

@@ -345,6 +345,43 @@ def test_warm_newton_solve_converges_where_scaling_stalls(rng, monkeypatch):
     assert np.linalg.norm(g_stalled - fd) / np.linalg.norm(fd) > 1e-4
 
 
+@pytest.mark.parametrize("shift", [-0.5, -0.05, 0.05, 0.5])
+def test_row_scaled_start_removes_a_constant_shift_of_f(shift):
+    # a converged solve's duals with f moved by a constant: every row sum
+    # is off by the factor exp(shift/eps), a mass mismatch that the one row
+    # scaling before Newton removes, so the first marginal check passes
+    # with no Newton step (damped steps took 5-14 checks here)
+    cfg = SinkhornConfig()
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        X, Y = _unit(rng.normal(size=(64, 8))), _unit(rng.normal(size=(64, 8)))
+        _, solved = sinkhorn_distance(X, Y, cfg)
+        f, g = _potentials(solved)
+        _, warm = sinkhorn_distance(X, Y, cfg, init=(f + shift, g))
+        assert (warm.iterations_used, warm.converged, warm.newton) == (1, True, (0, False))
+        assert np.abs(warm.plan - solved.plan).max() <= cfg.tolerance
+        # the row scaling keeps the gauge sum(f)
+        f_warm, _ = _potentials(warm)
+        assert f_warm.sum() == pytest.approx((f + shift).sum(), rel=0, abs=1e-12)
+
+
+def test_newton_stop_is_checked_on_the_plan_it_returns():
+    # chains of warm solves as the mask loop runs them. The closing column
+    # scaling moves the row sums, so a check on the Newton iterate's own
+    # marginals let chain 63's fifth solve stop within tolerance and return
+    # a plan at 1.10e-6; the check is on the column-scaled plan instead
+    cfg = SinkhornConfig()
+    for seed in range(56, 72):
+        rng = np.random.default_rng(seed)
+        X, Y = _unit(rng.normal(size=(64, 8))), _unit(rng.normal(size=(64, 8)))
+        _, plan = sinkhorn_distance(X, Y, cfg)
+        for _ in range(5):
+            assert plan.converged and not plan.newton[1], seed
+            X = X + 0.01 * rng.normal(size=X.shape)
+            _, plan = sinkhorn_distance(X, Y, cfg, init=_potentials(plan))
+        assert plan.converged and not plan.newton[1], seed
+
+
 @pytest.mark.parametrize("start", ["column-far-below", "plan-overflows"])
 def test_newton_falls_back_to_the_scaling_loop_from_its_iterate(rng, monkeypatch, start):
     X, Y, (f, g) = _newton_problem(rng)
