@@ -246,8 +246,8 @@ def _load_labeled(cfg: RunConfig, path: Path):
 
 
 def _load_tasks(cfg: RunConfig, seed: int):
-    """Each task's (id, train batch, test batch, unlabeled set); the
-    pretraining set is read by `train` alone."""
+    """Each task's (id, train batch, test batch, unlabeled set), for the
+    stages after `train`, which reads only the pretraining and train sets."""
     data = _data_dir(cfg, seed)
     tasks = []
     for tid in _task_ids(cfg):
@@ -259,33 +259,40 @@ def _load_tasks(cfg: RunConfig, seed: int):
 
 
 def cmd_train(cfg: RunConfig, seed: int) -> None:
+    """Fine-tune the pretrained model, then every task model; tasks whose
+    train sets have one size are fine-tuned together as one stack."""
     t0 = time.perf_counter()
-    pretrain = _load_labeled(cfg, _data_dir(cfg, seed) / "pretrain.csv")
-    tasks = _load_tasks(cfg, seed)
+    data = _data_dir(cfg, seed)
+    pretrain = _load_labeled(cfg, data / "pretrain.csv")
+    groups: dict[int, list] = {}
+    for i, tid in enumerate(_task_ids(cfg)):
+        train = _load_labeled(cfg, data / f"{tid}_train.csv")
+        groups.setdefault(train.size, []).append((tid, train, seed + 100 + i))
     ckpt = _seed_dir(cfg, seed) / "checkpoints"
     ckpt.mkdir(exist_ok=True)
-    k = cfg.stream.classes_per_task
     sft_seconds = {}
 
-    def sft(init: ToyModel, task: str, batch, sft_seed: int) -> ToyModel:
+    def sft(init: ToyModel, runs) -> list[ToyModel]:
         t = time.perf_counter()
-        model = train_sft(cfg.model, init, task, batch, k,
-                          cfg.sft.epochs, cfg.sft.lr, seed=sft_seed)
-        sft_seconds[task] = time.perf_counter() - t
-        return model
+        models = train_sft(cfg.model, init, runs, cfg.stream.classes_per_task,
+                           cfg.sft.epochs, cfg.sft.lr)
+        sft_seconds[",".join(task for task, _, _ in runs)] = time.perf_counter() - t
+        return models
 
-    pre = sft(init_model(cfg.model, seed=seed), "pretrain", pretrain, seed)
+    [pre] = sft(init_model(cfg.model, seed=seed), [("pretrain", pretrain, seed)])
     save_checkpoint(ckpt / "pretrained.ckpt", pre)
     theta0 = ToyModel(spec=cfg.model, backbone=pre.backbone, heads={})
 
-    for i, (tid, train, _, _) in enumerate(tasks):
-        save_checkpoint(ckpt / f"{tid}.ckpt", sft(theta0, tid, train, seed + 100 + i))
-        log.info("seed %d: trained %s", seed, tid)
+    for runs in groups.values():
+        for (tid, _, _), model in zip(runs, sft(theta0, runs)):
+            save_checkpoint(ckpt / f"{tid}.ckpt", model)
+            log.info("seed %d: trained %s", seed, tid)
     timings = {"train_seconds": time.perf_counter() - t0, "sft_seconds": sft_seconds,
                "peak_rss_mb": _peak_rss_mb()}
     save_report(_seed_dir(cfg, seed) / "timings_train.json", timings)
-    log.info("seed %d: trained %d models in %.2f s, peak RSS %.1f MB",
-             seed, len(sft_seconds), timings["train_seconds"], timings["peak_rss_mb"])
+    log.info("seed %d: trained %d models in %d run(s) in %.2f s, peak RSS %.1f MB",
+             seed, 1 + cfg.stream.num_tasks, len(sft_seconds), timings["train_seconds"],
+             timings["peak_rss_mb"])
 
 
 def _load_theta0(cfg: RunConfig, seed: int) -> ToyModel:

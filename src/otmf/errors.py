@@ -22,4 +22,12 @@ class DataError(OtmfError):
 
 
 class NumericalError(OtmfError):
-    """Non-finite values or solver breakdown. Exit code 4."""
+    """Non-finite values or solver breakdown. Exit code 4.
+
+    model, when set, indexes the failing model among models computed
+    together as one stack.
+    """
+
+    def __init__(self, message: str, model: int | None = None):
+        super().__init__(message)
+        self.model = model

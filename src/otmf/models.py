@@ -5,12 +5,14 @@ plus one affine classification head per task. Features are the activations
 of the last backbone layer; logits are the head applied to those features.
 Gradients are computed by hand-written reverse mode over the fixed layer
 list and are validated against central finite differences in the tests.
+The forward and backward passes also take a stack of models along a
+leading axis, which is how fine-tuning trains several models as one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -126,16 +128,29 @@ def _activate_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
     return (z > 0.0).astype(np.float64)
 
 
+def _require_finite(values: np.ndarray, message: str, stacked: bool) -> None:
+    """Raise NumericalError(message) unless values is all finite. When
+    stacked, axis 0 indexes models computed together, and the error's
+    `model` is the first one whose values are not."""
+    finite = np.isfinite(values)
+    if finite.all():
+        return
+    model = int(np.argmin(finite.reshape(len(values), -1).all(axis=1))) if stacked else None
+    raise NumericalError(message, model=model)
+
+
 def _forward_trace(spec: ModelSpec, backbone: Mapping[str, np.ndarray], inputs: np.ndarray):
     """Forward pass keeping pre/post-activation values for backprop.
 
     backbone maps each layer name of backbone_layout(spec) to its array (a
-    ParamVector is one such mapping). A non-finite pre-activation (finite
-    weights can overflow) raises NumericalError; it is checked before the
-    activation, since tanh maps inf to a finite +-1.
+    ParamVector is one such mapping). inputs is n x d, or a stack of them
+    (models x n x d) whose backbone arrays carry the same leading axis, one
+    model per slice. A non-finite pre-activation (finite weights can
+    overflow) raises NumericalError, naming a stacked model; it is checked
+    before the activation, since tanh maps inf to a finite +-1.
     """
     x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != spec.input_dim:
+    if x.ndim not in (2, 3) or x.shape[-1] != spec.input_dim:
         raise ShapeMismatchError(f"inputs must be n x {spec.input_dim}, got {x.shape}")
     acts = [x]
     pre = []
@@ -144,9 +159,8 @@ def _forward_trace(spec: ModelSpec, backbone: Mapping[str, np.ndarray], inputs: 
         for i in range(spec.num_layers):
             w = backbone[f"layer{i}.weight"]
             b = backbone[f"layer{i}.bias"]
-            z = h @ w.T + b
-            if not np.isfinite(z).all():
-                raise NumericalError(f"layer {i} pre-activation is not finite")
+            z = h @ w.swapaxes(-1, -2) + b[..., None, :]
+            _require_finite(z, f"layer {i} pre-activation is not finite", x.ndim == 3)
             h = _activate(z, spec.activation)
             pre.append(z)
             acts.append(h)
@@ -160,12 +174,12 @@ def forward_features(model: ToyModel, inputs: np.ndarray) -> np.ndarray:
 
 
 def _logits(features: np.ndarray, head: Mapping[str, np.ndarray]) -> np.ndarray:
-    """The head applied to features. A non-finite logit (a finite head can
-    overflow) raises NumericalError, as a non-finite pre-activation does."""
+    """The head applied to features (or a stack of heads to a stack of
+    features). A non-finite logit (a finite head can overflow) raises
+    NumericalError, as a non-finite pre-activation does."""
     with np.errstate(over="ignore", invalid="ignore"):
-        logits = features @ head["weight"].T + head["bias"]
-    if not np.isfinite(logits).all():
-        raise NumericalError("head logits are not finite")
+        logits = features @ head["weight"].swapaxes(-1, -2) + head["bias"][..., None, :]
+    _require_finite(logits, "head logits are not finite", logits.ndim == 3)
     return logits
 
 
@@ -179,9 +193,9 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     # finite logits whose row spread exceeds the float maximum overflow to
     # -inf here, and exp maps -inf to 0, the exact limit
     with np.errstate(over="ignore"):
-        z = logits - logits.max(axis=1, keepdims=True)
+        z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def cross_entropy_loss(model: ToyModel, task: str, batch: Batch) -> float:
@@ -195,7 +209,8 @@ def _backprop_backbone(
     spec: ModelSpec, backbone: Mapping[str, np.ndarray], acts, pre, grad_features: np.ndarray
 ) -> dict[str, np.ndarray]:
     """Backbone gradient, in layout order, from a _forward_trace of backbone
-    and the loss's gradient with respect to its features."""
+    and the loss's gradient with respect to its features (stacked models
+    keep their leading axis)."""
     grads = {}
     delta = np.asarray(grad_features, dtype=np.float64)
     if delta.shape != acts[-1].shape:
@@ -204,8 +219,8 @@ def _backprop_backbone(
         )
     for i in reversed(range(spec.num_layers)):
         dz = delta * _activate_grad(pre[i], acts[i + 1], spec.activation)
-        grads[f"layer{i}.weight"] = dz.T @ acts[i]
-        grads[f"layer{i}.bias"] = dz.sum(axis=0)
+        grads[f"layer{i}.weight"] = dz.swapaxes(-1, -2) @ acts[i]
+        grads[f"layer{i}.bias"] = dz.sum(axis=-2)
         if i > 0:
             delta = dz @ backbone[f"layer{i}.weight"]
     return {name: grads[name] for name, _ in backbone_layout(spec)}
@@ -231,81 +246,89 @@ def head_gradient(
     """Softmax cross-entropy gradient of a head on fixed features.
 
     Returns the head's gradient ("weight", "bias") and the loss's gradient
-    with respect to the logits.
+    with respect to the logits. A stack of heads takes a stack of features
+    and labels along the same leading axis.
     """
     probs = _softmax(_logits(features, head))
-    n = features.shape[0]
-    dlogits = probs.copy()
-    dlogits[np.arange(n), labels] -= 1.0
-    dlogits /= n
-    return {"weight": dlogits.T @ features, "bias": dlogits.sum(axis=0)}, dlogits
+    dlogits = probs - (labels[..., None] == np.arange(probs.shape[-1]))
+    dlogits /= features.shape[-2]
+    return {"weight": dlogits.swapaxes(-1, -2) @ features, "bias": dlogits.sum(axis=-2)}, dlogits
 
 
 def _label_grads(
     spec: ModelSpec,
     backbone: Mapping[str, np.ndarray],
     head: Mapping[str, np.ndarray],
-    batch: Batch,
+    inputs: np.ndarray,
+    labels: np.ndarray,
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    acts, pre = _forward_trace(spec, backbone, batch.inputs)
-    g_head, dlogits = head_gradient(acts[-1], head, batch.labels)
+    """Backbone and head gradients of the cross-entropy loss on (inputs,
+    labels), from one forward pass; stacked models give stacked gradients."""
+    acts, pre = _forward_trace(spec, backbone, inputs)
+    g_head, dlogits = head_gradient(acts[-1], head, labels)
     g_back = _backprop_backbone(spec, backbone, acts, pre, dlogits @ head["weight"])
     return g_back, g_head
-
-
-def label_gradients(
-    model: ToyModel, task: str, batch: Batch
-) -> tuple[ParamVector, ParamVector]:
-    """Backbone and head gradients of the task's cross-entropy loss, from
-    one forward pass."""
-    if task not in model.heads:
-        raise DataError(f"model has no head for task '{task}'")
-    g_back, g_head = _label_grads(model.spec, model.backbone, model.heads[task], batch)
-    return ParamVector(g_back), ParamVector(g_head)
 
 
 def train_sft(
     spec: ModelSpec,
     init: ToyModel,
-    task: str,
-    train_batch: Batch,
+    runs: Sequence[tuple[str, Batch, int]],
     num_classes: int,
     epochs: int,
     lr: float,
-    seed: int,
-) -> ToyModel:
-    """Full-batch gradient-descent fine-tuning of backbone + fresh head.
+) -> list[ToyModel]:
+    """Full-batch gradient-descent fine-tuning of init's backbone plus a
+    fresh head, once per (task, train batch, seed) run, all runs together.
 
-    Backbone and head live in one flat float64 buffer with per-layer views,
-    and their gradients in a second one. Each epoch takes both gradients
-    from one forward pass, updates the whole buffer in one step and checks
-    it once: a non-finite parameter raises NumericalError. The model is
-    built once, at the end. Deterministic given the seed; the seed only
-    affects head initialization.
+    The runs' batches must share a size: the runs are stacked along a
+    leading axis and trained as one. Their parameters live in one flat
+    float64 buffer, layer by layer, so each layer is one contiguous
+    (runs x ...) array, and their gradients in a second one. Each epoch
+    takes all gradients from one forward pass, updates the whole buffer in
+    one step and checks it once: a non-finite parameter, pre-activation or
+    logit raises NumericalError naming its run's task. Each run's model is
+    what training it alone gives, bit for bit; its seed only affects its
+    head's initialization.
     """
-    if train_batch.size == 0:
-        raise DataError("empty training batch")
-    rng = np.random.default_rng(seed)
-    head = init_head(spec, num_classes, rng)
-    n_back = init.backbone.num_params()
-    flat = np.concatenate([init.backbone.flatten(), head.flatten()])
+    if not runs:
+        raise DataError("no fine-tuning runs")
+    if len({batch.size for _, batch, _ in runs}) > 1:
+        raise ShapeMismatchError("stacked fine-tuning runs need train sets of one size")
+    inputs = np.stack([batch.inputs for _, batch, _ in runs])
+    labels = np.stack([batch.labels for _, batch, _ in runs])
+    if labels.max() >= num_classes:
+        raise DataError(f"label {labels.max()} is not below num_classes {num_classes}")
+    heads = [init_head(spec, num_classes, np.random.default_rng(seed)) for _, _, seed in runs]
+    back = {n: np.broadcast_to(a, (len(runs), *a.shape)) for n, a in init.backbone.entries.items()}
+    head = {n: np.stack([h[n] for h in heads]) for n in ("weight", "bias")}
+    flat = np.concatenate([a.ravel() for a in (*back.values(), *head.values())])
     grad = np.empty_like(flat)
+    n_back = len(runs) * init.backbone.num_params()
 
     def split(buf):
-        return (layer_views(buf[:n_back], init.backbone.signature()),
-                layer_views(buf[n_back:], head.signature()))
+        return (layer_views(buf[:n_back], [(n, a.shape) for n, a in back.items()]),
+                layer_views(buf[n_back:], [(n, a.shape) for n, a in head.items()]))
 
     params, grad_views = split(flat), split(grad)
-    for _ in range(epochs):
-        for views, g in zip(grad_views, _label_grads(spec, *params, train_batch)):
-            for name, arr in g.items():
-                views[name][...] = arr
-        with np.errstate(over="ignore", invalid="ignore"):
-            flat -= lr * grad
-        if not np.isfinite(flat).all():
-            raise NumericalError(f"fine-tuning '{task}' produced non-finite parameters")
-    backbone, head = (ParamVector(views) for views in params)
-    return ToyModel(spec=spec, backbone=backbone, heads={task: head})
+    try:
+        for _ in range(epochs):
+            for views, g in zip(grad_views, _label_grads(spec, *params, inputs, labels)):
+                for name, arr in g.items():
+                    views[name][...] = arr
+            with np.errstate(over="ignore", invalid="ignore"):
+                flat -= lr * grad
+            if not np.isfinite(flat).all():
+                for views in params:
+                    for arr in views.values():
+                        _require_finite(arr, "an update left non-finite parameters", True)
+    except NumericalError as exc:
+        raise NumericalError(f"fine-tuning '{runs[exc.model][0]}': {exc}") from exc
+    return [
+        ToyModel(spec=spec, backbone=ParamVector({n: a[i] for n, a in params[0].items()}),
+                 heads={task: ParamVector({n: a[i] for n, a in params[1].items()})})
+        for i, (task, _, _) in enumerate(runs)
+    ]
 
 
 def task_vector(model: ToyModel, base: ToyModel) -> ParamVector:

@@ -66,14 +66,11 @@ def build_world(seed):
     stream = TaskStreamSpec()
     pretrain, tasks = generate_stream(stream, seed)
     base = init_model(MODEL, seed=seed)
-    theta0 = train_sft(MODEL, base, "pretrain", pretrain, stream.classes_per_task,
-                       SFT_EPOCHS, SFT_LR, seed=seed)
+    [theta0] = train_sft(MODEL, base, [("pretrain", pretrain, seed)],
+                         stream.classes_per_task, SFT_EPOCHS, SFT_LR)
     theta0 = ToyModel(spec=MODEL, backbone=theta0.backbone, heads={})
-    sfts = tuple(
-        train_sft(MODEL, theta0, td.task_id, td.train, stream.classes_per_task,
-                  SFT_EPOCHS, SFT_LR, seed=seed + 100 + i)
-        for i, td in enumerate(tasks)
-    )
+    runs = [(td.task_id, td.train, seed + 100 + i) for i, td in enumerate(tasks)]
+    sfts = tuple(train_sft(MODEL, theta0, runs, stream.classes_per_task, SFT_EPOCHS, SFT_LR))
     return stream, tasks, theta0, sfts
 
 

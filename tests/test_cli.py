@@ -16,9 +16,9 @@ import otmf.cli
 from otmf import sinkhorn as sinkhorn_module
 from otmf.cli import _Reservoir, cmd_merge, load_config, main, resolved_config
 from otmf.errors import ConfigError
-from otmf.io import load_checkpoint, load_matrix, save_checkpoint
+from otmf.io import load_batch, load_checkpoint, load_matrix, save_checkpoint
 from otmf.metrics import l1_shift, sinkhorn_shift
-from otmf.models import ModelSpec, init_model
+from otmf.models import ModelSpec, ToyModel, init_model, train_sft
 
 
 TINY = {
@@ -191,6 +191,43 @@ def test_only_train_reads_the_pretraining_set(pipeline):
     assert run("ablate-alpha", "--config", tiny_cfg, "--grid", "0.5") == 3
 
 
+def test_train_reads_only_the_pretraining_and_train_sets(tiny_cfg, tmp_path):
+    assert run("gen", "--config", tiny_cfg) == 0
+    data = tmp_path / "run" / "seed0" / "data"
+    for path in [*data.glob("*_test.csv"), *data.glob("*_unlabeled.csv")]:
+        path.unlink()
+    assert run("train", "--config", tiny_cfg) == 0
+    (data / "task02_train.csv").unlink()
+    assert run("train", "--config", tiny_cfg) == 3
+
+
+def test_ragged_train_sets_train_in_groups_as_each_alone(tmp_path):
+    # task02's train set loses two rows, so task01 and task03 train as one
+    # stack and task02 alone; each checkpoint is its solo run, byte for byte
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(TINY, stream=dict(TINY["stream"], num_tasks=3),
+                                        output_dir=str(tmp_path / "run"))))
+    assert run("gen", "--config", cfg_path) == 0
+    seed_dir = tmp_path / "run" / "seed0"
+    short = seed_dir / "data" / "task02_train.csv"
+    short.write_bytes(b"\n".join(short.read_bytes().split(b"\n")[:-3]) + b"\n")
+    assert run("train", "--config", cfg_path) == 0
+    timings = json.loads((seed_dir / "timings_train.json").read_text())
+    assert list(timings["sft_seconds"]) == ["pretrain", "task01,task03", "task02"]
+
+    cfg = load_config(str(cfg_path), None, None)
+    pre = load_checkpoint(seed_dir / "checkpoints" / "pretrained.ckpt")
+    theta0 = ToyModel(spec=cfg.model, backbone=pre.backbone, heads={})
+    batches = [load_batch(seed_dir / "data" / f"task0{i}_train.csv") for i in (1, 2, 3)]
+    assert batches[0].size == batches[1].size + 2 == batches[2].size
+    for i, (tid, batch) in enumerate(zip(["task01", "task02", "task03"], batches)):
+        [alone] = train_sft(cfg.model, theta0, [(tid, batch, 100 + i)],
+                            cfg.stream.classes_per_task, cfg.sft.epochs, cfg.sft.lr)
+        solo = tmp_path / f"{tid}.ckpt"
+        save_checkpoint(solo, alone)
+        assert solo.read_bytes() == (seed_dir / "checkpoints" / f"{tid}.ckpt").read_bytes()
+
+
 def test_exit_code_bad_grid(pipeline):
     tiny_cfg, _ = pipeline
     assert run("ablate-alpha", "--config", tiny_cfg, "--grid", "0,2") == 2
@@ -352,7 +389,8 @@ def test_gen_and_train_write_timings(pipeline):
     assert set(gen) == {"gen_seconds", "peak_rss_mb"}
     train = json.loads((seed_dir / "timings_train.json").read_text())
     assert set(train) == {"train_seconds", "sft_seconds", "peak_rss_mb"}
-    assert list(train["sft_seconds"]) == ["pretrain", "task01", "task02"]
+    # one entry per fine-tuning run: the two equal-size tasks train as one stack
+    assert list(train["sft_seconds"]) == ["pretrain", "task01,task02"]
     assert sum(train["sft_seconds"].values()) <= train["train_seconds"]
     assert min(gen["peak_rss_mb"], train["peak_rss_mb"]) > 0
 

@@ -403,7 +403,7 @@ def test_each_gradient_runs_one_forward_pass(monkeypatch):
     monkeypatch.setattr(models_module, "_forward_trace",
                         lambda *a: traces.append(1) or trace(*a))
     # SFT takes both gradients from one pass per epoch
-    train_sft(SPEC, theta0_model, "t", batches[0], 3, epochs=7, lr=0.1, seed=0)
+    train_sft(SPEC, theta0_model, [("t", batches[0], 0)], 3, epochs=7, lr=0.1)
     assert len(traces) == 7
     # the head is tuned on the frozen backbone's features, computed once
     traces.clear()
@@ -516,10 +516,10 @@ def test_default_stream_seed1_mask_loop_solves_converge_without_fallback():
     spec = ModelSpec((8, 16, 8))
     pretrain, tasks = generate_stream(TaskStreamSpec(), seed=1)
     k = TaskStreamSpec().classes_per_task
-    pre = train_sft(spec, init_model(spec, seed=1), "pretrain", pretrain, k, 300, 0.1, seed=1)
+    [pre] = train_sft(spec, init_model(spec, seed=1), [("pretrain", pretrain, 1)], k, 300, 0.1)
     theta0 = ToyModel(spec=spec, backbone=pre.backbone, heads={})
-    sfts = [train_sft(spec, theta0, td.task_id, td.train, k, 300, 0.1, seed=101 + i)
-            for i, td in enumerate(tasks)]
+    sfts = train_sft(spec, theta0, [(td.task_id, td.train, 101 + i) for i, td in enumerate(tasks)],
+                     k, 300, 0.1)
     cfg = FusionConfig()
     _, _, logs = continual_merge(
         theta0,

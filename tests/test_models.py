@@ -5,6 +5,7 @@ from conftest import small_model
 from otmf.errors import ConfigError, DataError, NumericalError, ShapeMismatchError
 from otmf.models import (
     _forward_trace,
+    _label_grads,
     _softmax,
     Batch,
     ModelSpec,
@@ -17,7 +18,6 @@ from otmf.models import (
     head_gradient,
     init_head,
     init_model,
-    label_gradients,
     task_vector,
     train_sft,
 )
@@ -85,8 +85,6 @@ def test_logits_require_head(rng):
     model = small_model(rng)
     with pytest.raises(DataError):
         forward_logits(model, "task01", rng.normal(size=(2, 3)))
-    with pytest.raises(DataError):
-        label_gradients(model, "task01", make_batch(rng))
 
 
 def test_overflowing_logits_raise(rng):
@@ -118,30 +116,53 @@ def _fd_check(loss_fn, params: ParamVector, grad: ParamVector, h=1e-6, tol=1e-6)
     assert np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12) < tol
 
 
+def _stacked_label_grads(models, task, batches):
+    """_label_grads of models (sharing a spec) on their batches, stacked
+    along a leading axis as train_sft stacks its runs."""
+    spec = models[0].spec
+    backbone = {n: np.stack([m.backbone[n] for m in models]) for n in models[0].backbone.layers()}
+    head = {n: np.stack([m.heads[task][n] for m in models]) for n in ("weight", "bias")}
+    g_back, g_head = _label_grads(spec, backbone, head, np.stack([b.inputs for b in batches]),
+                                  np.stack([b.labels for b in batches]))
+    return ([ParamVector({n: g[i] for n, g in g_back.items()}) for i in range(len(models))],
+            [ParamVector({n: g[i] for n, g in g_head.items()}) for i in range(len(models))])
+
+
+def _two_models_and_batches(rng, spec):
+    models, batches = [], []
+    for seed in (3, 4):
+        models.append(ToyModel(spec, init_model(spec, seed=seed).backbone,
+                               {"t": init_head(spec, 3, rng)}))
+        batches.append(make_batch(rng))
+    return models, batches
+
+
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 def test_backbone_gradient_matches_fd(rng, activation):
+    # two models stacked, as train_sft runs them: each slice's gradient is
+    # its own model's
     spec = ModelSpec((3, 4, 3), activation=activation)
-    model = ToyModel(spec, init_model(spec, seed=3).backbone, {"t": init_head(spec, 3, rng)})
     # keep relu pre-activations away from the kink
-    batch = make_batch(rng)
-    grad, _ = label_gradients(model, "t", batch)
+    models, batches = _two_models_and_batches(rng, spec)
+    grads, _ = _stacked_label_grads(models, "t", batches)
 
-    def loss(backbone):
-        return cross_entropy_loss(model.with_backbone(backbone), "t", batch)
+    for model, batch, grad in zip(models, batches, grads):
+        def loss(backbone):
+            return cross_entropy_loss(model.with_backbone(backbone), "t", batch)
 
-    _fd_check(loss, model.backbone, grad)
+        _fd_check(loss, model.backbone, grad)
 
 
 def test_head_gradient_matches_fd(rng):
     spec = ModelSpec((3, 4, 3))
-    model = ToyModel(spec, init_model(spec, seed=3).backbone, {"t": init_head(spec, 3, rng)})
-    batch = make_batch(rng)
-    _, grad = label_gradients(model, "t", batch)
+    models, batches = _two_models_and_batches(rng, spec)
+    _, grads = _stacked_label_grads(models, "t", batches)
 
-    def loss(head):
-        return cross_entropy_loss(ToyModel(spec, model.backbone, {"t": head}), "t", batch)
+    for model, batch, grad in zip(models, batches, grads):
+        def loss(head):
+            return cross_entropy_loss(ToyModel(spec, model.backbone, {"t": head}), "t", batch)
 
-    _fd_check(loss, model.heads["t"], grad)
+        _fd_check(loss, model.heads["t"], grad)
 
 
 def test_feature_grad_mode_matches_fd(rng):
@@ -166,8 +187,8 @@ def test_train_sft_deterministic_and_learns(rng):
     x = np.concatenate([rng.normal(c, 0.2, size=(20, 3)) for c in np.eye(3) * 2])
     y = np.repeat(np.arange(3), 20)
     batch = Batch(x, y)
-    m1 = train_sft(spec, init, "t", batch, 3, epochs=150, lr=0.2, seed=7)
-    m2 = train_sft(spec, init, "t", batch, 3, epochs=150, lr=0.2, seed=7)
+    [m1] = train_sft(spec, init, [("t", batch, 7)], 3, epochs=150, lr=0.2)
+    [m2] = train_sft(spec, init, [("t", batch, 7)], 3, epochs=150, lr=0.2)
     assert m1 == m2
     fresh = ToyModel(spec=spec, backbone=init.backbone, heads=m1.heads)
     assert cross_entropy_loss(m1, "t", batch) < cross_entropy_loss(fresh, "t", batch)
@@ -176,11 +197,13 @@ def test_train_sft_deterministic_and_learns(rng):
 
 
 def _reference_sft(spec, init, task, batch, num_classes, epochs, lr, seed):
-    """The per-layer ParamVector loop that train_sft's flat buffer replaces."""
+    """The per-layer ParamVector loop, one model at a time, that train_sft's
+    stacked flat buffer replaces."""
     head = init_head(spec, num_classes, np.random.default_rng(seed))
     model = ToyModel(spec=spec, backbone=init.backbone, heads={task: head})
     for _ in range(epochs):
-        g_back, g_head = label_gradients(model, task, batch)
+        g_back, g_head = _label_grads(spec, model.backbone, model.heads[task],
+                                      batch.inputs, batch.labels)
         new_back = ParamVector(
             {n: model.backbone[n] - lr * g_back[n] for n in model.backbone.layers()}
         )
@@ -191,21 +214,52 @@ def _reference_sft(spec, init, task, batch, num_classes, epochs, lr, seed):
     return model
 
 
+def _assert_same_bits(got, want, task):
+    assert got.backbone.signature() == want.backbone.signature()
+    for name in want.backbone.layers():
+        assert got.backbone[name].tobytes() == want.backbone[name].tobytes()
+    assert list(got.heads) == [task]
+    assert got.heads[task].signature() == want.heads[task].signature()
+    for name in ("weight", "bias"):
+        assert got.heads[task][name].tobytes() == want.heads[task][name].tobytes()
+
+
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 def test_train_sft_matches_per_layer_loop(rng, activation):
     # same arithmetic in the same order, so the flat buffer is exact
     spec = ModelSpec((4, 7, 5, 3), activation=activation)
     init = init_model(spec, seed=3)
     batch = make_batch(rng, n=30, d=4, k=4)
-    got = train_sft(spec, init, "t", batch, 4, epochs=25, lr=0.3, seed=11)
+    [got] = train_sft(spec, init, [("t", batch, 11)], 4, epochs=25, lr=0.3)
     want = _reference_sft(spec, init, "t", batch, 4, epochs=25, lr=0.3, seed=11)
-    assert got.backbone.signature() == want.backbone.signature()
-    for name in want.backbone.layers():
-        assert got.backbone[name].tobytes() == want.backbone[name].tobytes()
-    assert list(got.heads) == ["t"]
-    assert got.heads["t"].signature() == want.heads["t"].signature()
-    for name in ("weight", "bias"):
-        assert got.heads["t"][name].tobytes() == want.heads["t"][name].tobytes()
+    _assert_same_bits(got, want, "t")
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_stacked_sft_equals_one_run_at_a_time(rng, activation):
+    # each slice of the stack does its own model's arithmetic, so training
+    # three models together gives each one's solo run bit for bit
+    spec = ModelSpec((4, 7, 5, 3), activation=activation)
+    init = init_model(spec, seed=3)
+    runs = [(f"t{i}", make_batch(rng, n=30, d=4, k=4), 11 + i) for i in range(3)]
+    stacked = train_sft(spec, init, runs, 4, epochs=25, lr=0.3)
+    for run, got in zip(runs, stacked):
+        [alone] = train_sft(spec, init, [run], 4, epochs=25, lr=0.3)
+        _assert_same_bits(got, alone, run[0])
+        _assert_same_bits(got, _reference_sft(spec, init, *run[:2], 4, 25, 0.3, run[2]), run[0])
+
+
+def test_train_sft_rejects_bad_runs(rng):
+    spec = ModelSpec((3, 4, 3))
+    runs = [("a", make_batch(rng, n=12), 0), ("b", make_batch(rng, n=13), 1)]
+    with pytest.raises(ShapeMismatchError):
+        train_sft(spec, init_model(spec, seed=0), runs, 3, epochs=2, lr=0.1)
+    with pytest.raises(DataError):
+        train_sft(spec, init_model(spec, seed=0), [], 3, epochs=2, lr=0.1)
+    # label 3 has no row in a 3-class head
+    beyond = Batch(np.zeros((2, 3)), np.array([0, 3]))
+    with pytest.raises(DataError):
+        train_sft(spec, init_model(spec, seed=0), [("c", beyond, 2)], 3, epochs=2, lr=0.1)
 
 
 def test_train_sft_overflowing_update_raises_without_warnings(rng):
@@ -214,8 +268,29 @@ def test_train_sft_overflowing_update_raises_without_warnings(rng):
     spec = ModelSpec((3, 6, 3), activation="relu")
     batch = Batch(1e3 * rng.normal(size=(40, 3)), rng.integers(0, 3, size=40))
     with pytest.raises(NumericalError, match="non-finite parameters"):
-        train_sft(spec, init_model(spec, seed=0), "t", batch, 3,
-                  epochs=20, lr=np.finfo(np.float64).max, seed=0)
+        train_sft(spec, init_model(spec, seed=0), [("t", batch, 0)], 3,
+                  epochs=20, lr=np.finfo(np.float64).max)
+
+
+@pytest.mark.parametrize("bad", [0, 1, 2])
+def test_overflow_in_one_stacked_model_names_its_task(rng, bad):
+    # (a) one model's forward pass overflows; (b) with relu, zero inputs and
+    # balanced labels give a model all-zero gradients, so at the largest
+    # step size only the other model's first update overflows
+    spec = ModelSpec((3, 6, 2), activation="relu")
+    runs = [(f"task{i}", make_batch(rng, n=32, k=2), i) for i in range(3)]
+    huge = Batch(np.full((32, 3), 1e308), runs[bad][1].labels)
+    runs[bad] = (runs[bad][0], huge, bad)
+    with pytest.raises(NumericalError, match=f"'task{bad}': layer . pre-activation") as exc:
+        train_sft(spec, init_model(spec, seed=0), runs, 2, epochs=3, lr=0.1)
+    assert exc.value.__cause__.model == bad
+
+    calm = Batch(np.zeros((32, 3)), np.repeat([0, 1], 16))
+    runs = [(f"task{i}", calm, i) for i in range(3)]
+    runs[bad] = (f"task{bad}", Batch(1e3 * rng.normal(size=(32, 3)), calm.labels), bad)
+    with pytest.raises(NumericalError, match=f"'task{bad}': .*non-finite parameters"):
+        train_sft(spec, init_model(spec, seed=0), runs, 2, epochs=3,
+                  lr=np.finfo(np.float64).max)
 
 
 def test_softmax_survives_overflowing_row_spread():
