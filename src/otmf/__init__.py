@@ -8,7 +8,6 @@ from .fusion import (
     continual_merge,
     head_finetune,
     masked_fuse,
-    reconstruct,
 )
 from .io import (
     load_batch,

@@ -40,7 +40,7 @@ from .errors import (
     OtmfError,
     ShapeMismatchError,
 )
-from .fusion import FusionConfig, continual_merge, reconstruct
+from .fusion import FusionConfig, continual_merge
 from .io import (
     load_batch,
     load_checkpoint,
@@ -53,7 +53,7 @@ from .io import (
 )
 from .metrics import AccuracyMatrix, accuracy, bwt, l1_shift, sinkhorn_shift
 from .models import ModelSpec, ToyModel, forward_features, init_model, task_vector, train_sft
-from .params import ParamVector
+from .params import ParamVector, pv_add
 from .taskgen import TaskStreamSpec, generate_stream
 
 log = logging.getLogger("otmf")
@@ -434,7 +434,7 @@ def cmd_merge(cfg: RunConfig, seed: int, method: str) -> dict:
         fold = baseline_fold(method, cfg.baseline, task_vectors())
         for step, delta_m in enumerate(fold, start=1):
             if step >= 2:
-                final_theta = reconstruct(theta0.backbone, delta_m)
+                final_theta = pv_add(theta0.backbone, delta_m)
                 on_step(step, final_theta, dict(heads))
     # the merge together with the per-step checkpoints and evaluation
     peak_rss_mb = _peak_rss_mb()

@@ -14,12 +14,14 @@ backbone and both task vectors stay frozen throughout. After mask
 training the step's merged vector is frozen and the previous task's
 classification head is lightly re-tuned on a small labeled subsample.
 
-The epochs run on one flat buffer (FlatStep): once per continual step,
-the backbone and both task vectors are flattened, and once per side the
-target's scaled features are computed (OTTarget). Each epoch then writes
-the merged backbone into the buffer, runs one forward pass on its
-per-layer views, solves, and back-propagates from that same pass into a
-flat gradient; no ParamVector is built inside the loop.
+A step runs on one flat buffer (FlatStep): the backbone and both task
+vectors are flattened once per continual step, and each side's target
+features are computed once (OTTarget). masked_fuse, the one place the
+rule above is written, writes the merged task vector into the buffer,
+next to the merged backbone. Each mask epoch takes one forward pass on the
+backbone's per-layer views, solves, and back-propagates from that pass
+into a flat gradient; the initial and final pair losses (the sum of both
+sides' OT losses) are the same pass and solve, without the backward pass.
 
 Each side keeps, next to its optimizer moments, a SolverState: the dual
 potentials of its last Sinkhorn solve and counts of solves, marginal
@@ -46,7 +48,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeMismatchError
-from .metrics import normalized_feature_scale, sinkhorn_shift
+from .metrics import normalized_feature_scale
 from .models import (
     Batch,
     ModelSpec,
@@ -153,43 +155,41 @@ class SolverState:
 
 
 def masked_fuse(
-    pre: ParamVector,
-    post: ParamVector,
+    pre: np.ndarray,
+    post: np.ndarray,
     m_pre: np.ndarray,
     m_post: np.ndarray,
     alpha: float,
-) -> ParamVector:
-    """Convex combination of the masked task vectors, with pre's layout.
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """The merged task vector alpha * (m_pre . pre) + (1 - alpha) * (m_post . post)
+    of two flat task vectors, written into out when it is given.
 
-    Both masks must have shape (num_params,): a length-1 mask would
-    otherwise broadcast.
+    The task vectors must share a shape and both masks must have exactly
+    that shape: a length-1 or column mask would otherwise broadcast.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
-    if pre.signature() != post.signature():
-        raise ShapeMismatchError(f"task vector layouts differ: {pre} vs {post}")
-    n = pre.num_params()
+    if np.shape(pre) != np.shape(post):
+        raise ShapeMismatchError(
+            f"task vector shapes differ: {np.shape(pre)} vs {np.shape(post)}")
     for side, m in (("pre", m_pre), ("post", m_post)):
-        if np.shape(m) != (n,):
-            raise ShapeMismatchError(f"{side} mask has shape {np.shape(m)}, expected ({n},)")
-    return pre.with_flat(
-        alpha * (m_pre * pre.flatten()) + (1.0 - alpha) * (m_post * post.flatten())
-    )
-
-
-def reconstruct(theta0: ParamVector, delta_m: ParamVector) -> ParamVector:
-    """Add the merged task vector back onto the frozen backbone."""
-    return pv_add(theta0, delta_m)
+        if np.shape(m) != np.shape(pre):
+            raise ShapeMismatchError(
+                f"{side} mask has shape {np.shape(m)}, expected {np.shape(pre)}")
+    out = np.multiply(m_pre, pre, out=out)
+    out *= alpha
+    out += (1.0 - alpha) * (m_post * post)
+    return out
 
 
 class FlatStep:
     """One continual step's frozen backbone and task vectors, flat.
 
     theta0, pre and post are flat arrays in the backbone's flatten()
-    order; fuse() writes the merged backbone
-    theta0 + alpha * (m_pre . pre) + (1 - alpha) * (m_post . post) into one
-    buffer, with the per-element arithmetic of masked_fuse and reconstruct,
-    and returns its per-layer views.
+    order. fuse() writes the merged task vector (masked_fuse) into delta
+    and the merged backbone theta0 + delta into theta, and returns theta's
+    per-layer views.
     """
 
     def __init__(self, theta0_model: ToyModel, pre: ParamVector, post: ParamVector):
@@ -201,21 +201,13 @@ class FlatStep:
         self.spec = theta0_model.spec
         self.theta0 = theta0_model.backbone.flatten()
         self.pre, self.post = pre.flatten(), post.flatten()
+        self.delta = np.empty_like(self.theta0)
         self.theta = np.empty_like(self.theta0)
-        self._post_term = np.empty_like(self.theta0)
         self.backbone = layer_views(self.theta, layout)
 
     def fuse(self, masks: Masks, alpha: float) -> dict[str, np.ndarray]:
-        for side, m in zip(("pre", "post"), masks):
-            if np.shape(m) != self.theta.shape:
-                raise ShapeMismatchError(
-                    f"{side} mask has shape {np.shape(m)}, expected {self.theta.shape}")
-        np.multiply(masks[0], self.pre, out=self.theta)
-        self.theta *= alpha
-        np.multiply(masks[1], self.post, out=self._post_term)
-        self._post_term *= 1.0 - alpha
-        self.theta += self._post_term
-        self.theta += self.theta0
+        masked_fuse(self.pre, self.post, *masks, alpha, out=self.delta)
+        np.add(self.delta, self.theta0, out=self.theta)
         return self.backbone
 
 
@@ -236,21 +228,20 @@ class OTTarget:
         return cls(inputs, s, s * ft)
 
 
-def ot_alignment_loss_and_grad(
+def _ot_loss(
     spec: ModelSpec,
     backbone: Mapping[str, np.ndarray],
     target: OTTarget,
     cfg: SinkhornConfig,
-    solver: SolverState | None = None,
-) -> tuple[float, np.ndarray]:
+    solver: SolverState | None,
+) -> tuple[float, TransportPlan, np.ndarray, tuple]:
     """Sinkhorn alignment loss between the features of backbone and the
-    target's, plus its fixed-plan gradient with respect to backbone, flat.
+    target's, from one forward pass: (loss, plan, the merged side's scaled
+    features, the forward trace).
 
-    Both clouds are scaled to the target's unit-mean-norm convention; the
-    scale is treated as a constant of the target, so the chain rule only
-    carries the factor through the merged side. One forward pass gives the
-    features and the gradient. With a solver state the solve starts from
-    its duals and records the plan into it.
+    Both clouds are scaled to the target's unit-mean-norm convention. With
+    a solver state the solve starts from its duals and records the plan
+    into it.
     """
     trace = _forward_trace(spec, backbone, target.inputs)
     fm = target.scale * trace[0][-1]
@@ -258,6 +249,23 @@ def ot_alignment_loss_and_grad(
     dist, plan = sinkhorn_distance(fm, target.features, cfg, init=init)
     if solver is not None:
         solver.record(plan)
+    return dist, plan, fm, trace
+
+
+def ot_alignment_loss_and_grad(
+    spec: ModelSpec,
+    backbone: Mapping[str, np.ndarray],
+    target: OTTarget,
+    cfg: SinkhornConfig,
+    solver: SolverState | None = None,
+) -> tuple[float, np.ndarray]:
+    """The alignment loss of _ot_loss plus its fixed-plan gradient with
+    respect to backbone, flat, back-propagated from the loss's forward pass.
+
+    The target's scale is a constant of the target, so the chain rule only
+    carries the factor through the merged side.
+    """
+    dist, plan, fm, trace = _ot_loss(spec, backbone, target, cfg, solver)
     g_feat = target.scale * sinkhorn_grad_features(fm, target.features, plan)
     return dist, backward(spec, backbone, trace, g_feat)
 
@@ -373,39 +381,37 @@ def continual_merge(
     for t, (incoming, head, train, unlabeled) in enumerate(tasks, start=1):
         heads[f"task{t:02d}"] = head
         if t == 1:
-            merged, prev_train = incoming, train
+            merged, merged_theta, prev_train = incoming, pv_add(theta0, incoming), train
             seen_unlabeled.append(unlabeled)
             continue
-
-        pre_target = theta0_model.with_backbone(reconstruct(theta0, merged))
-        post_target = theta0_model.with_backbone(reconstruct(theta0, incoming))
 
         # the pre-side OT batch mixes all seen tasks
         pre_batch = _ot_batch(rng, np.concatenate(seen_unlabeled), cfg.batch_size)
         post_batch = _ot_batch(rng, unlabeled, cfg.batch_size)
         seen_unlabeled.append(unlabeled)
+        pre_target = OTTarget.of(theta0_model.with_backbone(merged_theta), pre_batch)
+        post_target = OTTarget.of(
+            theta0_model.with_backbone(pv_add(theta0, incoming)), post_batch)
+        flat = FlatStep(theta0_model, merged, incoming)
 
-        masks = (np.ones(merged.num_params()), np.ones(merged.num_params()))
+        def _pair_loss(masks: Masks, pre: SolverState, post: SolverState) -> float:
+            backbone = flat.fuse(masks, cfg.alpha)
+            lp = _ot_loss(flat.spec, backbone, pre_target, cfg.sinkhorn, pre)[0]
+            lq = _ot_loss(flat.spec, backbone, post_target, cfg.sinkhorn, post)[0]
+            return lp + lq
+
+        masks = (np.ones(flat.theta.size), np.ones(flat.theta.size))
         opt_pre = _MaskOptimizer(masks[0], cfg)
         opt_post = _MaskOptimizer(masks[1], cfg)
         solver_pre, solver_post = SolverState(), SolverState()
-
-        def _pair_loss(masks: Masks, pre=None, post=None) -> float:
-            fused = masked_fuse(merged, incoming, *masks, cfg.alpha)
-            mm = theta0_model.with_backbone(reconstruct(theta0, fused))
-            lp = sinkhorn_shift(mm, pre_target, pre_batch, cfg.sinkhorn, pre)
-            lq = sinkhorn_shift(mm, post_target, post_batch, cfg.sinkhorn, post)
-            return lp + lq
-
         initial_pair_loss = _pair_loss(masks, solver_pre, solver_post)
         # the pre side's first mask-loop solve is the problem its initial
         # pair-loss solve just solved cold, and the post side's is close
         # to it: both start warm from those duals, with the counts at zero
         solver_pre = SolverState(duals=solver_pre.duals)
         solver_post = SolverState(duals=solver_post.duals)
-        flat = FlatStep(theta0_model, merged, incoming)
-        pre_side = (OTTarget.of(pre_target, pre_batch), opt_pre, solver_pre)
-        post_side = (OTTarget.of(post_target, post_batch), opt_post, solver_post)
+        pre_side = (pre_target, opt_pre, solver_pre)
+        post_side = (post_target, opt_post, solver_post)
         history: list[tuple[int, str, float]] = []
         for e in range(1, cfg.ot_epochs + 1):
             side = "pre" if e % 2 == 1 else "post"
@@ -425,18 +431,16 @@ def continual_merge(
         _warn_on_solver_trouble(t, counts)
 
         # each side of the final pair loss is one mask update away from the
-        # side's last mask-loop solve, and starts from its duals
+        # side's last mask-loop solve, and starts from its duals. It leaves
+        # the final masks' fuse in flat's buffers: the step's merged vectors
         final_pair_loss = _pair_loss(
             masks, SolverState(duals=solver_pre.duals), SolverState(duals=solver_post.duals))
-        merged = masked_fuse(merged, incoming, *masks, cfg.alpha)
+        merged = incoming.with_flat(flat.delta)
+        merged_theta = theta0.with_flat(flat.theta)
 
         # light re-tune of the pre task's head on a labeled subsample
         prev_task = f"task{t - 1:02d}"
-        merged_model = ToyModel(
-            spec=theta0_model.spec,
-            backbone=reconstruct(theta0, merged),
-            heads=dict(heads),
-        )
+        merged_model = ToyModel(spec=theta0_model.spec, backbone=merged_theta, heads=dict(heads))
         subset = subsample_labeled(prev_train, cfg.head_fraction, seed=seed + t)
         heads[prev_task] = head_finetune(
             merged_model, prev_task, subset, cfg.head_epochs, cfg.head_lr
@@ -444,7 +448,7 @@ def continual_merge(
         prev_train = train
 
         if on_step is not None:
-            on_step(t, reconstruct(theta0, merged), dict(heads))
+            on_step(t, merged_theta, dict(heads))
 
         logs.append(
             StepLog(
@@ -459,4 +463,4 @@ def continual_merge(
 
     if t < 2:
         raise DataError("continual merging needs at least 2 task vectors")
-    return reconstruct(theta0, merged), heads, logs
+    return merged_theta, heads, logs

@@ -60,27 +60,14 @@ def l1_shift(merged: ToyModel, reference: ToyModel, inputs: np.ndarray) -> float
 
 
 def sinkhorn_shift(
-    merged: ToyModel,
-    reference: ToyModel,
-    inputs: np.ndarray,
-    cfg: SinkhornConfig,
-    solver=None,
+    merged: ToyModel, reference: ToyModel, inputs: np.ndarray, cfg: SinkhornConfig
 ) -> float:
     """Sinkhorn distance between the feature clouds, with both clouds scaled
-    to the reference model's unit-mean-norm convention.
-
-    solver, if given, is an object with a duals attribute and a
-    record(plan) method, such as otmf.fusion.SolverState: the solve starts
-    from its duals (None for a cold solve) and the plan is recorded into it.
-    """
+    to the reference model's unit-mean-norm convention."""
     fm = forward_features(merged, inputs)
     fr = forward_features(reference, inputs)
     s = normalized_feature_scale(fr)
-    init = None if solver is None else solver.duals
-    dist, plan = sinkhorn_distance(s * fm, s * fr, cfg, init=init)
-    if solver is not None:
-        solver.record(plan)
-    return dist
+    return sinkhorn_distance(s * fm, s * fr, cfg)[0]
 
 
 def accuracy(model: ToyModel, task: str, batch: Batch) -> float:

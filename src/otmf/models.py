@@ -198,13 +198,6 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy_loss(model: ToyModel, task: str, batch: Batch) -> float:
-    logits = forward_logits(model, task, batch.inputs)
-    probs = _softmax(logits)
-    n = batch.size
-    return float(-np.log(probs[np.arange(n), batch.labels] + 1e-300).mean())
-
-
 def _backprop_backbone(
     spec: ModelSpec, backbone: Mapping[str, np.ndarray], acts, pre, grad_features: np.ndarray
 ) -> dict[str, np.ndarray]:

@@ -1,4 +1,5 @@
-"""Shared fixtures: small random models, parameter vectors and the OT oracle."""
+"""Shared fixtures: small random models, parameter vectors, the cross-entropy
+loss and the OT oracle."""
 
 import itertools
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from otmf.errors import DataError, ShapeMismatchError
-from otmf.models import ModelSpec, ToyModel, init_head, init_model
+from otmf.models import Batch, ModelSpec, ToyModel, _softmax, forward_logits, init_head, init_model
 from otmf.params import ParamVector
 from otmf.sinkhorn import CostMatrix
 
@@ -28,6 +29,12 @@ def small_model(rng, dims=(3, 4, 3), num_heads=0, classes=3) -> ToyModel:
     )
     heads = {f"task{i + 1:02d}": init_head(spec, classes, rng) for i in range(num_heads)}
     return ToyModel(spec=spec, backbone=backbone, heads=heads)
+
+
+def cross_entropy_loss(model: ToyModel, task: str, batch: Batch) -> float:
+    """Mean softmax cross-entropy of the task's head on the batch."""
+    probs = _softmax(forward_logits(model, task, batch.inputs))
+    return float(-np.log(probs[np.arange(batch.size), batch.labels] + 1e-300).mean())
 
 
 def exact_ot_oracle(C: CostMatrix) -> float:

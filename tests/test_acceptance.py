@@ -24,7 +24,6 @@ from otmf.fusion import (
     head_finetune,
     masked_fuse,
     ot_mask_epoch,
-    reconstruct,
 )
 from otmf.metrics import AccuracyMatrix, accuracy, bwt, l1_shift, normalized_feature_scale
 from otmf.models import (
@@ -38,7 +37,7 @@ from otmf.models import (
     task_vector,
     train_sft,
 )
-from otmf.params import ParamVector
+from otmf.params import ParamVector, pv_add
 from otmf.sinkhorn import (
     CostMatrix,
     Marginals,
@@ -173,14 +172,14 @@ def test_criterion_2_gradient_fidelity(capsys):
                                  for n, a in theta0.entries.items()})
             d_post = ParamVector({n: 0.3 * rng.normal(size=a.shape)
                                   for n, a in theta0.entries.items()})
-            target = theta0_model.with_backbone(reconstruct(theta0, d_pre))
+            target = theta0_model.with_backbone(pv_add(theta0, d_pre))
             inputs = rng.normal(size=(6, 3))
             alpha = 0.6
             m_post = np.ones(d_post.num_params())
 
             def obj_mask(m_pre):
-                fused = masked_fuse(d_pre, d_post, m_pre, m_post, alpha)
-                merged = target.with_backbone(reconstruct(theta0, fused))
+                fused = masked_fuse(d_pre.flatten(), d_post.flatten(), m_pre, m_post, alpha)
+                merged = target.with_backbone(pv_add(theta0, d_pre.with_flat(fused)))
                 fm = forward_features(merged, inputs)
                 ft = forward_features(target, inputs)
                 s = cloud_scale * normalized_feature_scale(ft)
@@ -230,10 +229,10 @@ def test_criterion_3_endpoint_identities(capsys):
 
     worst = 0.0
     for alpha, delta in ((1.0, d_pre), (0.0, d_post)):
-        fused = masked_fuse(d_pre, d_post, ones, ones, alpha)
-        merged = ToyModel(spec=MODEL, backbone=reconstruct(theta0, fused),
+        fused = masked_fuse(d_pre.flatten(), d_post.flatten(), ones, ones, alpha)
+        merged = ToyModel(spec=MODEL, backbone=pv_add(theta0, d_pre.with_flat(fused)),
                           heads={"t": head})
-        endpoint = ToyModel(spec=MODEL, backbone=reconstruct(theta0, delta),
+        endpoint = ToyModel(spec=MODEL, backbone=pv_add(theta0, delta),
                             heads={"t": head})
         worst = max(
             worst,
@@ -252,8 +251,8 @@ def test_criterion_4_schedule_conformance(capsys):
     d_pre = ParamVector({n: 0.3 * rng.normal(size=a.shape) for n, a in theta0.entries.items()})
     d_post = ParamVector({n: 0.3 * rng.normal(size=a.shape) for n, a in theta0.entries.items()})
     cfg = FusionConfig(ot_epochs=10)
-    pre_target = theta0_model.with_backbone(reconstruct(theta0, d_pre))
-    post_target = theta0_model.with_backbone(reconstruct(theta0, d_post))
+    pre_target = theta0_model.with_backbone(pv_add(theta0, d_pre))
+    post_target = theta0_model.with_backbone(pv_add(theta0, d_post))
     inputs = rng.normal(size=(12, 3))
     masks = (np.ones(d_pre.num_params()), np.ones(d_post.num_params()))
     opts = {"pre": _MaskOptimizer(masks[0], cfg), "post": _MaskOptimizer(masks[1], cfg)}
@@ -304,7 +303,7 @@ def test_criterion_5_alignment_efficacy(capsys):
                + l1_shift(final_model, sfts[-1], post_inputs))
 
     *_, ta_prev, ta_full = (
-        ToyModel(spec=MODEL, backbone=reconstruct(theta0.backbone, merged), heads={})
+        ToyModel(spec=MODEL, backbone=pv_add(theta0.backbone, merged), heads={})
         for merged in baseline_fold("task_arithmetic", BaselineConfig(scaling=0.3), deltas)
     )
     ta_l1 = (l1_shift(ta_full, ta_prev, pre_inputs)
@@ -337,7 +336,7 @@ def test_criterion_6_forgetting_comparison(capsys):
                 if step == 1:
                     continue
                 model = ToyModel(spec=MODEL,
-                                 backbone=reconstruct(theta0.backbone, merged),
+                                 backbone=pv_add(theta0.backbone, merged),
                                  heads=sft_heads)
                 for i in range(1, step + 1):
                     mat_b.set(step, i,

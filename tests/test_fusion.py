@@ -5,6 +5,7 @@ import logging
 import numpy as np
 import pytest
 
+from conftest import cross_entropy_loss
 from otmf import fusion as fusion_module
 from otmf import metrics as metrics_module
 from otmf import models as models_module
@@ -19,7 +20,6 @@ from otmf.fusion import (
     head_finetune,
     masked_fuse,
     ot_mask_epoch,
-    reconstruct,
 )
 from otmf.metrics import normalized_feature_scale
 from otmf.models import (
@@ -27,14 +27,13 @@ from otmf.models import (
     ModelSpec,
     ToyModel,
     backward,
-    cross_entropy_loss,
     forward_features,
     init_head,
     init_model,
     task_vector,
     train_sft,
 )
-from otmf.params import ParamVector
+from otmf.params import ParamVector, pv_add
 from otmf.sinkhorn import SinkhornConfig, sinkhorn_distance, sinkhorn_grad_features
 from otmf.taskgen import TaskStreamSpec, generate_stream
 
@@ -78,18 +77,16 @@ def test_config_validation():
 
 def test_masked_fuse_endpoints(rng):
     theta0_model, (d_pre, d_post), *_ = world(seed=1)
+    pre, post = d_pre.flatten(), d_post.flatten()
     m_pre, m_post = ones(d_pre)
-    fused_pre = masked_fuse(d_pre, d_post, m_pre, m_post, alpha=1.0)
-    fused_post = masked_fuse(d_pre, d_post, m_pre, m_post, alpha=0.0)
-    assert fused_pre == d_pre
-    assert fused_post == d_post
+    fused_pre = masked_fuse(pre, post, m_pre, m_post, alpha=1.0)
+    fused_post = masked_fuse(pre, post, m_pre, m_post, alpha=0.0)
+    assert np.array_equal(fused_pre, pre)
+    assert np.array_equal(fused_post, post)
     x = rng.normal(size=(5, 3))
-    pre_model = theta0_model.with_backbone(
-        reconstruct(theta0_model.backbone, d_pre)
-    )
-    merged = theta0_model.with_backbone(
-        reconstruct(theta0_model.backbone, fused_pre)
-    )
+    theta0 = theta0_model.backbone
+    pre_model = theta0_model.with_backbone(pv_add(theta0, d_pre))
+    merged = theta0_model.with_backbone(pv_add(theta0, d_pre.with_flat(fused_pre)))
     np.testing.assert_allclose(
         forward_features(merged, x), forward_features(pre_model, x), atol=1e-15
     )
@@ -97,10 +94,16 @@ def test_masked_fuse_endpoints(rng):
 
 def test_masked_fuse_convexity(rng):
     _, (d_pre, d_post), *_ = world(seed=2)
+    pre, post = d_pre.flatten(), d_post.flatten()
     m_pre = rng.normal(size=d_pre.num_params())
     m_post = rng.normal(size=d_post.num_params())
-    fused = masked_fuse(d_pre, d_post, m_pre, m_post, alpha=0.7)
+    fused = masked_fuse(pre, post, m_pre, m_post, alpha=0.7)
+    # written into a given buffer, the same bits
+    out = np.empty_like(pre)
+    assert masked_fuse(pre, post, m_pre, m_post, alpha=0.7, out=out) is out
+    assert np.array_equal(out, fused)
     # the per-layer formula on each layer's slice of the flat masks, bit-exact
+    fused = d_pre.with_flat(fused)
     ofs = 0
     for n in d_pre.layers():
         shape, size = d_pre[n].shape, d_pre[n].size
@@ -110,29 +113,34 @@ def test_masked_fuse_convexity(rng):
         assert np.array_equal(fused[n], expected)
         ofs += size
     with pytest.raises(ConfigError):
-        masked_fuse(d_pre, d_post, m_pre, m_post, alpha=-0.1)
+        masked_fuse(pre, post, m_pre, m_post, alpha=-0.1)
 
 
 def test_masked_fuse_rejects_mismatched_shapes():
     _, (d_pre, d_post), *_ = world(seed=2)
-    n = d_pre.num_params()
+    pre, post = d_pre.flatten(), d_post.flatten()
+    n = pre.size
     # the same number of entries in another layout
-    other = ParamVector({"w": np.ones(n)})
     with pytest.raises(ShapeMismatchError):
-        masked_fuse(d_pre, other, np.ones(n), np.ones(n), 0.5)
+        masked_fuse(pre, post.reshape(n, 1), np.ones(n), np.ones(n), 0.5)
     # a length-1 mask would broadcast; a column or a short mask would not fit
     for bad in (np.ones(1), np.ones(n - 1), np.ones((n, 1))):
         with pytest.raises(ShapeMismatchError):
-            masked_fuse(d_pre, d_post, bad, np.ones(n), 0.5)
+            masked_fuse(pre, post, bad, np.ones(n), 0.5)
         with pytest.raises(ShapeMismatchError):
-            masked_fuse(d_pre, d_post, np.ones(n), bad, 0.5)
+            masked_fuse(pre, post, np.ones(n), bad, 0.5)
 
 
-def test_reconstruct_is_addition(rng):
-    theta0_model, (delta, _), *_ = world(seed=3)
-    theta = reconstruct(theta0_model.backbone, delta)
+def test_flat_step_backbone_is_theta0_plus_delta(rng):
+    theta0_model, (d_pre, d_post), *_ = world(seed=3)
+    masks = (rng.normal(size=d_pre.num_params()), rng.normal(size=d_post.num_params()))
+    step = FlatStep(theta0_model, d_pre, d_post)
+    backbone = step.fuse(masks, 0.7)
+    delta = masked_fuse(d_pre.flatten(), d_post.flatten(), *masks, 0.7)
+    assert np.array_equal(step.delta, delta)
+    theta = pv_add(theta0_model.backbone, d_pre.with_flat(delta))
     for n in theta.layers():
-        np.testing.assert_array_equal(theta[n], theta0_model.backbone[n] + delta[n])
+        assert np.array_equal(backbone[n], theta[n])
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +148,8 @@ def test_reconstruct_is_addition(rng):
 
 
 def _reg_plan(theta0, d_pre, d_post, m_pre, m_post, target, inputs, cfg, init=None):
-    fused = masked_fuse(d_pre, d_post, m_pre, m_post, cfg.alpha)
-    merged = target.with_backbone(reconstruct(theta0, fused))
+    fused = masked_fuse(d_pre.flatten(), d_post.flatten(), m_pre, m_post, cfg.alpha)
+    merged = target.with_backbone(pv_add(theta0, d_pre.with_flat(fused)))
     fm = forward_features(merged, inputs)
     ft = forward_features(target, inputs)
     s = normalized_feature_scale(ft)
@@ -158,7 +166,7 @@ def test_mask_gradient_matches_fd(side):
         sinkhorn=SinkhornConfig(epsilon=0.1, max_iters=20000, tolerance=1e-14),
     )
     target_delta = d_pre if side == "pre" else d_post
-    target = theta0_model.with_backbone(reconstruct(theta0, target_delta))
+    target = theta0_model.with_backbone(pv_add(theta0, target_delta))
     inputs = pools[0][:8]
     m_pre, m_post = ones(d_pre)
 
@@ -206,7 +214,7 @@ def test_ot_loss_decreases_toward_target():
     theta0_model, (d_pre, d_post), _, _, pools = world(seed=5)
     theta0 = theta0_model.backbone
     cfg = FusionConfig(alpha=0.5, mask_lr=0.1)
-    target = theta0_model.with_backbone(reconstruct(theta0, d_pre))
+    target = theta0_model.with_backbone(pv_add(theta0, d_pre))
     inputs = pools[0]
     masks = ones(d_pre)
     opt = _MaskOptimizer(masks[0], cfg)
@@ -220,12 +228,12 @@ def test_ot_loss_decreases_toward_target():
 
 def _reference_epoch(masks, theta0_model, d_pre, d_post, target, inputs, side, cfg, opt,
                      solver):
-    """The epoch that ot_mask_epoch replaces: masked_fuse, reconstruct,
-    both models' features, the solve, and a backward pass from a second
-    forward trace of the merged model."""
+    """The epoch that ot_mask_epoch replaces: masked_fuse, the merged
+    backbone as a ParamVector, both models' features, the solve, and a
+    backward pass from a second forward trace of the merged model."""
     m_pre, m_post = masks
-    fused = masked_fuse(d_pre, d_post, m_pre, m_post, cfg.alpha)
-    merged = target.with_backbone(reconstruct(theta0_model.backbone, fused))
+    fused = masked_fuse(d_pre.flatten(), d_post.flatten(), m_pre, m_post, cfg.alpha)
+    merged = target.with_backbone(pv_add(theta0_model.backbone, d_pre.with_flat(fused)))
     fm = forward_features(merged, inputs)
     ft = forward_features(target, inputs)
     s = normalized_feature_scale(ft)
@@ -244,8 +252,8 @@ def test_flat_epoch_equals_the_param_vector_composition(alpha):
     theta0_model, (d_pre, d_post), _, _, pools = world(seed=21)
     theta0 = theta0_model.backbone
     cfg = FusionConfig(alpha=alpha)
-    models = {"pre": theta0_model.with_backbone(reconstruct(theta0, d_pre)),
-              "post": theta0_model.with_backbone(reconstruct(theta0, d_post))}
+    models = {"pre": theta0_model.with_backbone(pv_add(theta0, d_pre)),
+              "post": theta0_model.with_backbone(pv_add(theta0, d_post))}
     inputs = {"pre": pools[0], "post": pools[1]}
     step = FlatStep(theta0_model, d_pre, d_post)
     targets = {side: OTTarget.of(models[side], inputs[side]) for side in models}
@@ -300,8 +308,8 @@ def test_alternation_schedule_and_frozen_state():
     theta0_model, (d_pre, d_post), _, _, pools = world(seed=6)
     theta0 = theta0_model.backbone
     cfg = FusionConfig(ot_epochs=10)
-    pre_target = theta0_model.with_backbone(reconstruct(theta0, d_pre))
-    post_target = theta0_model.with_backbone(reconstruct(theta0, d_post))
+    pre_target = theta0_model.with_backbone(pv_add(theta0, d_pre))
+    post_target = theta0_model.with_backbone(pv_add(theta0, d_post))
     masks = ones(d_pre)
     opts = {"pre": _MaskOptimizer(masks[0], cfg), "post": _MaskOptimizer(masks[1], cfg)}
     pre_snapshot = d_pre.flatten().copy()
@@ -346,7 +354,7 @@ def test_mask_epochs_warm_start_from_their_side_duals(monkeypatch):
     theta0_model, (d_pre, d_post), _, _, pools = world(seed=16)
     theta0 = theta0_model.backbone
     cfg = FusionConfig(ot_epochs=4)
-    targets = {side: OTTarget.of(theta0_model.with_backbone(reconstruct(theta0, d)), pools[0])
+    targets = {side: OTTarget.of(theta0_model.with_backbone(pv_add(theta0, d)), pools[0])
                for side, d in (("pre", d_pre), ("post", d_post))}
     step = FlatStep(theta0_model, d_pre, d_post)
     masks = ones(d_pre)
@@ -416,9 +424,8 @@ def test_each_gradient_runs_one_forward_pass(monkeypatch):
     monkeypatch.setattr(fusion_module, "backward",
                         lambda *a, **k: backwards.append(1) or backward(*a, **k))
     # and each mask epoch runs one forward trace, whose backward pass reuses
-    # it; per step there are 4 more per pair loss (merged and target
-    # features on each side), 2 for the targets' OT features and 1 for the
-    # head re-tune
+    # it; per step there are 2 more per pair loss (the merged features on
+    # each side), 2 for the targets' OT features and 1 for the head re-tune
     traces.clear()
     monkeypatch.setattr(fusion_module, "_forward_trace",
                         lambda *a: traces.append(1) or trace(*a))
@@ -426,7 +433,45 @@ def test_each_gradient_runs_one_forward_pass(monkeypatch):
     continual_merge(theta0_model, stream(deltas, heads, batches, pools), cfg, seed=0)
     steps = len(deltas) - 1
     assert len(backwards) == steps * cfg.ot_epochs
-    assert len(traces) == steps * (cfg.ot_epochs + 2 * 4 + 2 + 1)
+    assert len(traces) == steps * (cfg.ot_epochs + 2 * 2 + 2 + 1)
+
+
+def test_pair_losses_are_the_shift_metric_without_calling_it(monkeypatch):
+    theta0_model, deltas, heads, batches, pools = world(seed=22, T=3)
+    cfg = FusionConfig(ot_epochs=4, batch_size=8)
+    shift = metrics_module.sinkhorn_shift
+
+    def no_shift(*a, **k):
+        raise AssertionError("continual_merge called metrics.sinkhorn_shift")
+
+    # each step's task vectors and OT batches (pre, then post)
+    steps, ot_batches = [], []
+
+    class RecordingStep(FlatStep):
+        def __init__(self, theta0_model, pre, post):
+            steps.append((pre, post))
+            super().__init__(theta0_model, pre, post)
+
+    ot_batch = fusion_module._ot_batch
+    monkeypatch.setattr(metrics_module, "sinkhorn_shift", no_shift)
+    monkeypatch.setattr(fusion_module, "FlatStep", RecordingStep)
+    monkeypatch.setattr(fusion_module, "_ot_batch",
+                        lambda *a: ot_batches.append(ot_batch(*a)) or ot_batches[-1])
+    _, _, logs = continual_merge(theta0_model, stream(deltas, heads, batches, pools), cfg,
+                                 seed=0)
+    assert len(logs) == len(steps) == 2 and len(ot_batches) == 4
+    theta0 = theta0_model.backbone
+    for lg, (pre, post), pre_batch, post_batch in zip(
+            logs, steps, ot_batches[0::2], ot_batches[1::2]):
+        # the cold initial pair loss is the eval-side shift metric on the
+        # ParamVector models, bit for bit
+        unit = np.ones(pre.num_params())
+        fused = masked_fuse(pre.flatten(), post.flatten(), unit, unit, cfg.alpha)
+        merged = theta0_model.with_backbone(pv_add(theta0, pre.with_flat(fused)))
+        pre_target = theta0_model.with_backbone(pv_add(theta0, pre))
+        post_target = theta0_model.with_backbone(pv_add(theta0, post))
+        assert lg.initial_pair_loss == (shift(merged, pre_target, pre_batch, cfg.sinkhorn)
+                                        + shift(merged, post_target, post_batch, cfg.sinkhorn))
 
 
 # ---------------------------------------------------------------------------
@@ -494,9 +539,8 @@ def test_first_mask_loop_solves_start_from_initial_pair_loss_duals(monkeypatch):
         calls.append((init, out[1]))
         return out
 
-    # the mask loop solves in fusion, the pair losses through metrics
+    # the mask loop and the pair losses solve in fusion
     monkeypatch.setattr(fusion_module, "sinkhorn_distance", record)
-    monkeypatch.setattr(metrics_module, "sinkhorn_distance", record)
     continual_merge(theta0_model, stream(deltas, heads, batches, pools), cfg, seed=0)
     # initial pair loss (pre, post), epoch 1 (pre), epoch 2 (post), final
     # pair loss (pre, post): only the initial pair-loss solves are cold, and

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import small_model
+from conftest import cross_entropy_loss, small_model
 from otmf.errors import ConfigError, DataError, NumericalError, ShapeMismatchError
 from otmf.models import (
     _forward_trace,
@@ -12,7 +12,6 @@ from otmf.models import (
     ToyModel,
     backbone_layout,
     backward,
-    cross_entropy_loss,
     forward_features,
     forward_logits,
     head_gradient,
