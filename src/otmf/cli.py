@@ -178,6 +178,10 @@ def load_config(path: str | None, seed: int | None, out: str | None) -> RunConfi
         cfg = dataclasses.replace(cfg, seeds=(seed,))
     if out is not None:
         cfg = dataclasses.replace(cfg, output_dir=out)
+    if cfg.fusion.sinkhorn.tolerance < sys.float_info.epsilon:
+        log.warning("fusion.sinkhorn.tolerance %g is below float64 epsilon: no plan can meet it; "
+                    "Sinkhorn solves stop at the rounding floor of their marginals and are "
+                    "counted as unconverged", cfg.fusion.sinkhorn.tolerance)
     return cfg
 
 
@@ -414,7 +418,7 @@ def cmd_merge(cfg: RunConfig, seed: int, method: str) -> dict:
                 for lg in logs
             ],
             # per step and side: mask-loop solves, marginal checks, Newton
-            # matvecs, fallbacks to scaling updates, unconverged solves
+            # directions, fallbacks to scaling updates, unconverged solves
             "mask_loop_solver": [
                 {"step": lg.step, **lg.solver_counts} for lg in logs
             ],

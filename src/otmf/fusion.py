@@ -25,11 +25,11 @@ sides' OT losses) are the same pass and solve, without the backward pass.
 
 Each side keeps, next to its optimizer moments, a SolverState: the dual
 potentials of its last Sinkhorn solve and counts of solves, marginal
-checks, Newton matrix-vector products, Newton fallbacks and unconverged
-solves. Consecutive epochs on one side solve nearly the same OT problem,
-so every mask-loop solve is warm-started from the side's previous
+checks, Newton directions, Newton fallbacks and unconverged solves.
+Consecutive epochs on one side solve nearly the same OT problem, so
+every mask-loop solve is warm-started from the side's previous
 potentials (the first from the step's initial pair-loss solve on that
-side) and runs Newton-CG on the dual, falling back to scaling updates if
+side) and runs Newton on the dual, falling back to scaling updates if
 Newton cannot make progress (see otmf.sinkhorn). Both the optimizers and
 the solver states are created afresh at every continual step, because
 the OT batches are redrawn per step; the initial pair loss is a cold
@@ -128,15 +128,15 @@ class SolverState:
     warm start of its next solve (after the last mask epoch, of the side's
     final pair-loss solve); the counters sum over its solves: marginal
     checks (Newton steps and fallback scaling updates; the row scaling
-    that starts every Newton finish is not one), matrix-vector products
-    with the plan in Newton directions (a scaling update costs 2), solves
-    that fell back to scaling updates, and unconverged solves.
+    that starts every Newton finish is not one), Newton directions (one
+    dense n x n solve each), solves that fell back to scaling updates, and
+    unconverged solves.
     """
 
     duals: tuple[np.ndarray, np.ndarray] | None = None
     solves: int = 0
     iters: int = 0
-    matvecs: int = 0
+    directions: int = 0
     fallbacks: int = 0
     unconverged: int = 0
 
@@ -144,8 +144,8 @@ class SolverState:
         self.duals = (plan.epsilon * plan.log_u, plan.epsilon * plan.log_v)
         self.solves += 1
         self.iters += plan.iterations_used
-        matvecs, fell_back = plan.newton
-        self.matvecs += matvecs
+        directions, fell_back = plan.newton
+        self.directions += directions
         self.fallbacks += fell_back
         self.unconverged += not plan.converged
 
@@ -423,7 +423,7 @@ def continual_merge(
             "step %d mask-loop Sinkhorn: %s", t,
             "; ".join(
                 f"{side} {n['solves']} solves, {n['iters']} marginal checks, "
-                f"{n['matvecs']} Newton matvecs (a scaling update costs 2), "
+                f"{n['directions']} Newton directions, "
                 f"{n['fallbacks']} fallbacks, {n['unconverged']} unconverged"
                 for side, n in counts.items()
             ),

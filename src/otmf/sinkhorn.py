@@ -5,24 +5,24 @@ where H(P) = -sum P_ij (log P_ij - 1), in the log domain: dual potentials
 (f, g) and P = exp((f_i + g_j - C_ij)/eps). The lambda of the d^lambda
 parameterization is 1/eps.
 
-Every solve ends in the same Newton finish at cfg.epsilon: damped inexact
-Newton ascent on the entropic dual D(f, g) = <f, r> + <g, c> - eps * sum(P)
-(Sinkhorn-Newton; Brauer, Clason, Lorenz, Wirth 2017). It begins with one
-row scaling, f += du - mean(du), g += mean(du) with du = eps*log(r/rows),
-which removes a global mass mismatch at the cost of one pass over P and
-keeps sum(f) (scaling steps ahead of Newton steps, as in
+Every solve ends in the same Newton finish at cfg.epsilon: damped Newton
+ascent on the entropic dual D(f, g) = <f, r> + <g, c> - eps * sum(P)
+(Sinkhorn-Newton; Brauer, Clason, Lorenz, Wirth 2017). It begins with
+one row scaling, f += du - mean(du), g += mean(du) with
+du = eps*log(r/rows), which removes a global mass mismatch at the cost of
+one pass over P and keeps sum(f) (scaling steps ahead of Newton steps, as in
 Sinkhorn-Newton-Sparse; Tang et al. 2024). Each step then checks the
-marginals of the plan it would return, P after the closing column scaling
-described below, solves the Newton system's Schur complement by
-Jacobi-preconditioned conjugate gradients from products with P and P^T,
-and backtracks on D. Near the optimum it converges quadratically, where
-scaling updates at eps=0.05 converge sublinearly. A warm solve starts it
-from init=(f, g), dual potentials at cfg.epsilon, typically eps*log_u and
-eps*log_v of an earlier plan on a nearby cost. A cold solve starts it from
-an annealed burn-in: from eps near max(C), halving down to the stage above
+marginals of the plan it would return, P after the closing column
+scaling described below, solves the Newton system's n x n Schur
+complement directly (one dense LU solve), and backtracks on D. Near the
+optimum it converges quadratically, where scaling updates at eps=0.05
+converge sublinearly. A warm solve starts it from init=(f, g), dual
+potentials at cfg.epsilon, typically eps*log_u and eps*log_v of an
+earlier plan on a nearby cost. A cold solve starts it from an annealed
+burn-in: from eps near max(C), halving down to the stage above
 cfg.epsilon, a few scaling updates per stage. A Newton phase that stops
-without falling back ends with one column scaling, so every plan's column
-sums are c and its mass is 1 up to rounding.
+without falling back ends with one column scaling, so every plan's
+column sums are c and its mass is 1 up to rounding.
 
 Scaling updates run in a stabilised kernel K~ = exp((f_i + g_j - C_ij)/eps)
 kept in one buffer: u = r / (K~ v), v = c / (K~^T u) are matrix-vector
@@ -32,11 +32,15 @@ the end of every stage, eps*log(u) and eps*log(v) are absorbed into
 Schmitzer 2019). In exact arithmetic the iterates equal those of
 log-sum-exp updates on (f, g). Besides the burn-in they are the fallback:
 if P is not finite or has a zero row or column sum, or no step length
-raises D, the scaling loop continues at cfg.epsilon from the Newton
-iterate. iterations_used counts marginal checks at cfg.epsilon (Newton
-steps plus fallback updates, together bounded by max_iters; burn-in
-updates and the opening row scaling are not counted); plan.newton holds
-the Newton phase's matrix-vector products and whether it fell back.
+raises D, or there is no finite Newton direction, the scaling loop
+continues at cfg.epsilon from the Newton iterate. iterations_used counts
+marginal checks at cfg.epsilon (Newton steps plus fallback updates,
+together bounded by max_iters; burn-in updates and the opening row
+scaling are not counted); plan.newton holds the number of Newton
+directions solved and whether the phase fell back.
+Both phases stop at max(cfg.tolerance, m * eps_64 * max(r)) for n x m C,
+below which a row sum of m terms cannot resolve the error (Higham 2002,
+the gamma_m bound); converged still means marginal_error <= tolerance.
 
 The fixed-plan (Danskin) gradient with respect to the input clouds is
 the gradient of the regularized objective at the optimal plan; it is
@@ -66,8 +70,7 @@ _ABSORB_BOUND = 1e3
 _ARMIJO_C = 1e-4
 _ARMIJO_HALVINGS = 30
 _ARMIJO_SLACK = 1e-13
-# floor of the Jacobi preconditioner, relative to the row sums
-_CG_DIAG_FLOOR = 1e-12
+_EPS_64 = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -143,8 +146,7 @@ class TransportPlan:
     marginal_error: float
     iterations_used: int  # marginal checks
     converged: bool  # marginal_error <= tolerance
-    # (plan matrix-vector products, fell back to scaling updates) of the
-    # solve's Newton phase
+    # (Newton directions solved, fell back to scaling updates) by Newton
     newton: tuple[int, bool] = (0, False)
 
 
@@ -241,64 +243,51 @@ def _dual(f, g, r, c, e: float, rows) -> float:
     return float(f @ r + g @ c - e * rows.sum())
 
 
-def _newton_direction(P, rows, cols, r, c, e: float, err: float):
-    """Inexact Newton direction (df, dg) of the dual, and its plan products.
+def _newton_direction(P, rows, cols, r, c, e: float):
+    """Newton direction (df, dg) of the dual, or None if it cannot be formed.
 
     The Newton system (1/e) [[diag(rows), P], [P^T, diag(cols)]] d = grad
     is reduced to its Schur complement in f,
-    S = diag(rows) - P diag(1/cols) P^T, solved by Jacobi-preconditioned
-    conjugate gradients from matrix-vector products with P and P^T only.
-    S is singular along the constant vector, which matches the null
-    direction (f + k, g - k) of the dual; the right-hand side is orthogonal
-    to it, and df is centred so that Newton steps keep the potentials'
-    gauge. CG stops at a relative residual of min(0.5, sqrt(err)) (inexact
-    Newton forcing term).
+    S = diag(rows) - P diag(1/cols) P^T, solved densely. S 1 = 0 (the null
+    direction (f + k, g - k) of the dual) and the right-hand side sums to
+    zero, so x from (S + (mean(rows)/n) 11^T) x = rhs has 1^T x = 0 and
+    solves S x = rhs: Newton steps keep the gauge sum(f). The diagonal also
+    gets m * eps_64 * max(rows), the rounding of S's entries: a plan split
+    into blocks that exchange no mass in floating point (a far cluster)
+    makes S singular along a direction that leaves the plan as it is, where
+    LU can meet an exact zero pivot. A system singular even so, or a
+    non-finite direction, gives None.
     """
+    n, m = P.shape
     inv_cols = 1.0 / cols
     rhs = e * ((r - rows) - P @ ((c - cols) * inv_cols))
-    products = 1
-    # diag(S)_i = rows_i - sum_j P_ij^2 / cols_j, floored against rounding
-    diag = rows - np.einsum("ij,ij,j->i", P, P, inv_cols)
-    np.maximum(diag, _CG_DIAG_FLOOR * rows, out=diag)
-    x = np.zeros_like(rows)
-    res = rhs.copy()
-    z = res / diag
-    p = z.copy()
-    rz = res @ z
-    stop = min(0.5, math.sqrt(err)) * math.sqrt(rhs @ rhs)
-    for _ in range(rows.shape[0]):
-        if math.sqrt(res @ res) <= stop:
-            break
-        Sp = rows * p - P @ ((P.T @ p) * inv_cols)
-        products += 2
-        pSp = p @ Sp
-        if not pSp > 0.0:
-            break
-        step = rz / pSp
-        x += step * p
-        res -= step * Sp
-        z = res / diag
-        rz, rz_old = res @ z, rz
-        p = z + (rz / rz_old) * p
-    x -= x.mean()
+    S = -((P * inv_cols) @ P.T)
+    S += rows.mean() / n
+    S.flat[:: n + 1] += rows + m * _EPS_64 * rows.max()
+    try:
+        x = np.linalg.solve(S, rhs)
+    except np.linalg.LinAlgError:
+        return None
     dg = (e * (c - cols) - P.T @ x) * inv_cols
-    return x, dg, products + 1
+    if not (np.isfinite(x).all() and np.isfinite(dg).all()):
+        return None
+    return x, dg
 
 
-def _newton(K, f, g, C, r, c, cfg: SinkhornConfig):
-    """Damped inexact Newton ascent on the dual at cfg.epsilon from (f, g),
-    after one row scaling.
+def _newton(K, f, g, C, r, c, cfg: SinkhornConfig, stop: float):
+    """Damped Newton ascent on the dual at cfg.epsilon from (f, g), after
+    one row scaling, until the marginal error is at most stop.
 
     Updates f, g in place and leaves the plan at (f, g) in K. Each step
     forms the plan, checks the marginals it will have after the caller's
-    closing column scaling, takes a Newton-CG direction and
-    backtracks on the dual (Armijo, with slack for rounding). Returns
-    (checks, products, fell_back); fell_back is set when the plan is not
-    finite, has a zero row or column sum, or no step length raises the
-    dual, and the caller then continues with scaling updates.
+    closing column scaling, takes the Newton direction and backtracks on
+    the dual (Armijo, with slack for rounding). Returns (checks,
+    directions, fell_back); fell_back is set when the plan is not finite,
+    has a zero row or column sum, has no Newton direction, or no step
+    length raises the dual: the caller then runs scaling updates.
     """
     e = cfg.epsilon
-    products = 0
+    directions = 0
     f_try, g_try = np.empty_like(f), np.empty_like(g)
     _fill_kernel(K, f, g, C, e)
     # one row scaling first: it removes a global mass mismatch, which damped
@@ -320,21 +309,24 @@ def _newton(K, f, g, C, r, c, cfg: SinkhornConfig):
     # a plan that cannot be checked is no check: the scaling loop gets the
     # whole budget, and its row/column-sum checks raise if they must
     if not (math.isfinite(dual) and rows.min() > 0.0 and cols.min() > 0.0):
-        return 0, products, True
+        return 0, directions, True
     for check in range(1, cfg.max_iters + 1):
         # the marginal error of the plan this phase returns: the closing
         # column scaling leaves its column sums at c and its row sums at
         # K @ (c / cols), so those carry the whole error
         err = float(np.abs(K @ (c / cols) - r).max())
-        if err <= cfg.tolerance:
-            return check, products, False
+        if err <= stop:
+            return check, directions, False
         if check == cfg.max_iters:
             break
-        df, dg, n = _newton_direction(K, rows, cols, r, c, e, err)
-        products += n
+        direction = _newton_direction(K, rows, cols, r, c, e)
+        if direction is None:
+            return check, directions, True
+        directions += 1
+        df, dg = direction
         slope = float((r - rows) @ df + (c - cols) @ dg)
         if not slope > 0.0:
-            return check, products, True
+            return check, directions, True
         slack = _ARMIJO_SLACK * float(np.abs(f) @ r + np.abs(g) @ c + e * rows.sum())
         t = 1.0
         for _ in range(_ARMIJO_HALVINGS + 1):
@@ -353,17 +345,17 @@ def _newton(K, f, g, C, r, c, cfg: SinkhornConfig):
                 break
             t *= 0.5
         else:
-            return check, products, True
+            return check, directions, True
         f[:], g[:] = f_try, g_try
         rows, cols, dual = rows_try, cols_try, dual_try
-    return cfg.max_iters, products, False
+    return cfg.max_iters, directions, False
 
 
-def _scale(K, f, g, C, r, c, e: float, updates: int, tolerance=None) -> int:
+def _scale(K, f, g, C, r, c, e: float, updates: int, stop=None) -> int:
     """Up to `updates` stabilised scaling updates at e from (f, g).
 
     Folds the scalings into f, g and returns the number of updates made;
-    with a tolerance, stops at the first update whose row sums meet it.
+    with a stop value, stops at the first update whose row sums meet it.
     K is left stale: the caller refills it from the new (f, g).
     """
     _fill_kernel(K, f, g, C, e)
@@ -380,7 +372,7 @@ def _scale(K, f, g, C, r, c, e: float, updates: int, tolerance=None) -> int:
         Kv = K @ v
         # column sums equal c after the v-update, so the row sums u * Kv
         # carry the whole marginal error
-        if tolerance is not None and np.abs(u * Kv - r).max() <= tolerance:
+        if stop is not None and np.abs(u * Kv - r).max() <= stop:
             break
     f += e * np.log(u)
     g += e * np.log(v)
@@ -401,11 +393,13 @@ def _sinkhorn_log(C, r, c, cfg: SinkhornConfig, init) -> TransportPlan:
                 _scale(K, f, g, C, r, c, stage, _ANNEAL_BURNIN)
         else:
             f, g = init
-        it, products, fell_back = _newton(K, f, g, C, r, c, cfg)
+        # the rounding floor of a row sum (see the module docstring)
+        stop = max(cfg.tolerance, C.shape[1] * _EPS_64 * float(r.max()))
+        it, directions, fell_back = _newton(K, f, g, C, r, c, cfg, stop)
         if fell_back:
             # the scaling loop continues from the Newton iterate with the
             # rest of the budget
-            it += _scale(K, f, g, C, r, c, e, cfg.max_iters - it, cfg.tolerance)
+            it += _scale(K, f, g, C, r, c, e, cfg.max_iters - it, stop)
             _fill_kernel(K, f, g, C, e)
         else:
             # K holds the plan at (f, g); one closing column scaling gives it
@@ -415,14 +409,15 @@ def _sinkhorn_log(C, r, c, cfg: SinkhornConfig, init) -> TransportPlan:
             g += e * np.log(v)
             K *= v
     # diag(u) K diag(v) with K = exp(-C/eps) corresponds to log_u = f/eps
-    return _finish(K, f / e, g / e, C, cfg, it, r, c, (products, fell_back))
+    return _finish(K, f / e, g / e, C, cfg, it, r, c, (directions, fell_back))
 
 
 def sinkhorn_plan(
     C: CostMatrix, marg: Marginals, cfg: SinkhornConfig, init=None
 ) -> TransportPlan:
-    """Solve until the marginal error meets cfg.tolerance or max_iters
-    marginal checks are spent.
+    """Solve until the marginal error meets cfg.tolerance, or falls below
+    what a row sum can resolve (m * eps_64 * max(r)), or max_iters marginal
+    checks are spent; converged says whether it met cfg.tolerance.
 
     init, if given, is a pair (f, g) of dual potentials at cfg.epsilon of
     shapes (n,) and (m,); the Newton finish then starts from them instead

@@ -96,6 +96,23 @@ def test_config_rejects_model_stream_mismatch(tmp_path):
         load_config(str(p), None, None)
 
 
+def test_tolerance_below_float64_epsilon_warns_once(tmp_path, caplog):
+    p = tmp_path / "cfg.json"
+    for tolerance, warnings in ((1e-300, 1), (1e-16, 1), (2.3e-16, 0), (1e-6, 0)):
+        p.write_text(json.dumps({"fusion": {"sinkhorn": {"tolerance": tolerance}}}))
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="otmf"):
+            cfg = load_config(str(p), None, None)
+        assert cfg.fusion.sinkhorn.tolerance == tolerance
+        records = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert len(records) == warnings, tolerance
+        for record in records:
+            message = record.getMessage()
+            assert "fusion.sinkhorn.tolerance" in message
+            assert "no plan can meet it" in message
+            assert "rounding floor" in message and "unconverged" in message
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -426,7 +443,7 @@ def test_merge_each_method(pipeline, method):
         [solver] = report["mask_loop_solver"]
         assert solver["step"] == 2
         assert solver["pre"]["solves"] == solver["post"]["solves"] == 3
-        assert set(solver["pre"]) == {"solves", "iters", "matvecs", "fallbacks", "unconverged"}
+        assert set(solver["pre"]) == {"solves", "iters", "directions", "fallbacks", "unconverged"}
 
 
 def test_merge_reads_each_task_checkpoint_once(pipeline, monkeypatch):
@@ -682,21 +699,25 @@ def test_merge_otmf_leaves_numpy_ma_unloaded(pipeline):
 def test_default_config_solves_all_converge(tmp_path, monkeypatch):
     # every OT solve of merge (otmf and ties) and eval on the default
     # config: the mask loop's warm solves and the cold pair-loss and shift
-    # solves alike end in a converged Newton finish
+    # solves alike end in a converged Newton finish. On seed 3 the pre
+    # side's plan at step 2 splits into two blocks, which left the dense
+    # Newton system exactly singular in LU before its diagonal shift
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"output_dir": str(tmp_path / "run")}))
-    assert run("gen", "--config", cfg) == 0
-    assert run("train", "--config", cfg) == 0
     plans = []
     solve = sinkhorn_module.sinkhorn_plan
-    monkeypatch.setattr(
-        sinkhorn_module, "sinkhorn_plan",
-        lambda *a, **k: plans.append(solve(*a, **k)) or plans[-1],
-    )
-    final = tmp_path / "run" / "seed0" / "merged" / "otmf" / "final.ckpt"
-    for args in (["merge", "--method", "otmf"], ["merge", "--method", "ties"],
-                 ["eval", "--checkpoint", final]):
-        plans.clear()
-        assert run(*args, "--config", cfg) == 0
-        assert plans, args
-        assert all(p.converged and not p.newton[1] for p in plans), args
+    for seed in (0, 3):
+        assert run("gen", "--config", cfg, "--seed", seed) == 0
+        assert run("train", "--config", cfg, "--seed", seed) == 0
+        with monkeypatch.context() as m:
+            m.setattr(
+                sinkhorn_module, "sinkhorn_plan",
+                lambda *a, **k: plans.append(solve(*a, **k)) or plans[-1],
+            )
+            final = tmp_path / "run" / f"seed{seed}" / "merged" / "otmf" / "final.ckpt"
+            for args in (["merge", "--method", "otmf"], ["merge", "--method", "ties"],
+                         ["eval", "--checkpoint", final]):
+                plans.clear()
+                assert run(*args, "--config", cfg, "--seed", seed) == 0
+                assert plans, args
+                assert all(p.converged and not p.newton[1] for p in plans), (seed, args)

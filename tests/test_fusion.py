@@ -503,7 +503,7 @@ def test_continual_merge_logs_solver_counts_per_step(caplog):
         assert "pre 3 solves" in line and "post 2 solves" in line
 
 
-def test_solver_state_counts_newton_matvecs_and_fallbacks(rng):
+def test_solver_state_counts_newton_directions_and_fallbacks(rng):
     X, Y = rng.normal(size=(64, 8)), rng.normal(size=(64, 8))
     X, Y = (Z / np.linalg.norm(Z, axis=1).mean() for Z in (X, Y))
     cfg = SinkhornConfig()
@@ -522,7 +522,7 @@ def test_solver_state_counts_newton_matvecs_and_fallbacks(rng):
     assert solver.counts() == {
         "solves": 3,
         "iters": sum(p.iterations_used for p in plans),
-        "matvecs": sum(p.newton[0] for p in plans),
+        "directions": sum(p.newton[0] for p in plans),
         "fallbacks": 1,
         "unconverged": sum(not p.converged for p in plans),
     }
@@ -577,7 +577,7 @@ def test_default_stream_seed1_mask_loop_solves_converge_without_fallback():
             counts = lg.solver_counts[side]
             assert counts["solves"] == cfg.ot_epochs // 2
             assert counts["unconverged"] == 0 and counts["fallbacks"] == 0
-            assert counts["matvecs"] > 0
+            assert counts["directions"] > 0
 
 
 def test_continual_merge_warns_on_unconverged_mask_loop_solves(caplog):

@@ -434,9 +434,11 @@ def test_converged_means_marginal_error_within_tolerance(tolerance):
 
 
 def test_cold_solve_at_unreachable_tolerance_keeps_the_budget():
-    # at 1e-300 a Newton phase with budget to spare stops near 1e-17 and
-    # falls back; Newton checks and fallback updates together stay within
-    # max_iters, burn-in not counted, and the plan keeps mass 1
+    # no plan meets 1e-300: with budget to spare, Newton stops at the floor
+    # m * eps_64 * max(r) that a row sum can resolve, after a few checks,
+    # and the solve is unconverged. Newton checks and any fallback updates
+    # together stay within max_iters, burn-in not counted, and the plan
+    # keeps mass 1
     for max_iters in (1, 5, 50, 500):
         cfg = SinkhornConfig(tolerance=1e-300, max_iters=max_iters)
         for seed in range(3):
@@ -445,6 +447,93 @@ def test_cold_solve_at_unreachable_tolerance_keeps_the_budget():
             assert 1 <= plan.iterations_used <= max_iters
             assert not plan.converged and plan.marginal_error > 0.0
             assert plan.plan.sum() == pytest.approx(1.0, rel=0, abs=1e-12)
+
+
+def test_unreachable_tolerance_stops_at_the_rounding_floor():
+    # a row sum of m positive terms resolves only about m * eps_64 of its
+    # value, so at 1e-300 cold and warm solves alike stop there within a
+    # few checks, with no fallback (exact Newton steps would otherwise go
+    # on at the floor until max_iters), and are reported unconverged
+    cfg = SinkhornConfig(tolerance=1e-300)
+    eps_64 = np.finfo(np.float64).eps
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        plans = []
+        for n in (64, 128):
+            X, Y = _unit(rng.normal(size=(n, 8))), _unit(rng.normal(size=(n, 8)))
+            plans.append(sinkhorn_distance(X, Y, cfg)[1])
+        X, Y, init = _newton_problem(rng)
+        plans.append(sinkhorn_distance(X, Y, cfg, init=init)[1])
+        for plan in plans:
+            n, m = plan.plan.shape
+            assert 1 <= plan.iterations_used <= 30 and plan.newton[1] is False, seed
+            assert not plan.converged
+            assert plan.marginal_error <= 2 * m * eps_64 * (1.0 / n), seed
+
+
+def test_newton_direction_solves_the_schur_system(rng):
+    X, Y, (f, g) = _newton_problem(rng)
+    C = pairwise_cost(X, Y).values
+    e = SinkhornConfig().epsilon
+    P = np.exp((f[:, None] + g[None, :] - C) / e)
+    rows, cols = P.sum(axis=1), P.sum(axis=0)
+    marg = Marginals.uniform(*C.shape)
+    r, c = marg.r, marg.c
+    df, dg = sinkhorn_module._newton_direction(P, rows, cols, r, c, e)
+    S = np.diag(rows) - P @ np.diag(1.0 / cols) @ P.T
+    rhs = e * ((r - rows) - P @ ((c - cols) / cols))
+    assert np.linalg.norm(S @ df - rhs) <= 1e-10 * np.linalg.norm(rhs)
+    assert abs(df.sum()) <= 1e-10 * np.abs(df).sum()
+    # (df, dg) solves the whole Newton system, whose second block row
+    # gives dg from df
+    np.testing.assert_allclose(
+        P.T @ df + cols * dg, e * (c - cols), rtol=0, atol=1e-10 * e * np.abs(c - cols).max()
+    )
+
+
+@pytest.mark.parametrize("case", ["solve-raises", "near-empty-row", "near-empty-column"])
+def test_singular_or_non_finite_newton_system_falls_back(rng, monkeypatch, case):
+    X, Y, (f, g) = _newton_problem(rng)
+    C = pairwise_cost(X, Y)
+    marg = Marginals.uniform(C.n, C.m)
+    cfg = SinkhornConfig()
+    outcomes, directions = [], []
+    newton, direction = sinkhorn_module._newton, sinkhorn_module._newton_direction
+    monkeypatch.setattr(
+        sinkhorn_module, "_newton", lambda *a: outcomes.append(newton(*a)) or outcomes[-1]
+    )
+    monkeypatch.setattr(
+        sinkhorn_module, "_newton_direction",
+        lambda *a: directions.append(direction(*a)) or directions[-1],
+    )
+    if case == "solve-raises":
+        def singular(*a, **k):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        plan = sinkhorn_plan(C, marg, cfg, init=(f, g))
+        assert directions == [None] and outcomes == [(1, 0, True)]
+        assert plan.newton == (0, True)
+        assert 1 < plan.iterations_used <= cfg.max_iters
+        return
+    # one row (column) of the starting plan at about 1e-318, out of reach of
+    # the opening row scaling. A near-empty row gives a finite direction so
+    # large that no step length raises the dual; a near-empty column
+    # overflows 1/cols and gives a non-finite one. Either way Newton falls
+    # back, and the scaling loop's kernel-sum check raises
+    if case == "near-empty-row":
+        f = f.copy()
+        f[0] -= 36.5
+    else:
+        g = g.copy()
+        g[0] -= 36.5
+    with pytest.raises(NumericalError, match="sums left the positive finite range"):
+        sinkhorn_plan(C, marg, cfg, init=(f, g))
+    [solved] = directions
+    if case == "near-empty-row":
+        assert np.isfinite(solved[0]).all() and outcomes == [(1, 1, True)]
+    else:
+        assert solved is None and outcomes == [(1, 0, True)]
 
 
 def test_max_iters_caps_newton_steps_and_fallback_updates(rng, monkeypatch):
