@@ -21,7 +21,6 @@ from .io import (
 )
 from .metrics import AccuracyMatrix, accuracy, bwt, l1_shift, sinkhorn_shift
 from .models import Batch, ModelSpec, ToyModel, forward_features, forward_logits
-from .params import ParamVector, pv_add, pv_scale, pv_sub
 from .sinkhorn import (
     CostMatrix,
     Marginals,

@@ -53,7 +53,6 @@ from .io import (
 )
 from .metrics import AccuracyMatrix, accuracy, bwt, l1_shift, sinkhorn_shift
 from .models import ModelSpec, ToyModel, forward_features, init_model, task_vector, train_sft
-from .params import ParamVector, pv_add
 from .taskgen import TaskStreamSpec, generate_stream
 
 log = logging.getLogger("otmf")
@@ -383,7 +382,7 @@ def cmd_merge(cfg: RunConfig, seed: int, method: str) -> dict:
         else:
             seen.add(tasks[i - 1][3])
 
-    def on_step(step: int, theta: ParamVector, heads: dict) -> None:
+    def on_step(step: int, theta: np.ndarray, heads: dict) -> None:
         nonlocal max_shift_n
         model = ToyModel(spec=cfg.model, backbone=theta, heads=heads)
         save_checkpoint(step_dir / f"step{step:02d}.ckpt", model)
@@ -438,7 +437,7 @@ def cmd_merge(cfg: RunConfig, seed: int, method: str) -> dict:
         fold = baseline_fold(method, cfg.baseline, task_vectors())
         for step, delta_m in enumerate(fold, start=1):
             if step >= 2:
-                final_theta = pv_add(theta0.backbone, delta_m)
+                final_theta = theta0.backbone + delta_m
                 on_step(step, final_theta, dict(heads))
     # the merge together with the per-step checkpoints and evaluation
     peak_rss_mb = _peak_rss_mb()

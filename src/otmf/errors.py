@@ -14,7 +14,7 @@ class ConfigError(OtmfError):
 
 
 class ShapeMismatchError(OtmfError):
-    """Structural mismatch between parameter vectors or arrays. Exit code 3."""
+    """Structural mismatch between arrays, parameter layouts or model specs. Exit code 3."""
 
 
 class DataError(OtmfError):

@@ -14,14 +14,16 @@ backbone and both task vectors stay frozen throughout. After mask
 training the step's merged vector is frozen and the previous task's
 classification head is lightly re-tuned on a small labeled subsample.
 
-A step runs on one flat buffer (FlatStep): the backbone and both task
-vectors are flattened once per continual step, and each side's target
-features are computed once (OTTarget). masked_fuse, the one place the
-rule above is written, writes the merged task vector into the buffer,
-next to the merged backbone. Each mask epoch takes one forward pass on the
-backbone's per-layer views, solves, and back-propagates from that pass
-into a flat gradient; the initial and final pair losses (the sum of both
-sides' OT losses) are the same pass and solve, without the backward pass.
+The backbone, the task vectors and the masks are flat arrays of one shape
+(otmf.models). A step runs on one flat buffer (FlatStep) next to the
+frozen backbone and both task vectors, and each side's target features
+are computed once (OTTarget). masked_fuse, the one place the rule above
+is written, writes the merged task vector into the buffer, next to the
+merged backbone. Each mask epoch takes one forward pass on the backbone's
+per-layer views, solves, and back-propagates from that pass into a flat
+gradient; the initial and final pair losses (the sum of both sides' OT
+losses) are the same pass and solve, without the backward pass. The
+step's merged vectors are the buffer itself.
 
 Each side keeps, next to its optimizer moments, a SolverState: the dual
 potentials of its last Sinkhorn solve and counts of solves, marginal
@@ -51,14 +53,16 @@ from .errors import ConfigError, DataError, ShapeMismatchError
 from .metrics import normalized_feature_scale
 from .models import (
     Batch,
+    Head,
     ModelSpec,
     ToyModel,
     _forward_trace,
+    backbone_layout,
     backward,
     forward_features,
     head_gradient,
+    layer_views,
 )
-from .params import ParamVector, layer_views, pv_add
 from .sinkhorn import (
     SinkhornConfig,
     TransportPlan,
@@ -94,10 +98,16 @@ class FusionConfig:
             raise ConfigError("mask_lr must be > 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if self.head_epochs < 0:
+            raise ConfigError("head_epochs must be >= 0")
+        if self.head_lr <= 0:
+            raise ConfigError("head_lr must be > 0")
+        if not 0.0 < self.head_fraction <= 1.0:
+            raise ConfigError(f"head_fraction must be in (0, 1], got {self.head_fraction}")
 
 
-# a mask pair (pre, post): float64 arrays in the task vectors' flatten()
-# order, elementwise multipliers that start at exactly 1
+# a mask pair (pre, post): float64 arrays the shape of the flat task
+# vectors, elementwise multipliers that start at exactly 1
 Masks = tuple[np.ndarray, np.ndarray]
 
 
@@ -184,26 +194,25 @@ def masked_fuse(
 
 
 class FlatStep:
-    """One continual step's frozen backbone and task vectors, flat.
+    """One continual step's frozen backbone and task vectors.
 
-    theta0, pre and post are flat arrays in the backbone's flatten()
-    order. fuse() writes the merged task vector (masked_fuse) into delta
+    theta0, pre and post are flat arrays of one shape, read and never
+    written. fuse() writes the merged task vector (masked_fuse) into delta
     and the merged backbone theta0 + delta into theta, and returns theta's
     per-layer views.
     """
 
-    def __init__(self, theta0_model: ToyModel, pre: ParamVector, post: ParamVector):
-        layout = theta0_model.backbone.signature()
-        for side, delta in (("pre", pre), ("post", post)):
-            if delta.signature() != layout:
-                raise ShapeMismatchError(
-                    f"{side} task vector layout {delta} differs from the backbone")
+    def __init__(self, theta0_model: ToyModel, pre: np.ndarray, post: np.ndarray):
         self.spec = theta0_model.spec
-        self.theta0 = theta0_model.backbone.flatten()
-        self.pre, self.post = pre.flatten(), post.flatten()
+        self.theta0 = theta0_model.backbone
+        for side, delta in (("pre", pre), ("post", post)):
+            if np.shape(delta) != self.theta0.shape:
+                raise ShapeMismatchError(f"{side} task vector has shape {np.shape(delta)}, "
+                                         f"the backbone {self.theta0.shape}")
+        self.pre, self.post = pre, post
         self.delta = np.empty_like(self.theta0)
         self.theta = np.empty_like(self.theta0)
-        self.backbone = layer_views(self.theta, layout)
+        self.backbone = layer_views(self.theta, backbone_layout(self.spec))
 
     def fuse(self, masks: Masks, alpha: float) -> dict[str, np.ndarray]:
         masked_fuse(self.pre, self.post, *masks, alpha, out=self.delta)
@@ -301,20 +310,19 @@ def head_finetune(
     labeled_subset: Batch,
     epochs: int,
     lr: float,
-) -> ParamVector:
+) -> Head:
     """Cross-entropy gradient descent on one head. The backbone is frozen,
-    so the subset's features are computed once; the epochs update plain
-    arrays."""
+    so the subset's features are computed once."""
     if labeled_subset.size == 0:
         raise DataError("empty labeled subset")
     if task not in merged_model.heads:
         raise DataError(f"model has no head for task '{task}'")
-    head = dict(merged_model.heads[task].entries)
+    head = merged_model.heads[task]
     feats = forward_features(merged_model, labeled_subset.inputs)
     for _ in range(epochs):
         g, _ = head_gradient(feats, head, labeled_subset.labels)
         head = {n: head[n] - lr * g[n] for n in ("weight", "bias")}
-    return ParamVector(head)
+    return dict(head)
 
 
 @dataclass
@@ -328,9 +336,9 @@ class StepLog:
     solver_counts: dict[str, dict[str, int]] = field(default_factory=dict)
 
 
-# a task as streamed: (task vector, classification head, train batch,
+# a task as streamed: (flat task vector, classification head, train batch,
 # unlabeled set)
-Task = tuple[ParamVector, ParamVector, Batch, np.ndarray]
+Task = tuple[np.ndarray, Head, Batch, np.ndarray]
 
 
 def _ot_batch(rng: np.random.Generator, pool: np.ndarray, size: int) -> np.ndarray:
@@ -359,29 +367,34 @@ def continual_merge(
     tasks: Iterable[Task],
     cfg: FusionConfig,
     seed: int = 0,
-    on_step: Callable[[int, ParamVector, dict[str, ParamVector]], None] | None = None,
-) -> tuple[ParamVector, dict[str, ParamVector], list[StepLog]]:
+    on_step: Callable[[int, np.ndarray, dict[str, Head]], None] | None = None,
+) -> tuple[np.ndarray, dict[str, Head], list[StepLog]]:
     """Stream the tasks through alternating OT mask training.
 
     Tasks are pulled one at a time, in stream order, so a lazy iterable
     keeps one incoming task vector resident next to the merged one. The
     seen tasks' unlabeled sets are kept for the pre-side OT batch, and the
     previous task's train batch for its head re-tune. on_step, if given,
-    receives (step, merged parameters, heads) after each step. Returns the
-    final merged parameters, the heads and the per-step logs. A stream of
-    fewer than two tasks raises DataError once it is exhausted.
+    receives (step, merged backbone, heads) after each step. Returns the
+    final merged backbone, the heads and the per-step logs. A task vector
+    whose shape is not the backbone's raises ShapeMismatchError, and a
+    stream of fewer than two tasks raises DataError once it is exhausted.
     """
     rng = np.random.default_rng(seed)
-    theta0 = theta0_model.backbone
-    heads: dict[str, ParamVector] = {}
+    spec, theta0 = theta0_model.spec, theta0_model.backbone
+    heads: dict[str, Head] = {}
     seen_unlabeled: list[np.ndarray] = []
     logs: list[StepLog] = []
 
     t = 0
     for t, (incoming, head, train, unlabeled) in enumerate(tasks, start=1):
+        if np.shape(incoming) != theta0.shape:
+            raise ShapeMismatchError(f"task {t}'s vector has shape {np.shape(incoming)}, "
+                                     f"the backbone {theta0.shape}")
         heads[f"task{t:02d}"] = head
         if t == 1:
-            merged, merged_theta, prev_train = incoming, pv_add(theta0, incoming), train
+            merged, prev_train = incoming, train
+            merged_model = ToyModel(spec=spec, backbone=theta0 + incoming)
             seen_unlabeled.append(unlabeled)
             continue
 
@@ -389,9 +402,8 @@ def continual_merge(
         pre_batch = _ot_batch(rng, np.concatenate(seen_unlabeled), cfg.batch_size)
         post_batch = _ot_batch(rng, unlabeled, cfg.batch_size)
         seen_unlabeled.append(unlabeled)
-        pre_target = OTTarget.of(theta0_model.with_backbone(merged_theta), pre_batch)
-        post_target = OTTarget.of(
-            theta0_model.with_backbone(pv_add(theta0, incoming)), post_batch)
+        pre_target = OTTarget.of(merged_model, pre_batch)
+        post_target = OTTarget.of(ToyModel(spec=spec, backbone=theta0 + incoming), post_batch)
         flat = FlatStep(theta0_model, merged, incoming)
 
         def _pair_loss(masks: Masks, pre: SolverState, post: SolverState) -> float:
@@ -435,12 +447,12 @@ def continual_merge(
         # the final masks' fuse in flat's buffers: the step's merged vectors
         final_pair_loss = _pair_loss(
             masks, SolverState(duals=solver_pre.duals), SolverState(duals=solver_post.duals))
-        merged = incoming.with_flat(flat.delta)
-        merged_theta = theta0.with_flat(flat.theta)
+        merged = flat.delta
+        # a merge that overflowed fails here, before on_step sees it
+        merged_model = ToyModel(spec=spec, backbone=flat.theta, heads=heads)
 
         # light re-tune of the pre task's head on a labeled subsample
         prev_task = f"task{t - 1:02d}"
-        merged_model = ToyModel(spec=theta0_model.spec, backbone=merged_theta, heads=dict(heads))
         subset = subsample_labeled(prev_train, cfg.head_fraction, seed=seed + t)
         heads[prev_task] = head_finetune(
             merged_model, prev_task, subset, cfg.head_epochs, cfg.head_lr
@@ -448,7 +460,7 @@ def continual_merge(
         prev_train = train
 
         if on_step is not None:
-            on_step(t, merged_theta, dict(heads))
+            on_step(t, merged_model.backbone, dict(heads))
 
         logs.append(
             StepLog(
@@ -463,4 +475,4 @@ def continual_merge(
 
     if t < 2:
         raise DataError("continual merging needs at least 2 task vectors")
-    return merged_theta, heads, logs
+    return merged_model.backbone, heads, logs

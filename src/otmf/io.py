@@ -1,8 +1,11 @@
 """Deterministic on-disk formats for checkpoints, datasets, and reports.
 
 Checkpoints are a self-describing container: a UTF-8 text header carrying
-the format version, the model spec, and the full shape signature, followed
-by the raw little-endian float64 payload of every declared array in order.
+the format version, the model spec, and the name and shape of every array,
+followed by the raw little-endian float64 payload of every declared array
+in order. The backbone's arrays come first, in backbone_layout order, so
+its payload is the flat backbone; each head follows as its weight, then
+its bias.
 Datasets and feature clouds are delimited numeric matrices with a one-line
 header. Reports are sorted-key JSON. Every writer is byte-deterministic:
 identical inputs produce identical files.
@@ -11,13 +14,13 @@ identical inputs produce identical files.
 from __future__ import annotations
 
 import json
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeMismatchError
-from .models import Batch, ModelSpec, ToyModel
-from .params import ParamVector
+from .models import Batch, ModelSpec, ToyModel, backbone_layout
 
 _CKPT_MAGIC = "otmf-checkpoint"
 _CKPT_VERSION = 1
@@ -28,33 +31,32 @@ _FLOAT_FMT = "%.17g"  # shortest round-trip decimal for float64
 # checkpoints
 
 
-def _header_lines(model: ToyModel) -> list[str]:
+def _declared_arrays(spec: ModelSpec, heads: list[tuple[str, int]]):
+    """Name and shape of each array a checkpoint of spec declares, given
+    its heads' (task, class count) pairs in file order."""
+    arrays = [("backbone/" + name, shape) for name, shape in backbone_layout(spec)]
+    for task, k in heads:
+        arrays += [(f"head/{task}/weight", (k, spec.feature_dim)), (f"head/{task}/bias", (k,))]
+    return arrays
+
+
+def save_checkpoint(path: str | Path, model: ToyModel) -> None:
+    path = Path(path)
+    tasks = sorted(model.heads)
     lines = [
         f"{_CKPT_MAGIC} v{_CKPT_VERSION}",
         "layer_dims " + " ".join(str(d) for d in model.spec.layer_dims),
         f"activation {model.spec.activation}",
     ]
-    for name, shape in model.backbone.signature():
-        lines.append("array backbone/" + name + " " + " ".join(str(s) for s in shape))
-    for task in sorted(model.heads):
-        for name, shape in model.heads[task].signature():
-            lines.append(
-                f"array head/{task}/{name} " + " ".join(str(s) for s in shape)
-            )
+    for name, shape in _declared_arrays(
+            model.spec, [(t, model.heads[t]["bias"].size) for t in tasks]):
+        lines.append(f"array {name} " + " ".join(str(s) for s in shape))
     lines.append("data")
-    return lines
-
-
-def save_checkpoint(path: str | Path, model: ToyModel) -> None:
-    path = Path(path)
-    payload = bytearray()
-    for _, arr in model.backbone.entries.items():
-        payload += np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    for task in sorted(model.heads):
-        for _, arr in model.heads[task].entries.items():
-            payload += np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    header = "\n".join(_header_lines(model)) + "\n"
-    path.write_bytes(header.encode("utf-8") + bytes(payload))
+    payload = bytearray(model.backbone.astype("<f8").tobytes())
+    for task in tasks:
+        for name in ("weight", "bias"):
+            payload += model.heads[task][name].astype("<f8").tobytes()
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8") + bytes(payload))
 
 
 def load_checkpoint(path: str | Path) -> ToyModel:
@@ -86,30 +88,28 @@ def load_checkpoint(path: str | Path) -> ToyModel:
                 f"{path}: payload has {len(payload)} bytes, header declares {expected}"
             )
 
-        backbone: dict[str, np.ndarray] = {}
-        heads: dict[str, dict[str, np.ndarray]] = {}
-        ofs = 0
-        for name, shape in arrays:
-            size = int(np.prod(shape))
-            arr = np.frombuffer(payload, dtype="<f8", count=size, offset=ofs).reshape(shape)
-            ofs += size * 8
-            kind, rest = name.split("/", 1)
-            if kind == "backbone":
-                backbone[rest] = arr
-            elif kind == "head":
-                task, pname = rest.split("/", 1)
-                heads.setdefault(task, {})[pname] = arr
-            else:
-                raise DataError(f"{path}: unknown array group '{kind}'")
+        # the arrays must be the spec's layout: the backbone's, then a
+        # weight and a bias per head, named, ordered and shaped as it says
+        n_back = len(backbone_layout(spec))
+        heads = [(name.split("/")[1], shape[0] if shape else 0)
+                 for name, shape in arrays[n_back::2] if name.startswith("head/")]
+        for got, want in zip_longest(arrays, _declared_arrays(spec, heads)):
+            if got != want:
+                raise DataError(f"{path}: declares array {got}, its spec's layout has {want}")
+        tasks = [task for task, _ in heads]
+        if tasks != sorted(set(tasks)):
+            raise DataError(f"{path}: heads {tasks} are not in sorted order, each once")
+        values = np.frombuffer(payload, dtype="<f8")
+        ofs = sum(int(np.prod(s)) for _, s in arrays[:n_back])
+        backbone, model_heads = values[:ofs], {}
+        for task, k in heads:
+            weight = values[ofs : ofs + k * spec.feature_dim].reshape(k, spec.feature_dim)
+            ofs += k * spec.feature_dim
+            model_heads[task] = {"weight": weight, "bias": values[ofs : ofs + k]}
+            ofs += k
     except (ValueError, IndexError, ConfigError) as exc:
         raise DataError(f"{path}: malformed checkpoint header: {exc}") from exc
-    if not backbone:
-        raise DataError(f"{path}: checkpoint declares no backbone arrays")
-    return ToyModel(
-        spec=spec,
-        backbone=ParamVector(backbone),
-        heads={t: ParamVector(e) for t, e in heads.items()},
-    )
+    return ToyModel(spec=spec, backbone=backbone, heads=model_heads)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Small feed-forward classifiers with manual forward/backward passes.
 
 A ToyModel is a stack of affine+nonlinearity layers (the shared backbone)
-plus one affine classification head per task. Features are the activations
+plus one affine classification head per task. The backbone is one flat
+float64 array, its layers' arrays one after another in backbone_layout
+order; layer_views reads it layer by layer without copying. The task
+vectors that merging combines are flat arrays of the same length, and a
+head is a {"weight", "bias"} dict of arrays. Features are the activations
 of the last backbone layer; logits are the head applied to those features.
 Gradients are computed by hand-written reverse mode over the fixed layer
 list and are validated against central finite differences in the tests.
@@ -11,15 +15,18 @@ leading axis, which is how fine-tuning trains several models as one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError, ShapeMismatchError
-from .params import ParamVector, layer_views, pv_sub
 
 _ACTIVATIONS = ("tanh", "relu")
+
+# a classification head: {"weight": k x feature_dim, "bias": k}
+Head = dict[str, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -73,16 +80,48 @@ class Batch:
         return self.inputs.shape[0]
 
 
+def _frozen(values, what: str) -> np.ndarray:
+    """A write-protected float64 copy of values; NumericalError unless finite."""
+    a = np.array(values, dtype=np.float64, copy=True)
+    if not np.isfinite(a).all():
+        raise NumericalError(f"{what} contains non-finite values")
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class ToyModel:
-    spec: ModelSpec
-    backbone: ParamVector
-    heads: dict[str, ParamVector] = field(default_factory=dict)
+    """A backbone, flat in backbone_layout(spec) order, and per-task heads.
 
-    def with_backbone(self, backbone: ParamVector) -> "ToyModel":
-        if backbone.signature() != self.backbone.signature():
-            raise ShapeMismatchError("replacement backbone has a different layout")
-        return replace(self, backbone=backbone)
+    Construction keeps write-protected copies of every array. It raises
+    ShapeMismatchError unless the backbone has the spec's parameter count
+    and each head a (k, feature_dim) weight and a (k,) bias with k >= 1,
+    and NumericalError on a non-finite parameter.
+    """
+
+    spec: ModelSpec
+    backbone: np.ndarray
+    heads: dict[str, Head] = field(default_factory=dict)
+
+    def __post_init__(self):
+        size = sum(math.prod(shape) for _, shape in backbone_layout(self.spec))
+        backbone = _frozen(self.backbone, "backbone")
+        if backbone.shape != (size,):
+            raise ShapeMismatchError(
+                f"backbone has shape {backbone.shape}, the spec needs ({size},)")
+        heads = {}
+        for task, head in self.heads.items():
+            if set(head) != {"weight", "bias"}:
+                raise ShapeMismatchError(f"head '{task}' has arrays {sorted(head)}")
+            w = _frozen(head["weight"], f"head '{task}'")
+            b = _frozen(head["bias"], f"head '{task}'")
+            if b.ndim != 1 or b.size < 1 or w.shape != (b.size, self.spec.feature_dim):
+                raise ShapeMismatchError(
+                    f"head '{task}' has weight {w.shape} and bias {b.shape}, expected "
+                    f"(k, {self.spec.feature_dim}) and (k,) with k >= 1")
+            heads[task] = {"weight": w, "bias": b}
+        object.__setattr__(self, "backbone", backbone)
+        object.__setattr__(self, "heads", heads)
 
 
 def backbone_layout(spec: ModelSpec) -> list[tuple[str, tuple[int, ...]]]:
@@ -94,26 +133,34 @@ def backbone_layout(spec: ModelSpec) -> list[tuple[str, tuple[int, ...]]]:
     return layout
 
 
+def layer_views(flat: np.ndarray, layout) -> dict[str, np.ndarray]:
+    """Per-layer views of consecutive slices of flat, in layout order."""
+    views, ofs = {}, 0
+    for name, shape in layout:
+        size = math.prod(shape)
+        views[name] = flat[ofs : ofs + size].reshape(shape)
+        ofs += size
+    return views
+
+
 def init_model(spec: ModelSpec, seed: int) -> ToyModel:
     """Random backbone with scaled-Gaussian weights, zero biases."""
     rng = np.random.default_rng(seed)
-    entries = {}
+    layers = []
     for name, shape in backbone_layout(spec):
         if name.endswith("weight"):
             fan_in = shape[1]
-            entries[name] = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape)
+            layers.append(rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape).ravel())
         else:
-            entries[name] = np.zeros(shape)
-    return ToyModel(spec=spec, backbone=ParamVector(entries))
+            layers.append(np.zeros(math.prod(shape)))
+    return ToyModel(spec=spec, backbone=np.concatenate(layers))
 
 
-def init_head(spec: ModelSpec, num_classes: int, rng: np.random.Generator) -> ParamVector:
-    return ParamVector(
-        {
-            "weight": rng.normal(0.0, 0.1, size=(num_classes, spec.feature_dim)),
-            "bias": np.zeros(num_classes),
-        }
-    )
+def init_head(spec: ModelSpec, num_classes: int, rng: np.random.Generator) -> Head:
+    return {
+        "weight": rng.normal(0.0, 0.1, size=(num_classes, spec.feature_dim)),
+        "bias": np.zeros(num_classes),
+    }
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
@@ -142,8 +189,8 @@ def _require_finite(values: np.ndarray, message: str, stacked: bool) -> None:
 def _forward_trace(spec: ModelSpec, backbone: Mapping[str, np.ndarray], inputs: np.ndarray):
     """Forward pass keeping pre/post-activation values for backprop.
 
-    backbone maps each layer name of backbone_layout(spec) to its array (a
-    ParamVector is one such mapping). inputs is n x d, or a stack of them
+    backbone maps each layer name of backbone_layout(spec) to its array
+    (layer_views of a flat backbone). inputs is n x d, or a stack of them
     (models x n x d) whose backbone arrays carry the same leading axis, one
     model per slice. A non-finite pre-activation (finite weights can
     overflow) raises NumericalError, naming a stacked model; it is checked
@@ -169,7 +216,8 @@ def _forward_trace(spec: ModelSpec, backbone: Mapping[str, np.ndarray], inputs: 
 
 def forward_features(model: ToyModel, inputs: np.ndarray) -> np.ndarray:
     """Latent features: activations of the last backbone layer."""
-    acts, _ = _forward_trace(model.spec, model.backbone, inputs)
+    backbone = layer_views(model.backbone, backbone_layout(model.spec))
+    acts, _ = _forward_trace(model.spec, backbone, inputs)
     return acts[-1]
 
 
@@ -293,11 +341,12 @@ def train_sft(
     if labels.max() >= num_classes:
         raise DataError(f"label {labels.max()} is not below num_classes {num_classes}")
     heads = [init_head(spec, num_classes, np.random.default_rng(seed)) for _, _, seed in runs]
-    back = {n: np.broadcast_to(a, (len(runs), *a.shape)) for n, a in init.backbone.entries.items()}
+    back = {n: np.broadcast_to(a, (len(runs), *a.shape))
+            for n, a in layer_views(init.backbone, backbone_layout(spec)).items()}
     head = {n: np.stack([h[n] for h in heads]) for n in ("weight", "bias")}
     flat = np.concatenate([a.ravel() for a in (*back.values(), *head.values())])
     grad = np.empty_like(flat)
-    n_back = len(runs) * init.backbone.num_params()
+    n_back = len(runs) * init.backbone.size
 
     def split(buf):
         return (layer_views(buf[:n_back], [(n, a.shape) for n, a in back.items()]),
@@ -318,12 +367,16 @@ def train_sft(
     except NumericalError as exc:
         raise NumericalError(f"fine-tuning '{runs[exc.model][0]}': {exc}") from exc
     return [
-        ToyModel(spec=spec, backbone=ParamVector({n: a[i] for n, a in params[0].items()}),
-                 heads={task: ParamVector({n: a[i] for n, a in params[1].items()})})
+        ToyModel(spec=spec, backbone=np.concatenate([a[i].ravel() for a in params[0].values()]),
+                 heads={task: {n: a[i] for n, a in params[1].items()}})
         for i, (task, _, _) in enumerate(runs)
     ]
 
 
-def task_vector(model: ToyModel, base: ToyModel) -> ParamVector:
-    """Deviation of a fine-tuned backbone from the shared backbone."""
-    return pv_sub(model.backbone, base.backbone)
+def task_vector(model: ToyModel, base: ToyModel) -> np.ndarray:
+    """Deviation of a fine-tuned backbone from the shared backbone, flat.
+    The models must share a spec: two layouts of one size would subtract
+    without complaint."""
+    if model.spec != base.spec:
+        raise ShapeMismatchError(f"task vector of a {model.spec} model from a {base.spec} base")
+    return model.backbone - base.backbone

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otmf.baselines import BaselineConfig, baseline_fold, ties_merge_pair
-from otmf.errors import ConfigError, DataError
-from otmf.params import ParamVector
+from otmf.errors import ConfigError, DataError, ShapeMismatchError
 
 
 def folded(method, vecs, **cfg):
@@ -16,11 +15,9 @@ def folded(method, vecs, **cfg):
     return last
 
 
-def random_vectors(seed, count, layout=(("w", (3, 2)), ("b", (4,)))):
+def random_vectors(seed, count, size=10):
     rng = np.random.default_rng(seed)
-    return [
-        ParamVector({n: rng.normal(size=s) for n, s in layout}) for _ in range(count)
-    ]
+    return [rng.normal(size=size) for _ in range(count)]
 
 
 def reference_ties(a_flat, b_flat, trim_fraction):
@@ -57,24 +54,20 @@ def test_config_validation():
 
 def test_swa_equals_batch_mean():
     vecs = random_vectors(0, 7)
-    theta0 = vecs[0]
     avg = folded("swa", vecs)
-    for n in theta0.layers():
-        stacked = np.stack([v[n] for v in vecs])
-        np.testing.assert_allclose(avg[n], stacked.mean(axis=0), atol=1e-12)
+    np.testing.assert_allclose(avg, np.stack(vecs).mean(axis=0), atol=1e-12)
 
 
 def test_swa_identical_vectors_identity():
     v = random_vectors(1, 1)[0]
     merged = folded("swa", [v, v, v])
-    assert merged == v
+    assert np.array_equal(merged, v)
 
 
 def test_task_arithmetic_is_scaled_sum():
     vecs = random_vectors(2, 4)
     merged = folded("task_arithmetic", vecs, scaling=0.3)
-    for n in vecs[0].layers():
-        np.testing.assert_allclose(merged[n], 0.3 * sum(v[n] for v in vecs), atol=1e-12)
+    np.testing.assert_allclose(merged, 0.3 * sum(vecs), atol=1e-12)
 
 
 @given(st.integers(0, 99), st.sampled_from([0.2, 0.5, 1.0]))
@@ -82,22 +75,21 @@ def test_task_arithmetic_is_scaled_sum():
 def test_ties_pair_matches_reference(seed, trim_fraction):
     a, b = random_vectors(seed, 2)
     merged = ties_merge_pair(a, b, trim_fraction)
-    ref = reference_ties(a.flatten(), b.flatten(), trim_fraction)
-    np.testing.assert_array_equal(merged.flatten(), ref)
+    np.testing.assert_array_equal(merged, reference_ties(a, b, trim_fraction))
 
 
 def test_ties_sign_tie_elects_positive():
-    a = ParamVector({"w": np.array([1.0, -1.0])})
-    b = ParamVector({"w": np.array([-1.0, 1.0])})
+    a = np.array([1.0, -1.0])
+    b = np.array([-1.0, 1.0])
     merged = ties_merge_pair(a, b, 1.0)
     # equal positive and negative mass at every entry: positive wins
-    np.testing.assert_array_equal(merged["w"], np.array([1.0, 1.0]))
+    np.testing.assert_array_equal(merged, np.array([1.0, 1.0]))
 
 
 def test_continual_ties_is_left_fold():
     vecs = random_vectors(5, 3)
     step = ties_merge_pair(ties_merge_pair(vecs[0], vecs[1], 0.4), vecs[2], 0.4)
-    assert folded("ties", vecs, trim_fraction=0.4) == step
+    assert np.array_equal(folded("ties", vecs, trim_fraction=0.4), step)
 
 
 def test_input_validation():
@@ -106,6 +98,10 @@ def test_input_validation():
         for vecs in ([], [v]):
             with pytest.raises(DataError):
                 folded(method, vecs)
+        # a length-1 vector would broadcast; a column holds the same entries
+        for bad in (v[:1], v[:-1], v.reshape(-1, 1)):
+            with pytest.raises(ShapeMismatchError):
+                folded(method, [v, bad])
 
 
 def test_fold_yields_each_prefix_merge():
@@ -114,4 +110,4 @@ def test_fold_yields_each_prefix_merge():
         steps = list(baseline_fold(method, BaselineConfig(), vecs))
         assert len(steps) == len(vecs)
         for t in range(2, len(vecs) + 1):
-            assert steps[t - 1] == folded(method, vecs[:t])
+            assert np.array_equal(steps[t - 1], folded(method, vecs[:t]))

@@ -15,7 +15,7 @@ import otmf
 import otmf.cli
 from otmf import sinkhorn as sinkhorn_module
 from otmf.cli import _Reservoir, cmd_merge, load_config, main, resolved_config
-from otmf.errors import ConfigError
+from otmf.errors import ConfigError, DataError
 from otmf.io import load_batch, load_checkpoint, load_matrix, save_checkpoint
 from otmf.metrics import l1_shift, sinkhorn_shift
 from otmf.models import ModelSpec, ToyModel, init_model, train_sft
@@ -129,6 +129,11 @@ def test_tolerance_below_float64_epsilon_warns_once(tmp_path, caplog):
         {"fusion": {"sinkhorn": {"log_domain": True}}},
         {"fusion": {"optimizer": "adam"}},
         {"stream": {"seed": 1}},
+        {"fusion": {"head_epochs": -5}},
+        {"fusion": {"head_lr": -1}},
+        {"fusion": {"head_lr": 0}},
+        {"fusion": {"head_fraction": 0}},
+        {"fusion": {"head_fraction": 1.5}},
     ],
     ids=lambda bad: json.dumps(bad),
 )
@@ -271,6 +276,32 @@ def test_exit_code_malformed_checkpoint_header(tmp_path, line, bad):
     assert raw.count(line.encode() + b"\n") == 1
     path.write_bytes(raw.replace(line.encode() + b"\n", bad.encode() + b"\n"))
     assert run("eval", "--checkpoint", path, "--out", tmp_path / "out") == 3
+
+
+@pytest.mark.parametrize(
+    "line, bad",
+    [
+        ("array backbone/layer0.weight 8 4", "array backbone/layer0.weight 4 8"),
+        ("array backbone/layer1.bias 4", "array backbone/layer9.bias 4"),
+        ("array head/task01/bias 3", "array head/task01/offset 3"),
+    ],
+    ids=["transposed-weight", "renamed-layer", "renamed-head-bias"],
+)
+def test_exit_code_checkpoint_arrays_contradict_its_spec(pipeline, tmp_path, line, bad):
+    # the payload keeps its size, so only the layout check catches these;
+    # without it, eval fails with an uncaught error in the forward pass or
+    # in scoring task01
+    tiny_cfg, _ = pipeline
+    path = tmp_path / "bad.ckpt"
+    spec = ModelSpec((4, 8, 4))
+    head = {"weight": np.ones((3, 4)), "bias": np.zeros(3)}
+    save_checkpoint(path, ToyModel(spec, init_model(spec, seed=0).backbone, {"task01": head}))
+    raw = path.read_bytes()
+    assert raw.count(line.encode() + b"\n") == 1
+    path.write_bytes(raw.replace(line.encode() + b"\n", bad.encode() + b"\n"))
+    with pytest.raises(DataError, match="layout"):
+        load_checkpoint(path)
+    assert run("eval", "--config", tiny_cfg, "--checkpoint", path) == 3
 
 
 @pytest.fixture(scope="module")

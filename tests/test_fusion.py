@@ -26,14 +26,15 @@ from otmf.models import (
     Batch,
     ModelSpec,
     ToyModel,
+    backbone_layout,
     backward,
     forward_features,
     init_head,
     init_model,
+    layer_views,
     task_vector,
     train_sft,
 )
-from otmf.params import ParamVector, pv_add
 from otmf.sinkhorn import SinkhornConfig, sinkhorn_distance, sinkhorn_grad_features
 from otmf.taskgen import TaskStreamSpec, generate_stream
 
@@ -44,11 +45,7 @@ def world(seed=0, T=2):
     """theta0 plus T random task vectors, heads, batches, pools."""
     rng = np.random.default_rng(seed)
     theta0_model = init_model(SPEC, seed=seed)
-    deltas = [
-        ParamVector({n: 0.3 * rng.normal(size=a.shape)
-                     for n, a in theta0_model.backbone.entries.items()})
-        for _ in range(T)
-    ]
+    deltas = [0.3 * rng.normal(size=theta0_model.backbone.shape) for _ in range(T)]
     heads = [init_head(SPEC, 3, rng) for _ in range(T)]
     batches = [
         Batch(rng.normal(size=(12, 3)), rng.integers(0, 3, size=12)) for _ in range(T)
@@ -63,7 +60,12 @@ def stream(deltas, heads, batches, pools):
 
 
 def ones(delta):
-    return np.ones(delta.num_params()), np.ones(delta.num_params())
+    return np.ones(delta.size), np.ones(delta.size)
+
+
+def plus(theta0_model, delta):
+    """theta0_model with delta added to its backbone."""
+    return ToyModel(theta0_model.spec, theta0_model.backbone + delta)
 
 
 def test_config_validation():
@@ -73,52 +75,49 @@ def test_config_validation():
         FusionConfig(ot_epochs=0)
     with pytest.raises(ConfigError):
         FusionConfig(mask_lr=0.0)
+    for bad in ({"head_epochs": -1}, {"head_lr": 0.0}, {"head_lr": -1.0},
+                {"head_fraction": 0.0}, {"head_fraction": 1.01}):
+        with pytest.raises(ConfigError):
+            FusionConfig(**bad)
+    # no re-tune, and a re-tune on the whole train batch, stay valid
+    FusionConfig(head_epochs=0, head_fraction=1.0)
 
 
 def test_masked_fuse_endpoints(rng):
-    theta0_model, (d_pre, d_post), *_ = world(seed=1)
-    pre, post = d_pre.flatten(), d_post.flatten()
-    m_pre, m_post = ones(d_pre)
+    theta0_model, (pre, post), *_ = world(seed=1)
+    m_pre, m_post = ones(pre)
     fused_pre = masked_fuse(pre, post, m_pre, m_post, alpha=1.0)
     fused_post = masked_fuse(pre, post, m_pre, m_post, alpha=0.0)
     assert np.array_equal(fused_pre, pre)
     assert np.array_equal(fused_post, post)
     x = rng.normal(size=(5, 3))
-    theta0 = theta0_model.backbone
-    pre_model = theta0_model.with_backbone(pv_add(theta0, d_pre))
-    merged = theta0_model.with_backbone(pv_add(theta0, d_pre.with_flat(fused_pre)))
+    pre_model = plus(theta0_model, pre)
+    merged = plus(theta0_model, fused_pre)
     np.testing.assert_allclose(
         forward_features(merged, x), forward_features(pre_model, x), atol=1e-15
     )
 
 
 def test_masked_fuse_convexity(rng):
-    _, (d_pre, d_post), *_ = world(seed=2)
-    pre, post = d_pre.flatten(), d_post.flatten()
-    m_pre = rng.normal(size=d_pre.num_params())
-    m_post = rng.normal(size=d_post.num_params())
+    _, (pre, post), *_ = world(seed=2)
+    m_pre = rng.normal(size=pre.size)
+    m_post = rng.normal(size=post.size)
     fused = masked_fuse(pre, post, m_pre, m_post, alpha=0.7)
     # written into a given buffer, the same bits
     out = np.empty_like(pre)
     assert masked_fuse(pre, post, m_pre, m_post, alpha=0.7, out=out) is out
     assert np.array_equal(out, fused)
-    # the per-layer formula on each layer's slice of the flat masks, bit-exact
-    fused = d_pre.with_flat(fused)
-    ofs = 0
-    for n in d_pre.layers():
-        shape, size = d_pre[n].shape, d_pre[n].size
-        mp = m_pre[ofs:ofs + size].reshape(shape)
-        mq = m_post[ofs:ofs + size].reshape(shape)
-        expected = 0.7 * (mp * d_pre[n]) + (1.0 - 0.7) * (mq * d_post[n])
-        assert np.array_equal(fused[n], expected)
-        ofs += size
+    # the per-layer formula on each layer's arrays, bit-exact
+    layers = [layer_views(v, backbone_layout(SPEC)) for v in (fused, pre, post, m_pre, m_post)]
+    for n, _ in backbone_layout(SPEC):
+        f, dp, dq, mp, mq = (views[n] for views in layers)
+        assert np.array_equal(f, 0.7 * (mp * dp) + (1.0 - 0.7) * (mq * dq))
     with pytest.raises(ConfigError):
         masked_fuse(pre, post, m_pre, m_post, alpha=-0.1)
 
 
 def test_masked_fuse_rejects_mismatched_shapes():
-    _, (d_pre, d_post), *_ = world(seed=2)
-    pre, post = d_pre.flatten(), d_post.flatten()
+    _, (pre, post), *_ = world(seed=2)
     n = pre.size
     # the same number of entries in another layout
     with pytest.raises(ShapeMismatchError):
@@ -133,13 +132,15 @@ def test_masked_fuse_rejects_mismatched_shapes():
 
 def test_flat_step_backbone_is_theta0_plus_delta(rng):
     theta0_model, (d_pre, d_post), *_ = world(seed=3)
-    masks = (rng.normal(size=d_pre.num_params()), rng.normal(size=d_post.num_params()))
+    masks = (rng.normal(size=d_pre.size), rng.normal(size=d_post.size))
     step = FlatStep(theta0_model, d_pre, d_post)
     backbone = step.fuse(masks, 0.7)
-    delta = masked_fuse(d_pre.flatten(), d_post.flatten(), *masks, 0.7)
+    delta = masked_fuse(d_pre, d_post, *masks, 0.7)
     assert np.array_equal(step.delta, delta)
-    theta = pv_add(theta0_model.backbone, d_pre.with_flat(delta))
-    for n in theta.layers():
+    assert np.array_equal(step.theta, theta0_model.backbone + delta)
+    theta = layer_views(theta0_model.backbone + delta, backbone_layout(SPEC))
+    assert list(backbone) == list(theta)
+    for n in theta:
         assert np.array_equal(backbone[n], theta[n])
 
 
@@ -147,9 +148,8 @@ def test_flat_step_backbone_is_theta0_plus_delta(rng):
 # mask gradient
 
 
-def _reg_plan(theta0, d_pre, d_post, m_pre, m_post, target, inputs, cfg, init=None):
-    fused = masked_fuse(d_pre.flatten(), d_post.flatten(), m_pre, m_post, cfg.alpha)
-    merged = target.with_backbone(pv_add(theta0, d_pre.with_flat(fused)))
+def _reg_plan(theta0_model, d_pre, d_post, m_pre, m_post, target, inputs, cfg, init=None):
+    merged = plus(theta0_model, masked_fuse(d_pre, d_post, m_pre, m_post, cfg.alpha))
     fm = forward_features(merged, inputs)
     ft = forward_features(target, inputs)
     s = normalized_feature_scale(ft)
@@ -160,13 +160,12 @@ def _reg_plan(theta0, d_pre, d_post, m_pre, m_post, target, inputs, cfg, init=No
 @pytest.mark.parametrize("side", ["pre", "post"])
 def test_mask_gradient_matches_fd(side):
     theta0_model, (d_pre, d_post), _, _, pools = world(seed=4)
-    theta0 = theta0_model.backbone
     cfg = FusionConfig(
         alpha=0.6,
         sinkhorn=SinkhornConfig(epsilon=0.1, max_iters=20000, tolerance=1e-14),
     )
     target_delta = d_pre if side == "pre" else d_post
-    target = theta0_model.with_backbone(pv_add(theta0, target_delta))
+    target = plus(theta0_model, target_delta)
     inputs = pools[0][:8]
     m_pre, m_post = ones(d_pre)
 
@@ -175,7 +174,7 @@ def test_mask_gradient_matches_fd(side):
     # perturbed solve must move from there: at tolerance 1e-10 one Newton
     # step would stop it near 1e-12, too coarse for central differences at
     # h=1e-6, so the tolerance is 1e-14
-    cold = _reg_plan(theta0, d_pre, d_post, m_pre, m_post, target, inputs, cfg)
+    cold = _reg_plan(theta0_model, d_pre, d_post, m_pre, m_post, target, inputs, cfg)
     assert cold.converged
     init = (cold.epsilon * cold.log_u, cold.epsilon * cold.log_v)
 
@@ -195,15 +194,15 @@ def test_mask_gradient_matches_fd(side):
     h = 1e-6
     fd = np.zeros_like(base)
     for i in range(base.size):
-        plus, minus = base.copy(), base.copy()
-        plus[i] += h
-        minus[i] -= h
+        up, down = base.copy(), base.copy()
+        up[i] += h
+        down[i] -= h
         if side == "pre":
-            pp = _reg_plan(theta0, d_pre, d_post, plus, m_post, target, inputs, cfg, init)
-            pm = _reg_plan(theta0, d_pre, d_post, minus, m_post, target, inputs, cfg, init)
+            pp = _reg_plan(theta0_model, d_pre, d_post, up, m_post, target, inputs, cfg, init)
+            pm = _reg_plan(theta0_model, d_pre, d_post, down, m_post, target, inputs, cfg, init)
         else:
-            pp = _reg_plan(theta0, d_pre, d_post, m_pre, plus, target, inputs, cfg, init)
-            pm = _reg_plan(theta0, d_pre, d_post, m_pre, minus, target, inputs, cfg, init)
+            pp = _reg_plan(theta0_model, d_pre, d_post, m_pre, up, target, inputs, cfg, init)
+            pm = _reg_plan(theta0_model, d_pre, d_post, m_pre, down, target, inputs, cfg, init)
         assert pp.converged and pm.converged
         assert pp.iterations_used > 1 and pm.iterations_used > 1
         fd[i] = (pp.reg_objective - pm.reg_objective) / (2 * h)
@@ -212,9 +211,8 @@ def test_mask_gradient_matches_fd(side):
 
 def test_ot_loss_decreases_toward_target():
     theta0_model, (d_pre, d_post), _, _, pools = world(seed=5)
-    theta0 = theta0_model.backbone
     cfg = FusionConfig(alpha=0.5, mask_lr=0.1)
-    target = theta0_model.with_backbone(pv_add(theta0, d_pre))
+    target = plus(theta0_model, d_pre)
     inputs = pools[0]
     masks = ones(d_pre)
     opt = _MaskOptimizer(masks[0], cfg)
@@ -229,31 +227,32 @@ def test_ot_loss_decreases_toward_target():
 def _reference_epoch(masks, theta0_model, d_pre, d_post, target, inputs, side, cfg, opt,
                      solver):
     """The epoch that ot_mask_epoch replaces: masked_fuse, the merged
-    backbone as a ParamVector, both models' features, the solve, and a
-    backward pass from a second forward trace of the merged model."""
+    backbone as separate per-layer arrays, both models' features, the
+    solve, and a backward pass from a second forward trace of the merged
+    backbone."""
     m_pre, m_post = masks
-    fused = masked_fuse(d_pre.flatten(), d_post.flatten(), m_pre, m_post, cfg.alpha)
-    merged = target.with_backbone(pv_add(theta0_model.backbone, d_pre.with_flat(fused)))
-    fm = forward_features(merged, inputs)
+    fused = masked_fuse(d_pre, d_post, m_pre, m_post, cfg.alpha)
+    layout = backbone_layout(SPEC)
+    theta0, delta = (layer_views(v, layout) for v in (theta0_model.backbone, fused))
+    merged = {n: theta0[n] + delta[n] for n, _ in layout}
+    fm = models_module._forward_trace(SPEC, merged, inputs)[0][-1]
     ft = forward_features(target, inputs)
     s = normalized_feature_scale(ft)
     loss, plan = sinkhorn_distance(s * fm, s * ft, cfg.sinkhorn, init=solver.duals)
     solver.record(plan)
     g_feat = s * sinkhorn_grad_features(s * fm, s * ft, plan)
-    trace = models_module._forward_trace(SPEC, merged.backbone, inputs)
-    g_backbone = backward(SPEC, merged.backbone, trace, g_feat)
+    trace = models_module._forward_trace(SPEC, merged, inputs)
+    g_backbone = backward(SPEC, merged, trace, g_feat)
     if side == "pre":
-        return (opt.step(m_pre, cfg.alpha * (d_pre.flatten() * g_backbone)), m_post), loss
-    return (m_pre, opt.step(m_post, (1.0 - cfg.alpha) * (d_post.flatten() * g_backbone))), loss
+        return (opt.step(m_pre, cfg.alpha * (d_pre * g_backbone)), m_post), loss
+    return (m_pre, opt.step(m_post, (1.0 - cfg.alpha) * (d_post * g_backbone))), loss
 
 
 @pytest.mark.parametrize("alpha", [0.8, 0.35])
 def test_flat_epoch_equals_the_param_vector_composition(alpha):
     theta0_model, (d_pre, d_post), _, _, pools = world(seed=21)
-    theta0 = theta0_model.backbone
     cfg = FusionConfig(alpha=alpha)
-    models = {"pre": theta0_model.with_backbone(pv_add(theta0, d_pre)),
-              "post": theta0_model.with_backbone(pv_add(theta0, d_post))}
+    models = {"pre": plus(theta0_model, d_pre), "post": plus(theta0_model, d_post)}
     inputs = {"pre": pools[0], "post": pools[1]}
     step = FlatStep(theta0_model, d_pre, d_post)
     targets = {side: OTTarget.of(models[side], inputs[side]) for side in models}
@@ -289,9 +288,12 @@ def test_flat_epoch_equals_the_param_vector_composition(alpha):
 
 def test_flat_step_rejects_mismatched_layouts_and_masks():
     theta0_model, (d_pre, d_post), *_ = world(seed=2)
-    n = d_pre.num_params()
-    with pytest.raises(ShapeMismatchError):
-        FlatStep(theta0_model, d_pre, ParamVector({"w": np.ones(n)}))
+    n = d_pre.size
+    for bad in (np.ones(1), np.ones(n - 1), np.ones((n, 1))):
+        with pytest.raises(ShapeMismatchError):
+            FlatStep(theta0_model, d_pre, bad)
+        with pytest.raises(ShapeMismatchError):
+            FlatStep(theta0_model, bad, d_post)
     step = FlatStep(theta0_model, d_pre, d_post)
     for bad in (np.ones(1), np.ones(n - 1), np.ones((n, 1))):
         with pytest.raises(ShapeMismatchError):
@@ -306,14 +308,13 @@ def test_flat_step_rejects_mismatched_layouts_and_masks():
 
 def test_alternation_schedule_and_frozen_state():
     theta0_model, (d_pre, d_post), _, _, pools = world(seed=6)
-    theta0 = theta0_model.backbone
     cfg = FusionConfig(ot_epochs=10)
-    pre_target = theta0_model.with_backbone(pv_add(theta0, d_pre))
-    post_target = theta0_model.with_backbone(pv_add(theta0, d_post))
+    pre_target = plus(theta0_model, d_pre)
+    post_target = plus(theta0_model, d_post)
     masks = ones(d_pre)
     opts = {"pre": _MaskOptimizer(masks[0], cfg), "post": _MaskOptimizer(masks[1], cfg)}
-    pre_snapshot = d_pre.flatten().copy()
-    post_snapshot = d_post.flatten().copy()
+    pre_snapshot = d_pre.copy()
+    post_snapshot = d_post.copy()
     step = FlatStep(theta0_model, d_pre, d_post)
     for e in range(1, cfg.ot_epochs + 1):
         side = "pre" if e % 2 == 1 else "post"
@@ -328,10 +329,9 @@ def test_alternation_schedule_and_frozen_state():
         else:
             assert np.array_equal(masks[0], before[0])
             assert not np.array_equal(masks[1], before[1])
-        assert np.array_equal(d_pre.flatten(), pre_snapshot)
-        assert np.array_equal(d_post.flatten(), post_snapshot)
-        assert np.array_equal(step.pre, pre_snapshot)
-        assert np.array_equal(step.post, post_snapshot)
+        assert np.array_equal(d_pre, pre_snapshot)
+        assert np.array_equal(d_post, post_snapshot)
+        assert step.pre is d_pre and step.post is d_post
     # continual_merge records each epoch's (epoch, side) in that order
     theta0_model, deltas, heads, batches, pools = world(seed=6, T=2)
     _, _, [lg] = continual_merge(theta0_model, stream(deltas, heads, batches, pools),
@@ -352,9 +352,8 @@ def test_ot_mask_epoch_rejects_bad_side():
 
 def test_mask_epochs_warm_start_from_their_side_duals(monkeypatch):
     theta0_model, (d_pre, d_post), _, _, pools = world(seed=16)
-    theta0 = theta0_model.backbone
     cfg = FusionConfig(ot_epochs=4)
-    targets = {side: OTTarget.of(theta0_model.with_backbone(pv_add(theta0, d)), pools[0])
+    targets = {side: OTTarget.of(plus(theta0_model, d), pools[0])
                for side, d in (("pre", d_pre), ("post", d_post))}
     step = FlatStep(theta0_model, d_pre, d_post)
     masks = ones(d_pre)
@@ -392,7 +391,9 @@ def test_head_finetune_zero_lr_is_noop(rng):
     theta0_model, _, (head, _), (batch, _), _ = world(seed=8)
     model = ToyModel(SPEC, theta0_model.backbone, {"t": head})
     tuned = head_finetune(model, "t", batch, epochs=20, lr=0.0)
-    assert tuned == head
+    assert list(tuned) == ["weight", "bias"]
+    for name in tuned:
+        assert np.array_equal(tuned[name], head[name])
 
 
 def test_head_finetune_reduces_loss(rng):
@@ -460,16 +461,14 @@ def test_pair_losses_are_the_shift_metric_without_calling_it(monkeypatch):
     _, _, logs = continual_merge(theta0_model, stream(deltas, heads, batches, pools), cfg,
                                  seed=0)
     assert len(logs) == len(steps) == 2 and len(ot_batches) == 4
-    theta0 = theta0_model.backbone
     for lg, (pre, post), pre_batch, post_batch in zip(
             logs, steps, ot_batches[0::2], ot_batches[1::2]):
         # the cold initial pair loss is the eval-side shift metric on the
-        # ParamVector models, bit for bit
-        unit = np.ones(pre.num_params())
-        fused = masked_fuse(pre.flatten(), post.flatten(), unit, unit, cfg.alpha)
-        merged = theta0_model.with_backbone(pv_add(theta0, pre.with_flat(fused)))
-        pre_target = theta0_model.with_backbone(pv_add(theta0, pre))
-        post_target = theta0_model.with_backbone(pv_add(theta0, post))
+        # merged and target models, bit for bit
+        unit = np.ones(pre.size)
+        merged = plus(theta0_model, masked_fuse(pre, post, unit, unit, cfg.alpha))
+        pre_target = plus(theta0_model, pre)
+        post_target = plus(theta0_model, post)
         assert lg.initial_pair_loss == (shift(merged, pre_target, pre_batch, cfg.sinkhorn)
                                         + shift(merged, post_target, post_batch, cfg.sinkhorn))
 
@@ -483,7 +482,7 @@ def test_continual_merge_deterministic():
     cfg = FusionConfig(ot_epochs=6, batch_size=8)
     a = continual_merge(theta0_model, stream(deltas, heads, batches, pools), cfg, seed=1)
     b = continual_merge(theta0_model, stream(deltas, heads, batches, pools), cfg, seed=1)
-    assert a[0] == b[0]
+    assert np.array_equal(a[0], b[0])
     assert a[1].keys() == b[1].keys()
     assert [lg.final_pair_loss for lg in a[2]] == [lg.final_pair_loss for lg in b[2]]
     # the warm-started mask loop carries solver state deterministically
@@ -625,7 +624,7 @@ def test_continual_merge_accumulates_heads_and_logs():
     assert sorted(merged_heads) == ["task01", "task02", "task03", "task04"]
     assert [lg.step for lg in logs] == [2, 3, 4]
     assert all(len(lg.ot_loss_history) == cfg.ot_epochs for lg in logs)
-    assert final.signature() == theta0_model.backbone.signature()
+    assert final.shape == theta0_model.backbone.shape
 
 
 def test_continual_merge_pulls_each_task_once_in_order():
@@ -643,8 +642,11 @@ def test_continual_merge_pulls_each_task_once_in_order():
         theta0_model, stream(deltas, heads, batches, pools), cfg, seed=2
     )
     assert pulls == list(range(6))
-    assert final_lazy == final_list
-    assert heads_lazy == heads_list
+    assert np.array_equal(final_lazy, final_list)
+    assert heads_lazy.keys() == heads_list.keys()
+    for task, head in heads_list.items():
+        assert heads_lazy[task].keys() == head.keys()
+        assert all(np.array_equal(heads_lazy[task][n], head[n]) for n in head)
     assert [lg.ot_loss_history for lg in logs_lazy] == [lg.ot_loss_history for lg in logs_list]
 
 
@@ -657,7 +659,7 @@ def test_continual_merge_on_step_callback():
         on_step=lambda step, theta, hs: seen.append((step, theta, sorted(hs))),
     )
     assert [s for s, _, _ in seen] == [2, 3]
-    assert seen[-1][1] == final
+    assert np.array_equal(seen[-1][1], final)
     assert seen[0][2] == ["task01", "task02"]
 
 

@@ -27,10 +27,13 @@ def test_checkpoint_roundtrip(rng, tmp_path):
     save_checkpoint(path, model)
     loaded = load_checkpoint(path)
     assert loaded.spec == model.spec
-    assert loaded.backbone == model.backbone
-    assert loaded.heads.keys() == model.heads.keys()
+    assert loaded.backbone.tobytes() == model.backbone.tobytes()
+    assert list(loaded.heads) == sorted(model.heads)
     for t in model.heads:
-        assert loaded.heads[t] == model.heads[t]
+        assert list(loaded.heads[t]) == ["weight", "bias"]
+        for name, arr in model.heads[t].items():
+            assert loaded.heads[t][name].shape == arr.shape
+            assert loaded.heads[t][name].tobytes() == arr.tobytes()
 
 
 def test_checkpoint_save_load_save_bit_exact(rng, tmp_path):
@@ -55,6 +58,23 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"not a checkpoint")
     with pytest.raises(DataError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("order", [("task02", "task02"), ("task02", "task01")])
+def test_checkpoint_rejects_repeated_or_unsorted_heads(rng, tmp_path, order):
+    # a repeated head would silently replace the first; save writes them sorted
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, small_model(rng, num_heads=2))
+    raw = path.read_bytes()
+    for i, task in enumerate(order):
+        raw = raw.replace(f"head/task0{i + 1}/".encode(), f"head/new{i}/".encode())
+    for i, task in enumerate(order):
+        raw = raw.replace(f"head/new{i}/".encode(), f"head/{task}/".encode())
+    assert [line.split()[1] for line in raw.split(b"\n") if line.startswith(b"array head/")] == [
+        f"head/{task}/{name}".encode() for task in order for name in ("weight", "bias")]
+    path.write_bytes(raw)
+    with pytest.raises(DataError, match="sorted order"):
         load_checkpoint(path)
 
 

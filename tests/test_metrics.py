@@ -12,7 +12,6 @@ from otmf.metrics import (
     sinkhorn_shift,
 )
 from otmf.models import Batch, ModelSpec, ToyModel, forward_features
-from otmf.params import ParamVector
 from otmf.sinkhorn import SinkhornConfig
 
 
@@ -56,7 +55,7 @@ def test_normalized_feature_scale(rng):
 
 def test_accuracy_ties_break_low(rng):
     # a head of zeros makes every logit equal, so argmax picks class 0
-    head = ParamVector({"weight": np.zeros((3, 2)), "bias": np.zeros(3)})
+    head = {"weight": np.zeros((3, 2)), "bias": np.zeros(3)}
     model = ToyModel(ModelSpec((2, 2)), small_model(rng, dims=(2, 2)).backbone, {"t": head})
     batch = Batch(rng.normal(size=(5, 2)), np.array([0, 0, 1, 2, 0]))
     assert accuracy(model, "t", batch) == pytest.approx(3 / 5)

@@ -17,10 +17,10 @@ from otmf.models import (
     head_gradient,
     init_head,
     init_model,
+    layer_views,
     task_vector,
     train_sft,
 )
-from otmf.params import ParamVector
 
 
 def make_batch(rng, n=12, d=3, k=3):
@@ -57,9 +57,41 @@ def test_layout_and_init():
         ("layer1.bias", (2,)),
     ]
     model = init_model(spec, seed=1)
-    assert model.backbone.signature() == tuple((n, s) for n, s in layout)
-    assert np.array_equal(model.backbone["layer0.bias"], np.zeros(5))
-    assert init_model(spec, seed=1) == ToyModel(spec=spec, backbone=model.backbone)
+    assert model.backbone.shape == (5 * 3 + 5 + 2 * 5 + 2,)
+    views = layer_views(model.backbone, layout)
+    assert [(n, a.shape) for n, a in views.items()] == layout
+    assert np.array_equal(views["layer0.bias"], np.zeros(5))
+    assert np.array_equal(init_model(spec, seed=1).backbone, model.backbone)
+
+
+def test_model_rejects_empty_and_nonfinite_parameters(rng):
+    spec = ModelSpec((3, 4, 3))
+    backbone, head = init_model(spec, seed=0).backbone, init_head(spec, 3, rng)
+    with pytest.raises(ShapeMismatchError):
+        ToyModel(spec, np.empty(0))
+    with pytest.raises(ShapeMismatchError):
+        ToyModel(spec, backbone, {"t": {"weight": np.empty((0, 3)), "bias": np.empty(0)}})
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NumericalError):
+            ToyModel(spec, np.where(np.arange(backbone.size) == 5, bad, backbone))
+        with pytest.raises(NumericalError):
+            ToyModel(spec, backbone, {"t": dict(head, bias=np.array([0.0, bad, 0.0]))})
+
+
+def test_model_rejects_a_wrong_size(rng):
+    spec = ModelSpec((3, 4, 3))
+    backbone, head = init_model(spec, seed=0).backbone, init_head(spec, 3, rng)
+    for bad in (backbone[:-1], np.append(backbone, 0.0), backbone.reshape(-1, 1)):
+        with pytest.raises(ShapeMismatchError):
+            ToyModel(spec, bad)
+    for bad in ({"weight": head["weight"]},
+                dict(head, scale=np.ones(3)),
+                dict(head, weight=head["weight"][:, :2]),
+                dict(head, weight=head["weight"].T[:2]),
+                dict(head, bias=head["bias"][:2]),
+                dict(head, bias=head["bias"].reshape(3, 1))):
+        with pytest.raises(ShapeMismatchError):
+            ToyModel(spec, backbone, {"t": bad})
 
 
 def test_forward_shapes_and_activation(rng):
@@ -90,12 +122,12 @@ def test_overflowing_logits_raise(rng):
     # every feature is tanh(10), so a head row of the largest finite float
     # overflows; a finite head must not score on inf logits
     model = small_model(rng)
-    backbone = dict(model.backbone.entries)
-    backbone["layer1.weight"] = np.zeros_like(backbone["layer1.weight"])
-    backbone["layer1.bias"] = np.full_like(backbone["layer1.bias"], 10.0)
-    head = ParamVector({"weight": np.full((3, 3), np.finfo(np.float64).max),
-                        "bias": np.zeros(3)})
-    model = ToyModel(model.spec, ParamVector(backbone), {"t": head})
+    backbone = model.backbone.copy()
+    layers = layer_views(backbone, backbone_layout(model.spec))
+    layers["layer1.weight"][...] = 0.0
+    layers["layer1.bias"][...] = 10.0
+    head = {"weight": np.full((3, 3), np.finfo(np.float64).max), "bias": np.zeros(3)}
+    model = ToyModel(model.spec, backbone, {"t": head})
     batch = make_batch(rng)
     with pytest.raises(NumericalError):
         forward_logits(model, "t", batch.inputs)
@@ -103,28 +135,33 @@ def test_overflowing_logits_raise(rng):
         head_gradient(forward_features(model, batch.inputs), head, batch.labels)
 
 
-def _fd_check(loss_fn, params: ParamVector, grad: ParamVector, h=1e-6, tol=1e-6):
-    flat = params.flatten()
-    g = grad.flatten()
+def _fd_check(loss_fn, flat: np.ndarray, g: np.ndarray, h=1e-6, tol=1e-6):
+    """loss_fn's central differences at the flat parameters against g."""
     fd = np.zeros_like(flat)
     for i in range(flat.size):
         p, m = flat.copy(), flat.copy()
         p[i] += h
         m[i] -= h
-        fd[i] = (loss_fn(params.with_flat(p)) - loss_fn(params.with_flat(m))) / (2 * h)
+        fd[i] = (loss_fn(p) - loss_fn(m)) / (2 * h)
     assert np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12) < tol
+
+
+def _head_layout(head):
+    return [(n, head[n].shape) for n in ("weight", "bias")]
 
 
 def _stacked_label_grads(models, task, batches):
     """_label_grads of models (sharing a spec) on their batches, stacked
-    along a leading axis as train_sft stacks its runs."""
+    along a leading axis as train_sft stacks its runs; each model's
+    backbone and head gradients, flat."""
     spec = models[0].spec
-    backbone = {n: np.stack([m.backbone[n] for m in models]) for n in models[0].backbone.layers()}
+    backbone = {n: np.stack([layer_views(m.backbone, backbone_layout(spec))[n] for m in models])
+                for n, _ in backbone_layout(spec)}
     head = {n: np.stack([m.heads[task][n] for m in models]) for n in ("weight", "bias")}
     g_back, g_head = _label_grads(spec, backbone, head, np.stack([b.inputs for b in batches]),
                                   np.stack([b.labels for b in batches]))
-    return ([ParamVector({n: g[i] for n, g in g_back.items()}) for i in range(len(models))],
-            [ParamVector({n: g[i] for n, g in g_head.items()}) for i in range(len(models))])
+    return ([np.concatenate([g[i].ravel() for g in g_back.values()]) for i in range(len(models))],
+            [np.concatenate([g[i].ravel() for g in g_head.values()]) for i in range(len(models))])
 
 
 def _two_models_and_batches(rng, spec):
@@ -147,7 +184,7 @@ def test_backbone_gradient_matches_fd(rng, activation):
 
     for model, batch, grad in zip(models, batches, grads):
         def loss(backbone):
-            return cross_entropy_loss(model.with_backbone(backbone), "t", batch)
+            return cross_entropy_loss(ToyModel(spec, backbone, model.heads), "t", batch)
 
         _fd_check(loss, model.backbone, grad)
 
@@ -158,10 +195,13 @@ def test_head_gradient_matches_fd(rng):
     _, grads = _stacked_label_grads(models, "t", batches)
 
     for model, batch, grad in zip(models, batches, grads):
-        def loss(head):
-            return cross_entropy_loss(ToyModel(spec, model.backbone, {"t": head}), "t", batch)
+        layout = _head_layout(model.heads["t"])
 
-        _fd_check(loss, model.heads["t"], grad)
+        def loss(head):
+            return cross_entropy_loss(
+                ToyModel(spec, model.backbone, {"t": layer_views(head, layout)}), "t", batch)
+
+        _fd_check(loss, np.concatenate([a.ravel() for a in model.heads["t"].values()]), grad)
 
 
 def test_feature_grad_mode_matches_fd(rng):
@@ -171,11 +211,12 @@ def test_feature_grad_mode_matches_fd(rng):
     inputs = rng.normal(size=(6, 3))
     w = rng.normal(size=(6, 2))
     # from the forward trace that gave the features, as the mask loop does
-    trace = _forward_trace(spec, model.backbone, inputs)
-    grad = model.backbone.with_flat(backward(spec, model.backbone, trace, w))
+    layers = layer_views(model.backbone, backbone_layout(spec))
+    trace = _forward_trace(spec, layers, inputs)
+    grad = backward(spec, layers, trace, w)
 
     def loss(backbone):
-        return float((w * forward_features(model.with_backbone(backbone), inputs)).sum())
+        return float((w * forward_features(ToyModel(spec, backbone), inputs)).sum())
 
     _fd_check(loss, model.backbone, grad)
 
@@ -188,7 +229,7 @@ def test_train_sft_deterministic_and_learns(rng):
     batch = Batch(x, y)
     [m1] = train_sft(spec, init, [("t", batch, 7)], 3, epochs=150, lr=0.2)
     [m2] = train_sft(spec, init, [("t", batch, 7)], 3, epochs=150, lr=0.2)
-    assert m1 == m2
+    _assert_same_bits(m1, m2, "t")
     fresh = ToyModel(spec=spec, backbone=init.backbone, heads=m1.heads)
     assert cross_entropy_loss(m1, "t", batch) < cross_entropy_loss(fresh, "t", batch)
     preds_ok = (np.argmax(forward_logits(m1, "t", x), axis=1) == y).mean()
@@ -196,30 +237,25 @@ def test_train_sft_deterministic_and_learns(rng):
 
 
 def _reference_sft(spec, init, task, batch, num_classes, epochs, lr, seed):
-    """The per-layer ParamVector loop, one model at a time, that train_sft's
-    stacked flat buffer replaces."""
+    """The per-layer dict loop, one model at a time, that train_sft's
+    stacked flat buffer replaces: every layer and the head are separate
+    arrays, updated one by one."""
     head = init_head(spec, num_classes, np.random.default_rng(seed))
-    model = ToyModel(spec=spec, backbone=init.backbone, heads={task: head})
+    back = {n: a.copy() for n, a in layer_views(init.backbone, backbone_layout(spec)).items()}
     for _ in range(epochs):
-        g_back, g_head = _label_grads(spec, model.backbone, model.heads[task],
-                                      batch.inputs, batch.labels)
-        new_back = ParamVector(
-            {n: model.backbone[n] - lr * g_back[n] for n in model.backbone.layers()}
-        )
-        new_head = ParamVector(
-            {n: model.heads[task][n] - lr * g_head[n] for n in ("weight", "bias")}
-        )
-        model = ToyModel(spec=spec, backbone=new_back, heads={task: new_head})
-    return model
+        g_back, g_head = _label_grads(spec, back, head, batch.inputs, batch.labels)
+        back = {n: back[n] - lr * g_back[n] for n in back}
+        head = {n: head[n] - lr * g_head[n] for n in ("weight", "bias")}
+    return ToyModel(spec=spec, backbone=np.concatenate([a.ravel() for a in back.values()]),
+                    heads={task: head})
 
 
 def _assert_same_bits(got, want, task):
-    assert got.backbone.signature() == want.backbone.signature()
-    for name in want.backbone.layers():
-        assert got.backbone[name].tobytes() == want.backbone[name].tobytes()
+    assert got.backbone.shape == want.backbone.shape
+    assert got.backbone.tobytes() == want.backbone.tobytes()
     assert list(got.heads) == [task]
-    assert got.heads[task].signature() == want.heads[task].signature()
     for name in ("weight", "bias"):
+        assert got.heads[task][name].shape == want.heads[task][name].shape
         assert got.heads[task][name].tobytes() == want.heads[task][name].tobytes()
 
 
@@ -299,9 +335,19 @@ def test_softmax_survives_overflowing_row_spread():
 
 def test_task_vector_is_difference(rng):
     base = small_model(rng)
-    shifted = base.with_backbone(
-        ParamVector({n: a + 0.5 for n, a in base.backbone.entries.items()})
-    )
+    shifted = ToyModel(base.spec, base.backbone + 0.5, base.heads)
     delta = task_vector(shifted, base)
-    for n in delta.layers():
-        np.testing.assert_allclose(delta[n], np.full_like(base.backbone[n], 0.5))
+    np.testing.assert_allclose(delta, np.full_like(base.backbone, 0.5))
+
+
+def test_task_vector_rejects_a_spec_mismatch(rng):
+    # both layouts hold 31 parameters, so the flat difference would exist
+    base = small_model(rng)
+    other = init_model(ModelSpec((30, 1)), seed=0)
+    assert other.backbone.shape == base.backbone.shape
+    relu = ToyModel(ModelSpec((3, 4, 3), activation="relu"), base.backbone)
+    for model in (other, relu):
+        with pytest.raises(ShapeMismatchError):
+            task_vector(model, base)
+        with pytest.raises(ShapeMismatchError):
+            task_vector(base, model)
