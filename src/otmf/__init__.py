@@ -22,8 +22,6 @@ from .io import (
 from .metrics import AccuracyMatrix, accuracy, bwt, l1_shift, sinkhorn_shift
 from .models import Batch, ModelSpec, ToyModel, forward_features, forward_logits
 from .sinkhorn import (
-    CostMatrix,
-    Marginals,
     SinkhornConfig,
     TransportPlan,
     pairwise_cost,

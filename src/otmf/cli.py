@@ -105,17 +105,21 @@ _TYPE_NAMES = {
 def _typed(val, hint, name: str):
     """val checked against a config field's annotated type (JSON values).
 
-    A float field takes any finite JSON number (Python's json also reads
-    NaN and Infinity, which range checks would let through), an int field
-    only an integer, and a tuple[int, ...] field a list of integers
-    (returned as a tuple); bool is never taken for a number.
+    A float field takes any JSON number that converts to a finite float
+    (Python's json also reads NaN and Infinity, which range checks would
+    let through, and integers beyond float64 range, which overflow where
+    they are used), kept as given; an int field only an integer, and a
+    tuple[int, ...] field a list of integers (returned as a tuple); bool
+    is never taken for a number.
     """
     number = isinstance(val, (int, float)) and not isinstance(val, bool)
     if hint is int:
         ok = number and isinstance(val, int)
     elif hint is float:
-        # NaN fails both comparisons; an integer of any size compares exactly
-        ok = number and -math.inf < val < math.inf
+        try:
+            ok = number and math.isfinite(val)
+        except OverflowError:  # an integer beyond float64 range
+            ok = False
     elif hint is str:
         ok = isinstance(val, str)
     else:  # tuple[int, ...]
@@ -128,23 +132,27 @@ def _typed(val, hint, name: str):
     return val
 
 
-def _build_section(cls, data: dict, name: str):
+def _build_section(cls, data: dict, name: str = ""):
+    """cls built from a JSON object, its field types and defaults driving
+    the build; name is the object's dotted key, "" for the config root."""
+    where = f"config section '{name}'" if name else "config root"
     if not isinstance(data, dict):
-        raise ConfigError(f"config section '{name}' must be an object")
+        raise ConfigError(f"{where} must be an object")
     hints = typing.get_type_hints(cls)
     unknown = set(data) - set(hints)
     if unknown:
-        raise ConfigError(f"unknown keys in '{name}': {sorted(unknown)}")
+        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
     kwargs = {}
     for key, val in data.items():
+        dotted = f"{name}.{key}" if name else key
         if dataclasses.is_dataclass(hints[key]):
-            kwargs[key] = _build_section(hints[key], val, f"{name}.{key}")
+            kwargs[key] = _build_section(hints[key], val, dotted)
         else:
-            kwargs[key] = _typed(val, hints[key], f"{name}.{key}")
+            kwargs[key] = _typed(val, hints[key], dotted)
     try:
         return cls(**kwargs)
     except TypeError as exc:
-        raise ConfigError(f"bad config section '{name}': {exc}") from exc
+        raise ConfigError(f"bad {where}: {exc}") from exc
 
 
 def load_config(path: str | None, seed: int | None, out: str | None) -> RunConfig:
@@ -157,22 +165,7 @@ def load_config(path: str | None, seed: int | None, out: str | None) -> RunConfi
             raise ConfigError(f"config file not found: {path}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be an object")
-    known = {"stream", "model", "fusion", "baseline", "sft", "seeds", "output_dir"}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
-
-    cfg = RunConfig(
-        stream=_build_section(TaskStreamSpec, data.get("stream", {}), "stream"),
-        model=_build_section(ModelSpec, data.get("model", {"layer_dims": [8, 16, 8]}), "model"),
-        fusion=_build_section(FusionConfig, data.get("fusion", {}), "fusion"),
-        baseline=_build_section(BaselineConfig, data.get("baseline", {}), "baseline"),
-        sft=_build_section(SftConfig, data.get("sft", {}), "sft"),
-        seeds=_typed(data.get("seeds", [0]), tuple[int, ...], "seeds"),
-        output_dir=_typed(data.get("output_dir", "runs/default"), str, "output_dir"),
-    )
+    cfg = _build_section(RunConfig, data)
     if seed is not None:
         cfg = dataclasses.replace(cfg, seeds=(seed,))
     if out is not None:

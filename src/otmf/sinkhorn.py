@@ -1,9 +1,10 @@
 """Entropic optimal transport on feature clouds.
 
-Solves min_P <P, C> - eps * H(P) over couplings with fixed marginals,
-where H(P) = -sum P_ij (log P_ij - 1), in the log domain: dual potentials
-(f, g) and P = exp((f_i + g_j - C_ij)/eps). The lambda of the d^lambda
-parameterization is 1/eps.
+Solves min_P <P, C> - eps * H(P) over couplings of the uniform weights
+r = 1/n and c = 1/m of an n x m cost C (every solve here is between two
+empirical feature clouds), where H(P) = -sum P_ij (log P_ij - 1), in the
+log domain: dual potentials (f, g) and P = exp((f_i + g_j - C_ij)/eps).
+The lambda of the d^lambda parameterization is 1/eps.
 
 Every solve ends in the same Newton finish at cfg.epsilon: damped Newton
 ascent on the entropic dual D(f, g) = <f, r> + <g, c> - eps * sum(P)
@@ -88,52 +89,6 @@ class SinkhornConfig:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
-@dataclass(frozen=True)
-class CostMatrix:
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2:
-            raise ShapeMismatchError(f"cost matrix must be 2-D, got ndim={v.ndim}")
-        if not np.all(np.isfinite(v)):
-            raise NumericalError("cost matrix contains non-finite entries")
-        if np.any(v < 0):
-            raise NumericalError("cost matrix contains negative entries")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class Marginals:
-    r: np.ndarray
-    c: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.r, dtype=np.float64)
-        c = np.asarray(self.c, dtype=np.float64)
-        for name, v in (("r", r), ("c", c)):
-            if v.ndim != 1:
-                raise ShapeMismatchError(f"marginal {name} must be 1-D")
-            if np.any(v <= 0):
-                raise DataError(f"marginal {name} has a non-positive entry")
-            if abs(v.sum() - 1.0) > 1e-12:
-                raise DataError(f"marginal {name} sums to {v.sum()}, not 1")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "c", c)
-
-    @classmethod
-    def uniform(cls, n: int, m: int) -> "Marginals":
-        return cls(np.full(n, 1.0 / n), np.full(m, 1.0 / m))
-
-
 @dataclass
 class TransportPlan:
     plan: np.ndarray
@@ -150,8 +105,9 @@ class TransportPlan:
     newton: tuple[int, bool] = (0, False)
 
 
-def pairwise_cost(X: np.ndarray, Y: np.ndarray) -> CostMatrix:
-    """Squared-Euclidean cost C[i, j] = ||x_i - y_j||^2."""
+def pairwise_cost(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Squared-Euclidean cost C[i, j] = ||x_i - y_j||^2 as an n x m float64
+    array, the cost sinkhorn_plan takes."""
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     if X.ndim != 2 or Y.ndim != 2:
@@ -172,7 +128,7 @@ def pairwise_cost(X: np.ndarray, Y: np.ndarray) -> CostMatrix:
         diff *= diff
         values += diff
     np.maximum(values, 0.0, out=values)
-    return CostMatrix(values)
+    return values
 
 
 def _finish(P, log_u, log_v, C, cfg: SinkhornConfig, it, r, c, newton) -> TransportPlan:
@@ -412,47 +368,50 @@ def _sinkhorn_log(C, r, c, cfg: SinkhornConfig, init) -> TransportPlan:
     return _finish(K, f / e, g / e, C, cfg, it, r, c, (directions, fell_back))
 
 
-def sinkhorn_plan(
-    C: CostMatrix, marg: Marginals, cfg: SinkhornConfig, init=None
-) -> TransportPlan:
-    """Solve until the marginal error meets cfg.tolerance, or falls below
+def sinkhorn_plan(C: np.ndarray, cfg: SinkhornConfig, init=None) -> TransportPlan:
+    """Solve the n x m cost C between the uniform weights r = 1/n and
+    c = 1/m until the marginal error meets cfg.tolerance, or falls below
     what a row sum can resolve (m * eps_64 * max(r)), or max_iters marginal
     checks are spent; converged says whether it met cfg.tolerance.
 
-    init, if given, is a pair (f, g) of dual potentials at cfg.epsilon of
-    shapes (n,) and (m,); the Newton finish then starts from them instead
-    of from an annealed burn-in.
+    C must be 2-D (else ShapeMismatchError) with finite, non-negative
+    entries (else NumericalError). init, if given, is a pair (f, g) of dual
+    potentials at cfg.epsilon of shapes (n,) and (m,); the Newton finish
+    then starts from them instead of from an annealed burn-in.
     """
-    if marg.r.shape[0] != C.n or marg.c.shape[0] != C.m:
-        raise ShapeMismatchError(
-            f"marginals ({marg.r.shape[0]}, {marg.c.shape[0]}) do not match "
-            f"cost matrix ({C.n}, {C.m})"
-        )
+    C = np.asarray(C, dtype=np.float64)
+    if C.ndim != 2:
+        raise ShapeMismatchError(f"cost matrix must be 2-D, got ndim={C.ndim}")
+    if not np.all(np.isfinite(C)):
+        raise NumericalError("cost matrix contains non-finite entries")
+    if np.any(C < 0):
+        raise NumericalError("cost matrix contains negative entries")
+    n, m = C.shape
     if init is not None:
         # copies: the solve updates the potentials in place
         f, g = (np.array(p, dtype=np.float64) for p in init)
-        if f.shape != (C.n,) or g.shape != (C.m,):
+        if f.shape != (n,) or g.shape != (m,):
             raise ShapeMismatchError(
                 f"warm-start potentials {f.shape}, {g.shape} do not match "
-                f"cost matrix ({C.n}, {C.m})"
+                f"cost matrix ({n}, {m})"
             )
         if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
             raise NumericalError("warm-start potentials contain non-finite values")
         init = (f, g)
-    return _sinkhorn_log(C.values, marg.r, marg.c, cfg, init)
+    return _sinkhorn_log(C, np.full(n, 1.0 / n), np.full(m, 1.0 / m), cfg, init)
 
 
 def sinkhorn_distance(
     X: np.ndarray, Y: np.ndarray, cfg: SinkhornConfig, init=None
 ) -> tuple[float, TransportPlan]:
-    """Entropic OT alignment between two feature clouds, uniform weights.
+    """Entropic OT alignment between two feature clouds: sinkhorn_plan on
+    their pairwise_cost, so every point weighs 1/n (1/m on Y's side).
 
     Returns the transport cost <P, C> (the reported shift value) together
     with the full plan; plan.reg_objective carries the differentiable
     regularized value. init warm-starts the solve as in sinkhorn_plan.
     """
-    C = pairwise_cost(X, Y)
-    plan = sinkhorn_plan(C, Marginals.uniform(C.n, C.m), cfg, init)
+    plan = sinkhorn_plan(pairwise_cost(X, Y), cfg, init)
     return plan.transport_cost, plan
 
 

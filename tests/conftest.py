@@ -8,7 +8,6 @@ import pytest
 
 from otmf.errors import DataError, ShapeMismatchError
 from otmf.models import Batch, ModelSpec, ToyModel, _softmax, forward_logits, init_head, init_model
-from otmf.sinkhorn import CostMatrix
 
 
 @pytest.fixture
@@ -30,17 +29,17 @@ def cross_entropy_loss(model: ToyModel, task: str, batch: Batch) -> float:
     return float(-np.log(probs[np.arange(batch.size), batch.labels] + 1e-300).mean())
 
 
-def exact_ot_oracle(C: CostMatrix) -> float:
+def exact_ot_oracle(C: np.ndarray) -> float:
     """Exact OT cost for uniform marginals by permutation enumeration.
 
     For square cost matrices with uniform marginals the LP optimum is
     attained at a permutation, so the minimum over all n! assignments is
     exact. Deliberately brute force; serves as the solver's test oracle.
     """
-    if C.n != C.m:
-        raise ShapeMismatchError(f"oracle needs a square matrix, got {C.n}x{C.m}")
-    if C.n > 8:
-        raise DataError(f"oracle limited to n <= 8, got n={C.n}")
-    values = C.values
-    perms = itertools.permutations(range(C.n))
-    return min(sum(values[i, p[i]] for i in range(C.n)) for p in perms) / C.n
+    n, m = C.shape
+    if n != m:
+        raise ShapeMismatchError(f"oracle needs a square matrix, got {n}x{m}")
+    if n > 8:
+        raise DataError(f"oracle limited to n <= 8, got n={n}")
+    perms = itertools.permutations(range(n))
+    return min(sum(C[i, p[i]] for i in range(n)) for p in perms) / n

@@ -167,10 +167,11 @@ def test_float_keys_are_every_float_config_field():
 @pytest.mark.parametrize("key", FLOAT_KEYS)
 def test_non_finite_float_config_value_exits_2(tmp_path, key):
     # Python's json reads NaN and Infinity, and range checks such as
-    # lr <= 0 let both through
+    # lr <= 0 let both through; an integer beyond float64 range passes
+    # them too, and overflows where it is used
     *sections, leaf = key.split(".")
     p = tmp_path / "bad.json"
-    for value in (math.nan, math.inf, -math.inf):
+    for value in (math.nan, math.inf, -math.inf, 10**400):
         bad = {leaf: value}
         for section in reversed(sections):
             bad = {section: bad}

@@ -9,8 +9,6 @@ from conftest import exact_ot_oracle
 from otmf import sinkhorn as sinkhorn_module
 from otmf.errors import ConfigError, DataError, NumericalError, ShapeMismatchError
 from otmf.sinkhorn import (
-    CostMatrix,
-    Marginals,
     SinkhornConfig,
     pairwise_cost,
     sinkhorn_distance,
@@ -21,7 +19,13 @@ from otmf.sinkhorn import (
 
 def random_cost(rng, n, m=None):
     m = n if m is None else m
-    return CostMatrix(rng.uniform(0.0, 4.0, size=(n, m)))
+    return rng.uniform(0.0, 4.0, size=(n, m))
+
+
+def uniform_weights(C):
+    """The marginals sinkhorn_plan solves between: 1/n and 1/m."""
+    n, m = C.shape
+    return np.full(n, 1.0 / n), np.full(m, 1.0 / m)
 
 
 # ---------------------------------------------------------------------------
@@ -38,27 +42,13 @@ def test_config_validation():
 
 
 def test_cost_matrix_validation():
+    cfg = SinkhornConfig()
     with pytest.raises(NumericalError):
-        CostMatrix(np.array([[1.0, -0.1], [0.0, 1.0]]))
+        sinkhorn_plan(np.array([[1.0, -0.1], [0.0, 1.0]]), cfg)
     with pytest.raises(NumericalError):
-        CostMatrix(np.array([[np.nan]]))
+        sinkhorn_plan(np.array([[np.nan]]), cfg)
     with pytest.raises(ShapeMismatchError):
-        CostMatrix(np.ones(3))
-
-
-def test_marginals_validation():
-    with pytest.raises(DataError):
-        Marginals(np.array([0.5, 0.5]), np.array([0.7, 0.2]))
-    with pytest.raises(DataError):
-        Marginals(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
-    u = Marginals.uniform(4, 2)
-    assert np.allclose(u.r, 0.25) and np.allclose(u.c, 0.5)
-
-
-def test_plan_marginal_shape_check(rng):
-    C = random_cost(rng, 3)
-    with pytest.raises(ShapeMismatchError):
-        sinkhorn_plan(C, Marginals.uniform(4, 3), SinkhornConfig())
+        sinkhorn_plan(np.ones(3), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +61,8 @@ def test_pairwise_cost_matches_cdist(n, m, d, seed):
     rng = np.random.default_rng(seed)
     X, Y = rng.normal(size=(n, d)), rng.normal(size=(m, d))
     C = pairwise_cost(X, Y)
-    np.testing.assert_allclose(C.values, cdist(X, Y, "sqeuclidean"), atol=1e-12)
-    assert np.all(C.values >= 0)
+    np.testing.assert_allclose(C, cdist(X, Y, "sqeuclidean"), atol=1e-12)
+    assert np.all(C >= 0)
 
 
 def test_pairwise_cost_rejects_bad_inputs(rng):
@@ -92,8 +82,8 @@ def test_exact_oracle_matches_linear_sum_assignment(rng):
     for n in range(2, 7):
         for _ in range(10):
             C = random_cost(rng, n)
-            ri, ci = linear_sum_assignment(C.values)
-            lp = C.values[ri, ci].sum() / n
+            ri, ci = linear_sum_assignment(C)
+            lp = C[ri, ci].sum() / n
             assert exact_ot_oracle(C) == pytest.approx(lp, abs=1e-12)
 
 
@@ -110,7 +100,7 @@ def test_plan_satisfies_marginals(n, seed):
     rng = np.random.default_rng(seed)
     C = random_cost(rng, n)
     cfg = SinkhornConfig(epsilon=0.1, max_iters=50000, tolerance=1e-5)
-    plan = sinkhorn_plan(C, Marginals.uniform(n, n), cfg)
+    plan = sinkhorn_plan(C, cfg)
     assert plan.converged
     assert plan.marginal_error <= cfg.tolerance
     assert np.all(plan.plan >= 0)
@@ -121,7 +111,7 @@ def test_transport_cost_bounded_below_by_lp(rng):
     for _ in range(20):
         n = int(rng.integers(2, 7))
         C = random_cost(rng, n)
-        plan = sinkhorn_plan(C, Marginals.uniform(n, n), SinkhornConfig(epsilon=0.05))
+        plan = sinkhorn_plan(C, SinkhornConfig(epsilon=0.05))
         assert plan.transport_cost >= exact_ot_oracle(C) - 1e-9
 
 
@@ -130,16 +120,8 @@ def test_small_epsilon_approaches_exact(rng):
     for _ in range(10):
         n = int(rng.integers(2, 7))
         C = random_cost(rng, n)
-        plan = sinkhorn_plan(C, Marginals.uniform(n, n), cfg)
+        plan = sinkhorn_plan(C, cfg)
         assert abs(plan.transport_cost - exact_ot_oracle(C)) <= 1e-2
-
-
-def test_nonuniform_marginals(rng):
-    C = random_cost(rng, 3)
-    marg = Marginals(np.array([0.6, 0.3, 0.1]), np.array([0.2, 0.3, 0.5]))
-    plan = sinkhorn_plan(C, marg, SinkhornConfig(epsilon=0.2, max_iters=5000))
-    np.testing.assert_allclose(plan.plan.sum(axis=1), marg.r, atol=1e-6)
-    np.testing.assert_allclose(plan.plan.sum(axis=0), marg.c, atol=1e-6)
 
 
 def test_scaling_form_consistency(rng):
@@ -147,8 +129,8 @@ def test_scaling_form_consistency(rng):
     n = 4
     C = random_cost(rng, n)
     cfg = SinkhornConfig(epsilon=0.3)
-    plan = sinkhorn_plan(C, Marginals.uniform(n, n), cfg)
-    K = np.exp(-C.values / cfg.epsilon)
+    plan = sinkhorn_plan(C, cfg)
+    K = np.exp(-C / cfg.epsilon)
     rebuilt = np.exp(plan.log_u)[:, None] * K * np.exp(plan.log_v)[None, :]
     np.testing.assert_allclose(rebuilt, plan.plan, atol=1e-9)
 
@@ -157,15 +139,17 @@ def test_reg_objective_below_transport_cost(rng):
     # entropy H(P) = -sum P(log P - 1) is positive for couplings, so the
     # regularized value sits strictly below <P, C>
     C = random_cost(rng, 4)
-    plan = sinkhorn_plan(C, Marginals.uniform(4, 4), SinkhornConfig(epsilon=0.2))
+    plan = sinkhorn_plan(C, SinkhornConfig(epsilon=0.2))
     assert plan.reg_objective < plan.transport_cost
 
 
-def _reference_log_sinkhorn(C, r, c, cfg, init=None):
-    """The plain log-domain loop: two log-sum-exps and a full plan per update.
+def _reference_log_sinkhorn(C, cfg, init=None):
+    """The plain log-domain loop between uniform weights: two log-sum-exps
+    and a full plan per update.
 
     From init=(f, g), if given, it runs the last stage only.
     """
+    r, c = uniform_weights(C)
 
     def lse(Z, axis):
         zmax = Z.max(axis=axis, keepdims=True)
@@ -220,7 +204,6 @@ def test_stabilised_kernel_matches_log_domain_reference(
     rng, monkeypatch, n, cfg, features, bound, must_absorb
 ):
     C = _feature_cost(rng, n) if features else random_cost(rng, n)
-    marg = Marginals.uniform(n, n)
     absorptions = []
     absorb = sinkhorn_module._absorb
     monkeypatch.setattr(
@@ -229,8 +212,8 @@ def test_stabilised_kernel_matches_log_domain_reference(
     # a Newton phase that falls back before its first check leaves the
     # scaling loop, from the burn-in potentials, the whole budget
     monkeypatch.setattr(sinkhorn_module, "_newton", lambda *a: (0, 0, True))
-    plan = sinkhorn_plan(C, marg, cfg)
-    P, reg, it, converged = _reference_log_sinkhorn(C.values, marg.r, marg.c, cfg)
+    plan = sinkhorn_plan(C, cfg)
+    P, reg, it, converged = _reference_log_sinkhorn(C, cfg)
     assert converged is not bound
     assert (plan.iterations_used, plan.converged) == (it, converged)
     np.testing.assert_allclose(plan.plan, P, rtol=0, atol=1e-12)
@@ -258,12 +241,11 @@ def _potentials(plan):
 
 def test_warm_start_from_own_potentials_converges_at_first_check(rng):
     C = _feature_cost(rng, 32)
-    marg = Marginals.uniform(32, 32)
     cfg = SinkhornConfig(epsilon=0.1, max_iters=20000, tolerance=1e-12)
-    cold = sinkhorn_plan(C, marg, cfg)
+    cold = sinkhorn_plan(C, cfg)
     f, g = _potentials(cold)
     init = (f.copy(), g.copy())
-    warm = sinkhorn_plan(C, marg, cfg, init=init)
+    warm = sinkhorn_plan(C, cfg, init=init)
     assert cold.converged and cold.iterations_used > 1
     assert (warm.iterations_used, warm.converged) == (1, True)
     np.testing.assert_allclose(warm.plan, cold.plan, rtol=0, atol=1e-12)
@@ -276,14 +258,13 @@ def test_warm_start_from_perturbed_cost_reaches_cold_plan_in_fewer_updates(rng):
     X, Y = rng.normal(size=(n, d)), rng.normal(size=(n, d))
     X_near = X + 0.02 * rng.normal(size=X.shape)
     C_old, C = _scaled_cost(X, Y), _scaled_cost(X_near, Y)
-    marg = Marginals.uniform(n, n)
     cfg = SinkhornConfig(epsilon=0.1, max_iters=20000, tolerance=1e-10)
-    previous = sinkhorn_plan(C_old, marg, cfg)
-    cold = sinkhorn_plan(C, marg, cfg)
-    warm = sinkhorn_plan(C, marg, cfg, init=_potentials(previous))
+    previous = sinkhorn_plan(C_old, cfg)
+    cold = sinkhorn_plan(C, cfg)
+    warm = sinkhorn_plan(C, cfg, init=_potentials(previous))
     assert previous.converged and cold.converged and warm.converged
     np.testing.assert_allclose(warm.plan, cold.plan, rtol=0, atol=1e-8)
-    stages = sinkhorn_module._burnin_stages(float(C.values.max()), cfg.epsilon)
+    stages = sinkhorn_module._burnin_stages(float(C.max()), cfg.epsilon)
     cold_updates = sinkhorn_module._ANNEAL_BURNIN * len(stages) + cold.iterations_used
     assert warm.iterations_used < cold_updates
 
@@ -386,7 +367,6 @@ def test_newton_stop_is_checked_on_the_plan_it_returns():
 def test_newton_falls_back_to_the_scaling_loop_from_its_iterate(rng, monkeypatch, start):
     X, Y, (f, g) = _newton_problem(rng)
     C = pairwise_cost(X, Y)
-    marg = Marginals.uniform(C.n, C.m)
     cfg = SinkhornConfig()
     outcomes = []
     newton = sinkhorn_module._newton
@@ -397,12 +377,12 @@ def test_newton_falls_back_to_the_scaling_loop_from_its_iterate(rng, monkeypatch
         # column 0 scaled by exp(-40): every Newton step length overshoots
         g = g.copy()
         g[0] -= 40 * cfg.epsilon
-        plan = sinkhorn_plan(C, marg, cfg, init=(f, g))
+        plan = sinkhorn_plan(C, cfg, init=(f, g))
         checks, _, fell_back = outcomes[0]
         assert fell_back and plan.newton[1]
         rest = SinkhornConfig(max_iters=cfg.max_iters - checks)
         P, reg, it, ref_converged = _reference_log_sinkhorn(
-            C.values, marg.r, marg.c, rest, init=(f, g)
+            C, rest, init=(f, g)
         )
         assert (plan.iterations_used, plan.converged) == (checks + it, ref_converged)
         np.testing.assert_allclose(plan.plan, P, rtol=0, atol=1e-12)
@@ -411,7 +391,7 @@ def test_newton_falls_back_to_the_scaling_loop_from_its_iterate(rng, monkeypatch
         # exp((f + g - C)/eps) overflows: no marginal check is possible, and
         # the scaling loop's kernel-sum check raises as it would from there
         with pytest.raises(NumericalError, match="row sums"):
-            sinkhorn_plan(C, marg, cfg, init=(f + 50.0, g))
+            sinkhorn_plan(C, cfg, init=(f + 50.0, g))
         assert outcomes[0] == (0, 0, True)
 
 
@@ -473,12 +453,11 @@ def test_unreachable_tolerance_stops_at_the_rounding_floor():
 
 def test_newton_direction_solves_the_schur_system(rng):
     X, Y, (f, g) = _newton_problem(rng)
-    C = pairwise_cost(X, Y).values
+    C = pairwise_cost(X, Y)
     e = SinkhornConfig().epsilon
     P = np.exp((f[:, None] + g[None, :] - C) / e)
     rows, cols = P.sum(axis=1), P.sum(axis=0)
-    marg = Marginals.uniform(*C.shape)
-    r, c = marg.r, marg.c
+    r, c = uniform_weights(C)
     df, dg = sinkhorn_module._newton_direction(P, rows, cols, r, c, e)
     S = np.diag(rows) - P @ np.diag(1.0 / cols) @ P.T
     rhs = e * ((r - rows) - P @ ((c - cols) / cols))
@@ -495,7 +474,6 @@ def test_newton_direction_solves_the_schur_system(rng):
 def test_singular_or_non_finite_newton_system_falls_back(rng, monkeypatch, case):
     X, Y, (f, g) = _newton_problem(rng)
     C = pairwise_cost(X, Y)
-    marg = Marginals.uniform(C.n, C.m)
     cfg = SinkhornConfig()
     outcomes, directions = [], []
     newton, direction = sinkhorn_module._newton, sinkhorn_module._newton_direction
@@ -511,7 +489,7 @@ def test_singular_or_non_finite_newton_system_falls_back(rng, monkeypatch, case)
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(np.linalg, "solve", singular)
-        plan = sinkhorn_plan(C, marg, cfg, init=(f, g))
+        plan = sinkhorn_plan(C, cfg, init=(f, g))
         assert directions == [None] and outcomes == [(1, 0, True)]
         assert plan.newton == (0, True)
         assert 1 < plan.iterations_used <= cfg.max_iters
@@ -528,7 +506,7 @@ def test_singular_or_non_finite_newton_system_falls_back(rng, monkeypatch, case)
         g = g.copy()
         g[0] -= 36.5
     with pytest.raises(NumericalError, match="sums left the positive finite range"):
-        sinkhorn_plan(C, marg, cfg, init=(f, g))
+        sinkhorn_plan(C, cfg, init=(f, g))
     [solved] = directions
     if case == "near-empty-row":
         assert np.isfinite(solved[0]).all() and outcomes == [(1, 1, True)]
@@ -539,24 +517,23 @@ def test_singular_or_non_finite_newton_system_falls_back(rng, monkeypatch, case)
 def test_max_iters_caps_newton_steps_and_fallback_updates(rng, monkeypatch):
     X, Y, (f, g) = _newton_problem(rng)
     C = pairwise_cost(X, Y)
-    marg = Marginals.uniform(C.n, C.m)
     directions = []
     direction = sinkhorn_module._newton_direction
     monkeypatch.setattr(
         sinkhorn_module, "_newton_direction",
         lambda *a: directions.append(1) or direction(*a),
     )
-    assert sinkhorn_plan(C, marg, SinkhornConfig(), init=(f, g)).iterations_used > 3
+    assert sinkhorn_plan(C, SinkhornConfig(), init=(f, g)).iterations_used > 3
     for max_iters in (1, 2, 3):
         directions.clear()
-        plan = sinkhorn_plan(C, marg, SinkhornConfig(max_iters=max_iters), init=(f, g))
+        plan = sinkhorn_plan(C, SinkhornConfig(max_iters=max_iters), init=(f, g))
         assert (plan.iterations_used, plan.converged) == (max_iters, False)
         # a Newton step between consecutive checks, none after the last
         assert len(directions) == max_iters - 1
     g_far = g.copy()
     g_far[0] -= 40 * SinkhornConfig().epsilon
     for max_iters in (2, 5):
-        plan = sinkhorn_plan(C, marg, SinkhornConfig(max_iters=max_iters), init=(f, g_far))
+        plan = sinkhorn_plan(C, SinkhornConfig(max_iters=max_iters), init=(f, g_far))
         assert plan.newton[1]
         assert (plan.iterations_used, plan.converged) == (max_iters, False)
 
@@ -574,19 +551,18 @@ def test_warm_newton_solve_is_bit_identical_across_runs(rng):
 
 def test_warm_start_validation(rng):
     C = random_cost(rng, 3, 4)
-    marg = Marginals.uniform(3, 4)
     cfg = SinkhornConfig()
     f, g = np.zeros(3), np.zeros(4)
     for bad in ((g, g), (f, f), (f[:, None], g), (f, g[:3])):
         with pytest.raises(ShapeMismatchError):
-            sinkhorn_plan(C, marg, cfg, init=bad)
+            sinkhorn_plan(C, cfg, init=bad)
     for value in (np.nan, np.inf, -np.inf):
         f_bad = f.copy()
         f_bad[1] = value
         with pytest.raises(NumericalError, match="warm-start"):
-            sinkhorn_plan(C, marg, cfg, init=(f_bad, g))
+            sinkhorn_plan(C, cfg, init=(f_bad, g))
         with pytest.raises(NumericalError, match="warm-start"):
-            sinkhorn_plan(C, marg, cfg, init=(f, np.full(4, value)))
+            sinkhorn_plan(C, cfg, init=(f, np.full(4, value)))
 
 
 # ---------------------------------------------------------------------------

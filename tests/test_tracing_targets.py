@@ -3,15 +3,22 @@
 perfbench/tracing.py wraps the functions named in its TARGETS table
 wherever the package binds them. A name the package no longer defines is
 skipped without failing the traced run, so its per-layer metrics would
-silently read 0. This test reads that table (the file is executed from its
-source, never written) and checks every name against the package.
+silently read 0, and a count reader that no longer fits its call's result
+is skipped the same way. These tests read that file (it is executed from
+its source, never written), check every name against the package and run
+the count readers on real results.
 """
 
 import importlib
 import types
 from pathlib import Path
 
+import numpy as np
+
 import otmf
+from otmf.fusion import FusionConfig, continual_merge
+from otmf.models import Batch, ModelSpec, init_head, init_model
+from otmf.sinkhorn import SinkhornConfig, pairwise_cost, sinkhorn_plan
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -38,3 +45,28 @@ def test_every_tracer_target_is_a_callable_of_its_layer():
     for layer in ("fusion", "metrics"):
         assert importlib.import_module(f"otmf.{layer}").sinkhorn_distance is solve
     assert otmf.sinkhorn_distance is solve
+
+
+def test_count_readers_read_real_results():
+    # the tracer drops a reader's AttributeError, IndexError and TypeError,
+    # so a result of another shape would zero the sinkhorn.* counts and
+    # fusion.pair_loss_ratio without failing the traced run
+    info = _tracing_module().INFO
+    rng = np.random.default_rng(0)
+    args = (pairwise_cost(rng.normal(size=(5, 3)), rng.normal(size=(4, 3))), SinkhornConfig())
+    counts = info["sinkhorn.sinkhorn_plan"](sinkhorn_plan(*args), args)
+    assert counts["n"] == 5 and counts["m"] == 4
+    assert counts["iters"] >= 1 and counts["converged"] is True
+
+    spec, T = ModelSpec((3, 4, 3)), 3
+    theta0_model = init_model(spec, seed=0)
+    tasks = [(0.3 * rng.normal(size=theta0_model.backbone.shape), init_head(spec, 3, rng),
+              Batch(rng.normal(size=(12, 3)), rng.integers(0, 3, size=12)),
+              rng.normal(size=(16, 3))) for _ in range(T)]
+    args = (theta0_model, tasks, FusionConfig(ot_epochs=2, head_epochs=2))
+    result = continual_merge(*args)
+    # one [initial, final] pair loss per step from step 2 on
+    counts = info["fusion.continual_merge"](result, args)
+    assert counts["pair_loss"] == [[lg.initial_pair_loss, lg.final_pair_loss] for lg in result[2]]
+    assert [lg.step for lg in result[2]] == list(range(2, T + 1))
+    assert all(isinstance(loss, float) for pair in counts["pair_loss"] for loss in pair)
