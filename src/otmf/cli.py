@@ -23,6 +23,7 @@ import json
 import logging
 import math
 import os
+import reprlib
 import resource
 import sys
 import time
@@ -53,7 +54,7 @@ from .io import (
 )
 from .metrics import AccuracyMatrix, accuracy, bwt, l1_shift, sinkhorn_shift
 from .models import ModelSpec, ToyModel, forward_features, init_model, task_vector, train_sft
-from .taskgen import TaskStreamSpec, generate_stream
+from .taskgen import TaskStreamSpec, generate_stream, task_ids
 
 log = logging.getLogger("otmf")
 
@@ -85,8 +86,9 @@ class RunConfig:
     output_dir: str = "runs/default"
 
     def __post_init__(self):
-        if not self.seeds:
-            raise ConfigError("seeds must be non-empty")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ConfigError("seeds must be a non-empty list of integers >= 0, "
+                              f"got {reprlib.repr(list(self.seeds))}")
         if self.model.input_dim != self.stream.input_dim:
             raise ConfigError(
                 f"model input dim {self.model.input_dim} != "
@@ -128,7 +130,8 @@ def _typed(val, hint, name: str):
         )
         val = tuple(val) if ok else val
     if not ok:
-        raise ConfigError(f"config value '{name}' must be {_TYPE_NAMES[hint]}, got {val!r}")
+        raise ConfigError(
+            f"config value '{name}' must be {_TYPE_NAMES[hint]}, got {reprlib.repr(val)}")
     return val
 
 
@@ -161,8 +164,8 @@ def load_config(path: str | None, seed: int | None, out: str | None) -> RunConfi
     if path is not None:
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {path}") from exc
+        except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     cfg = _build_section(RunConfig, data)
@@ -197,10 +200,6 @@ def _seed_dir(cfg: RunConfig, seed: int) -> Path:
     d = Path(cfg.output_dir) / f"seed{seed}"
     d.mkdir(parents=True, exist_ok=True)
     return d
-
-
-def _task_ids(cfg: RunConfig) -> list[str]:
-    return [f"task{t + 1:02d}" for t in range(cfg.stream.num_tasks)]
 
 
 def _peak_rss_mb() -> float:
@@ -246,7 +245,7 @@ def _load_tasks(cfg: RunConfig, seed: int):
     stages after `train`, which reads only the pretraining and train sets."""
     data = _data_dir(cfg, seed)
     tasks = []
-    for tid in _task_ids(cfg):
+    for tid in task_ids(cfg.stream.num_tasks):
         train = _load_labeled(cfg, data / f"{tid}_train.csv")
         test = _load_labeled(cfg, data / f"{tid}_test.csv")
         unlabeled, _ = load_matrix(data / f"{tid}_unlabeled.csv")
@@ -261,7 +260,7 @@ def cmd_train(cfg: RunConfig, seed: int) -> None:
     data = _data_dir(cfg, seed)
     pretrain = _load_labeled(cfg, data / "pretrain.csv")
     groups: dict[int, list] = {}
-    for i, tid in enumerate(_task_ids(cfg)):
+    for i, tid in enumerate(task_ids(cfg.stream.num_tasks)):
         train = _load_labeled(cfg, data / f"{tid}_train.csv")
         groups.setdefault(train.size, []).append((tid, train, seed + 100 + i))
     ckpt = _seed_dir(cfg, seed) / "checkpoints"
@@ -270,8 +269,7 @@ def cmd_train(cfg: RunConfig, seed: int) -> None:
 
     def sft(init: ToyModel, runs) -> list[ToyModel]:
         t = time.perf_counter()
-        models = train_sft(cfg.model, init, runs, cfg.stream.classes_per_task,
-                           cfg.sft.epochs, cfg.sft.lr)
+        models = train_sft(init, runs, cfg.stream.classes_per_task, cfg.sft.epochs, cfg.sft.lr)
         sft_seconds[",".join(task for task, _, _ in runs)] = time.perf_counter() - t
         return models
 
@@ -307,14 +305,14 @@ def _sft_path(cfg: RunConfig, seed: int, tid: str) -> Path:
 
 
 def _task_stream(cfg: RunConfig, seed: int, theta0: ToyModel, tasks, on_read=None):
-    """Yield each task's (task vector, head, train batch, unlabeled set),
-    reading its fine-tuned checkpoint when the task is pulled; on_read(i,
-    model), if given, sees the model read."""
+    """Yield each task's (id, task vector, head, train batch, unlabeled
+    set), reading its fine-tuned checkpoint when the task is pulled;
+    on_read(i, model), if given, sees the model read."""
     for i, (tid, train, _, unlabeled) in enumerate(tasks):
         sft = load_checkpoint(_sft_path(cfg, seed, tid))
         if on_read is not None:
             on_read(i, sft)
-        yield task_vector(sft, theta0), sft.heads[tid], train, unlabeled
+        yield tid, task_vector(sft, theta0), sft.heads[tid], train, unlabeled
 
 
 class _Reservoir:
@@ -424,7 +422,8 @@ def cmd_merge(cfg: RunConfig, seed: int, method: str) -> dict:
         heads, extra = {}, {}
 
         def task_vectors():
-            for tid, (delta, heads[tid], _, _) in zip(tids, stream):
+            for tid, delta, head, _, _ in stream:
+                heads[tid] = head
                 yield delta
 
         fold = baseline_fold(method, cfg.baseline, task_vectors())
@@ -605,7 +604,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         log.error("config error: %s", exc)
         return 2
-    except (DataError, ShapeMismatchError, FileNotFoundError) as exc:
+    except (DataError, ShapeMismatchError, OSError) as exc:
         log.error("data error: %s", exc)
         return 3
     except NumericalError as exc:

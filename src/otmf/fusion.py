@@ -25,12 +25,12 @@ gradient; the initial and final pair losses (the sum of both sides' OT
 losses) are the same pass and solve, without the backward pass. The
 step's merged vectors are the buffer itself.
 
-Each side keeps, next to its optimizer moments, a SolverState: the dual
-potentials of its last Sinkhorn solve and counts of solves, marginal
-checks, Newton directions, Newton fallbacks and unconverged solves.
-Consecutive epochs on one side solve nearly the same OT problem, so
-every mask-loop solve is warm-started from the side's previous
-potentials (the first from the step's initial pair-loss solve on that
+Each side keeps, next to its optimizer moments, a SolverState: the
+log-scalings (log_u, log_v) of its last Sinkhorn plan and counts of
+solves, marginal checks, Newton directions, Newton fallbacks and
+unconverged solves. Consecutive epochs on one side solve nearly the same
+OT problem, so every mask-loop solve is warm-started from the side's
+previous plan (the first from the step's initial pair-loss solve on that
 side) and runs Newton on the dual, falling back to scaling updates if
 Newton cannot make progress (see otmf.sinkhorn). Both the optimizers and
 the solver states are created afresh at every continual step, because
@@ -134,13 +134,13 @@ class _MaskOptimizer:
 class SolverState:
     """One mask side's Sinkhorn state within a continual step.
 
-    duals holds the (f, g) potentials the side's last solve ended at, the
-    warm start of its next solve (after the last mask epoch, of the side's
-    final pair-loss solve); the counters sum over its solves: marginal
-    checks (Newton steps and fallback scaling updates; the row scaling
-    that starts every Newton finish is not one), Newton directions (one
-    dense n x n solve each), solves that fell back to scaling updates, and
-    unconverged solves.
+    duals holds the log-scalings (log_u, log_v) of the side's last plan,
+    the warm start of its next solve (after the last mask epoch, of the
+    side's final pair-loss solve); the counters sum over its solves:
+    marginal checks (Newton steps and fallback scaling updates; the row
+    scaling that starts every Newton finish is not one), Newton directions
+    (one dense n x n solve each), solves that fell back to scaling
+    updates, and unconverged solves.
     """
 
     duals: tuple[np.ndarray, np.ndarray] | None = None
@@ -151,7 +151,7 @@ class SolverState:
     unconverged: int = 0
 
     def record(self, plan: TransportPlan) -> None:
-        self.duals = (plan.epsilon * plan.log_u, plan.epsilon * plan.log_v)
+        self.duals = (plan.log_u, plan.log_v)
         self.solves += 1
         self.iters += plan.iterations_used
         directions, fell_back = plan.newton
@@ -336,9 +336,8 @@ class StepLog:
     solver_counts: dict[str, dict[str, int]] = field(default_factory=dict)
 
 
-# a task as streamed: (flat task vector, classification head, train batch,
-# unlabeled set)
-Task = tuple[np.ndarray, Head, Batch, np.ndarray]
+# a task as streamed: (id, flat task vector, head, train batch, unlabeled set)
+Task = tuple[str, np.ndarray, Head, Batch, np.ndarray]
 
 
 def _ot_batch(rng: np.random.Generator, pool: np.ndarray, size: int) -> np.ndarray:
@@ -372,13 +371,15 @@ def continual_merge(
     """Stream the tasks through alternating OT mask training.
 
     Tasks are pulled one at a time, in stream order, so a lazy iterable
-    keeps one incoming task vector resident next to the merged one. The
-    seen tasks' unlabeled sets are kept for the pre-side OT batch, and the
+    keeps one incoming task vector resident next to the merged one. A
+    task's id keys its head and names its step's incoming_task. The seen
+    tasks' unlabeled sets are kept for the pre-side OT batch, and the
     previous task's train batch for its head re-tune. on_step, if given,
     receives (step, merged backbone, heads) after each step. Returns the
     final merged backbone, the heads and the per-step logs. A task vector
-    whose shape is not the backbone's raises ShapeMismatchError, and a
-    stream of fewer than two tasks raises DataError once it is exhausted.
+    whose shape is not the backbone's raises ShapeMismatchError; a
+    repeated id (it would overwrite a head) raises DataError, as does a
+    stream of fewer than two tasks once it is exhausted.
     """
     rng = np.random.default_rng(seed)
     spec, theta0 = theta0_model.spec, theta0_model.backbone
@@ -386,14 +387,15 @@ def continual_merge(
     seen_unlabeled: list[np.ndarray] = []
     logs: list[StepLog] = []
 
-    t = 0
-    for t, (incoming, head, train, unlabeled) in enumerate(tasks, start=1):
+    for t, (tid, incoming, head, train, unlabeled) in enumerate(tasks, start=1):
         if np.shape(incoming) != theta0.shape:
             raise ShapeMismatchError(f"task {t}'s vector has shape {np.shape(incoming)}, "
                                      f"the backbone {theta0.shape}")
-        heads[f"task{t:02d}"] = head
+        if tid in heads:
+            raise DataError(f"task id '{tid}' appears twice in the stream")
+        heads[tid] = head
         if t == 1:
-            merged, prev_train = incoming, train
+            merged, prev_tid, prev_train = incoming, tid, train
             merged_model = ToyModel(spec=spec, backbone=theta0 + incoming)
             seen_unlabeled.append(unlabeled)
             continue
@@ -452,12 +454,11 @@ def continual_merge(
         merged_model = ToyModel(spec=spec, backbone=flat.theta, heads=heads)
 
         # light re-tune of the pre task's head on a labeled subsample
-        prev_task = f"task{t - 1:02d}"
         subset = subsample_labeled(prev_train, cfg.head_fraction, seed=seed + t)
-        heads[prev_task] = head_finetune(
-            merged_model, prev_task, subset, cfg.head_epochs, cfg.head_lr
+        heads[prev_tid] = head_finetune(
+            merged_model, prev_tid, subset, cfg.head_epochs, cfg.head_lr
         )
-        prev_train = train
+        prev_tid, prev_train = tid, train
 
         if on_step is not None:
             on_step(t, merged_model.backbone, dict(heads))
@@ -465,7 +466,7 @@ def continual_merge(
         logs.append(
             StepLog(
                 step=t,
-                incoming_task=f"task{t:02d}",
+                incoming_task=tid,
                 ot_loss_history=history,
                 initial_pair_loss=initial_pair_loss,
                 final_pair_loss=final_pair_loss,
@@ -473,6 +474,6 @@ def continual_merge(
             )
         )
 
-    if t < 2:
+    if not logs:
         raise DataError("continual merging needs at least 2 task vectors")
     return merged_model.backbone, heads, logs

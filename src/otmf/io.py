@@ -132,7 +132,10 @@ def save_matrix(path: str | Path, matrix: np.ndarray, columns: list[str]) -> Non
 
 
 def load_matrix(path: str | Path) -> tuple[np.ndarray, list[str]]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
     if not lines:
         raise DataError(f"{path}: empty matrix file")
     columns = lines[0].split(",")

@@ -312,7 +312,6 @@ def _label_grads(
 
 
 def train_sft(
-    spec: ModelSpec,
     init: ToyModel,
     runs: Sequence[tuple[str, Batch, int]],
     num_classes: int,
@@ -325,17 +324,18 @@ def train_sft(
     The runs' batches must share a size: the runs are stacked along a
     leading axis and trained as one. Their parameters live in one flat
     float64 buffer, layer by layer, so each layer is one contiguous
-    (runs x ...) array, and their gradients in a second one. Each epoch
-    takes all gradients from one forward pass, updates the whole buffer in
-    one step and checks it once: a non-finite parameter, pre-activation or
-    logit raises NumericalError naming its run's task. Each run's model is
-    what training it alone gives, bit for bit; its seed only affects its
-    head's initialization.
+    (runs x ...) array. Each epoch takes all gradients from one forward
+    pass, subtracts lr times each from its layer in place and checks the
+    buffer once: a non-finite parameter, pre-activation or logit raises
+    NumericalError naming its run's task. Each run's model is what
+    training it alone gives, bit for bit; its seed only affects its head's
+    initialization.
     """
     if not runs:
         raise DataError("no fine-tuning runs")
     if len({batch.size for _, batch, _ in runs}) > 1:
         raise ShapeMismatchError("stacked fine-tuning runs need train sets of one size")
+    spec = init.spec
     inputs = np.stack([batch.inputs for _, batch, _ in runs])
     labels = np.stack([batch.labels for _, batch, _ in runs])
     if labels.max() >= num_classes:
@@ -345,21 +345,16 @@ def train_sft(
             for n, a in layer_views(init.backbone, backbone_layout(spec)).items()}
     head = {n: np.stack([h[n] for h in heads]) for n in ("weight", "bias")}
     flat = np.concatenate([a.ravel() for a in (*back.values(), *head.values())])
-    grad = np.empty_like(flat)
     n_back = len(runs) * init.backbone.size
-
-    def split(buf):
-        return (layer_views(buf[:n_back], [(n, a.shape) for n, a in back.items()]),
-                layer_views(buf[n_back:], [(n, a.shape) for n, a in head.items()]))
-
-    params, grad_views = split(flat), split(grad)
+    params = (layer_views(flat[:n_back], [(n, a.shape) for n, a in back.items()]),
+              layer_views(flat[n_back:], [(n, a.shape) for n, a in head.items()]))
     try:
         for _ in range(epochs):
-            for views, g in zip(grad_views, _label_grads(spec, *params, inputs, labels)):
-                for name, arr in g.items():
-                    views[name][...] = arr
+            grads = _label_grads(spec, *params, inputs, labels)
             with np.errstate(over="ignore", invalid="ignore"):
-                flat -= lr * grad
+                for views, g in zip(params, grads):
+                    for name, arr in g.items():
+                        views[name] -= lr * arr
             if not np.isfinite(flat).all():
                 for views in params:
                     for arr in views.values():

@@ -17,13 +17,13 @@ marginals of the plan it would return, P after the closing column
 scaling described below, solves the Newton system's n x n Schur
 complement directly (one dense LU solve), and backtracks on D. Near the
 optimum it converges quadratically, where scaling updates at eps=0.05
-converge sublinearly. A warm solve starts it from init=(f, g), dual
-potentials at cfg.epsilon, typically eps*log_u and eps*log_v of an
-earlier plan on a nearby cost. A cold solve starts it from an annealed
-burn-in: from eps near max(C), halving down to the stage above
-cfg.epsilon, a few scaling updates per stage. A Newton phase that stops
-without falling back ends with one column scaling, so every plan's
-column sums are c and its mass is 1 up to rounding.
+converge sublinearly. A warm solve starts it from init=(log_u, log_v),
+an earlier plan's log-scalings, as f = eps*log_u and g = eps*log_v. A
+cold solve starts it from an annealed burn-in: from eps near max(C),
+halving down to the stage above cfg.epsilon, a few scaling updates per
+stage. A Newton phase that stops without falling back ends with one
+column scaling, so every plan's column sums are c and its mass is 1 up
+to rounding.
 
 Scaling updates run in a stabilised kernel K~ = exp((f_i + g_j - C_ij)/eps)
 kept in one buffer: u = r / (K~ v), v = c / (K~^T u) are matrix-vector
@@ -95,7 +95,6 @@ class TransportPlan:
     # f/eps and g/eps: P = diag(exp(log_u)) exp(-C/eps) diag(exp(log_v))
     log_u: np.ndarray
     log_v: np.ndarray
-    epsilon: float
     transport_cost: float  # <P, C>
     reg_objective: float  # <P, C> - eps * H(P); the differentiable loss
     marginal_error: float
@@ -139,7 +138,6 @@ def _finish(P, log_u, log_v, C, cfg: SinkhornConfig, it, r, c, newton) -> Transp
         plan=P,
         log_u=log_u,
         log_v=log_v,
-        epsilon=eps,
         transport_cost=float((P * C).sum()),
         # log P_ij = log_u_i + log_v_j - C_ij/eps, so <P, C> - eps*H(P)
         # reduces to the potentials weighted by the plan's marginals
@@ -348,7 +346,7 @@ def _sinkhorn_log(C, r, c, cfg: SinkhornConfig, init) -> TransportPlan:
             for stage in _burnin_stages(float(C.max()), e):
                 _scale(K, f, g, C, r, c, stage, _ANNEAL_BURNIN)
         else:
-            f, g = init
+            f, g = e * init[0], e * init[1]  # new arrays, updated in place
         # the rounding floor of a row sum (see the module docstring)
         stop = max(cfg.tolerance, C.shape[1] * _EPS_64 * float(r.max()))
         it, directions, fell_back = _newton(K, f, g, C, r, c, cfg, stop)
@@ -375,9 +373,10 @@ def sinkhorn_plan(C: np.ndarray, cfg: SinkhornConfig, init=None) -> TransportPla
     checks are spent; converged says whether it met cfg.tolerance.
 
     C must be 2-D (else ShapeMismatchError) with finite, non-negative
-    entries (else NumericalError). init, if given, is a pair (f, g) of dual
-    potentials at cfg.epsilon of shapes (n,) and (m,); the Newton finish
-    then starts from them instead of from an annealed burn-in.
+    entries (else NumericalError). init, if given, is a pair (log_u, log_v)
+    of shapes (n,) and (m,), an earlier plan's log-scalings; the Newton
+    finish then starts from the potentials eps*log_u, eps*log_v at
+    cfg.epsilon instead of from an annealed burn-in.
     """
     C = np.asarray(C, dtype=np.float64)
     if C.ndim != 2:
@@ -388,16 +387,13 @@ def sinkhorn_plan(C: np.ndarray, cfg: SinkhornConfig, init=None) -> TransportPla
         raise NumericalError("cost matrix contains negative entries")
     n, m = C.shape
     if init is not None:
-        # copies: the solve updates the potentials in place
-        f, g = (np.array(p, dtype=np.float64) for p in init)
-        if f.shape != (n,) or g.shape != (m,):
-            raise ShapeMismatchError(
-                f"warm-start potentials {f.shape}, {g.shape} do not match "
-                f"cost matrix ({n}, {m})"
-            )
-        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
-            raise NumericalError("warm-start potentials contain non-finite values")
-        init = (f, g)
+        log_u, log_v = (np.asarray(a, dtype=np.float64) for a in init)
+        if log_u.shape != (n,) or log_v.shape != (m,):
+            raise ShapeMismatchError(f"warm-start log-scalings {log_u.shape}, {log_v.shape} "
+                                     f"do not match cost matrix ({n}, {m})")
+        if not (np.all(np.isfinite(log_u)) and np.all(np.isfinite(log_v))):
+            raise NumericalError("warm-start log-scalings contain non-finite values")
+        init = (log_u, log_v)
     return _sinkhorn_log(C, np.full(n, 1.0 / n), np.full(m, 1.0 / m), cfg, init)
 
 
@@ -409,7 +405,7 @@ def sinkhorn_distance(
 
     Returns the transport cost <P, C> (the reported shift value) together
     with the full plan; plan.reg_objective carries the differentiable
-    regularized value. init warm-starts the solve as in sinkhorn_plan.
+    regularized value. init=(log_u, log_v) warm-starts it as in sinkhorn_plan.
     """
     plan = sinkhorn_plan(pairwise_cost(X, Y), cfg, init)
     return plan.transport_cost, plan

@@ -37,8 +37,10 @@ class TaskStreamSpec:
     def __post_init__(self):
         if self.num_tasks < 2:
             raise ConfigError("need at least 2 tasks")
-        if min(self.input_dim, self.classes_per_task, self.samples_per_task) < 1:
+        if min(self.input_dim, self.classes_per_task) < 1:
             raise ConfigError("all stream counts must be positive")
+        if self.samples_per_task < 2:  # else the test or the train split is empty
+            raise ConfigError(f"samples_per_task must be >= 2, got {self.samples_per_task}")
         if not math.isfinite(self.heterogeneity) or self.heterogeneity < 0:
             raise ConfigError(f"bad heterogeneity {self.heterogeneity}")
 
@@ -74,6 +76,11 @@ def _rotation(h: float, skew: np.ndarray) -> np.ndarray:
     return ((v * np.exp(-1j * w)) @ v.conj().T).real
 
 
+def task_ids(num_tasks: int) -> list[str]:
+    """The ids of a stream's tasks, in stream order: task01, task02, ..."""
+    return [f"task{t:02d}" for t in range(1, num_tasks + 1)]
+
+
 def generate_stream(spec: TaskStreamSpec, seed: int = 0) -> tuple[Batch, list[TaskData]]:
     """Pretraining batch plus one (train, test, unlabeled) triple per task,
     drawn from seed."""
@@ -86,7 +93,7 @@ def generate_stream(spec: TaskStreamSpec, seed: int = 0) -> tuple[Batch, list[Ta
     pretrain = Batch(pre_x, pre_y)
 
     tasks = []
-    for t in range(spec.num_tasks):
+    for tid in task_ids(spec.num_tasks):
         raw = rng.normal(size=(d, d))
         skew = (raw - raw.T) / 2.0
         rot = _rotation(spec.heterogeneity, skew)
@@ -100,9 +107,7 @@ def generate_stream(spec: TaskStreamSpec, seed: int = 0) -> tuple[Batch, list[Ta
         unlabeled = rng.normal(
             centroids[rng.integers(0, k, size=_UNLABELED_POOL)], _NOISE_STD
         )
-        tasks.append(
-            TaskData(task_id=f"task{t + 1:02d}", train=train, test=test, unlabeled=unlabeled)
-        )
+        tasks.append(TaskData(task_id=tid, train=train, test=test, unlabeled=unlabeled))
     return pretrain, tasks
 
 

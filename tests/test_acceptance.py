@@ -43,7 +43,7 @@ from otmf.sinkhorn import (
     sinkhorn_grad_features,
     sinkhorn_plan,
 )
-from otmf.taskgen import TaskStreamSpec, generate_stream
+from otmf.taskgen import TaskStreamSpec, generate_stream, task_ids
 
 MODEL = ModelSpec((8, 16, 8))
 SFT_EPOCHS = 300
@@ -62,11 +62,11 @@ def build_world(seed):
     stream = TaskStreamSpec()
     pretrain, tasks = generate_stream(stream, seed)
     base = init_model(MODEL, seed=seed)
-    [theta0] = train_sft(MODEL, base, [("pretrain", pretrain, seed)],
+    [theta0] = train_sft(base, [("pretrain", pretrain, seed)],
                          stream.classes_per_task, SFT_EPOCHS, SFT_LR)
     theta0 = ToyModel(spec=MODEL, backbone=theta0.backbone, heads={})
     runs = [(td.task_id, td.train, seed + 100 + i) for i, td in enumerate(tasks)]
-    sfts = tuple(train_sft(MODEL, theta0, runs, stream.classes_per_task, SFT_EPOCHS, SFT_LR))
+    sfts = tuple(train_sft(theta0, runs, stream.classes_per_task, SFT_EPOCHS, SFT_LR))
     return stream, tasks, theta0, sfts
 
 
@@ -85,7 +85,8 @@ def run_otmf(seed, cfg=None):
     cfg = cfg or FusionConfig()
     snapshots = {}
     final, merged_heads, logs = continual_merge(
-        theta0, zip(deltas, heads, train_batches, pools), cfg, seed=seed,
+        theta0, zip([td.task_id for td in tasks], deltas, heads, train_batches, pools), cfg,
+        seed=seed,
         on_step=lambda step, theta, hs: snapshots.__setitem__(step, (theta, hs)),
     )
     return tasks, theta0, sfts, deltas, final, merged_heads, logs, snapshots
@@ -268,9 +269,9 @@ def test_criterion_4_schedule_conformance(capsys):
         # the vectors the epochs read are those very arrays
         frozen_ok &= step.pre is d_pre and step.post is d_post
     # the schedule the merge runs: one step fusing d_pre and d_post
-    tasks = [(d, init_head(spec, 3, rng),
+    tasks = [(tid, d, init_head(spec, 3, rng),
               Batch(rng.normal(size=(12, 3)), rng.integers(0, 3, size=12)), inputs)
-             for d in (d_pre, d_post)]
+             for tid, d in zip(task_ids(2), (d_pre, d_post))]
     _, _, [step_log] = continual_merge(theta0_model, tasks, cfg, seed=4)
     sides = [s for _, s, _ in step_log.ot_loss_history]
     alternation_ok = sides == ["pre", "post"] * 5
@@ -387,9 +388,9 @@ def test_criterion_8_constant_memory(capsys):
 
     def tasks(T, live):
         # each task is built when it is pulled, after counting what is live
-        for _ in range(T):
+        for tid in task_ids(T):
             live.append(live_buffers())
-            yield (0.2 * rng.normal(size=theta0_model.backbone.shape),
+            yield (tid, 0.2 * rng.normal(size=theta0_model.backbone.shape),
                    init_head(spec, 3, rng),
                    Batch(rng.normal(size=(12, 3)), rng.integers(0, 3, size=12)),
                    rng.normal(size=(16, 3)))

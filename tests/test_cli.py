@@ -76,6 +76,10 @@ def test_config_overrides(tiny_cfg):
     assert cfg.seeds == (7,)
     assert cfg.output_dir == "elsewhere"
     assert cfg.stream.num_tasks == 2
+    # numpy would reject a negative seed only once the stage runs
+    with pytest.raises(ConfigError, match="integers >= 0"):
+        load_config(str(tiny_cfg), seed=-1, out=None)
+    assert run("gen", "--config", tiny_cfg, "--seed", -1) == 2
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -134,6 +138,9 @@ def test_tolerance_below_float64_epsilon_warns_once(tmp_path, caplog):
         {"fusion": {"head_lr": 0}},
         {"fusion": {"head_fraction": 0}},
         {"fusion": {"head_fraction": 1.5}},
+        {"seeds": [-1]},
+        # one sample leaves the train split empty
+        {"stream": {"samples_per_task": 1}},
     ],
     ids=lambda bad: json.dumps(bad),
 )
@@ -176,8 +183,10 @@ def test_non_finite_float_config_value_exits_2(tmp_path, key):
         for section in reversed(sections):
             bad = {section: bad}
         p.write_text(json.dumps(bad))
-        with pytest.raises(ConfigError, match="finite"):
+        with pytest.raises(ConfigError, match="finite") as exc:
             load_config(str(p), None, None)
+        # the rejected value is echoed shortened, not as 400 digits
+        assert len(str(exc.value)) < 200
         assert run("gen", "--config", p, "--out", tmp_path / "out") == 2
 
 
@@ -191,12 +200,20 @@ def test_tiny_finite_tolerance_is_valid(tmp_path):
 # exit codes
 
 
-def test_exit_code_config_error():
+def test_exit_code_config_error(tmp_path):
     assert run("gen", "--config", "does-not-exist.json") == 2
+    # a config file that is not UTF-8 text
+    p = tmp_path / "utf16.json"
+    p.write_bytes(b"\xff\xfe{\x00}\x00")
+    assert run("gen", "--config", p) == 2
 
 
 def test_exit_code_missing_data(tiny_cfg, tmp_path):
     assert run("train", "--config", tiny_cfg, "--out", tmp_path / "empty") == 3
+    # files that cannot be read or written where the run looks for them
+    assert run("eval", "--config", tiny_cfg, "--out", tmp_path / "empty",
+               "--checkpoint", tmp_path) == 3
+    assert run("gen", "--config", tiny_cfg, "--out", tiny_cfg / "x") == 3
 
 
 def test_only_train_reads_the_pretraining_set(pipeline):
@@ -244,7 +261,7 @@ def test_ragged_train_sets_train_in_groups_as_each_alone(tmp_path):
     batches = [load_batch(seed_dir / "data" / f"task0{i}_train.csv") for i in (1, 2, 3)]
     assert batches[0].size == batches[1].size + 2 == batches[2].size
     for i, (tid, batch) in enumerate(zip(["task01", "task02", "task03"], batches)):
-        [alone] = train_sft(cfg.model, theta0, [(tid, batch, 100 + i)],
+        [alone] = train_sft(theta0, [(tid, batch, 100 + i)],
                             cfg.stream.classes_per_task, cfg.sft.epochs, cfg.sft.lr)
         solo = tmp_path / f"{tid}.ckpt"
         save_checkpoint(solo, alone)
@@ -368,6 +385,8 @@ FAULTS = {
         lambda raw: _edit_row(raw, 2, lambda r: r.rsplit(b",", 1)[0]), 3),
     "non-numeric-cell": (
         "data/task02_test.csv", lambda raw: _edit_row(raw, 1, lambda r: b"x" + r), 3),
+    "non-utf8-cell": (
+        "data/task02_test.csv", lambda raw: _edit_row(raw, 1, lambda r: b"\xff" + r), 3),
     "nan-cell": (
         "data/task02_test.csv",
         lambda raw: _edit_row(raw, 1, lambda r: b"nan" + r[r.index(b","):]), 3),

@@ -36,7 +36,7 @@ from otmf.models import (
     train_sft,
 )
 from otmf.sinkhorn import SinkhornConfig, sinkhorn_distance, sinkhorn_grad_features
-from otmf.taskgen import TaskStreamSpec, generate_stream
+from otmf.taskgen import TaskStreamSpec, generate_stream, task_ids
 
 SPEC = ModelSpec((3, 4, 3))
 
@@ -54,9 +54,10 @@ def world(seed=0, T=2):
     return theta0_model, deltas, heads, batches, pools
 
 
-def stream(deltas, heads, batches, pools):
-    """The tasks as continual_merge takes them."""
-    return list(zip(deltas, heads, batches, pools))
+def stream(deltas, heads, batches, pools, ids=None):
+    """The tasks as continual_merge takes them, with the stream's ids
+    unless ids are given."""
+    return list(zip(ids or task_ids(len(deltas)), deltas, heads, batches, pools))
 
 
 def ones(delta):
@@ -176,7 +177,7 @@ def test_mask_gradient_matches_fd(side):
     # h=1e-6, so the tolerance is 1e-14
     cold = _reg_plan(theta0_model, d_pre, d_post, m_pre, m_post, target, inputs, cfg)
     assert cold.converged
-    init = (cold.epsilon * cold.log_u, cold.epsilon * cold.log_v)
+    init = (cold.log_u, cold.log_v)
 
     # an optimizer that records the raw gradient it is given
     class Recorder:
@@ -379,8 +380,8 @@ def test_mask_epochs_warm_start_from_their_side_duals(monkeypatch):
     for solver in solvers.values():
         assert solver.solves == 2
         assert solver.iters >= 2 and 0 <= solver.unconverged <= 2
-        f, g = solver.duals
-        assert f.shape == g.shape == (pools[0].shape[0],)
+        log_u, log_v = solver.duals
+        assert log_u.shape == log_v.shape == (pools[0].shape[0],)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +413,7 @@ def test_each_gradient_runs_one_forward_pass(monkeypatch):
     monkeypatch.setattr(models_module, "_forward_trace",
                         lambda *a: traces.append(1) or trace(*a))
     # SFT takes both gradients from one pass per epoch
-    train_sft(SPEC, theta0_model, [("t", batches[0], 0)], 3, epochs=7, lr=0.1)
+    train_sft(theta0_model, [("t", batches[0], 0)], 3, epochs=7, lr=0.1)
     assert len(traces) == 7
     # the head is tuned on the frozen backbone's features, computed once
     traces.clear()
@@ -509,12 +510,12 @@ def test_solver_state_counts_newton_directions_and_fallbacks(rng):
     solver = SolverState()
     _, cold = sinkhorn_distance(X, Y, cfg)
     solver.record(cold)
-    f, g = solver.duals
-    _, warm = sinkhorn_distance(X + 0.02, Y, cfg, init=(f, g))
+    log_u, log_v = solver.duals
+    _, warm = sinkhorn_distance(X + 0.02, Y, cfg, init=(log_u, log_v))
     solver.record(warm)
-    g_far = g.copy()
-    g_far[0] -= 40 * cfg.epsilon  # Newton cannot raise the dual from here
-    _, fell_back = sinkhorn_distance(X, Y, cfg, init=(f, g_far))
+    log_v_far = log_v.copy()
+    log_v_far[0] -= 40  # Newton cannot raise the dual from here
+    _, fell_back = sinkhorn_distance(X, Y, cfg, init=(log_u, log_v_far))
     solver.record(fell_back)
     assert cold.newton[1] is False and warm.newton[1] is False and fell_back.newton[1]
     plans = (cold, warm, fell_back)
@@ -548,9 +549,8 @@ def test_first_mask_loop_solves_start_from_initial_pair_loss_duals(monkeypatch):
     assert [calls[i][0] for i in (0, 1)] == [None] * 2
     for previous, solve in ((0, 2), (1, 3), (2, 4), (3, 5)):
         plan = calls[previous][1]
-        f, g = calls[solve][0]
-        np.testing.assert_array_equal(f, plan.epsilon * plan.log_u)
-        np.testing.assert_array_equal(g, plan.epsilon * plan.log_v)
+        log_u, log_v = calls[solve][0]
+        assert log_u is plan.log_u and log_v is plan.log_v
 
 
 def test_default_stream_seed1_mask_loop_solves_converge_without_fallback():
@@ -559,14 +559,14 @@ def test_default_stream_seed1_mask_loop_solves_converge_without_fallback():
     spec = ModelSpec((8, 16, 8))
     pretrain, tasks = generate_stream(TaskStreamSpec(), seed=1)
     k = TaskStreamSpec().classes_per_task
-    [pre] = train_sft(spec, init_model(spec, seed=1), [("pretrain", pretrain, 1)], k, 300, 0.1)
+    [pre] = train_sft(init_model(spec, seed=1), [("pretrain", pretrain, 1)], k, 300, 0.1)
     theta0 = ToyModel(spec=spec, backbone=pre.backbone, heads={})
-    sfts = train_sft(spec, theta0, [(td.task_id, td.train, 101 + i) for i, td in enumerate(tasks)],
+    sfts = train_sft(theta0, [(td.task_id, td.train, 101 + i) for i, td in enumerate(tasks)],
                      k, 300, 0.1)
     cfg = FusionConfig()
     _, _, logs = continual_merge(
         theta0,
-        [(task_vector(m, theta0), m.heads[td.task_id], td.train, td.unlabeled)
+        [(td.task_id, task_vector(m, theta0), m.heads[td.task_id], td.train, td.unlabeled)
          for m, td in zip(sfts, tasks)],
         cfg, seed=1,
     )
@@ -627,6 +627,29 @@ def test_continual_merge_accumulates_heads_and_logs():
     assert final.shape == theta0_model.backbone.shape
 
 
+def test_continual_merge_keys_heads_and_logs_by_the_given_ids():
+    theta0_model, deltas, heads, batches, pools = world(seed=11, T=3)
+    cfg = FusionConfig(ot_epochs=4, batch_size=8)
+    ids = ["zeta", "alpha", "mid"]
+    seen = []
+    final, named_heads, logs = continual_merge(
+        theta0_model, stream(deltas, heads, batches, pools, ids=ids), cfg, seed=0,
+        on_step=lambda step, theta, hs: seen.append(sorted(hs)))
+    assert sorted(named_heads) == sorted(ids)
+    assert [lg.incoming_task for lg in logs] == ["alpha", "mid"]
+    assert seen == [["alpha", "zeta"], ["alpha", "mid", "zeta"]]
+    # the same stream under the default ids: the same merge, head for head,
+    # with only the last head left as it was given
+    default_final, default_heads, _ = continual_merge(
+        theta0_model, stream(deltas, heads, batches, pools), cfg, seed=0)
+    assert np.array_equal(final, default_final)
+    for tid, default_tid in zip(ids, task_ids(3)):
+        for n in ("weight", "bias"):
+            assert np.array_equal(named_heads[tid][n], default_heads[default_tid][n])
+    assert all(np.array_equal(named_heads["mid"][n], heads[2][n]) for n in ("weight", "bias"))
+    assert not np.array_equal(named_heads["zeta"]["weight"], heads[0]["weight"])
+
+
 def test_continual_merge_pulls_each_task_once_in_order():
     theta0_model, deltas, heads, batches, pools = world(seed=12, T=6)
     cfg = FusionConfig(ot_epochs=4, batch_size=8)
@@ -670,3 +693,7 @@ def test_continual_merge_input_validation():
     for short in (tasks[:1], []):
         with pytest.raises(DataError):
             continual_merge(theta0_model, iter(short), cfg, seed=0)
+    # a repeated id would overwrite the first task's head
+    with pytest.raises(DataError, match="'task01' appears twice"):
+        continual_merge(theta0_model, stream(deltas, heads, batches, pools,
+                                             ids=["task01", "task01"]), cfg, seed=0)

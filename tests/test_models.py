@@ -248,8 +248,8 @@ def test_train_sft_deterministic_and_learns(rng):
     x = np.concatenate([rng.normal(c, 0.2, size=(20, 3)) for c in np.eye(3) * 2])
     y = np.repeat(np.arange(3), 20)
     batch = Batch(x, y)
-    [m1] = train_sft(spec, init, [("t", batch, 7)], 3, epochs=150, lr=0.2)
-    [m2] = train_sft(spec, init, [("t", batch, 7)], 3, epochs=150, lr=0.2)
+    [m1] = train_sft(init, [("t", batch, 7)], 3, epochs=150, lr=0.2)
+    [m2] = train_sft(init, [("t", batch, 7)], 3, epochs=150, lr=0.2)
     _assert_same_bits(m1, m2, "t")
     fresh = ToyModel(spec=spec, backbone=init.backbone, heads=m1.heads)
     assert cross_entropy_loss(m1, "t", batch) < cross_entropy_loss(fresh, "t", batch)
@@ -286,7 +286,7 @@ def test_train_sft_matches_per_layer_loop(rng, activation):
     spec = ModelSpec((4, 7, 5, 3), activation=activation)
     init = init_model(spec, seed=3)
     batch = make_batch(rng, n=30, d=4, k=4)
-    [got] = train_sft(spec, init, [("t", batch, 11)], 4, epochs=25, lr=0.3)
+    [got] = train_sft(init, [("t", batch, 11)], 4, epochs=25, lr=0.3)
     want = _reference_sft(spec, init, "t", batch, 4, epochs=25, lr=0.3, seed=11)
     _assert_same_bits(got, want, "t")
 
@@ -298,9 +298,9 @@ def test_stacked_sft_equals_one_run_at_a_time(rng, activation):
     spec = ModelSpec((4, 7, 5, 3), activation=activation)
     init = init_model(spec, seed=3)
     runs = [(f"t{i}", make_batch(rng, n=30, d=4, k=4), 11 + i) for i in range(3)]
-    stacked = train_sft(spec, init, runs, 4, epochs=25, lr=0.3)
+    stacked = train_sft(init, runs, 4, epochs=25, lr=0.3)
     for run, got in zip(runs, stacked):
-        [alone] = train_sft(spec, init, [run], 4, epochs=25, lr=0.3)
+        [alone] = train_sft(init, [run], 4, epochs=25, lr=0.3)
         _assert_same_bits(got, alone, run[0])
         _assert_same_bits(got, _reference_sft(spec, init, *run[:2], 4, 25, 0.3, run[2]), run[0])
 
@@ -309,13 +309,13 @@ def test_train_sft_rejects_bad_runs(rng):
     spec = ModelSpec((3, 4, 3))
     runs = [("a", make_batch(rng, n=12), 0), ("b", make_batch(rng, n=13), 1)]
     with pytest.raises(ShapeMismatchError):
-        train_sft(spec, init_model(spec, seed=0), runs, 3, epochs=2, lr=0.1)
+        train_sft(init_model(spec, seed=0), runs, 3, epochs=2, lr=0.1)
     with pytest.raises(DataError):
-        train_sft(spec, init_model(spec, seed=0), [], 3, epochs=2, lr=0.1)
+        train_sft(init_model(spec, seed=0), [], 3, epochs=2, lr=0.1)
     # label 3 has no row in a 3-class head
     beyond = Batch(np.zeros((2, 3)), np.array([0, 3]))
     with pytest.raises(DataError):
-        train_sft(spec, init_model(spec, seed=0), [("c", beyond, 2)], 3, epochs=2, lr=0.1)
+        train_sft(init_model(spec, seed=0), [("c", beyond, 2)], 3, epochs=2, lr=0.1)
 
 
 def test_train_sft_overflowing_update_raises_without_warnings(rng):
@@ -324,7 +324,7 @@ def test_train_sft_overflowing_update_raises_without_warnings(rng):
     spec = ModelSpec((3, 6, 3), activation="relu")
     batch = Batch(1e3 * rng.normal(size=(40, 3)), rng.integers(0, 3, size=40))
     with pytest.raises(NumericalError, match="non-finite parameters"):
-        train_sft(spec, init_model(spec, seed=0), [("t", batch, 0)], 3,
+        train_sft(init_model(spec, seed=0), [("t", batch, 0)], 3,
                   epochs=20, lr=np.finfo(np.float64).max)
 
 
@@ -338,14 +338,14 @@ def test_overflow_in_one_stacked_model_names_its_task(rng, bad):
     huge = Batch(np.full((32, 3), 1e308), runs[bad][1].labels)
     runs[bad] = (runs[bad][0], huge, bad)
     with pytest.raises(NumericalError, match=f"'task{bad}': layer . pre-activation") as exc:
-        train_sft(spec, init_model(spec, seed=0), runs, 2, epochs=3, lr=0.1)
+        train_sft(init_model(spec, seed=0), runs, 2, epochs=3, lr=0.1)
     assert exc.value.__cause__.model == bad
 
     calm = Batch(np.zeros((32, 3)), np.repeat([0, 1], 16))
     runs = [(f"task{i}", calm, i) for i in range(3)]
     runs[bad] = (f"task{bad}", Batch(1e3 * rng.normal(size=(32, 3)), calm.labels), bad)
     with pytest.raises(NumericalError, match=f"'task{bad}': .*non-finite parameters"):
-        train_sft(spec, init_model(spec, seed=0), runs, 2, epochs=3,
+        train_sft(init_model(spec, seed=0), runs, 2, epochs=3,
                   lr=np.finfo(np.float64).max)
 
 

@@ -147,7 +147,8 @@ def _reference_log_sinkhorn(C, cfg, init=None):
     """The plain log-domain loop between uniform weights: two log-sum-exps
     and a full plan per update.
 
-    From init=(f, g), if given, it runs the last stage only.
+    From init=(log_u, log_v), if given, it runs the last stage only, from
+    the potentials eps*log_u, eps*log_v.
     """
     r, c = uniform_weights(C)
 
@@ -162,7 +163,7 @@ def _reference_log_sinkhorn(C, cfg, init=None):
         e *= 0.5
     stages.append(cfg.epsilon)
     if init is not None:
-        f, g = (np.array(p) for p in init)
+        f, g = (cfg.epsilon * a for a in init)
         stages = stages[-1:]
     converged, it = False, 0
     for e in stages[:-1]:
@@ -235,22 +236,18 @@ def test_kernel_sum_not_positive_finite_raises():
 # warm start
 
 
-def _potentials(plan):
-    return plan.epsilon * plan.log_u, plan.epsilon * plan.log_v
-
-
 def test_warm_start_from_own_potentials_converges_at_first_check(rng):
     C = _feature_cost(rng, 32)
     cfg = SinkhornConfig(epsilon=0.1, max_iters=20000, tolerance=1e-12)
     cold = sinkhorn_plan(C, cfg)
-    f, g = _potentials(cold)
-    init = (f.copy(), g.copy())
+    log_u, log_v = cold.log_u, cold.log_v
+    init = (log_u.copy(), log_v.copy())
     warm = sinkhorn_plan(C, cfg, init=init)
     assert cold.converged and cold.iterations_used > 1
     assert (warm.iterations_used, warm.converged) == (1, True)
     np.testing.assert_allclose(warm.plan, cold.plan, rtol=0, atol=1e-12)
-    # the caller's potentials are not updated in place
-    assert np.array_equal(init[0], f) and np.array_equal(init[1], g)
+    # the caller's log-scalings are not updated in place
+    assert np.array_equal(init[0], log_u) and np.array_equal(init[1], log_v)
 
 
 def test_warm_start_from_perturbed_cost_reaches_cold_plan_in_fewer_updates(rng):
@@ -261,7 +258,7 @@ def test_warm_start_from_perturbed_cost_reaches_cold_plan_in_fewer_updates(rng):
     cfg = SinkhornConfig(epsilon=0.1, max_iters=20000, tolerance=1e-10)
     previous = sinkhorn_plan(C_old, cfg)
     cold = sinkhorn_plan(C, cfg)
-    warm = sinkhorn_plan(C, cfg, init=_potentials(previous))
+    warm = sinkhorn_plan(C, cfg, init=(previous.log_u, previous.log_v))
     assert previous.converged and cold.converged and warm.converged
     np.testing.assert_allclose(warm.plan, cold.plan, rtol=0, atol=1e-8)
     stages = sinkhorn_module._burnin_stages(float(C.max()), cfg.epsilon)
@@ -275,10 +272,10 @@ def _unit(Z):
 
 def _newton_problem(rng, n=64, d=8):
     """A mask-loop warm solve at the default eps=0.05: unit-mean-norm clouds,
-    X moved a little, and the potentials of the solve before the move."""
+    X moved a little, and the log-scalings of the solve before the move."""
     X, Y = _unit(rng.normal(size=(n, d))), _unit(rng.normal(size=(n, d)))
     _, previous = sinkhorn_distance(X, Y, SinkhornConfig())
-    return X + 0.02 * rng.normal(size=X.shape), Y, _potentials(previous)
+    return X + 0.02 * rng.normal(size=X.shape), Y, (previous.log_u, previous.log_v)
 
 
 def test_warm_newton_solve_converges_where_scaling_stalls(rng, monkeypatch):
@@ -292,8 +289,8 @@ def test_warm_newton_solve_converges_where_scaling_stalls(rng, monkeypatch):
     assert warm.converged and warm.newton[1] is False
     assert warm.iterations_used < 10
     # Newton steps leave the null direction (f + k, g - k) alone: sum(f) stays
-    f, _ = _potentials(warm)
-    assert f.sum() == pytest.approx(init[0].sum(), rel=0, abs=1e-9)
+    e = cfg.epsilon
+    assert (e * warm.log_u).sum() == pytest.approx((e * init[0]).sum(), rel=0, abs=1e-9)
     P, n = warm.plan, X.shape[0]
     assert np.abs(P.sum(axis=1) - 1.0 / n).max() <= cfg.tolerance
     assert np.abs(P.sum(axis=0) - 1.0 / n).max() <= cfg.tolerance
@@ -303,7 +300,7 @@ def test_warm_newton_solve_converges_where_scaling_stalls(rng, monkeypatch):
     tight = SinkhornConfig(tolerance=1e-12, max_iters=50)
 
     def objective(Xf):
-        _, plan = sinkhorn_distance(Xf, Y, tight, init=_potentials(warm))
+        _, plan = sinkhorn_distance(Xf, Y, tight, init=(warm.log_u, warm.log_v))
         assert plan.converged
         return plan.reg_objective
 
@@ -337,13 +334,13 @@ def test_row_scaled_start_removes_a_constant_shift_of_f(shift):
         rng = np.random.default_rng(seed)
         X, Y = _unit(rng.normal(size=(64, 8))), _unit(rng.normal(size=(64, 8)))
         _, solved = sinkhorn_distance(X, Y, cfg)
-        f, g = _potentials(solved)
-        _, warm = sinkhorn_distance(X, Y, cfg, init=(f + shift, g))
+        e = cfg.epsilon
+        init = (solved.log_u + shift / e, solved.log_v)
+        _, warm = sinkhorn_distance(X, Y, cfg, init=init)
         assert (warm.iterations_used, warm.converged, warm.newton) == (1, True, (0, False))
         assert np.abs(warm.plan - solved.plan).max() <= cfg.tolerance
-        # the row scaling keeps the gauge sum(f)
-        f_warm, _ = _potentials(warm)
-        assert f_warm.sum() == pytest.approx((f + shift).sum(), rel=0, abs=1e-12)
+        # the row scaling keeps the gauge sum(f), f = eps * log_u
+        assert (e * warm.log_u).sum() == pytest.approx((e * init[0]).sum(), rel=0, abs=1e-12)
 
 
 def test_newton_stop_is_checked_on_the_plan_it_returns():
@@ -359,13 +356,13 @@ def test_newton_stop_is_checked_on_the_plan_it_returns():
         for _ in range(5):
             assert plan.converged and not plan.newton[1], seed
             X = X + 0.01 * rng.normal(size=X.shape)
-            _, plan = sinkhorn_distance(X, Y, cfg, init=_potentials(plan))
+            _, plan = sinkhorn_distance(X, Y, cfg, init=(plan.log_u, plan.log_v))
         assert plan.converged and not plan.newton[1], seed
 
 
 @pytest.mark.parametrize("start", ["column-far-below", "plan-overflows"])
 def test_newton_falls_back_to_the_scaling_loop_from_its_iterate(rng, monkeypatch, start):
-    X, Y, (f, g) = _newton_problem(rng)
+    X, Y, (log_u, log_v) = _newton_problem(rng)
     C = pairwise_cost(X, Y)
     cfg = SinkhornConfig()
     outcomes = []
@@ -375,14 +372,14 @@ def test_newton_falls_back_to_the_scaling_loop_from_its_iterate(rng, monkeypatch
     )
     if start == "column-far-below":
         # column 0 scaled by exp(-40): every Newton step length overshoots
-        g = g.copy()
-        g[0] -= 40 * cfg.epsilon
-        plan = sinkhorn_plan(C, cfg, init=(f, g))
+        log_v = log_v.copy()
+        log_v[0] -= 40
+        plan = sinkhorn_plan(C, cfg, init=(log_u, log_v))
         checks, _, fell_back = outcomes[0]
         assert fell_back and plan.newton[1]
         rest = SinkhornConfig(max_iters=cfg.max_iters - checks)
         P, reg, it, ref_converged = _reference_log_sinkhorn(
-            C, rest, init=(f, g)
+            C, rest, init=(log_u, log_v)
         )
         assert (plan.iterations_used, plan.converged) == (checks + it, ref_converged)
         np.testing.assert_allclose(plan.plan, P, rtol=0, atol=1e-12)
@@ -391,7 +388,7 @@ def test_newton_falls_back_to_the_scaling_loop_from_its_iterate(rng, monkeypatch
         # exp((f + g - C)/eps) overflows: no marginal check is possible, and
         # the scaling loop's kernel-sum check raises as it would from there
         with pytest.raises(NumericalError, match="row sums"):
-            sinkhorn_plan(C, cfg, init=(f + 50.0, g))
+            sinkhorn_plan(C, cfg, init=(log_u + 50.0 / cfg.epsilon, log_v))
         assert outcomes[0] == (0, 0, True)
 
 
@@ -402,11 +399,11 @@ def test_converged_means_marginal_error_within_tolerance(tolerance):
     # plan's marginal error is about 5e-17 (seeds 3-5 here)
     cfg = SinkhornConfig(tolerance=tolerance)
     for seed in range(6):
-        X, Y, (f, g) = _newton_problem(np.random.default_rng(seed))
-        g_far = g.copy()
-        g_far[0] -= 40 * cfg.epsilon
+        X, Y, (log_u, log_v) = _newton_problem(np.random.default_rng(seed))
+        log_v_far = log_v.copy()
+        log_v_far[0] -= 40
         plans = [sinkhorn_distance(X, Y, cfg, init=init)[1]
-                 for init in (None, (f, g), (f, g_far))]
+                 for init in (None, (log_u, log_v), (log_u, log_v_far))]
         # every solve runs the Newton finish, the cold one from its burn-in
         assert plans[0].newton[0] > 0 and plans[2].newton[1]
         for plan in plans:
@@ -452,9 +449,10 @@ def test_unreachable_tolerance_stops_at_the_rounding_floor():
 
 
 def test_newton_direction_solves_the_schur_system(rng):
-    X, Y, (f, g) = _newton_problem(rng)
+    X, Y, (log_u, log_v) = _newton_problem(rng)
     C = pairwise_cost(X, Y)
     e = SinkhornConfig().epsilon
+    f, g = e * log_u, e * log_v
     P = np.exp((f[:, None] + g[None, :] - C) / e)
     rows, cols = P.sum(axis=1), P.sum(axis=0)
     r, c = uniform_weights(C)
@@ -472,7 +470,7 @@ def test_newton_direction_solves_the_schur_system(rng):
 
 @pytest.mark.parametrize("case", ["solve-raises", "near-empty-row", "near-empty-column"])
 def test_singular_or_non_finite_newton_system_falls_back(rng, monkeypatch, case):
-    X, Y, (f, g) = _newton_problem(rng)
+    X, Y, (log_u, log_v) = _newton_problem(rng)
     C = pairwise_cost(X, Y)
     cfg = SinkhornConfig()
     outcomes, directions = [], []
@@ -489,24 +487,25 @@ def test_singular_or_non_finite_newton_system_falls_back(rng, monkeypatch, case)
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(np.linalg, "solve", singular)
-        plan = sinkhorn_plan(C, cfg, init=(f, g))
+        plan = sinkhorn_plan(C, cfg, init=(log_u, log_v))
         assert directions == [None] and outcomes == [(1, 0, True)]
         assert plan.newton == (0, True)
         assert 1 < plan.iterations_used <= cfg.max_iters
         return
-    # one row (column) of the starting plan at about 1e-318, out of reach of
-    # the opening row scaling. A near-empty row gives a finite direction so
-    # large that no step length raises the dual; a near-empty column
-    # overflows 1/cols and gives a non-finite one. Either way Newton falls
-    # back, and the scaling loop's kernel-sum check raises
+    # one row (column) of the starting plan at about 1e-318 (its scaling by
+    # exp(-730)), out of reach of the opening row scaling. A near-empty row
+    # gives a finite direction so large that no step length raises the
+    # dual; a near-empty column overflows 1/cols and gives a non-finite
+    # one. Either way Newton falls back, and the scaling loop's kernel-sum
+    # check raises
     if case == "near-empty-row":
-        f = f.copy()
-        f[0] -= 36.5
+        log_u = log_u.copy()
+        log_u[0] -= 730
     else:
-        g = g.copy()
-        g[0] -= 36.5
+        log_v = log_v.copy()
+        log_v[0] -= 730
     with pytest.raises(NumericalError, match="sums left the positive finite range"):
-        sinkhorn_plan(C, cfg, init=(f, g))
+        sinkhorn_plan(C, cfg, init=(log_u, log_v))
     [solved] = directions
     if case == "near-empty-row":
         assert np.isfinite(solved[0]).all() and outcomes == [(1, 1, True)]
@@ -515,7 +514,7 @@ def test_singular_or_non_finite_newton_system_falls_back(rng, monkeypatch, case)
 
 
 def test_max_iters_caps_newton_steps_and_fallback_updates(rng, monkeypatch):
-    X, Y, (f, g) = _newton_problem(rng)
+    X, Y, (log_u, log_v) = _newton_problem(rng)
     C = pairwise_cost(X, Y)
     directions = []
     direction = sinkhorn_module._newton_direction
@@ -523,17 +522,17 @@ def test_max_iters_caps_newton_steps_and_fallback_updates(rng, monkeypatch):
         sinkhorn_module, "_newton_direction",
         lambda *a: directions.append(1) or direction(*a),
     )
-    assert sinkhorn_plan(C, SinkhornConfig(), init=(f, g)).iterations_used > 3
+    assert sinkhorn_plan(C, SinkhornConfig(), init=(log_u, log_v)).iterations_used > 3
     for max_iters in (1, 2, 3):
         directions.clear()
-        plan = sinkhorn_plan(C, SinkhornConfig(max_iters=max_iters), init=(f, g))
+        plan = sinkhorn_plan(C, SinkhornConfig(max_iters=max_iters), init=(log_u, log_v))
         assert (plan.iterations_used, plan.converged) == (max_iters, False)
         # a Newton step between consecutive checks, none after the last
         assert len(directions) == max_iters - 1
-    g_far = g.copy()
-    g_far[0] -= 40 * SinkhornConfig().epsilon
+    log_v_far = log_v.copy()
+    log_v_far[0] -= 40
     for max_iters in (2, 5):
-        plan = sinkhorn_plan(C, SinkhornConfig(max_iters=max_iters), init=(f, g_far))
+        plan = sinkhorn_plan(C, SinkhornConfig(max_iters=max_iters), init=(log_u, log_v_far))
         assert plan.newton[1]
         assert (plan.iterations_used, plan.converged) == (max_iters, False)
 
@@ -552,17 +551,17 @@ def test_warm_newton_solve_is_bit_identical_across_runs(rng):
 def test_warm_start_validation(rng):
     C = random_cost(rng, 3, 4)
     cfg = SinkhornConfig()
-    f, g = np.zeros(3), np.zeros(4)
-    for bad in ((g, g), (f, f), (f[:, None], g), (f, g[:3])):
+    log_u, log_v = np.zeros(3), np.zeros(4)
+    for bad in ((log_v, log_v), (log_u, log_u), (log_u[:, None], log_v), (log_u, log_v[:3])):
         with pytest.raises(ShapeMismatchError):
             sinkhorn_plan(C, cfg, init=bad)
     for value in (np.nan, np.inf, -np.inf):
-        f_bad = f.copy()
-        f_bad[1] = value
+        log_u_bad = log_u.copy()
+        log_u_bad[1] = value
         with pytest.raises(NumericalError, match="warm-start"):
-            sinkhorn_plan(C, cfg, init=(f_bad, g))
+            sinkhorn_plan(C, cfg, init=(log_u_bad, log_v))
         with pytest.raises(NumericalError, match="warm-start"):
-            sinkhorn_plan(C, cfg, init=(f, np.full(4, value)))
+            sinkhorn_plan(C, cfg, init=(log_u, np.full(4, value)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import otmf
 from otmf.fusion import FusionConfig, continual_merge
 from otmf.models import Batch, ModelSpec, init_head, init_model
 from otmf.sinkhorn import SinkhornConfig, pairwise_cost, sinkhorn_plan
+from otmf.taskgen import task_ids
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -60,9 +61,9 @@ def test_count_readers_read_real_results():
 
     spec, T = ModelSpec((3, 4, 3)), 3
     theta0_model = init_model(spec, seed=0)
-    tasks = [(0.3 * rng.normal(size=theta0_model.backbone.shape), init_head(spec, 3, rng),
+    tasks = [(tid, 0.3 * rng.normal(size=theta0_model.backbone.shape), init_head(spec, 3, rng),
               Batch(rng.normal(size=(12, 3)), rng.integers(0, 3, size=12)),
-              rng.normal(size=(16, 3))) for _ in range(T)]
+              rng.normal(size=(16, 3))) for tid in task_ids(T)]
     args = (theta0_model, tasks, FusionConfig(ot_epochs=2, head_epochs=2))
     result = continual_merge(*args)
     # one [initial, final] pair loss per step from step 2 on
