@@ -52,8 +52,8 @@ from .io import (
     save_matrix,
     save_report,
 )
-from .metrics import AccuracyMatrix, accuracy, bwt, l1_shift, sinkhorn_shift
-from .models import ModelSpec, ToyModel, forward_features, init_model, task_vector, train_sft
+from .metrics import AccuracyMatrix, accuracy, bwt, score_shift
+from .models import ModelSpec, ToyModel, init_model, task_vector, train_sft
 from .taskgen import TaskStreamSpec, generate_stream, task_ids
 
 log = logging.getLogger("otmf")
@@ -86,8 +86,8 @@ class RunConfig:
     output_dir: str = "runs/default"
 
     def __post_init__(self):
-        if not self.seeds or min(self.seeds) < 0:
-            raise ConfigError("seeds must be a non-empty list of integers >= 0, "
+        if not self.seeds or min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError("seeds must be a non-empty list of distinct integers >= 0, "
                               f"got {reprlib.repr(list(self.seeds))}")
         if self.model.input_dim != self.stream.input_dim:
             raise ConfigError(
@@ -192,6 +192,11 @@ def resolved_config(cfg: RunConfig) -> dict:
     return json.loads(json.dumps(d))
 
 
+def _report(cfg: RunConfig, seed: int, **fields) -> dict:
+    """A stage's report: the tool version, the seed, the resolved config and fields."""
+    return {"tool_version": __version__, "seed": seed, "config": resolved_config(cfg), **fields}
+
+
 # ---------------------------------------------------------------------------
 # per-seed pipeline pieces
 
@@ -230,27 +235,18 @@ def _data_dir(cfg: RunConfig, seed: int) -> Path:
     return data
 
 
-def _load_labeled(cfg: RunConfig, path: Path):
-    batch = load_batch(path)
-    if batch.labels.max() >= cfg.stream.classes_per_task:
-        raise DataError(
-            f"{path}: label {batch.labels.max()} is not below "
-            f"classes_per_task {cfg.stream.classes_per_task}"
-        )
-    return batch
-
-
-def _load_tasks(cfg: RunConfig, seed: int):
-    """Each task's (id, train batch, test batch, unlabeled set), for the
-    stages after `train`, which reads only the pretraining and train sets."""
-    data = _data_dir(cfg, seed)
-    tasks = []
-    for tid in task_ids(cfg.stream.num_tasks):
-        train = _load_labeled(cfg, data / f"{tid}_train.csv")
-        test = _load_labeled(cfg, data / f"{tid}_test.csv")
-        unlabeled, _ = load_matrix(data / f"{tid}_unlabeled.csv")
-        tasks.append((tid, train, test, unlabeled))
-    return tasks
+def _load_set(cfg: RunConfig, path: Path, labeled: bool = True):
+    """The labeled batch, or the unlabeled inputs, in a dataset file: at
+    least one row of stream.input_dim inputs, labels below classes_per_task."""
+    data = load_batch(path) if labeled else load_matrix(path)[0]
+    inputs = data.inputs if labeled else data
+    if len(inputs) == 0 or inputs.shape[1] != cfg.stream.input_dim:
+        raise DataError(f"{path}: expected at least one row of {cfg.stream.input_dim} "
+                        f"inputs, got {len(inputs)} rows of {inputs.shape[1]}")
+    if labeled and data.labels.max() >= cfg.stream.classes_per_task:
+        raise DataError(f"{path}: label {data.labels.max()} is not below "
+                        f"classes_per_task {cfg.stream.classes_per_task}")
+    return data
 
 
 def cmd_train(cfg: RunConfig, seed: int) -> None:
@@ -258,10 +254,10 @@ def cmd_train(cfg: RunConfig, seed: int) -> None:
     train sets have one size are fine-tuned together as one stack."""
     t0 = time.perf_counter()
     data = _data_dir(cfg, seed)
-    pretrain = _load_labeled(cfg, data / "pretrain.csv")
+    pretrain = _load_set(cfg, data / "pretrain.csv")
     groups: dict[int, list] = {}
     for i, tid in enumerate(task_ids(cfg.stream.num_tasks)):
-        train = _load_labeled(cfg, data / f"{tid}_train.csv")
+        train = _load_set(cfg, data / f"{tid}_train.csv")
         groups.setdefault(train.size, []).append((tid, train, seed + 100 + i))
     ckpt = _seed_dir(cfg, seed) / "checkpoints"
     ckpt.mkdir(exist_ok=True)
@@ -289,30 +285,41 @@ def cmd_train(cfg: RunConfig, seed: int) -> None:
              timings["peak_rss_mb"])
 
 
-def _load_theta0(cfg: RunConfig, seed: int) -> ToyModel:
-    path = _seed_dir(cfg, seed) / "checkpoints" / "pretrained.ckpt"
+def _load_trained(cfg: RunConfig, seed: int, name: str) -> ToyModel:
+    """The checkpoint `train` wrote under name: "pretrained" or a task id."""
+    path = _seed_dir(cfg, seed) / "checkpoints" / f"{name}.ckpt"
     if not path.exists():
         raise DataError(f"checkpoint missing: {path}; run `otmf train` first")
-    pre = load_checkpoint(path)
+    return load_checkpoint(path)
+
+
+def _load_theta0(cfg: RunConfig, seed: int) -> ToyModel:
+    pre = _load_trained(cfg, seed, "pretrained")
     return ToyModel(spec=pre.spec, backbone=pre.backbone, heads={})
 
 
-def _sft_path(cfg: RunConfig, seed: int, tid: str) -> Path:
-    path = _seed_dir(cfg, seed) / "checkpoints" / f"{tid}.ckpt"
-    if not path.exists():
-        raise DataError(f"checkpoint missing: {path}; run `otmf train` first")
-    return path
-
-
-def _task_stream(cfg: RunConfig, seed: int, theta0: ToyModel, tasks, on_read=None):
+def _task_stream(cfg: RunConfig, seed: int, theta0: ToyModel, tests: dict, on_read=None):
     """Yield each task's (id, task vector, head, train batch, unlabeled
-    set), reading its fine-tuned checkpoint when the task is pulled;
-    on_read(i, model), if given, sees the model read."""
-    for i, (tid, train, _, unlabeled) in enumerate(tasks):
-        sft = load_checkpoint(_sft_path(cfg, seed, tid))
+    set), reading its datasets and fine-tuned checkpoint when the task is
+    pulled. The test set is kept in tests, by id; on_read(id, model,
+    unlabeled set), if given, sees the rest of what was read."""
+    data = _data_dir(cfg, seed)
+    for tid in task_ids(cfg.stream.num_tasks):
+        train = _load_set(cfg, data / f"{tid}_train.csv")
+        tests[tid] = _load_set(cfg, data / f"{tid}_test.csv")
+        unlabeled = _load_set(cfg, data / f"{tid}_unlabeled.csv", labeled=False)
+        sft = _load_trained(cfg, seed, tid)
         if on_read is not None:
-            on_read(i, sft)
+            on_read(tid, sft, unlabeled)
         yield tid, task_vector(sft, theta0), sft.heads[tid], train, unlabeled
+
+
+def _warn_unconverged_shifts(seed: int, stage: str, converged: list[bool]) -> None:
+    """One WARNING counting a stage's unconverged shift solves, when any."""
+    if not all(converged):
+        log.warning("seed %d: %s: %d of %d shift solves unconverged, so their Sinkhorn "
+                    "shifts are not at tolerance", seed, stage,
+                    converged.count(False), len(converged))
 
 
 class _Reservoir:
@@ -349,53 +356,47 @@ def cmd_merge(cfg: RunConfig, seed: int, method: str) -> dict:
     """
     if method not in _MERGE_METHODS:
         raise ConfigError(f"unknown merge method '{method}'")
-    tasks = _load_tasks(cfg, seed)
     theta0 = _load_theta0(cfg, seed)
-    tids = [t[0] for t in tasks]
     step_dir = _seed_dir(cfg, seed) / "merged" / method
     step_dir.mkdir(parents=True, exist_ok=True)
-    mat = AccuracyMatrix(len(tasks))
-    shifts = []
-    # the fine-tuned model read last, the incoming side of the step's shift,
-    # and the model the step's pre-side shift compares against: task01's
+    mat = AccuracyMatrix(cfg.stream.num_tasks)
+    # the read tasks' test sets and fine-tuned heads (a baseline's heads)
+    tests, sft_heads = {}, {}
+    shifts, converged = [], []
+    # the fine-tuned model and unlabeled set read last, the step's incoming
+    # side, and the model its pre side compares against: task01's
     # fine-tuned model at step 2, then the previous step's merged model
     models = {}
     # the pre-side shift's inputs: a sample of the tasks before the incoming one
     seen = _Reservoir(seed)
     max_shift_n = 0
 
-    def on_read(i: int, sft: ToyModel) -> None:
-        models["incoming"] = sft
-        if i == 0:
+    def on_read(tid: str, sft: ToyModel, unlabeled: np.ndarray) -> None:
+        if len(tests) == 1:
             models["prev"] = sft
             # accuracy row 1 is the first fine-tuned model alone
-            mat.set(1, 1, accuracy(sft, tids[0], tasks[0][2]))
+            mat.set(1, 1, accuracy(sft, tid, tests[tid]))
         else:
-            seen.add(tasks[i - 1][3])
+            seen.add(models["unlabeled"])
+        sft_heads[tid] = sft.heads[tid]
+        models.update(incoming=sft, unlabeled=unlabeled)
 
     def on_step(step: int, theta: np.ndarray, heads: dict) -> None:
         nonlocal max_shift_n
         model = ToyModel(spec=cfg.model, backbone=theta, heads=heads)
         save_checkpoint(step_dir / f"step{step:02d}.ckpt", model)
-        for i in range(1, step + 1):
-            mat.set(step, i, accuracy(model, tids[i - 1], tasks[i - 1][2]))
+        for i, (tid, test) in enumerate(tests.items(), start=1):
+            mat.set(step, i, accuracy(model, tid, test))
         # shift of the merged model against the two models it fused
-        prev, incoming = models["prev"], models["incoming"]
-        pre_pool = seen.rows
-        post_pool = tasks[step - 1][3]
-        max_shift_n = max(max_shift_n, len(pre_pool), len(post_pool))
-        shifts.append(
-            {
-                "step": step,
-                "delta_pre": l1_shift(model, prev, pre_pool),
-                "delta_post": l1_shift(model, incoming, post_pool),
-                "sinkhorn_pre": sinkhorn_shift(model, prev, pre_pool, cfg.fusion.sinkhorn),
-                "sinkhorn_post": sinkhorn_shift(model, incoming, post_pool, cfg.fusion.sinkhorn),
-            }
-        )
+        pre = score_shift(model, models["prev"], seen.rows, cfg.fusion.sinkhorn)
+        post = score_shift(model, models["incoming"], models["unlabeled"], cfg.fusion.sinkhorn)
+        max_shift_n = max(max_shift_n, len(pre.merged), len(post.merged))
+        shifts.append({"step": step, "delta_pre": pre.l1, "delta_post": post.l1,
+                       "sinkhorn_pre": pre.sinkhorn, "sinkhorn_post": post.sinkhorn})
+        converged.extend((pre.plan.converged, post.plan.converged))
         models["prev"] = model
 
-    stream = _task_stream(cfg, seed, theta0, tasks, on_read)
+    stream = _task_stream(cfg, seed, theta0, tests, on_read)
     t0 = time.perf_counter()
     if method == "otmf":
         final_theta, heads, logs = continual_merge(
@@ -419,41 +420,24 @@ def cmd_merge(cfg: RunConfig, seed: int, method: str) -> dict:
             ],
         }
     else:
-        heads, extra = {}, {}
-
-        def task_vectors():
-            for tid, delta, head, _, _ in stream:
-                heads[tid] = head
-                yield delta
-
-        fold = baseline_fold(method, cfg.baseline, task_vectors())
+        heads, extra = sft_heads, {}
+        fold = baseline_fold(method, cfg.baseline, (delta for _, delta, *_ in stream))
         for step, delta_m in enumerate(fold, start=1):
             if step >= 2:
                 final_theta = theta0.backbone + delta_m
                 on_step(step, final_theta, dict(heads))
+    _warn_unconverged_shifts(seed, f"merge {method}", converged)
     # the merge together with the per-step checkpoints and evaluation
-    peak_rss_mb = _peak_rss_mb()
-    timings = {"merge_seconds": time.perf_counter() - t0, "peak_rss_mb": peak_rss_mb}
-    log.info(
-        "seed %d: %s peak RSS %.1f MB, largest shift problem %d points",
-        seed, method, peak_rss_mb, max_shift_n,
-    )
+    timings = {"merge_seconds": time.perf_counter() - t0, "peak_rss_mb": _peak_rss_mb()}
+    log.info("seed %d: %s peak RSS %.1f MB, largest shift problem %d points",
+             seed, method, timings["peak_rss_mb"], max_shift_n)
     final = ToyModel(spec=cfg.model, backbone=final_theta, heads=heads)
     save_checkpoint(step_dir / "final.ckpt", final)
 
-    report = {
-        "tool_version": __version__,
-        "seed": seed,
-        "method": method,
-        "config": resolved_config(cfg),
-        "accuracy_matrix": [
-            [None if np.isnan(v) else v for v in row] for row in mat.as_array()
-        ],
-        "average_accuracy": mat.final_average(),
-        "bwt": bwt(mat),
-        "shifts": shifts,
-        **extra,
-    }
+    report = _report(
+        cfg, seed, method=method,
+        accuracy_matrix=[[None if np.isnan(v) else v for v in row] for row in mat.as_array()],
+        average_accuracy=mat.final_average(), bwt=bwt(mat), shifts=shifts, **extra)
     save_report(_seed_dir(cfg, seed) / f"report_{method}.json", report)
     save_report(_seed_dir(cfg, seed) / f"timings_{method}.json", timings)
     log.info(
@@ -469,23 +453,24 @@ def cmd_eval(cfg: RunConfig, seed: int, checkpoint: str) -> dict:
         raise ShapeMismatchError(
             f"checkpoint spec {model.spec} does not match configured {cfg.model}"
         )
-    tasks = _load_tasks(cfg, seed)
+    data = _data_dir(cfg, seed)
     out = _seed_dir(cfg, seed) / "eval"
     out.mkdir(exist_ok=True)
 
-    per_task = []
-    for tid, _, test, unlabeled in tasks:
-        sft = load_checkpoint(_sft_path(cfg, seed, tid))
-        entry = {"task": tid}
+    per_task, converged = [], []
+    for tid in task_ids(cfg.stream.num_tasks):
+        test = _load_set(cfg, data / f"{tid}_test.csv")
+        unlabeled = _load_set(cfg, data / f"{tid}_unlabeled.csv", labeled=False)
+        sft = _load_trained(cfg, seed, tid)
+        shift = score_shift(model, sft, unlabeled, cfg.fusion.sinkhorn)
+        entry = {"task": tid, "delta_l1": shift.l1, "delta_sinkhorn": shift.sinkhorn}
         if tid in model.heads:
             entry["accuracy"] = accuracy(model, tid, test)
-        entry["delta_l1"] = l1_shift(model, sft, unlabeled)
-        entry["delta_sinkhorn"] = sinkhorn_shift(model, sft, unlabeled, cfg.fusion.sinkhorn)
+        converged.append(shift.plan.converged)
         per_task.append(entry)
-        save_features(out / f"features_{tid}_merged.csv",
-                      forward_features(model, unlabeled), "merged")
-        save_features(out / f"features_{tid}_sft.csv",
-                      forward_features(sft, unlabeled), tid)
+        save_features(out / f"features_{tid}_merged.csv", shift.merged, "merged")
+        save_features(out / f"features_{tid}_sft.csv", shift.reference, tid)
+    _warn_unconverged_shifts(seed, "eval", converged)
 
     # Record the checkpoint relative to the output directory when it lives
     # inside it, so the report does not depend on where the run was written.
@@ -494,13 +479,7 @@ def cmd_eval(cfg: RunConfig, seed: int, checkpoint: str) -> dict:
         ckpt_label = ckpt_path.relative_to(Path(cfg.output_dir).resolve()).as_posix()
     except ValueError:
         ckpt_label = ckpt_path.name
-    report = {
-        "tool_version": __version__,
-        "seed": seed,
-        "checkpoint": ckpt_label,
-        "config": resolved_config(cfg),
-        "per_task": per_task,
-    }
+    report = _report(cfg, seed, checkpoint=ckpt_label, per_task=per_task)
     save_report(out / "eval_report.json", report)
     return report
 
@@ -510,34 +489,27 @@ def cmd_ablate_alpha(cfg: RunConfig, seed: int, grid: list[float]) -> dict:
         raise ConfigError("alpha grid is empty")
     if any(not 0.0 <= a <= 1.0 for a in grid):
         raise ConfigError(f"alpha grid values must lie in [0, 1]: {grid}")
-    tasks = _load_tasks(cfg, seed)
     theta0 = _load_theta0(cfg, seed)
-    tids = [t[0] for t in tasks]
-
+    tests = {}  # the test sets, by task id, for the accuracy table
     rows = []
     for alpha in grid:
         fcfg = dataclasses.replace(cfg.fusion, alpha=float(alpha))
         final_theta, heads, _ = continual_merge(
-            theta0, _task_stream(cfg, seed, theta0, tasks), fcfg, seed=seed
+            theta0, _task_stream(cfg, seed, theta0, tests), fcfg, seed=seed
         )
         model = ToyModel(spec=cfg.model, backbone=final_theta, heads=heads)
-        accs = [accuracy(model, tid, tasks[i][2]) for i, tid in enumerate(tids)]
+        accs = [accuracy(model, tid, test) for tid, test in tests.items()]
         rows.append([float(alpha), *accs, float(np.mean(accs))])
         log.info("seed %d: alpha %.2f avg accuracy %.4f", seed, alpha, rows[-1][-1])
 
     table = np.array(rows)
     best = int(np.argmax(table[:, -1]))
     out = _seed_dir(cfg, seed)
-    save_matrix(out / "alpha_table.csv", table, ["alpha", *tids, "average"])
-    report = {
-        "tool_version": __version__,
-        "seed": seed,
-        "config": resolved_config(cfg),
-        "grid": [float(a) for a in grid],
-        "table": [list(map(float, r)) for r in rows],
-        "best_alpha": float(table[best, 0]),
-        "best_average_accuracy": float(table[best, -1]),
-    }
+    save_matrix(out / "alpha_table.csv", table, ["alpha", *tests, "average"])
+    report = _report(cfg, seed, grid=[float(a) for a in grid],
+                     table=[list(map(float, r)) for r in rows],
+                     best_alpha=float(table[best, 0]),
+                     best_average_accuracy=float(table[best, -1]))
     save_report(out / "report_ablate.json", report)
     return report
 

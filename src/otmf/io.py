@@ -171,7 +171,10 @@ def load_batch(path: str | Path) -> Batch:
     # the cells are finite (load_matrix); 2**53 keeps the cast exact
     if not np.all((labels == np.trunc(labels)) & (np.abs(labels) <= 2.0**53)):
         raise DataError(f"{path}: a label is not an integer")
-    return Batch(m[:, :-1], labels.astype(np.int64))
+    try:
+        return Batch(m[:, :-1], labels.astype(np.int64))
+    except DataError as exc:  # no rows, or a negative label
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def save_features(path: str | Path, features: np.ndarray, source: str) -> None:

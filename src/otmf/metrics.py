@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import DataError, ShapeMismatchError
 from .models import Batch, ToyModel, forward_features, forward_logits
-from .sinkhorn import SinkhornConfig, sinkhorn_distance
+from .sinkhorn import SinkhornConfig, TransportPlan, sinkhorn_distance
 
 
 class AccuracyMatrix:
@@ -47,27 +49,48 @@ def normalized_feature_scale(reference: np.ndarray) -> float:
     return 1.0 / mean_norm if mean_norm > 0 else 1.0
 
 
-def l1_shift(merged: ToyModel, reference: ToyModel, inputs: np.ndarray) -> float:
-    """Mean per-sample l1 distance between the two models' features."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.shape[0] == 0:
-        raise DataError("empty input set")
-    fm = forward_features(merged, inputs)
-    fr = forward_features(reference, inputs)
+def _check_clouds(fm: np.ndarray, fr: np.ndarray) -> None:
+    if len(fm) == 0 or len(fr) == 0:
+        raise DataError("feature cloud is empty")
     if fm.shape != fr.shape:
-        raise ShapeMismatchError("feature dimensions differ between models")
+        raise ShapeMismatchError(f"feature clouds differ in shape: {fm.shape} vs {fr.shape}")
+
+
+def l1_shift(fm: np.ndarray, fr: np.ndarray) -> float:
+    """Mean per-sample l1 distance between two models' features of the same inputs."""
+    _check_clouds(fm, fr)
     return float(np.abs(fm - fr).sum(axis=1).mean())
 
 
 def sinkhorn_shift(
+    fm: np.ndarray, fr: np.ndarray, cfg: SinkhornConfig
+) -> tuple[float, TransportPlan]:
+    """Sinkhorn distance between two feature clouds and its plan, both clouds
+    scaled to the reference cloud fr's unit-mean-norm convention."""
+    _check_clouds(fm, fr)
+    s = normalized_feature_scale(fr)
+    return sinkhorn_distance(s * fm, s * fr, cfg)
+
+
+class Shift(NamedTuple):
+    """A merged model's shifts from a reference on one input cloud, the plan
+    behind the Sinkhorn one, and the two feature clouds they measure."""
+
+    l1: float
+    sinkhorn: float
+    plan: TransportPlan
+    merged: np.ndarray
+    reference: np.ndarray
+
+
+def score_shift(
     merged: ToyModel, reference: ToyModel, inputs: np.ndarray, cfg: SinkhornConfig
-) -> float:
-    """Sinkhorn distance between the feature clouds, with both clouds scaled
-    to the reference model's unit-mean-norm convention."""
+) -> Shift:
+    """Both shifts of merged from reference on inputs, from one feature
+    pass per model."""
     fm = forward_features(merged, inputs)
     fr = forward_features(reference, inputs)
-    s = normalized_feature_scale(fr)
-    return sinkhorn_distance(s * fm, s * fr, cfg)[0]
+    return Shift(l1_shift(fm, fr), *sinkhorn_shift(fm, fr, cfg), fm, fr)
 
 
 def accuracy(model: ToyModel, task: str, batch: Batch) -> float:

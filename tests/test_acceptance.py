@@ -292,15 +292,17 @@ def test_criterion_5_alignment_efficacy(capsys):
     post_inputs = tasks[-1].unlabeled
     final_model = ToyModel(spec=MODEL, backbone=final, heads={})
     prev_model = ToyModel(spec=MODEL, backbone=snapshots[len(tasks) - 1][0], heads={})
-    otmf_l1 = (l1_shift(final_model, prev_model, pre_inputs)
-               + l1_shift(final_model, sfts[-1], post_inputs))
+
+    def l1(merged, reference, inputs):
+        return l1_shift(forward_features(merged, inputs), forward_features(reference, inputs))
+
+    otmf_l1 = l1(final_model, prev_model, pre_inputs) + l1(final_model, sfts[-1], post_inputs)
 
     *_, ta_prev, ta_full = (
         ToyModel(spec=MODEL, backbone=theta0.backbone + merged, heads={})
         for merged in baseline_fold("task_arithmetic", BaselineConfig(scaling=0.3), deltas)
     )
-    ta_l1 = (l1_shift(ta_full, ta_prev, pre_inputs)
-             + l1_shift(ta_full, sfts[-1], post_inputs))
+    ta_l1 = l1(ta_full, ta_prev, pre_inputs) + l1(ta_full, sfts[-1], post_inputs)
 
     elapsed = time.perf_counter() - t0
     ok = max(ratios) <= 0.5 and otmf_l1 < ta_l1 and elapsed < 300.0

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +14,13 @@ import pytest
 
 import otmf
 import otmf.cli
+import otmf.metrics
 from otmf import sinkhorn as sinkhorn_module
 from otmf.cli import _Reservoir, cmd_merge, load_config, main, resolved_config
 from otmf.errors import ConfigError, DataError
-from otmf.io import load_batch, load_checkpoint, load_matrix, save_checkpoint
-from otmf.metrics import l1_shift, sinkhorn_shift
-from otmf.models import ModelSpec, ToyModel, init_model, train_sft
+from otmf.io import load_batch, load_checkpoint, load_matrix, save_checkpoint, save_features
+from otmf.metrics import l1_shift, score_shift, sinkhorn_shift
+from otmf.models import ModelSpec, ToyModel, forward_features, init_model, train_sft
 
 
 TINY = {
@@ -194,6 +196,16 @@ def test_tiny_finite_tolerance_is_valid(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"fusion": {"sinkhorn": {"tolerance": 1e-300}}}))
     assert load_config(str(p), None, None).fusion.sinkhorn.tolerance == 1e-300
+
+
+def test_repeated_seed_exits_2(tmp_path):
+    # a repeated seed would run every stage twice and rewrite its own artifacts
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"seeds": [3, 0, 3]}))
+    with pytest.raises(ConfigError, match=r"distinct .*\[3, 0, 3\]"):
+        load_config(str(p), None, None)
+    assert run("gen", "--config", p, "--out", tmp_path / "out") == 2
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +422,41 @@ def test_exit_code_corrupted_input(trained, tmp_path, target, corrupt, code):
     assert run("merge", "--config", cfg, "--out", out, "--method", "ties") == code
 
 
+def _without_first_column(raw: bytes) -> bytes:
+    return b"\n".join(line.split(b",", 1)[-1] for line in raw.split(b"\n"))
+
+
+@pytest.mark.parametrize(
+    "name, corrupt",
+    [("task02_unlabeled.csv", lambda raw: raw.split(b"\n", 1)[0] + b"\n"),
+     ("task02_test.csv", lambda raw: raw.split(b"\n", 1)[0] + b"\n"),
+     ("task02_unlabeled.csv", _without_first_column),
+     ("task02_test.csv", _without_first_column)],
+    ids=["unlabeled-header-only", "test-header-only", "unlabeled-3-columns",
+         "test-3-columns"],
+)
+@pytest.mark.parametrize(
+    "args", [("merge", "--method", "otmf"), ("merge", "--method", "ties"),
+             ("eval", "--checkpoint", "checkpoints/task01.ckpt")],
+    ids=["merge-otmf", "merge-ties", "eval"])
+def test_task_set_of_wrong_shape_exits_3_naming_it(trained, tmp_path, caplog, name, corrupt,
+                                                     args):
+    # each set needs a row of stream.input_dim (4) inputs; a header-only
+    # unlabeled set used to reach the feature scaling and warn there
+    cfg, trained_run = trained
+    out = tmp_path / "run"
+    shutil.copytree(trained_run, out)
+    path = out / "seed0" / "data" / name
+    path.write_bytes(corrupt(path.read_bytes()))
+    args = [a.replace("checkpoints/", f"{out}/seed0/checkpoints/") for a in args]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(*args, "--config", cfg, "--out", out) == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    [error] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert str(path) in error
+
+
 def test_unknown_method_rejected_by_parser(tiny_cfg):
     with pytest.raises(SystemExit) as exc:
         run("merge", "--config", tiny_cfg, "--method", "magic")
@@ -532,8 +579,9 @@ def test_merge_step2_shift_is_on_task01_set(pipeline):
     task01 = load_checkpoint(seed_dir / "checkpoints" / "task01.ckpt")
     pool, _ = load_matrix(seed_dir / "data" / "task01_unlabeled.csv")
     sinkhorn = load_config(str(tiny_cfg), None, None).fusion.sinkhorn
-    assert shift["delta_pre"] == l1_shift(merged, task01, pool)
-    assert shift["sinkhorn_pre"] == sinkhorn_shift(merged, task01, pool, sinkhorn)
+    fm, fr = forward_features(merged, pool), forward_features(task01, pool)
+    assert shift["delta_pre"] == l1_shift(fm, fr)
+    assert shift["sinkhorn_pre"] == sinkhorn_shift(fm, fr, sinkhorn)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -619,11 +667,11 @@ def test_merge_pre_shift_samples_earlier_tasks(long_stream, monkeypatch):
     cfgs, seed_dir = long_stream
     pools = []
 
-    def recording_l1_shift(merged, reference, inputs):
+    def recording_score_shift(merged, reference, inputs, cfg):
         pools.append(inputs.copy())
-        return l1_shift(merged, reference, inputs)
+        return score_shift(merged, reference, inputs, cfg)
 
-    monkeypatch.setattr(otmf.cli, "l1_shift", recording_l1_shift)
+    monkeypatch.setattr(otmf.cli, "score_shift", recording_score_shift)
     assert run("merge", "--config", cfgs[12], "--method", "ties") == 0
     sets = [load_matrix(seed_dir / "data" / f"task{t:02d}_unlabeled.csv")[0]
             for t in range(1, 13)]
@@ -632,6 +680,62 @@ def test_merge_pre_shift_samples_earlier_tasks(long_stream, monkeypatch):
         assert pre_pool.shape == sets[0].shape, step
         earlier = {row.tobytes() for s in sets[: step - 1] for row in s}
         assert all(row.tobytes() in earlier for row in pre_pool), step
+
+
+def test_scoring_runs_one_feature_pass_per_model_and_cloud(long_stream, monkeypatch):
+    cfgs, seed_dir = long_stream
+    unlabeled = {row.tobytes()
+                 for t in range(1, 5)
+                 for row in load_matrix(seed_dir / "data" / f"task{t:02d}_unlabeled.csv")[0]}
+    passes, measured, saved = [], [], {}
+    features = otmf.models.forward_features
+
+    def counting_features(model, inputs):
+        if all(row.tobytes() in unlabeled for row in inputs):
+            passes.append(len(inputs))
+        return features(model, inputs)
+
+    for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "otmf"]:
+        for attr, value in list(vars(module).items()):
+            if value is features:
+                monkeypatch.setattr(module, attr, counting_features)
+    monkeypatch.setattr(otmf.metrics, "l1_shift",
+                        lambda fm, fr: measured.append((fm, fr)) or l1_shift(fm, fr))
+    monkeypatch.setattr(otmf.cli, "save_features",
+                        lambda path, f, source: saved.__setitem__(Path(path).name, f)
+                        or save_features(path, f, source))
+    # a 4-task ties merge: 3 steps, each scored pre and post, each side one
+    # pass of the merged model and one of the model it is measured against
+    assert run("merge", "--config", cfgs[4], "--method", "ties") == 0
+    assert len(passes) == 4 * 3 and len(measured) == 2 * 3
+    passes.clear()
+    measured.clear()
+    final = seed_dir / "merged" / "ties" / "final.ckpt"
+    assert run("eval", "--config", cfgs[4], "--checkpoint", final) == 0
+    assert len(passes) == 2 * 4
+    # the dumped clouds are the very arrays the task's shifts measured
+    for t, (fm, fr) in enumerate(measured, start=1):
+        assert saved[f"features_task{t:02d}_merged.csv"] is fm
+        assert saved[f"features_task{t:02d}_sft.csv"] is fr
+
+
+def test_unconverged_shift_solves_warn_once_per_run(tmp_path, caplog):
+    # below float64 epsilon no solve meets the tolerance: merge scores one
+    # step pre and post, and eval two tasks
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(
+        TINY, fusion=dict(TINY["fusion"], sinkhorn={"tolerance": 1e-300}),
+        output_dir=str(tmp_path / "run"))))
+    final = tmp_path / "run" / "seed0" / "merged" / "ties" / "final.ckpt"
+    for args, stage in ((["gen"], None), (["train"], None),
+                        (["merge", "--method", "ties"], "merge ties"),
+                        (["eval", "--checkpoint", final], "eval")):
+        caplog.clear()
+        assert run(*args, "--config", cfg) == 0
+        warned = [r.getMessage() for r in caplog.records
+                  if r.levelname == "WARNING" and "shift solves" in r.getMessage()]
+        assert warned == ([f"seed 0: {stage}: 2 of 2 shift solves unconverged, so their "
+                           "Sinkhorn shifts are not at tolerance"] if stage else []), args
 
 
 @pytest.mark.parametrize("method", ["ties", "otmf"])
@@ -747,7 +851,7 @@ def test_merge_otmf_leaves_numpy_ma_unloaded(pipeline):
     assert out.stdout.strip() == "False"
 
 
-def test_default_config_solves_all_converge(tmp_path, monkeypatch):
+def test_default_config_solves_all_converge(tmp_path, monkeypatch, caplog):
     # every OT solve of merge (otmf and ties) and eval on the default
     # config: the mask loop's warm solves and the cold pair-loss and shift
     # solves alike end in a converged Newton finish. On seed 3 the pre
@@ -772,3 +876,4 @@ def test_default_config_solves_all_converge(tmp_path, monkeypatch):
                 assert run(*args, "--config", cfg, "--seed", seed) == 0
                 assert plans, args
                 assert all(p.converged and not p.newton[1] for p in plans), (seed, args)
+                assert "shift solves" not in caplog.text

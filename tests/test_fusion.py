@@ -470,8 +470,11 @@ def test_pair_losses_are_the_shift_metric_without_calling_it(monkeypatch):
         merged = plus(theta0_model, masked_fuse(pre, post, unit, unit, cfg.alpha))
         pre_target = plus(theta0_model, pre)
         post_target = plus(theta0_model, post)
-        assert lg.initial_pair_loss == (shift(merged, pre_target, pre_batch, cfg.sinkhorn)
-                                        + shift(merged, post_target, post_batch, cfg.sinkhorn))
+        pre_shift, _ = shift(forward_features(merged, pre_batch),
+                             forward_features(pre_target, pre_batch), cfg.sinkhorn)
+        post_shift, _ = shift(forward_features(merged, post_batch),
+                              forward_features(post_target, post_batch), cfg.sinkhorn)
+        assert lg.initial_pair_loss == pre_shift + post_shift
 
 
 # ---------------------------------------------------------------------------

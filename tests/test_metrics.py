@@ -1,14 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import small_model
-from otmf.errors import DataError
+from otmf.errors import DataError, ShapeMismatchError
 from otmf.metrics import (
     AccuracyMatrix,
     accuracy,
     bwt,
     l1_shift,
     normalized_feature_scale,
+    score_shift,
     sinkhorn_shift,
 )
 from otmf.models import Batch, ModelSpec, ToyModel, forward_features
@@ -16,34 +19,57 @@ from otmf.sinkhorn import SinkhornConfig
 
 
 def test_l1_shift_self_zero_and_symmetric(rng):
-    a = small_model(rng)
-    b = small_model(rng)
-    x = rng.normal(size=(10, 3))
-    assert l1_shift(a, a, x) == 0.0
-    assert l1_shift(a, b, x) == pytest.approx(l1_shift(b, a, x))
+    fa, fb = rng.normal(size=(2, 10, 4))
+    assert l1_shift(fa, fa) == 0.0
+    assert l1_shift(fa, fb) == pytest.approx(l1_shift(fb, fa))
 
 
 def test_l1_shift_matches_manual(rng):
-    a = small_model(rng)
-    b = small_model(rng)
-    x = rng.normal(size=(8, 3))
-    manual = np.abs(forward_features(a, x) - forward_features(b, x)).sum(axis=1).mean()
-    assert l1_shift(a, b, x) == pytest.approx(manual, abs=1e-15)
+    fa, fb = rng.normal(size=(2, 8, 4))
+    manual = np.abs(fa - fb).sum(axis=1).mean()
+    assert l1_shift(fa, fb) == pytest.approx(manual, abs=1e-15)
 
 
-def test_l1_shift_rejects_empty(rng):
-    a = small_model(rng)
+def test_l1_shift_rejects_empty():
     with pytest.raises(DataError):
-        l1_shift(a, a, np.empty((0, 3)))
+        l1_shift(np.empty((0, 3)), np.empty((0, 3)))
+
+
+def test_sinkhorn_shift_checks_clouds_before_scaling(rng):
+    # an empty reference cloud would warn in its mean norm before the solve
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="empty"):
+            sinkhorn_shift(np.empty((0, 3)), np.empty((0, 3)), SinkhornConfig())
+    for other in (rng.normal(size=(5, 2)), rng.normal(size=(4, 3))):
+        for shift in (l1_shift, lambda fm, fr: sinkhorn_shift(fm, fr, SinkhornConfig())):
+            with pytest.raises(ShapeMismatchError):
+                shift(rng.normal(size=(5, 3)), other)
 
 
 def test_sinkhorn_shift_self_near_zero(rng):
-    a = small_model(rng)
-    x = rng.normal(size=(8, 3))
+    feats = rng.normal(size=(8, 4))
     cfg = SinkhornConfig(epsilon=1e-3, max_iters=5000)
     # the entropic plan spreads a little mass off-diagonal, so the
     # self-distance is small but not exactly zero
-    assert sinkhorn_shift(a, a, x, cfg) <= 1e-3
+    distance, plan = sinkhorn_shift(feats, feats, cfg)
+    assert distance <= 1e-3
+    assert plan.converged and distance == plan.transport_cost
+
+
+def test_score_shift_is_both_shifts_on_one_feature_pass(rng):
+    a = small_model(rng)
+    b = small_model(rng)
+    x = rng.normal(size=(8, 3))
+    cfg = SinkhornConfig()
+    score = score_shift(a, b, x, cfg)
+    fa, fb = forward_features(a, x), forward_features(b, x)
+    np.testing.assert_array_equal(score.merged, fa)
+    np.testing.assert_array_equal(score.reference, fb)
+    assert score.l1 == l1_shift(fa, fb)
+    distance, plan = sinkhorn_shift(fa, fb, cfg)
+    assert score.sinkhorn == distance == score.plan.transport_cost
+    np.testing.assert_array_equal(score.plan.plan, plan.plan)
 
 
 def test_normalized_feature_scale(rng):
