@@ -54,6 +54,7 @@ from .io import (
 )
 from .metrics import AccuracyMatrix, accuracy, bwt, score_shift
 from .models import ModelSpec, ToyModel, init_model, task_vector, train_sft
+from .sinkhorn import SolverState, warn_on_trouble
 from .taskgen import TaskStreamSpec, generate_stream, task_ids
 
 log = logging.getLogger("otmf")
@@ -207,8 +208,19 @@ def _seed_dir(cfg: RunConfig, seed: int) -> Path:
     return d
 
 
-def _peak_rss_mb() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+def _timings(**fields) -> dict:
+    """A stage's timings sidecar: its wall-clock fields, the peak RSS, and
+    the numpy build and BLAS thread settings the process saw, which the
+    artifacts' bits depend on; reports carry none of them."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no dict form
+        blas = {}
+    return {**fields, "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+            "numpy_version": np.__version__, "blas_name": blas.get("name"),
+            "blas_version": blas.get("version"),
+            **{var: os.environ.get(var)
+               for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
 
 
 def cmd_gen(cfg: RunConfig, seed: int) -> None:
@@ -222,7 +234,7 @@ def cmd_gen(cfg: RunConfig, seed: int) -> None:
         save_batch(out / f"{td.task_id}_test.csv", td.test)
         cols = [f"x{i}" for i in range(td.unlabeled.shape[1])]
         save_matrix(out / f"{td.task_id}_unlabeled.csv", td.unlabeled, cols)
-    timings = {"gen_seconds": time.perf_counter() - t0, "peak_rss_mb": _peak_rss_mb()}
+    timings = _timings(gen_seconds=time.perf_counter() - t0)
     save_report(_seed_dir(cfg, seed) / "timings_gen.json", timings)
     log.info("seed %d: wrote %d task datasets to %s in %.2f s, peak RSS %.1f MB",
              seed, len(tasks), out, timings["gen_seconds"], timings["peak_rss_mb"])
@@ -277,8 +289,7 @@ def cmd_train(cfg: RunConfig, seed: int) -> None:
         for (tid, _, _), model in zip(runs, sft(theta0, runs)):
             save_checkpoint(ckpt / f"{tid}.ckpt", model)
             log.info("seed %d: trained %s", seed, tid)
-    timings = {"train_seconds": time.perf_counter() - t0, "sft_seconds": sft_seconds,
-               "peak_rss_mb": _peak_rss_mb()}
+    timings = _timings(train_seconds=time.perf_counter() - t0, sft_seconds=sft_seconds)
     save_report(_seed_dir(cfg, seed) / "timings_train.json", timings)
     log.info("seed %d: trained %d models in %d run(s) in %.2f s, peak RSS %.1f MB",
              seed, 1 + cfg.stream.num_tasks, len(sft_seconds), timings["train_seconds"],
@@ -314,12 +325,14 @@ def _task_stream(cfg: RunConfig, seed: int, theta0: ToyModel, tests: dict, on_re
         yield tid, task_vector(sft, theta0), sft.heads[tid], train, unlabeled
 
 
-def _warn_unconverged_shifts(seed: int, stage: str, converged: list[bool]) -> None:
-    """One WARNING counting a stage's unconverged shift solves, when any."""
-    if not all(converged):
-        log.warning("seed %d: %s: %d of %d shift solves unconverged, so their Sinkhorn "
-                    "shifts are not at tolerance", seed, stage,
-                    converged.count(False), len(converged))
+def _log_solves(seed: int, stage: str, kinds: dict[str, SolverState]) -> None:
+    """The stage's Sinkhorn solve totals by kind at INFO, and its shift
+    solves' trouble at WARNING (continual_merge warns of the rest per step)."""
+    total = sum(kinds.values(), SolverState())
+    log.info("seed %d: %s: %d Sinkhorn solves (%s), %d unconverged, %d fell back", seed, stage,
+             total.solves, ", ".join(f"{k} {s.solves}" for k, s in kinds.items()),
+             total.unconverged, total.fallbacks)
+    warn_on_trouble(f"seed {seed}: {stage}", {"shift": kinds["shift"]})
 
 
 class _Reservoir:
@@ -362,7 +375,7 @@ def cmd_merge(cfg: RunConfig, seed: int, method: str) -> dict:
     mat = AccuracyMatrix(cfg.stream.num_tasks)
     # the read tasks' test sets and fine-tuned heads (a baseline's heads)
     tests, sft_heads = {}, {}
-    shifts, converged = [], []
+    shifts, shift_solver = [], SolverState()
     # the fine-tuned model and unlabeled set read last, the step's incoming
     # side, and the model its pre side compares against: task01's
     # fine-tuned model at step 2, then the previous step's merged model
@@ -393,15 +406,23 @@ def cmd_merge(cfg: RunConfig, seed: int, method: str) -> dict:
         max_shift_n = max(max_shift_n, len(pre.merged), len(post.merged))
         shifts.append({"step": step, "delta_pre": pre.l1, "delta_post": post.l1,
                        "sinkhorn_pre": pre.sinkhorn, "sinkhorn_post": post.sinkhorn})
-        converged.extend((pre.plan.converged, post.plan.converged))
+        shift_solver.record(pre.plan)
+        shift_solver.record(post.plan)
         models["prev"] = model
 
     stream = _task_stream(cfg, seed, theta0, tests, on_read)
     t0 = time.perf_counter()
+    kinds = {"shift": shift_solver}
     if method == "otmf":
         final_theta, heads, logs = continual_merge(
             theta0, stream, cfg.fusion, seed=seed, on_step=on_step
         )
+        kinds = {
+            "mask loop": sum((SolverState(**c) for lg in logs for c in lg.solver_counts.values()),
+                             SolverState()),
+            "pair loss": sum((SolverState(**lg.pair_loss_counts) for lg in logs), SolverState()),
+            **kinds,
+        }
         extra = {
             "pair_loss": [
                 {"step": lg.step, "incoming_task": lg.incoming_task,
@@ -426,9 +447,9 @@ def cmd_merge(cfg: RunConfig, seed: int, method: str) -> dict:
             if step >= 2:
                 final_theta = theta0.backbone + delta_m
                 on_step(step, final_theta, dict(heads))
-    _warn_unconverged_shifts(seed, f"merge {method}", converged)
+    _log_solves(seed, f"merge {method}", kinds)
     # the merge together with the per-step checkpoints and evaluation
-    timings = {"merge_seconds": time.perf_counter() - t0, "peak_rss_mb": _peak_rss_mb()}
+    timings = _timings(merge_seconds=time.perf_counter() - t0)
     log.info("seed %d: %s peak RSS %.1f MB, largest shift problem %d points",
              seed, method, timings["peak_rss_mb"], max_shift_n)
     final = ToyModel(spec=cfg.model, backbone=final_theta, heads=heads)
@@ -448,6 +469,7 @@ def cmd_merge(cfg: RunConfig, seed: int, method: str) -> dict:
 
 
 def cmd_eval(cfg: RunConfig, seed: int, checkpoint: str) -> dict:
+    t0 = time.perf_counter()
     model = load_checkpoint(checkpoint)
     if model.spec != cfg.model:
         raise ShapeMismatchError(
@@ -457,7 +479,7 @@ def cmd_eval(cfg: RunConfig, seed: int, checkpoint: str) -> dict:
     out = _seed_dir(cfg, seed) / "eval"
     out.mkdir(exist_ok=True)
 
-    per_task, converged = [], []
+    per_task, shift_solver = [], SolverState()
     for tid in task_ids(cfg.stream.num_tasks):
         test = _load_set(cfg, data / f"{tid}_test.csv")
         unlabeled = _load_set(cfg, data / f"{tid}_unlabeled.csv", labeled=False)
@@ -466,11 +488,12 @@ def cmd_eval(cfg: RunConfig, seed: int, checkpoint: str) -> dict:
         entry = {"task": tid, "delta_l1": shift.l1, "delta_sinkhorn": shift.sinkhorn}
         if tid in model.heads:
             entry["accuracy"] = accuracy(model, tid, test)
-        converged.append(shift.plan.converged)
+        shift_solver.record(shift.plan)
         per_task.append(entry)
         save_features(out / f"features_{tid}_merged.csv", shift.merged, "merged")
         save_features(out / f"features_{tid}_sft.csv", shift.reference, tid)
-    _warn_unconverged_shifts(seed, "eval", converged)
+    _log_solves(seed, "eval", {"shift": shift_solver})
+    timings = _timings(eval_seconds=time.perf_counter() - t0)
 
     # Record the checkpoint relative to the output directory when it lives
     # inside it, so the report does not depend on where the run was written.
@@ -481,6 +504,7 @@ def cmd_eval(cfg: RunConfig, seed: int, checkpoint: str) -> dict:
         ckpt_label = ckpt_path.name
     report = _report(cfg, seed, checkpoint=ckpt_label, per_task=per_task)
     save_report(out / "eval_report.json", report)
+    save_report(_seed_dir(cfg, seed) / "timings_eval.json", timings)
     return report
 
 

@@ -25,20 +25,14 @@ gradient; the initial and final pair losses (the sum of both sides' OT
 losses) are the same pass and solve, without the backward pass. The
 step's merged vectors are the buffer itself.
 
-Each side keeps, next to its optimizer moments, a SolverState: the
-log-scalings (log_u, log_v) of its last Sinkhorn plan and counts of
-solves, marginal checks, Newton directions, Newton fallbacks and
-unconverged solves. Consecutive epochs on one side solve nearly the same
-OT problem, so every mask-loop solve is warm-started from the side's
-previous plan (the first from the step's initial pair-loss solve on that
-side) and runs Newton on the dual, falling back to scaling updates if
-Newton cannot make progress (see otmf.sinkhorn). Both the optimizers and
-the solver states are created afresh at every continual step, because
-the OT batches are redrawn per step; the initial pair loss is a cold
-solve, and each side of the final pair loss starts from the duals of
-that side's last mask-loop solve. Each step logs its per-side counts at
-INFO, and at WARNING the unconverged solves and the fallbacks when there
-are any; the counts are returned in StepLog.solver_counts.
+Each side keeps, next to its optimizer moments, a SolverState
+(otmf.sinkhorn), both created afresh at every step because the OT batches
+are redrawn. Its mask-loop solves are warm-started from the side's
+previous plan, the first from the side's cold initial pair-loss solve,
+and the side's final pair-loss solve from its last; a third SolverState
+tallies the four pair-loss solves. Each step logs its per-side mask-loop
+counts at INFO, and its unconverged and fallen-back solves at WARNING;
+StepLog returns the counts.
 """
 
 from __future__ import annotations
@@ -65,9 +59,11 @@ from .models import (
 )
 from .sinkhorn import (
     SinkhornConfig,
+    SolverState,
     TransportPlan,
     sinkhorn_distance,
     sinkhorn_grad_features,
+    warn_on_trouble,
 )
 from .taskgen import subsample_labeled
 
@@ -128,40 +124,6 @@ class _MaskOptimizer:
         mhat = self.m / (1 - b1**self.t)
         vhat = self.v / (1 - b2**self.t)
         return mask - self.lr * mhat / (np.sqrt(vhat) + _ADAM_EPS)
-
-
-@dataclass
-class SolverState:
-    """One mask side's Sinkhorn state within a continual step.
-
-    duals holds the log-scalings (log_u, log_v) of the side's last plan,
-    the warm start of its next solve (after the last mask epoch, of the
-    side's final pair-loss solve); the counters sum over its solves:
-    marginal checks (Newton steps and fallback scaling updates; the row
-    scaling that starts every Newton finish is not one), Newton directions
-    (one dense n x n solve each), solves that fell back to scaling
-    updates, and unconverged solves.
-    """
-
-    duals: tuple[np.ndarray, np.ndarray] | None = None
-    solves: int = 0
-    iters: int = 0
-    directions: int = 0
-    fallbacks: int = 0
-    unconverged: int = 0
-
-    def record(self, plan: TransportPlan) -> None:
-        self.duals = (plan.log_u, plan.log_v)
-        self.solves += 1
-        self.iters += plan.iterations_used
-        directions, fell_back = plan.newton
-        self.directions += directions
-        self.fallbacks += fell_back
-        self.unconverged += not plan.converged
-
-    def counts(self) -> dict[str, int]:
-        """The counters, without the duals."""
-        return {k: v for k, v in vars(self).items() if k != "duals"}
 
 
 def masked_fuse(
@@ -334,6 +296,8 @@ class StepLog:
     final_pair_loss: float
     # per side ("pre", "post"): the mask loop's SolverState counts
     solver_counts: dict[str, dict[str, int]] = field(default_factory=dict)
+    # the SolverState counts of the step's four pair-loss solves
+    pair_loss_counts: dict[str, int] = field(default_factory=dict)
 
 
 # a task as streamed: (id, flat task vector, head, train batch, unlabeled set)
@@ -345,20 +309,6 @@ def _ot_batch(rng: np.random.Generator, pool: np.ndarray, size: int) -> np.ndarr
         return pool.copy()
     idx = rng.choice(pool.shape[0], size=size, replace=False)
     return pool[np.sort(idx)]
-
-
-def _warn_on_solver_trouble(step: int, counts: dict[str, dict[str, int]]) -> None:
-    """WARNING naming the unconverged solves and the fallbacks, when any."""
-    trouble = [
-        f"{what}: pre {counts['pre'][key]}, post {counts['post'][key]}"
-        for key, what in (
-            ("unconverged", "mask-loop solves unconverged, so their gradients are not exact"),
-            ("fallbacks", "fell back from Newton to scaling updates"),
-        )
-        if counts["pre"][key] or counts["post"][key]
-    ]
-    if trouble:
-        log.warning("step %d: %s", step, "; ".join(trouble))
 
 
 def continual_merge(
@@ -408,22 +358,26 @@ def continual_merge(
         post_target = OTTarget.of(ToyModel(spec=spec, backbone=theta0 + incoming), post_batch)
         flat = FlatStep(theta0_model, merged, incoming)
 
-        def _pair_loss(masks: Masks, pre: SolverState, post: SolverState) -> float:
-            backbone = flat.fuse(masks, cfg.alpha)
-            lp = _ot_loss(flat.spec, backbone, pre_target, cfg.sinkhorn, pre)[0]
-            lq = _ot_loss(flat.spec, backbone, post_target, cfg.sinkhorn, post)[0]
-            return lp + lq
-
         masks = (np.ones(flat.theta.size), np.ones(flat.theta.size))
         opt_pre = _MaskOptimizer(masks[0], cfg)
         opt_post = _MaskOptimizer(masks[1], cfg)
-        solver_pre, solver_post = SolverState(), SolverState()
-        initial_pair_loss = _pair_loss(masks, solver_pre, solver_post)
+        solver_pre, solver_post, pair = SolverState(), SolverState(), SolverState()
+
+        def _pair_loss(masks: Masks) -> float:
+            # each side's solve starts from the side's duals and leaves its
+            # own there; pair tallies it
+            backbone = flat.fuse(masks, cfg.alpha)
+            loss = 0.0
+            for target, solver in ((pre_target, solver_pre), (post_target, solver_post)):
+                pair.duals = solver.duals
+                loss += _ot_loss(flat.spec, backbone, target, cfg.sinkhorn, pair)[0]
+                solver.duals = pair.duals
+            return loss
+
         # the pre side's first mask-loop solve is the problem its initial
-        # pair-loss solve just solved cold, and the post side's is close
-        # to it: both start warm from those duals, with the counts at zero
-        solver_pre = SolverState(duals=solver_pre.duals)
-        solver_post = SolverState(duals=solver_post.duals)
+        # pair-loss solve solves cold, and the post side's is close to it:
+        # both start warm from those duals
+        initial_pair_loss = _pair_loss(masks)
         pre_side = (pre_target, opt_pre, solver_pre)
         post_side = (post_target, opt_post, solver_post)
         history: list[tuple[int, str, float]] = []
@@ -442,13 +396,13 @@ def continual_merge(
                 for side, n in counts.items()
             ),
         )
-        _warn_on_solver_trouble(t, counts)
 
         # each side of the final pair loss is one mask update away from the
         # side's last mask-loop solve, and starts from its duals. It leaves
         # the final masks' fuse in flat's buffers: the step's merged vectors
-        final_pair_loss = _pair_loss(
-            masks, SolverState(duals=solver_pre.duals), SolverState(duals=solver_post.duals))
+        final_pair_loss = _pair_loss(masks)
+        warn_on_trouble(f"step {t}", {"mask-loop pre": solver_pre,
+                                      "mask-loop post": solver_post, "pair-loss": pair})
         merged = flat.delta
         # a merge that overflowed fails here, before on_step sees it
         merged_model = ToyModel(spec=spec, backbone=flat.theta, heads=heads)
@@ -471,6 +425,7 @@ def continual_merge(
                 initial_pair_loss=initial_pair_loss,
                 final_pair_loss=final_pair_loss,
                 solver_counts=counts,
+                pair_loss_counts=pair.counts(),
             )
         )
 

@@ -33,12 +33,13 @@ the end of every stage, eps*log(u) and eps*log(v) are absorbed into
 Schmitzer 2019). In exact arithmetic the iterates equal those of
 log-sum-exp updates on (f, g). Besides the burn-in they are the fallback:
 if P is not finite or has a zero row or column sum, or no step length
-raises D, or there is no finite Newton direction, the scaling loop
-continues at cfg.epsilon from the Newton iterate. iterations_used counts
-marginal checks at cfg.epsilon (Newton steps plus fallback updates,
-together bounded by max_iters; burn-in updates and the opening row
-scaling are not counted); plan.newton holds the number of Newton
-directions solved and whether the phase fell back.
+raises D, or there is no finite Newton direction, or even its shortest
+trial step would move a potential across exp's whole float64 range, the
+scaling loop continues at cfg.epsilon from the Newton iterate.
+iterations_used counts marginal checks at cfg.epsilon (Newton steps plus
+fallback updates, together bounded by max_iters; burn-in updates and the
+opening row scaling are not counted); plan.newton holds the number of
+Newton directions solved and whether the phase fell back.
 Both phases stop at max(cfg.tolerance, m * eps_64 * max(r)) for n x m C,
 below which a row sum of m terms cannot resolve the error (Higham 2002,
 the gamma_m bound); converged still means marginal_error <= tolerance.
@@ -47,10 +48,17 @@ The fixed-plan (Danskin) gradient with respect to the input clouds is
 the gradient of the regularized objective at the optimal plan; it is
 exact only when the solve converged, and is the quantity validated
 against finite differences.
+
+A SolverState is the one reader of a plan's outcome: record(plan) keeps
+the plan's log-scalings, the warm start of a next solve of nearly the same
+problem, and counts the solve, its marginal checks, Newton directions and
+fallback, and whether it is unconverged. Callers keep one per kind of
+solve, and warn_on_trouble writes one WARNING for any labelled set of them.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -72,6 +80,11 @@ _ARMIJO_C = 1e-4
 _ARMIJO_HALVINGS = 30
 _ARMIJO_SLACK = 1e-13
 _EPS_64 = float(np.finfo(np.float64).eps)
+# the width of exp's float64 range, from the smallest subnormal to the
+# largest finite value: about 1454
+_EXP_SPAN = math.log(np.finfo(np.float64).max) - math.log(np.finfo(np.float64).smallest_subnormal)
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -102,6 +115,51 @@ class TransportPlan:
     converged: bool  # marginal_error <= tolerance
     # (Newton directions solved, fell back to scaling updates) by Newton
     newton: tuple[int, bool] = (0, False)
+
+
+@dataclass
+class SolverState:
+    """Counts over the recorded solves (iters sums iterations_used; a
+    direction is one dense n x n solve; fallbacks and unconverged count
+    solves) and the last plan's (log_u, log_v), the next solve's warm start."""
+
+    duals: tuple[np.ndarray, np.ndarray] | None = None
+    solves: int = 0
+    iters: int = 0
+    directions: int = 0
+    fallbacks: int = 0
+    unconverged: int = 0
+
+    def record(self, plan: TransportPlan) -> None:
+        self.duals = (plan.log_u, plan.log_v)
+        self.solves += 1
+        self.iters += plan.iterations_used
+        directions, fell_back = plan.newton
+        self.directions += directions
+        self.fallbacks += fell_back
+        self.unconverged += not plan.converged
+
+    def counts(self) -> dict[str, int]:
+        """The counters, without the duals."""
+        return {k: v for k, v in vars(self).items() if k != "duals"}
+
+    def __add__(self, other: SolverState) -> SolverState:
+        """The summed counters, without duals."""
+        return SolverState(None, *(a + b for a, b in zip(self.counts().values(),
+                                                         other.counts().values())))
+
+
+def warn_on_trouble(where: str, tallies: dict[str, SolverState]) -> None:
+    """One WARNING at where naming each labelled tally's unconverged and
+    fallen-back solves, when any tally has some."""
+    trouble = [
+        f"{what}: " + ", ".join(f"{k} {getattr(s, key)} of {s.solves}" for k, s in tallies.items())
+        for key, what in (("unconverged", "Sinkhorn solves unconverged, above tolerance"),
+                          ("fallbacks", "Sinkhorn solves fell back from Newton to scaling updates"))
+        if any(getattr(s, key) for s in tallies.values())
+    ]
+    if trouble:
+        log.warning("%s: %s", where, "; ".join(trouble))
 
 
 def pairwise_cost(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -237,8 +295,9 @@ def _newton(K, f, g, C, r, c, cfg: SinkhornConfig, stop: float):
     closing column scaling, takes the Newton direction and backtracks on
     the dual (Armijo, with slack for rounding). Returns (checks,
     directions, fell_back); fell_back is set when the plan is not finite,
-    has a zero row or column sum, has no Newton direction, or no step
-    length raises the dual: the caller then runs scaling updates.
+    has a zero row or column sum, has no Newton direction or one too large
+    for any trial step, or no step length raises the dual: the caller then
+    runs scaling updates.
     """
     e = cfg.epsilon
     directions = 0
@@ -280,6 +339,11 @@ def _newton(K, f, g, C, r, c, cfg: SinkhornConfig, stop: float):
         df, dg = direction
         slope = float((r - rows) @ df + (c - cols) @ dg)
         if not slope > 0.0:
+            return check, directions, True
+        # a direction whose smallest trial step still moves a potential by
+        # more than e times exp's range leaves no trial a finite, non-empty
+        # kernel: fall back without filling one
+        if 0.5**_ARMIJO_HALVINGS * max(np.abs(df).max(), np.abs(dg).max()) > _EXP_SPAN * e:
             return check, directions, True
         slack = _ARMIJO_SLACK * float(np.abs(f) @ r + np.abs(g) @ c + e * rows.sum())
         t = 1.0

@@ -595,6 +595,21 @@ def test_continual_merge_warns_on_unconverged_mask_loop_solves(caplog):
         assert lg.solver_counts["pre"]["unconverged"] == 2
 
 
+def test_continual_merge_step_warning_names_pair_loss_solves(caplog):
+    # below float64 epsilon no solve meets the tolerance: the step's four
+    # pair-loss solves are named next to its mask-loop solves
+    theta0_model, deltas, heads, batches, pools = world(seed=18, T=2)
+    cfg = FusionConfig(ot_epochs=4, batch_size=8, sinkhorn=SinkhornConfig(tolerance=1e-300))
+    with caplog.at_level(logging.INFO, logger="otmf"):
+        _, _, [lg] = continual_merge(
+            theta0_model, stream(deltas, heads, batches, pools), cfg, seed=0)
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warnings == [
+        "step 2: Sinkhorn solves unconverged, above tolerance: "
+        "mask-loop pre 2 of 2, mask-loop post 2 of 2, pair-loss 4 of 4"]
+    assert lg.pair_loss_counts["solves"] == lg.pair_loss_counts["unconverged"] == 4
+
+
 def test_continual_merge_warning_names_only_what_occurred(caplog, monkeypatch):
     # every mask-loop solve converges but is reported as fallen back
     theta0_model, deltas, heads, batches, pools = world(seed=18, T=3)
@@ -614,7 +629,8 @@ def test_continual_merge_warning_names_only_what_occurred(caplog, monkeypatch):
         assert lg.solver_counts["pre"]["fallbacks"] == lg.solver_counts["post"]["fallbacks"] == 2
     warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
     assert warnings == [
-        f"step {t}: fell back from Newton to scaling updates: pre 2, post 2" for t in (2, 3)
+        f"step {t}: Sinkhorn solves fell back from Newton to scaling updates: "
+        "mask-loop pre 2 of 2, mask-loop post 2 of 2, pair-loss 4 of 4" for t in (2, 3)
     ]
 
 

@@ -494,16 +494,20 @@ def test_singular_or_non_finite_newton_system_falls_back(rng, monkeypatch, case)
         return
     # one row (column) of the starting plan at about 1e-318 (its scaling by
     # exp(-730)), out of reach of the opening row scaling. A near-empty row
-    # gives a finite direction so large that no step length raises the
-    # dual; a near-empty column overflows 1/cols and gives a non-finite
-    # one. Either way Newton falls back, and the scaling loop's kernel-sum
-    # check raises
+    # gives a finite direction so large (about 1e17) that even 2**-30 of it
+    # moves f beyond exp's range; a near-empty column overflows 1/cols and
+    # gives a non-finite one. Either way Newton falls back without a line
+    # search, whose 31 trial steps would each fill the n x m kernel, and
+    # the scaling loop's kernel-sum check raises
     if case == "near-empty-row":
         log_u = log_u.copy()
         log_u[0] -= 730
     else:
         log_v = log_v.copy()
         log_v[0] -= 730
+    fills = []
+    fill = sinkhorn_module._fill_kernel
+    monkeypatch.setattr(sinkhorn_module, "_fill_kernel", lambda *a: fills.append(1) or fill(*a))
     with pytest.raises(NumericalError, match="sums left the positive finite range"):
         sinkhorn_plan(C, cfg, init=(log_u, log_v))
     [solved] = directions
@@ -511,6 +515,8 @@ def test_singular_or_non_finite_newton_system_falls_back(rng, monkeypatch, case)
         assert np.isfinite(solved[0]).all() and outcomes == [(1, 1, True)]
     else:
         assert solved is None and outcomes == [(1, 0, True)]
+    # Newton's opening fill and the scaling loop's
+    assert 1 <= len(fills) <= 3
 
 
 def test_max_iters_caps_newton_steps_and_fallback_updates(rng, monkeypatch):
