@@ -54,7 +54,7 @@ from .io import (
 )
 from .metrics import AccuracyMatrix, accuracy, bwt, score_shift
 from .models import ModelSpec, ToyModel, init_model, task_vector, train_sft
-from .sinkhorn import SolverState, warn_on_trouble
+from .sinkhorn import SolverState, log_solves
 from .taskgen import TaskStreamSpec, generate_stream, task_ids
 
 log = logging.getLogger("otmf")
@@ -208,19 +208,29 @@ def _seed_dir(cfg: RunConfig, seed: int) -> Path:
     return d
 
 
-def _timings(**fields) -> dict:
-    """A stage's timings sidecar: its wall-clock fields, the peak RSS, and
-    the numpy build and BLAS thread settings the process saw, which the
-    artifacts' bits depend on; reports carry none of them."""
+def _close_stage(cfg: RunConfig, seed: int, stage: str, t0: float, detail: str = "",
+                 tallies: dict[str, SolverState] | None = None, sidecar: str = "", key: str = "",
+                 **fields) -> None:
+    """End one seed's stage, begun at perf_counter() t0: write its wall time
+    (<key>_seconds), fields, the peak RSS and the numpy build and BLAS thread
+    settings the artifacts' bits depend on to timings_<sidecar>.json (key defaults
+    to sidecar, sidecar to stage); log time, RSS and detail, and the tallies' totals."""
+    seconds, sidecar = time.perf_counter() - t0, sidecar or stage
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy before 1.26 has no dict form
         blas = {}
-    return {**fields, "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-            "numpy_version": np.__version__, "blas_name": blas.get("name"),
-            "blas_version": blas.get("version"),
-            **{var: os.environ.get(var)
-               for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
+    timings = {f"{key or sidecar}_seconds": seconds, **fields,
+               "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+               "numpy_version": np.__version__, "blas_name": blas.get("name"),
+               "blas_version": blas.get("version"),
+               **{var: os.environ.get(var)
+                  for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
+    save_report(_seed_dir(cfg, seed) / f"timings_{sidecar}.json", timings)
+    log.info("seed %d: %s in %.2f s, peak RSS %.1f MB%s", seed, stage, seconds,
+             timings["peak_rss_mb"], f", {detail}" if detail else "")
+    if tallies:
+        log_solves(f"seed {seed}: {stage}", tallies, warn=("shift",))
 
 
 def cmd_gen(cfg: RunConfig, seed: int) -> None:
@@ -234,10 +244,7 @@ def cmd_gen(cfg: RunConfig, seed: int) -> None:
         save_batch(out / f"{td.task_id}_test.csv", td.test)
         cols = [f"x{i}" for i in range(td.unlabeled.shape[1])]
         save_matrix(out / f"{td.task_id}_unlabeled.csv", td.unlabeled, cols)
-    timings = _timings(gen_seconds=time.perf_counter() - t0)
-    save_report(_seed_dir(cfg, seed) / "timings_gen.json", timings)
-    log.info("seed %d: wrote %d task datasets to %s in %.2f s, peak RSS %.1f MB",
-             seed, len(tasks), out, timings["gen_seconds"], timings["peak_rss_mb"])
+    _close_stage(cfg, seed, "gen", t0, f"wrote {len(tasks)} task datasets to {out}")
 
 
 def _data_dir(cfg: RunConfig, seed: int) -> Path:
@@ -289,11 +296,8 @@ def cmd_train(cfg: RunConfig, seed: int) -> None:
         for (tid, _, _), model in zip(runs, sft(theta0, runs)):
             save_checkpoint(ckpt / f"{tid}.ckpt", model)
             log.info("seed %d: trained %s", seed, tid)
-    timings = _timings(train_seconds=time.perf_counter() - t0, sft_seconds=sft_seconds)
-    save_report(_seed_dir(cfg, seed) / "timings_train.json", timings)
-    log.info("seed %d: trained %d models in %d run(s) in %.2f s, peak RSS %.1f MB",
-             seed, 1 + cfg.stream.num_tasks, len(sft_seconds), timings["train_seconds"],
-             timings["peak_rss_mb"])
+    _close_stage(cfg, seed, "train", t0, f"trained {1 + cfg.stream.num_tasks} models in "
+                 f"{len(sft_seconds)} run(s)", sft_seconds=sft_seconds)
 
 
 def _load_trained(cfg: RunConfig, seed: int, name: str) -> ToyModel:
@@ -325,14 +329,11 @@ def _task_stream(cfg: RunConfig, seed: int, theta0: ToyModel, tests: dict, on_re
         yield tid, task_vector(sft, theta0), sft.heads[tid], train, unlabeled
 
 
-def _log_solves(seed: int, stage: str, kinds: dict[str, SolverState]) -> None:
-    """The stage's Sinkhorn solve totals by kind at INFO, and its shift
-    solves' trouble at WARNING (continual_merge warns of the rest per step)."""
-    total = sum(kinds.values(), SolverState())
-    log.info("seed %d: %s: %d Sinkhorn solves (%s), %d unconverged, %d fell back", seed, stage,
-             total.solves, ", ".join(f"{k} {s.solves}" for k, s in kinds.items()),
-             total.unconverged, total.fallbacks)
-    warn_on_trouble(f"seed {seed}: {stage}", {"shift": kinds["shift"]})
+def _merge_tallies(logs) -> dict[str, SolverState]:
+    """The tallies of continual_merge's solves over its step logs, by kind."""
+    return {"mask loop": sum((s for lg in logs for s in lg.mask_loop_solver.values()),
+                             SolverState()),
+            "pair loss": sum((lg.pair_loss_solver for lg in logs), SolverState())}
 
 
 class _Reservoir:
@@ -369,6 +370,7 @@ def cmd_merge(cfg: RunConfig, seed: int, method: str) -> dict:
     """
     if method not in _MERGE_METHODS:
         raise ConfigError(f"unknown merge method '{method}'")
+    t0 = time.perf_counter()
     theta0 = _load_theta0(cfg, seed)
     step_dir = _seed_dir(cfg, seed) / "merged" / method
     step_dir.mkdir(parents=True, exist_ok=True)
@@ -411,28 +413,18 @@ def cmd_merge(cfg: RunConfig, seed: int, method: str) -> dict:
         models["prev"] = model
 
     stream = _task_stream(cfg, seed, theta0, tests, on_read)
-    t0 = time.perf_counter()
-    kinds = {"shift": shift_solver}
     if method == "otmf":
-        final_theta, heads, logs = continual_merge(
-            theta0, stream, cfg.fusion, seed=seed, on_step=on_step
-        )
-        kinds = {
-            "mask loop": sum((SolverState(**c) for lg in logs for c in lg.solver_counts.values()),
-                             SolverState()),
-            "pair loss": sum((SolverState(**lg.pair_loss_counts) for lg in logs), SolverState()),
-            **kinds,
-        }
+        _, _, logs = continual_merge(theta0, stream, cfg.fusion, seed=seed, on_step=on_step)
+        tallies = _merge_tallies(logs)
         extra = {
             "pair_loss": [
                 {"step": lg.step, "incoming_task": lg.incoming_task,
                  "initial": lg.initial_pair_loss, "final": lg.final_pair_loss}
                 for lg in logs
             ],
-            # per step and side: mask-loop solves, marginal checks, Newton
-            # directions, fallbacks to scaling updates, unconverged solves
             "mask_loop_solver": [
-                {"step": lg.step, **lg.solver_counts} for lg in logs
+                {"step": lg.step, **{side: s.counts() for side, s in lg.mask_loop_solver.items()}}
+                for lg in logs
             ],
             "ot_loss_history": [
                 [lg.step, e, side, loss]
@@ -441,30 +433,25 @@ def cmd_merge(cfg: RunConfig, seed: int, method: str) -> dict:
             ],
         }
     else:
-        heads, extra = sft_heads, {}
+        extra, tallies = {}, {}
         fold = baseline_fold(method, cfg.baseline, (delta for _, delta, *_ in stream))
         for step, delta_m in enumerate(fold, start=1):
             if step >= 2:
-                final_theta = theta0.backbone + delta_m
-                on_step(step, final_theta, dict(heads))
-    _log_solves(seed, f"merge {method}", kinds)
-    # the merge together with the per-step checkpoints and evaluation
-    timings = _timings(merge_seconds=time.perf_counter() - t0)
-    log.info("seed %d: %s peak RSS %.1f MB, largest shift problem %d points",
-             seed, method, timings["peak_rss_mb"], max_shift_n)
-    final = ToyModel(spec=cfg.model, backbone=final_theta, heads=heads)
-    save_checkpoint(step_dir / "final.ckpt", final)
+                on_step(step, theta0.backbone + delta_m, dict(sft_heads))
+    # the last step's merged model
+    save_checkpoint(step_dir / "final.ckpt", models["prev"])
 
     report = _report(
         cfg, seed, method=method,
         accuracy_matrix=[[None if np.isnan(v) else v for v in row] for row in mat.as_array()],
         average_accuracy=mat.final_average(), bwt=bwt(mat), shifts=shifts, **extra)
     save_report(_seed_dir(cfg, seed) / f"report_{method}.json", report)
-    save_report(_seed_dir(cfg, seed) / f"timings_{method}.json", timings)
     log.info(
         "seed %d: %s avg accuracy %.4f bwt %+.4f",
         seed, method, report["average_accuracy"], report["bwt"],
     )
+    _close_stage(cfg, seed, f"merge {method}", t0, f"largest shift problem {max_shift_n} points",
+                 {**tallies, "shift": shift_solver}, sidecar=method, key="merge")
     return report
 
 
@@ -478,6 +465,23 @@ def cmd_eval(cfg: RunConfig, seed: int, checkpoint: str) -> dict:
     data = _data_dir(cfg, seed)
     out = _seed_dir(cfg, seed) / "eval"
     out.mkdir(exist_ok=True)
+    # Record the checkpoint relative to the output directory when it lives
+    # inside it, so the report does not depend on where the run was written.
+    ckpt_path = Path(checkpoint).resolve()
+    try:
+        ckpt_label = ckpt_path.relative_to(Path(cfg.output_dir).resolve()).as_posix()
+    except ValueError:
+        ckpt_label = ckpt_path.name
+    # eval/ holds one evaluation per seed: say whose this one replaces
+    report_path = out / "eval_report.json"
+    if report_path.exists():
+        try:
+            replaced = json.loads(report_path.read_text(encoding="utf-8"))["checkpoint"]
+        except (OSError, ValueError, KeyError, TypeError):  # unreadable, not JSON, no field
+            replaced = "a checkpoint that cannot be read"
+        if replaced != ckpt_label:
+            log.warning("seed %d: eval: replacing %s, the evaluation of %s",
+                        seed, report_path, replaced)
 
     per_task, shift_solver = [], SolverState()
     for tid in task_ids(cfg.stream.num_tasks):
@@ -492,19 +496,10 @@ def cmd_eval(cfg: RunConfig, seed: int, checkpoint: str) -> dict:
         per_task.append(entry)
         save_features(out / f"features_{tid}_merged.csv", shift.merged, "merged")
         save_features(out / f"features_{tid}_sft.csv", shift.reference, tid)
-    _log_solves(seed, "eval", {"shift": shift_solver})
-    timings = _timings(eval_seconds=time.perf_counter() - t0)
 
-    # Record the checkpoint relative to the output directory when it lives
-    # inside it, so the report does not depend on where the run was written.
-    ckpt_path = Path(checkpoint).resolve()
-    try:
-        ckpt_label = ckpt_path.relative_to(Path(cfg.output_dir).resolve()).as_posix()
-    except ValueError:
-        ckpt_label = ckpt_path.name
     report = _report(cfg, seed, checkpoint=ckpt_label, per_task=per_task)
-    save_report(out / "eval_report.json", report)
-    save_report(_seed_dir(cfg, seed) / "timings_eval.json", timings)
+    save_report(report_path, report)
+    _close_stage(cfg, seed, "eval", t0, tallies={"shift": shift_solver})
     return report
 
 
@@ -513,15 +508,17 @@ def cmd_ablate_alpha(cfg: RunConfig, seed: int, grid: list[float]) -> dict:
         raise ConfigError("alpha grid is empty")
     if any(not 0.0 <= a <= 1.0 for a in grid):
         raise ConfigError(f"alpha grid values must lie in [0, 1]: {grid}")
+    t0 = time.perf_counter()
     theta0 = _load_theta0(cfg, seed)
     tests = {}  # the test sets, by task id, for the accuracy table
-    rows = []
+    rows, logs = [], []
     for alpha in grid:
         fcfg = dataclasses.replace(cfg.fusion, alpha=float(alpha))
-        final_theta, heads, _ = continual_merge(
+        theta, heads, alpha_logs = continual_merge(
             theta0, _task_stream(cfg, seed, theta0, tests), fcfg, seed=seed
         )
-        model = ToyModel(spec=cfg.model, backbone=final_theta, heads=heads)
+        logs += alpha_logs
+        model = ToyModel(spec=cfg.model, backbone=theta, heads=heads)
         accs = [accuracy(model, tid, test) for tid, test in tests.items()]
         rows.append([float(alpha), *accs, float(np.mean(accs))])
         log.info("seed %d: alpha %.2f avg accuracy %.4f", seed, alpha, rows[-1][-1])
@@ -535,6 +532,7 @@ def cmd_ablate_alpha(cfg: RunConfig, seed: int, grid: list[float]) -> dict:
                      best_alpha=float(table[best, 0]),
                      best_average_accuracy=float(table[best, -1]))
     save_report(out / "report_ablate.json", report)
+    _close_stage(cfg, seed, "ablate-alpha", t0, tallies=_merge_tallies(logs), sidecar="ablate")
     return report
 
 

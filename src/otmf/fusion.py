@@ -32,7 +32,7 @@ previous plan, the first from the side's cold initial pair-loss solve,
 and the side's final pair-loss solve from its last; a third SolverState
 tallies the four pair-loss solves. Each step logs its per-side mask-loop
 counts at INFO, and its unconverged and fallen-back solves at WARNING;
-StepLog returns the counts.
+its StepLog keeps the three SolverStates, counts only.
 """
 
 from __future__ import annotations
@@ -294,10 +294,9 @@ class StepLog:
     ot_loss_history: list[tuple[int, str, float]]
     initial_pair_loss: float
     final_pair_loss: float
-    # per side ("pre", "post"): the mask loop's SolverState counts
-    solver_counts: dict[str, dict[str, int]] = field(default_factory=dict)
-    # the SolverState counts of the step's four pair-loss solves
-    pair_loss_counts: dict[str, int] = field(default_factory=dict)
+    # the step's solve tallies, no duals: the mask loop's by side, the pair losses'
+    mask_loop_solver: dict[str, SolverState]
+    pair_loss_solver: SolverState
 
 
 # a task as streamed: (id, flat task vector, head, train batch, unlabeled set)
@@ -386,16 +385,7 @@ def continual_merge(
             target, opt, solver = pre_side if side == "pre" else post_side
             masks, loss = ot_mask_epoch(masks, flat, target, side, cfg, opt, solver)
             history.append((e, side, loss))
-        counts = {"pre": solver_pre.counts(), "post": solver_post.counts()}
-        log.info(
-            "step %d mask-loop Sinkhorn: %s", t,
-            "; ".join(
-                f"{side} {n['solves']} solves, {n['iters']} marginal checks, "
-                f"{n['directions']} Newton directions, "
-                f"{n['fallbacks']} fallbacks, {n['unconverged']} unconverged"
-                for side, n in counts.items()
-            ),
-        )
+        log.info("step %d mask-loop Sinkhorn: pre %s; post %s", t, solver_pre, solver_post)
 
         # each side of the final pair loss is one mask update away from the
         # side's last mask-loop solve, and starts from its duals. It leaves
@@ -403,6 +393,7 @@ def continual_merge(
         final_pair_loss = _pair_loss(masks)
         warn_on_trouble(f"step {t}", {"mask-loop pre": solver_pre,
                                       "mask-loop post": solver_post, "pair-loss": pair})
+        solver_pre.duals = solver_post.duals = pair.duals = None  # the log keeps no arrays
         merged = flat.delta
         # a merge that overflowed fails here, before on_step sees it
         merged_model = ToyModel(spec=spec, backbone=flat.theta, heads=heads)
@@ -424,8 +415,8 @@ def continual_merge(
                 ot_loss_history=history,
                 initial_pair_loss=initial_pair_loss,
                 final_pair_loss=final_pair_loss,
-                solver_counts=counts,
-                pair_loss_counts=pair.counts(),
+                mask_loop_solver={"pre": solver_pre, "post": solver_post},
+                pair_loss_solver=pair,
             )
         )
 

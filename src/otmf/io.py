@@ -125,10 +125,8 @@ def save_matrix(path: str | Path, matrix: np.ndarray, columns: list[str]) -> Non
         raise ShapeMismatchError(
             f"{len(columns)} column names for {m.shape[1]} columns"
         )
-    lines = [",".join(columns)]
-    for row in m:
-        lines.append(",".join(_FLOAT_FMT % v for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    np.savetxt(path, m, fmt=_FLOAT_FMT, delimiter=",", header=",".join(columns), comments="",
+               encoding="utf-8")
 
 
 def load_matrix(path: str | Path) -> tuple[np.ndarray, list[str]]:
@@ -138,18 +136,15 @@ def load_matrix(path: str | Path) -> tuple[np.ndarray, list[str]]:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
     if not lines:
         raise DataError(f"{path}: empty matrix file")
-    columns = lines[0].split(",")
-    if len(lines) == 1:
+    columns, rows = lines[0].split(","), [line for line in lines[1:] if line]
+    if not rows:
         return np.empty((0, len(columns))), columns
     # a cell that is not a number, or rows of unequal width, fail in here
     try:
-        m = np.array(
-            [[float(v) for v in line.split(",")] for line in lines[1:] if line],
-            dtype=np.float64,
-        )
+        m = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
         raise DataError(f"{path}: malformed matrix row: {exc}") from exc
-    if m.ndim != 2 or m.shape[1] != len(columns):
+    if m.shape[1] != len(columns):
         raise DataError(f"{path}: row width does not match header")
     if not np.isfinite(m).all():
         raise DataError(f"{path}: a cell is nan or infinite")
@@ -182,11 +177,12 @@ def save_features(path: str | Path, features: np.ndarray, source: str) -> None:
     f = np.asarray(features, dtype=np.float64)
     if f.ndim != 2:
         raise ShapeMismatchError(f"features must be 2-D, got shape {f.shape}")
+    # the tag, % escaped, ends the last column's format: a one-string format
+    # would fail savetxt's count of % signs on a tag that holds one
+    fmt = [_FLOAT_FMT] * f.shape[1]
+    fmt[-1] += "," + source.replace("%", "%%")
     header = ",".join([f"f{i}" for i in range(f.shape[1])] + ["source"])
-    lines = [header]
-    for row in f:
-        lines.append(",".join(_FLOAT_FMT % v for v in row) + "," + source)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    np.savetxt(path, f, fmt=fmt, delimiter=",", header=header, comments="", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,9 @@ against finite differences.
 A SolverState is the one reader of a plan's outcome: record(plan) keeps
 the plan's log-scalings, the warm start of a next solve of nearly the same
 problem, and counts the solve, its marginal checks, Newton directions and
-fallback, and whether it is unconverged. Callers keep one per kind of
-solve, and warn_on_trouble writes one WARNING for any labelled set of them.
+fallback, and whether it is unconverged; str() renders the counts, and
+tallies add up. Callers keep one per kind of solve: warn_on_trouble writes
+one WARNING for any labelled set of them, log_solves their totals line.
 """
 
 from __future__ import annotations
@@ -148,6 +149,10 @@ class SolverState:
         return SolverState(None, *(a + b for a, b in zip(self.counts().values(),
                                                          other.counts().values())))
 
+    def __str__(self) -> str:
+        return (f"{self.solves} solves, {self.iters} marginal checks, {self.directions} Newton "
+                f"directions, {self.fallbacks} fallbacks, {self.unconverged} unconverged")
+
 
 def warn_on_trouble(where: str, tallies: dict[str, SolverState]) -> None:
     """One WARNING at where naming each labelled tally's unconverged and
@@ -160,6 +165,16 @@ def warn_on_trouble(where: str, tallies: dict[str, SolverState]) -> None:
     ]
     if trouble:
         log.warning("%s: %s", where, "; ".join(trouble))
+
+
+def log_solves(where: str, kinds: dict[str, SolverState], warn: tuple[str, ...]) -> None:
+    """One INFO line at where with the solve totals by kind, then warn_on_trouble's
+    WARNING for the kinds named in warn (others' trouble was warned of as it ran)."""
+    total = sum(kinds.values(), SolverState())
+    log.info("%s: %d Sinkhorn solves (%s), %d unconverged, %d fell back", where, total.solves,
+             ", ".join(f"{k} {s.solves}" for k, s in kinds.items()),
+             total.unconverged, total.fallbacks)
+    warn_on_trouble(where, {k: s for k, s in kinds.items() if k in warn})
 
 
 def pairwise_cost(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -592,6 +592,9 @@ def test_merge_each_method(pipeline, method):
     assert len(mat) == 2 and mat[0][1] is None and mat[1][1] is not None
     assert (seed_dir / "merged" / method / "final.ckpt").exists()
     assert (seed_dir / "merged" / method / "step02.ckpt").exists()
+    # the final checkpoint is the last step's merged model
+    assert ((seed_dir / "merged" / method / "final.ckpt").read_bytes()
+            == (seed_dir / "merged" / method / "step02.ckpt").read_bytes())
     assert (seed_dir / f"timings_{method}.json").exists()
     if method == "otmf":
         assert len(report["ot_loss_history"]) == 6
@@ -840,6 +843,24 @@ def test_eval_feature_dumps(pipeline):
     assert lines[1].endswith(",merged")
 
 
+def test_eval_warns_when_it_replaces_another_checkpoints_evaluation(pipeline, caplog):
+    # eval/ holds one evaluation per seed directory
+    tiny_cfg, seed_dir = pipeline
+    for method in ("otmf", "ties"):
+        assert run("merge", "--config", tiny_cfg, "--method", method) == 0
+    warned = []
+    for method in ("otmf", "otmf", "ties"):
+        caplog.clear()
+        assert run("eval", "--config", tiny_cfg, "--checkpoint",
+                   seed_dir / "merged" / method / "final.ckpt") == 0
+        warned.append([r.getMessage() for r in caplog.records if r.levelno == logging.WARNING])
+    assert warned[:2] == [[], []]
+    [warning] = warned[2]
+    assert "merged/otmf/final.ckpt" in warning
+    report = json.loads((seed_dir / "eval" / "eval_report.json").read_text())
+    assert report["checkpoint"] == "seed0/merged/ties/final.ckpt"
+
+
 def test_eval_shape_mismatch_exit_code(pipeline, tmp_path):
     tiny_cfg, seed_dir = pipeline
     other = tmp_path / "other.json"
@@ -860,6 +881,19 @@ def test_ablate_alpha_table(pipeline):
     best = int(np.argmax(table[:, 3]))
     assert report["best_alpha"] == table[best, 0]
     assert report["best_average_accuracy"] == table[best, 3]
+
+
+def test_ablate_alpha_writes_timings_and_logs_solve_totals(pipeline, caplog):
+    tiny_cfg, seed_dir = pipeline
+    with caplog.at_level(logging.INFO, logger="otmf"):
+        assert run("ablate-alpha", "--config", tiny_cfg, "--grid", "0.5") == 0
+    timings = json.loads((seed_dir / "timings_ablate.json").read_text())
+    assert set(timings) == {"ablate_seconds", "peak_rss_mb"} | BUILD_KEYS
+    assert timings["ablate_seconds"] > 0 and timings["peak_rss_mb"] > 0
+    # one T=2 merge: 6 mask-loop solves and 4 pair-loss solves
+    totals = [r.getMessage() for r in caplog.records if "Sinkhorn solves (" in r.getMessage()]
+    assert totals == ["seed 0: ablate-alpha: 10 Sinkhorn solves (mask loop 6, pair loss 4), "
+                      "0 unconverged, 0 fell back"]
 
 
 def test_seed_override_writes_new_subdir(pipeline, tmp_path):

@@ -498,12 +498,21 @@ def test_continual_merge_logs_solver_counts_per_step(caplog):
     theta0_model, deltas, heads, batches, pools = world(seed=18, T=3)
     cfg = FusionConfig(ot_epochs=5, batch_size=8)
     with caplog.at_level(logging.INFO, logger="otmf.fusion"):
-        continual_merge(theta0_model, stream(deltas, heads, batches, pools), cfg, seed=0)
+        _, _, logs = continual_merge(
+            theta0_model, stream(deltas, heads, batches, pools), cfg, seed=0)
     lines = [r.getMessage() for r in caplog.records if r.name == "otmf.fusion"]
     assert len(lines) == 2
-    for step, line in zip((2, 3), lines):
+    for step, line, lg in zip((2, 3), lines, logs):
         assert line.startswith(f"step {step} ")
         assert "pre 3 solves" in line and "post 2 solves" in line
+        # the line's counts are the step log's tallies, which keep no duals
+        pre, post = lg.mask_loop_solver["pre"], lg.mask_loop_solver["post"]
+        assert line == f"step {step} mask-loop Sinkhorn: " + "; ".join(
+            f"{side} {n.solves} solves, {n.iters} marginal checks, "
+            f"{n.directions} Newton directions, {n.fallbacks} fallbacks, "
+            f"{n.unconverged} unconverged" for side, n in (("pre", pre), ("post", post)))
+        assert (pre.solves, post.solves, lg.pair_loss_solver.solves) == (3, 2, 4)
+        assert pre.duals is post.duals is lg.pair_loss_solver.duals is None
 
 
 def test_solver_state_counts_newton_directions_and_fallbacks(rng):
@@ -576,10 +585,10 @@ def test_default_stream_seed1_mask_loop_solves_converge_without_fallback():
     assert [lg.step for lg in logs] == [2, 3]
     for lg in logs:
         for side in ("pre", "post"):
-            counts = lg.solver_counts[side]
-            assert counts["solves"] == cfg.ot_epochs // 2
-            assert counts["unconverged"] == 0 and counts["fallbacks"] == 0
-            assert counts["directions"] > 0
+            counts = lg.mask_loop_solver[side]
+            assert counts.solves == cfg.ot_epochs // 2
+            assert counts.unconverged == 0 and counts.fallbacks == 0
+            assert counts.directions > 0
 
 
 def test_continual_merge_warns_on_unconverged_mask_loop_solves(caplog):
@@ -592,7 +601,7 @@ def test_continual_merge_warns_on_unconverged_mask_loop_solves(caplog):
     warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
     assert [w.split(":")[0] for w in warnings] == ["step 2", "step 3"]
     for lg in logs:
-        assert lg.solver_counts["pre"]["unconverged"] == 2
+        assert lg.mask_loop_solver["pre"].unconverged == 2
 
 
 def test_continual_merge_step_warning_names_pair_loss_solves(caplog):
@@ -607,7 +616,7 @@ def test_continual_merge_step_warning_names_pair_loss_solves(caplog):
     assert warnings == [
         "step 2: Sinkhorn solves unconverged, above tolerance: "
         "mask-loop pre 2 of 2, mask-loop post 2 of 2, pair-loss 4 of 4"]
-    assert lg.pair_loss_counts["solves"] == lg.pair_loss_counts["unconverged"] == 4
+    assert lg.pair_loss_solver.solves == lg.pair_loss_solver.unconverged == 4
 
 
 def test_continual_merge_warning_names_only_what_occurred(caplog, monkeypatch):
@@ -625,8 +634,9 @@ def test_continual_merge_warning_names_only_what_occurred(caplog, monkeypatch):
         _, _, logs = continual_merge(
             theta0_model, stream(deltas, heads, batches, pools), cfg, seed=0)
     for lg in logs:
-        assert lg.solver_counts["pre"]["unconverged"] == lg.solver_counts["post"]["unconverged"] == 0
-        assert lg.solver_counts["pre"]["fallbacks"] == lg.solver_counts["post"]["fallbacks"] == 2
+        pre, post = lg.mask_loop_solver["pre"], lg.mask_loop_solver["post"]
+        assert pre.unconverged == post.unconverged == 0
+        assert pre.fallbacks == post.fallbacks == 2
     warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
     assert warnings == [
         f"step {t}: Sinkhorn solves fell back from Newton to scaling updates: "
