@@ -19,7 +19,7 @@ from .io import (
     save_matrix,
     save_report,
 )
-from .metrics import AccuracyMatrix, accuracy, bwt, l1_shift, sinkhorn_shift
+from .metrics import accuracy, bwt, l1_shift, sinkhorn_shift
 from .models import Batch, ModelSpec, ToyModel, forward_features, forward_logits
 from .sinkhorn import (
     SinkhornConfig,

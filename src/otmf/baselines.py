@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, ShapeMismatchError
 
-_METHODS = ("swa", "task_arithmetic", "ties")
+METHODS = ("swa", "task_arithmetic", "ties")
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ def baseline_fold(
     ShapeMismatchError, and a stream of fewer than two vectors raises
     DataError once it is exhausted.
     """
-    if method not in _METHODS:
+    if method not in METHODS:
         raise ConfigError(f"unknown baseline method '{method}'")
     t = 0
     for t, delta in enumerate(task_vectors, start=1):

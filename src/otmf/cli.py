@@ -12,7 +12,8 @@ Outputs are byte-deterministic for a fixed config + seed; wall-clock
 timings go to a separate sidecar so reports stay diffable.
 
 Exit codes: 0 success, 2 config error, 3 data/shape error, 4 numerical
-failure. Set OTMF_LOG_LEVEL (DEBUG/INFO/WARNING/ERROR) to control logging.
+failure. Set OTMF_LOG_LEVEL (DEBUG/INFO/WARNING/ERROR) to control logging;
+any other level name is a config error.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import BaselineConfig, baseline_fold
+from .baselines import METHODS, BaselineConfig, baseline_fold
 from .errors import (
     ConfigError,
     DataError,
@@ -52,14 +53,14 @@ from .io import (
     save_matrix,
     save_report,
 )
-from .metrics import AccuracyMatrix, accuracy, bwt, score_shift
+from .metrics import accuracy, bwt, score_shift
 from .models import ModelSpec, ToyModel, init_model, task_vector, train_sft
 from .sinkhorn import SolverState, log_solves
 from .taskgen import TaskStreamSpec, generate_stream, task_ids
 
 log = logging.getLogger("otmf")
 
-_MERGE_METHODS = ("otmf", "swa", "task_arithmetic", "ties")
+_MERGE_METHODS = ("otmf", *METHODS)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -79,7 +80,7 @@ class SftConfig:
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
     stream: TaskStreamSpec = dataclasses.field(default_factory=TaskStreamSpec)
-    model: ModelSpec = dataclasses.field(default_factory=lambda: ModelSpec((8, 16, 8)))
+    model: ModelSpec = dataclasses.field(default_factory=ModelSpec)
     fusion: FusionConfig = dataclasses.field(default_factory=FusionConfig)
     baseline: BaselineConfig = dataclasses.field(default_factory=BaselineConfig)
     sft: SftConfig = dataclasses.field(default_factory=SftConfig)
@@ -153,10 +154,7 @@ def _build_section(cls, data: dict, name: str = ""):
             kwargs[key] = _build_section(hints[key], val, dotted)
         else:
             kwargs[key] = _typed(val, hints[key], dotted)
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad {where}: {exc}") from exc
+    return cls(**kwargs)
 
 
 def load_config(path: str | None, seed: int | None, out: str | None) -> RunConfig:
@@ -300,12 +298,21 @@ def cmd_train(cfg: RunConfig, seed: int) -> None:
                  f"{len(sft_seconds)} run(s)", sft_seconds=sft_seconds)
 
 
+def _load_model(cfg: RunConfig, path: str | Path) -> ToyModel:
+    """The checkpoint at path, whose spec must be the configured model's."""
+    model = load_checkpoint(path)
+    if model.spec != cfg.model:
+        raise ShapeMismatchError(
+            f"{path}: checkpoint spec {model.spec} does not match configured {cfg.model}")
+    return model
+
+
 def _load_trained(cfg: RunConfig, seed: int, name: str) -> ToyModel:
     """The checkpoint `train` wrote under name: "pretrained" or a task id."""
     path = _seed_dir(cfg, seed) / "checkpoints" / f"{name}.ckpt"
     if not path.exists():
         raise DataError(f"checkpoint missing: {path}; run `otmf train` first")
-    return load_checkpoint(path)
+    return _load_model(cfg, path)
 
 
 def _load_theta0(cfg: RunConfig, seed: int) -> ToyModel:
@@ -374,7 +381,8 @@ def cmd_merge(cfg: RunConfig, seed: int, method: str) -> dict:
     theta0 = _load_theta0(cfg, seed)
     step_dir = _seed_dir(cfg, seed) / "merged" / method
     step_dir.mkdir(parents=True, exist_ok=True)
-    mat = AccuracyMatrix(cfg.stream.num_tasks)
+    # mat[t - 1, i - 1]: the accuracy after merge step t on task i, NaN above the diagonal
+    mat = np.full((cfg.stream.num_tasks, cfg.stream.num_tasks), np.nan)
     # the read tasks' test sets and fine-tuned heads (a baseline's heads)
     tests, sft_heads = {}, {}
     shifts, shift_solver = [], SolverState()
@@ -390,7 +398,7 @@ def cmd_merge(cfg: RunConfig, seed: int, method: str) -> dict:
         if len(tests) == 1:
             models["prev"] = sft
             # accuracy row 1 is the first fine-tuned model alone
-            mat.set(1, 1, accuracy(sft, tid, tests[tid]))
+            mat[0, 0] = accuracy(sft, tid, tests[tid])
         else:
             seen.add(models["unlabeled"])
         sft_heads[tid] = sft.heads[tid]
@@ -400,8 +408,8 @@ def cmd_merge(cfg: RunConfig, seed: int, method: str) -> dict:
         nonlocal max_shift_n
         model = ToyModel(spec=cfg.model, backbone=theta, heads=heads)
         save_checkpoint(step_dir / f"step{step:02d}.ckpt", model)
-        for i, (tid, test) in enumerate(tests.items(), start=1):
-            mat.set(step, i, accuracy(model, tid, test))
+        for i, (tid, test) in enumerate(tests.items()):
+            mat[step - 1, i] = accuracy(model, tid, test)
         # shift of the merged model against the two models it fused
         pre = score_shift(model, models["prev"], seen.rows, cfg.fusion.sinkhorn)
         post = score_shift(model, models["incoming"], models["unlabeled"], cfg.fusion.sinkhorn)
@@ -443,8 +451,8 @@ def cmd_merge(cfg: RunConfig, seed: int, method: str) -> dict:
 
     report = _report(
         cfg, seed, method=method,
-        accuracy_matrix=[[None if np.isnan(v) else v for v in row] for row in mat.as_array()],
-        average_accuracy=mat.final_average(), bwt=bwt(mat), shifts=shifts, **extra)
+        accuracy_matrix=[[None if np.isnan(v) else v for v in row] for row in mat],
+        average_accuracy=float(mat[-1].mean()), bwt=bwt(mat), shifts=shifts, **extra)
     save_report(_seed_dir(cfg, seed) / f"report_{method}.json", report)
     log.info(
         "seed %d: %s avg accuracy %.4f bwt %+.4f",
@@ -457,11 +465,7 @@ def cmd_merge(cfg: RunConfig, seed: int, method: str) -> dict:
 
 def cmd_eval(cfg: RunConfig, seed: int, checkpoint: str) -> dict:
     t0 = time.perf_counter()
-    model = load_checkpoint(checkpoint)
-    if model.spec != cfg.model:
-        raise ShapeMismatchError(
-            f"checkpoint spec {model.spec} does not match configured {cfg.model}"
-        )
+    model = _load_model(cfg, checkpoint)
     data = _data_dir(cfg, seed)
     out = _seed_dir(cfg, seed) / "eval"
     out.mkdir(exist_ok=True)
@@ -588,10 +592,14 @@ def _run(args: argparse.Namespace) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("OTMF_LOG_LEVEL", "INFO").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    level = os.environ.get("OTMF_LOG_LEVEL", "INFO")
+    # basicConfig checks a level name only when the root logger has no handler
+    known = isinstance(logging.getLevelName(level.upper()), int)
+    logging.basicConfig(level=level.upper() if known else "INFO",
+                        format="%(levelname)s %(name)s: %(message)s")
+    if not known:
+        log.error("config error: OTMF_LOG_LEVEL=%r is not a logging level", level)
+        return 2
     args = build_parser().parse_args(argv)
     try:
         _run(args)

@@ -5,7 +5,9 @@ the format version, the model spec, and the name and shape of every array,
 followed by the raw little-endian float64 payload of every declared array
 in order. The backbone's arrays come first, in backbone_layout order, so
 its payload is the flat backbone; each head follows as its weight, then
-its bias.
+its bias. One function writes the header, and the reader takes a header
+only when it is byte for byte what that function writes for the spec and
+heads it names.
 Datasets and feature clouds are delimited numeric matrices with a one-line
 header. Reports are sorted-key JSON. Every writer is byte-deterministic:
 identical inputs produce identical files.
@@ -14,13 +16,13 @@ identical inputs produce identical files.
 from __future__ import annotations
 
 import json
-from itertools import zip_longest
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeMismatchError
-from .models import Batch, ModelSpec, ToyModel, backbone_layout
+from .models import Batch, ModelSpec, ToyModel, backbone_layout, layer_views
 
 _CKPT_MAGIC = "otmf-checkpoint"
 _CKPT_VERSION = 1
@@ -40,76 +42,67 @@ def _declared_arrays(spec: ModelSpec, heads: list[tuple[str, int]]):
     return arrays
 
 
+def _header(spec: ModelSpec, heads: list[tuple[str, int]]) -> bytes:
+    """The header of a checkpoint of spec, given its heads' (task, class
+    count) pairs in file order: every line up to and including "data"."""
+    lines = [f"{_CKPT_MAGIC} v{_CKPT_VERSION}",
+             "layer_dims " + " ".join(map(str, spec.layer_dims)),
+             f"activation {spec.activation}",
+             *(f"array {name} " + " ".join(map(str, shape))
+               for name, shape in _declared_arrays(spec, heads)),
+             "data"]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 def save_checkpoint(path: str | Path, model: ToyModel) -> None:
-    path = Path(path)
     tasks = sorted(model.heads)
-    lines = [
-        f"{_CKPT_MAGIC} v{_CKPT_VERSION}",
-        "layer_dims " + " ".join(str(d) for d in model.spec.layer_dims),
-        f"activation {model.spec.activation}",
-    ]
-    for name, shape in _declared_arrays(
-            model.spec, [(t, model.heads[t]["bias"].size) for t in tasks]):
-        lines.append(f"array {name} " + " ".join(str(s) for s in shape))
-    lines.append("data")
-    payload = bytearray(model.backbone.astype("<f8").tobytes())
-    for task in tasks:
-        for name in ("weight", "bias"):
-            payload += model.heads[task][name].astype("<f8").tobytes()
-    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8") + bytes(payload))
+    arrays = [model.backbone, *(model.heads[t][name] for t in tasks for name in ("weight", "bias"))]
+    Path(path).write_bytes(_header(model.spec, [(t, model.heads[t]["bias"].size) for t in tasks])
+                           + b"".join(a.astype("<f8").tobytes() for a in arrays))
 
 
 def load_checkpoint(path: str | Path) -> ToyModel:
+    """The model in a checkpoint whose header is the one save_checkpoint
+    writes for its spec and heads, byte for byte."""
     raw = Path(path).read_bytes()
     sep = raw.find(b"\ndata\n")
     if not raw.startswith(_CKPT_MAGIC.encode()) or sep < 0:
         raise DataError(f"{path}: not a checkpoint file")
-    payload = raw[sep + 6 :]
-    # a header line that does not parse (text, number, array name or model
-    # spec) fails in here with one of the caught errors
+    header, payload = raw[: sep + 6], raw[sep + 6 :]
+    # a header line that does not parse (text, number or model spec) fails
+    # in here with one of the caught errors
     try:
-        header = raw[: sep + 5].decode("utf-8").splitlines()
-        version = header[0].split()[-1]
+        lines = header.decode("utf-8").split("\n")
+        version = lines[0].split()[-1]
         if version != f"v{_CKPT_VERSION}":
             raise DataError(f"{path}: unsupported checkpoint version {version}")
-        layer_dims = tuple(int(t) for t in header[1].split()[1:])
-        spec = ModelSpec(layer_dims=layer_dims, activation=header[2].split()[1])
-
-        arrays: list[tuple[str, tuple[int, ...]]] = []
-        for line in header[3:]:
-            if line == "data":
-                break
-            _, name, *dims = line.split()
-            arrays.append((name, tuple(int(d) for d in dims)))
-
-        expected = sum(int(np.prod(s)) for _, s in arrays) * 8
+        spec = ModelSpec(layer_dims=tuple(int(t) for t in lines[1].split()[1:]),
+                         activation=lines[2].split()[1])
+        # each head's class count is its bias line's one dim
+        heads = [(words[1][len("head/") : -len("/bias")], int(words[-1]))
+                 for words in map(str.split, lines[3:])
+                 if words[1:] and words[1].startswith("head/") and words[1].endswith("/bias")]
+        want = _header(spec, sorted(dict(heads).items()))
+        if header != want:
+            # both end in the one "data" line, so they differ before it
+            got, line = next((g, w) for g, w in zip(lines, want.decode("utf-8").split("\n"))
+                             if g != w)
+            raise DataError(f"{path}: header line {got!r} should read {line!r}: a header is "
+                            "its spec's layout, its heads in sorted order, each once")
+        arrays = _declared_arrays(spec, heads)
+        expected = sum(math.prod(shape) for _, shape in arrays) * 8
         if len(payload) != expected:
             raise DataError(
                 f"{path}: payload has {len(payload)} bytes, header declares {expected}"
             )
-
-        # the arrays must be the spec's layout: the backbone's, then a
-        # weight and a bias per head, named, ordered and shaped as it says
-        n_back = len(backbone_layout(spec))
-        heads = [(name.split("/")[1], shape[0] if shape else 0)
-                 for name, shape in arrays[n_back::2] if name.startswith("head/")]
-        for got, want in zip_longest(arrays, _declared_arrays(spec, heads)):
-            if got != want:
-                raise DataError(f"{path}: declares array {got}, its spec's layout has {want}")
-        tasks = [task for task, _ in heads]
-        if tasks != sorted(set(tasks)):
-            raise DataError(f"{path}: heads {tasks} are not in sorted order, each once")
-        values = np.frombuffer(payload, dtype="<f8")
-        ofs = sum(int(np.prod(s)) for _, s in arrays[:n_back])
-        backbone, model_heads = values[:ofs], {}
-        for task, k in heads:
-            weight = values[ofs : ofs + k * spec.feature_dim].reshape(k, spec.feature_dim)
-            ofs += k * spec.feature_dim
-            model_heads[task] = {"weight": weight, "bias": values[ofs : ofs + k]}
-            ofs += k
+        views = layer_views(np.frombuffer(payload, dtype="<f8"), arrays)
     except (ValueError, IndexError, ConfigError) as exc:
         raise DataError(f"{path}: malformed checkpoint header: {exc}") from exc
-    return ToyModel(spec=spec, backbone=backbone, heads=model_heads)
+    backbone = np.concatenate([v.ravel() for name, v in views.items()
+                               if name.startswith("backbone/")])
+    return ToyModel(spec=spec, backbone=backbone, heads={
+        task: {"weight": views[f"head/{task}/weight"], "bias": views[f"head/{task}/bias"]}
+        for task, _ in heads})
 
 
 # ---------------------------------------------------------------------------

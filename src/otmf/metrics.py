@@ -11,38 +11,6 @@ from .models import Batch, ToyModel, forward_features, forward_logits
 from .sinkhorn import SinkhornConfig, TransportPlan, sinkhorn_distance
 
 
-class AccuracyMatrix:
-    """Lower-triangular matrix a[t][i]: accuracy after merge step t on task i.
-
-    Steps and tasks are 1-indexed to match the merging protocol.
-    """
-
-    def __init__(self, num_tasks: int):
-        if num_tasks < 1:
-            raise DataError("need at least one task")
-        self.num_tasks = num_tasks
-        self._a = np.full((num_tasks, num_tasks), np.nan)
-
-    def set(self, step: int, task: int, acc: float) -> None:
-        if not (1 <= task <= step <= self.num_tasks):
-            raise DataError(f"entry ({step}, {task}) outside lower triangle")
-        if not 0.0 <= acc <= 1.0:
-            raise DataError(f"accuracy {acc} outside [0, 1]")
-        self._a[step - 1, task - 1] = acc
-
-    def get(self, step: int, task: int) -> float:
-        return float(self._a[step - 1, task - 1])
-
-    def as_array(self) -> np.ndarray:
-        return self._a.copy()
-
-    def final_average(self) -> float:
-        row = self._a[self.num_tasks - 1, :]
-        if np.any(np.isnan(row)):
-            raise DataError("final row is incomplete")
-        return float(row.mean())
-
-
 def normalized_feature_scale(reference: np.ndarray) -> float:
     """Scale that brings the reference cloud to unit mean norm."""
     mean_norm = float(np.linalg.norm(reference, axis=1).mean())
@@ -100,16 +68,10 @@ def accuracy(model: ToyModel, task: str, batch: Batch) -> float:
     return float((preds == batch.labels).mean())
 
 
-def bwt(matrix: AccuracyMatrix) -> float:
-    """Backward transfer: mean final-row minus diagonal accuracy."""
-    T = matrix.num_tasks
-    if T < 2:
+def bwt(matrix: np.ndarray) -> float:
+    """Backward transfer of a T x T accuracy matrix, whose entry [t, i] is
+    the accuracy after merge step t + 1 on task i + 1: the mean over the
+    first T - 1 tasks of final-row minus diagonal accuracy."""
+    if len(matrix) < 2:
         raise DataError("BWT needs at least 2 tasks")
-    vals = []
-    for i in range(1, T):
-        final = matrix.get(T, i)
-        diag = matrix.get(i, i)
-        if np.isnan(final) or np.isnan(diag):
-            raise DataError(f"missing accuracy entries for task {i}")
-        vals.append(final - diag)
-    return float(np.mean(vals))
+    return float(np.mean(matrix[-1, :-1] - np.diag(matrix)[:-1]))

@@ -31,7 +31,7 @@ Head = dict[str, np.ndarray]
 
 @dataclass(frozen=True)
 class ModelSpec:
-    layer_dims: tuple[int, ...]  # input dim, hidden dims..., feature dim
+    layer_dims: tuple[int, ...] = (8, 16, 8)  # input dim, hidden dims..., feature dim
     activation: str = "tanh"
 
     def __post_init__(self):

@@ -25,7 +25,7 @@ from otmf.fusion import (
     masked_fuse,
     ot_mask_epoch,
 )
-from otmf.metrics import AccuracyMatrix, accuracy, bwt, l1_shift, normalized_feature_scale
+from otmf.metrics import accuracy, bwt, l1_shift, normalized_feature_scale
 from otmf.models import (
     Batch,
     ModelSpec,
@@ -93,12 +93,12 @@ def run_otmf(seed, cfg=None):
 
 
 def accuracy_matrix_from_snapshots(tasks, sfts, snapshots):
-    mat = AccuracyMatrix(len(tasks))
-    mat.set(1, 1, accuracy(sfts[0], tasks[0].task_id, tasks[0].test))
+    mat = np.full((len(tasks), len(tasks)), np.nan)
+    mat[0, 0] = accuracy(sfts[0], tasks[0].task_id, tasks[0].test)
     for step, (theta, hs) in sorted(snapshots.items()):
         model = ToyModel(spec=MODEL, backbone=theta, heads=hs)
         for i in range(1, step + 1):
-            mat.set(step, i, accuracy(model, tasks[i - 1].task_id, tasks[i - 1].test))
+            mat[step - 1, i - 1] = accuracy(model, tasks[i - 1].task_id, tasks[i - 1].test)
     return mat
 
 
@@ -319,14 +319,14 @@ def test_criterion_6_forgetting_comparison(capsys):
     for seed in range(5):
         tasks, theta0, sfts, deltas, final, _, logs, snapshots = run_otmf(seed)
         mat = accuracy_matrix_from_snapshots(tasks, sfts, snapshots)
-        avgs["otmf"].append(mat.final_average())
+        avgs["otmf"].append(float(mat[-1].mean()))
         bwts["otmf"].append(bwt(mat))
 
         sft_heads = {td.task_id: m.heads[td.task_id] for m, td in zip(sfts, tasks)}
         fold_cfg = BaselineConfig(scaling=0.3, trim_fraction=0.2)
         for name in ("swa", "task_arithmetic", "ties"):
-            mat_b = AccuracyMatrix(len(tasks))
-            mat_b.set(1, 1, accuracy(sfts[0], tasks[0].task_id, tasks[0].test))
+            mat_b = np.full((len(tasks), len(tasks)), np.nan)
+            mat_b[0, 0] = accuracy(sfts[0], tasks[0].task_id, tasks[0].test)
             for step, merged in enumerate(baseline_fold(name, fold_cfg, deltas), start=1):
                 if step == 1:
                     continue
@@ -334,9 +334,9 @@ def test_criterion_6_forgetting_comparison(capsys):
                                  backbone=theta0.backbone + merged,
                                  heads=sft_heads)
                 for i in range(1, step + 1):
-                    mat_b.set(step, i,
-                              accuracy(model, tasks[i - 1].task_id, tasks[i - 1].test))
-            avgs[name].append(mat_b.final_average())
+                    mat_b[step - 1, i - 1] = accuracy(model, tasks[i - 1].task_id,
+                                                      tasks[i - 1].test)
+            avgs[name].append(float(mat_b[-1].mean()))
             if name == "task_arithmetic":
                 bwts[name].append(bwt(mat_b))
     means = {k: float(np.mean(v)) for k, v in avgs.items()}

@@ -74,6 +74,25 @@ def test_defaults_without_config_file():
     assert resolved["fusion"]["sinkhorn"]["epsilon"] == 0.05
 
 
+def test_partial_model_section_keeps_default_layer_dims(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": {"activation": "relu"}}))
+    cfg = load_config(str(path), None, None)
+    assert cfg.model == ModelSpec((8, 16, 8), activation="relu")
+
+
+def test_unknown_log_level_exits_2(tiny_cfg):
+    out = subprocess.run(
+        [sys.executable, "-m", "otmf.cli", "gen", "--config", str(tiny_cfg)],
+        env=dict(_cli_env(), OTMF_LOG_LEVEL="bogus"), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert out.returncode == 2
+    [line] = out.stderr.splitlines()
+    assert "config error" in line and "OTMF_LOG_LEVEL" in line and "bogus" in line
+    assert not (tiny_cfg.parent / "run").exists()
+
+
 def test_config_overrides(tiny_cfg):
     cfg = load_config(str(tiny_cfg), seed=7, out="elsewhere")
     assert cfg.seeds == (7,)
@@ -590,6 +609,10 @@ def test_merge_each_method(pipeline, method):
     assert report["config"]["sft"]["epochs"] == 30
     mat = report["accuracy_matrix"]
     assert len(mat) == 2 and mat[0][1] is None and mat[1][1] is not None
+    # row t holds step t + 1's accuracies on the tasks merged so far
+    for t, row in enumerate(mat):
+        assert all(0.0 <= v <= 1.0 for v in row[: t + 1])
+        assert all(v is None for v in row[t + 1 :])
     assert (seed_dir / "merged" / method / "final.ckpt").exists()
     assert (seed_dir / "merged" / method / "step02.ckpt").exists()
     # the final checkpoint is the last step's merged model
@@ -859,6 +882,37 @@ def test_eval_warns_when_it_replaces_another_checkpoints_evaluation(pipeline, ca
     assert "merged/otmf/final.ckpt" in warning
     report = json.loads((seed_dir / "eval" / "eval_report.json").read_text())
     assert report["checkpoint"] == "seed0/merged/ties/final.ckpt"
+
+
+@pytest.mark.parametrize("stage", ["merge-otmf", "merge-ties", "ablate-alpha", "eval"])
+def test_checkpoints_of_another_activation_exit_3_naming_the_file(pipeline, tmp_path, caplog,
+                                                                   stage):
+    # trained under tanh, read under a config that differs only in activation
+    tiny_cfg, seed_dir = pipeline
+    relu = tmp_path / "relu.json"
+    relu.write_text(json.dumps(dict(TINY, model={"layer_dims": [4, 8, 4], "activation": "relu"},
+                                    output_dir=str(seed_dir.parent))))
+    ckpt = seed_dir / "checkpoints" / "pretrained.ckpt"
+    if stage == "merge-otmf":
+        args = ["merge", "--method", "otmf"]
+    elif stage == "merge-ties":
+        args = ["merge", "--method", "ties"]
+    elif stage == "ablate-alpha":
+        args = ["ablate-alpha", "--grid", "0.5"]
+    else:
+        # a relu checkpoint matches the config, so the failing read is a task's
+        assert run("merge", "--config", tiny_cfg, "--method", "otmf") == 0
+        final = load_checkpoint(seed_dir / "merged" / "otmf" / "final.ckpt")
+        save_checkpoint(tmp_path / "relu.ckpt", ToyModel(
+            ModelSpec((4, 8, 4), activation="relu"), final.backbone, final.heads))
+        args = ["eval", "--checkpoint", tmp_path / "relu.ckpt"]
+        ckpt = seed_dir / "checkpoints" / "task01.ckpt"
+    caplog.clear()
+    assert run(*args, "--config", relu) == 3
+    [error] = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert str(ckpt) in error and "relu" in error
+    if stage.startswith("merge"):
+        assert not (seed_dir / "merged").exists()
 
 
 def test_eval_shape_mismatch_exit_code(pipeline, tmp_path):

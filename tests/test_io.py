@@ -18,7 +18,7 @@ from otmf.io import (
     save_matrix,
     save_report,
 )
-from otmf.models import Batch
+from otmf.models import Batch, ModelSpec, init_model
 
 
 def test_checkpoint_roundtrip(rng, tmp_path):
@@ -45,13 +45,35 @@ def test_checkpoint_save_load_save_bit_exact(rng, tmp_path):
 
 
 def test_checkpoint_header_is_text(rng, tmp_path):
-    model = small_model(rng)
+    model = small_model(rng, num_heads=1)
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, model)
     head = path.read_bytes().split(b"\ndata\n")[0].decode("utf-8")
     assert head.startswith("otmf-checkpoint v1")
     assert "layer_dims 3 4 3" in head
     assert "activation tanh" in head
+    # the whole header, which the reader requires byte for byte
+    assert head == "\n".join([
+        "otmf-checkpoint v1",
+        "layer_dims 3 4 3",
+        "activation tanh",
+        "array backbone/layer0.weight 4 3",
+        "array backbone/layer0.bias 4",
+        "array backbone/layer1.weight 3 4",
+        "array backbone/layer1.bias 3",
+        "array head/task01/weight 3 3",
+        "array head/task01/bias 3",
+    ])
+
+
+def test_checkpoint_rejects_header_differing_in_whitespace(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, init_model(ModelSpec((4, 8, 4)), seed=0))
+    raw = path.read_bytes()
+    assert raw.count(b"\nlayer_dims 4 8 4\n") == 1
+    path.write_bytes(raw.replace(b"\nlayer_dims 4 8 4\n", b"\nlayer_dims 4  8 4\n"))
+    with pytest.raises(DataError, match="'layer_dims 4  8 4'"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

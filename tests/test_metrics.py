@@ -6,7 +6,6 @@ import pytest
 from conftest import small_model
 from otmf.errors import DataError, ShapeMismatchError
 from otmf.metrics import (
-    AccuracyMatrix,
     accuracy,
     bwt,
     l1_shift,
@@ -87,31 +86,19 @@ def test_accuracy_ties_break_low(rng):
     assert accuracy(model, "t", batch) == pytest.approx(3 / 5)
 
 
-def test_accuracy_matrix_triangle():
-    mat = AccuracyMatrix(3)
-    mat.set(2, 1, 0.5)
-    assert mat.get(2, 1) == 0.5
-    with pytest.raises(DataError):
-        mat.set(1, 2, 0.5)
-    with pytest.raises(DataError):
-        mat.set(2, 2, 1.5)
-    with pytest.raises(DataError):
-        mat.final_average()
-
-
 def test_final_average_and_bwt_manual():
-    mat = AccuracyMatrix(3)
-    mat.set(1, 1, 0.9)
-    mat.set(2, 1, 0.8)
-    mat.set(2, 2, 0.7)
-    mat.set(3, 1, 0.6)
-    mat.set(3, 2, 0.9)
-    mat.set(3, 3, 0.5)
-    assert mat.final_average() == pytest.approx((0.6 + 0.9 + 0.5) / 3)
+    mat = np.full((3, 3), np.nan)
+    mat[0, 0] = 0.9
+    mat[1, 0] = 0.8
+    mat[1, 1] = 0.7
+    mat[2, 0] = 0.6
+    mat[2, 1] = 0.9
+    mat[2, 2] = 0.5
+    assert mat[-1].mean() == pytest.approx((0.6 + 0.9 + 0.5) / 3)
     # bwt = mean over earlier tasks of final minus diagonal
     assert bwt(mat) == pytest.approx(((0.6 - 0.9) + (0.9 - 0.7)) / 2)
 
 
 def test_bwt_requires_two_tasks():
     with pytest.raises(DataError):
-        bwt(AccuracyMatrix(1))
+        bwt(np.full((1, 1), np.nan))
