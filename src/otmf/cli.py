@@ -320,20 +320,15 @@ def _load_theta0(cfg: RunConfig, seed: int) -> ToyModel:
     return ToyModel(spec=pre.spec, backbone=pre.backbone, heads={})
 
 
-def _task_stream(cfg: RunConfig, seed: int, theta0: ToyModel, tests: dict, on_read=None):
-    """Yield each task's (id, task vector, head, train batch, unlabeled
-    set), reading its datasets and fine-tuned checkpoint when the task is
-    pulled. The test set is kept in tests, by id; on_read(id, model,
-    unlabeled set), if given, sees the rest of what was read."""
+def _read_tasks(cfg: RunConfig, seed: int):
+    """Yield each task's (id, fine-tuned model, train batch, test batch,
+    unlabeled set), reading its datasets and checkpoint when it is pulled."""
     data = _data_dir(cfg, seed)
     for tid in task_ids(cfg.stream.num_tasks):
         train = _load_set(cfg, data / f"{tid}_train.csv")
-        tests[tid] = _load_set(cfg, data / f"{tid}_test.csv")
+        test = _load_set(cfg, data / f"{tid}_test.csv")
         unlabeled = _load_set(cfg, data / f"{tid}_unlabeled.csv", labeled=False)
-        sft = _load_trained(cfg, seed, tid)
-        if on_read is not None:
-            on_read(tid, sft, unlabeled)
-        yield tid, task_vector(sft, theta0), sft.heads[tid], train, unlabeled
+        yield tid, _load_trained(cfg, seed, tid), train, test, unlabeled
 
 
 def _merge_tallies(logs) -> dict[str, SolverState]:
@@ -389,40 +384,41 @@ def cmd_merge(cfg: RunConfig, seed: int, method: str) -> dict:
     # the fine-tuned model and unlabeled set read last, the step's incoming
     # side, and the model its pre side compares against: task01's
     # fine-tuned model at step 2, then the previous step's merged model
-    models = {}
+    incoming = unlabeled = prev = None
     # the pre-side shift's inputs: a sample of the tasks before the incoming one
     seen = _Reservoir(seed)
     max_shift_n = 0
 
-    def on_read(tid: str, sft: ToyModel, unlabeled: np.ndarray) -> None:
-        if len(tests) == 1:
-            models["prev"] = sft
-            # accuracy row 1 is the first fine-tuned model alone
-            mat[0, 0] = accuracy(sft, tid, tests[tid])
-        else:
-            seen.add(models["unlabeled"])
-        sft_heads[tid] = sft.heads[tid]
-        models.update(incoming=sft, unlabeled=unlabeled)
+    def tasks():
+        nonlocal incoming, unlabeled, prev
+        for tid, sft, train, test, task_unlabeled in _read_tasks(cfg, seed):
+            if prev is None:
+                prev = sft
+                # accuracy row 1 is the first fine-tuned model alone
+                mat[0, 0] = accuracy(sft, tid, test)
+            else:
+                seen.add(unlabeled)
+            tests[tid], sft_heads[tid] = test, sft.heads[tid]
+            incoming, unlabeled = sft, task_unlabeled
+            yield tid, task_vector(sft, theta0), sft.heads[tid], train, unlabeled
 
-    def on_step(step: int, theta: np.ndarray, heads: dict) -> None:
-        nonlocal max_shift_n
-        model = ToyModel(spec=cfg.model, backbone=theta, heads=heads)
+    def on_step(step: int, model: ToyModel) -> None:
+        nonlocal max_shift_n, prev
         save_checkpoint(step_dir / f"step{step:02d}.ckpt", model)
         for i, (tid, test) in enumerate(tests.items()):
             mat[step - 1, i] = accuracy(model, tid, test)
         # shift of the merged model against the two models it fused
-        pre = score_shift(model, models["prev"], seen.rows, cfg.fusion.sinkhorn)
-        post = score_shift(model, models["incoming"], models["unlabeled"], cfg.fusion.sinkhorn)
+        pre = score_shift(model, prev, seen.rows, cfg.fusion.sinkhorn)
+        post = score_shift(model, incoming, unlabeled, cfg.fusion.sinkhorn)
         max_shift_n = max(max_shift_n, len(pre.merged), len(post.merged))
         shifts.append({"step": step, "delta_pre": pre.l1, "delta_post": post.l1,
                        "sinkhorn_pre": pre.sinkhorn, "sinkhorn_post": post.sinkhorn})
         shift_solver.record(pre.plan)
         shift_solver.record(post.plan)
-        models["prev"] = model
+        prev = model
 
-    stream = _task_stream(cfg, seed, theta0, tests, on_read)
     if method == "otmf":
-        _, _, logs = continual_merge(theta0, stream, cfg.fusion, seed=seed, on_step=on_step)
+        _, _, logs = continual_merge(theta0, tasks(), cfg.fusion, seed=seed, on_step=on_step)
         tallies = _merge_tallies(logs)
         extra = {
             "pair_loss": [
@@ -442,12 +438,13 @@ def cmd_merge(cfg: RunConfig, seed: int, method: str) -> dict:
         }
     else:
         extra, tallies = {}, {}
-        fold = baseline_fold(method, cfg.baseline, (delta for _, delta, *_ in stream))
+        fold = baseline_fold(method, cfg.baseline, (delta for _, delta, *_ in tasks()))
         for step, delta_m in enumerate(fold, start=1):
             if step >= 2:
-                on_step(step, theta0.backbone + delta_m, dict(sft_heads))
+                on_step(step, ToyModel(spec=cfg.model, backbone=theta0.backbone + delta_m,
+                                       heads=sft_heads))
     # the last step's merged model
-    save_checkpoint(step_dir / "final.ckpt", models["prev"])
+    save_checkpoint(step_dir / "final.ckpt", prev)
 
     report = _report(
         cfg, seed, method=method,
@@ -514,13 +511,13 @@ def cmd_ablate_alpha(cfg: RunConfig, seed: int, grid: list[float]) -> dict:
         raise ConfigError(f"alpha grid values must lie in [0, 1]: {grid}")
     t0 = time.perf_counter()
     theta0 = _load_theta0(cfg, seed)
-    tests = {}  # the test sets, by task id, for the accuracy table
+    tests = {}  # the test sets, by task id, for the accuracy table, filed by the unpacking
     rows, logs = [], []
     for alpha in grid:
         fcfg = dataclasses.replace(cfg.fusion, alpha=float(alpha))
-        theta, heads, alpha_logs = continual_merge(
-            theta0, _task_stream(cfg, seed, theta0, tests), fcfg, seed=seed
-        )
+        tasks = ((tid, task_vector(sft, theta0), sft.heads[tid], train, unlabeled)
+                 for tid, sft, train, tests[tid], unlabeled in _read_tasks(cfg, seed))
+        theta, heads, alpha_logs = continual_merge(theta0, tasks, fcfg, seed=seed)
         logs += alpha_logs
         model = ToyModel(spec=cfg.model, backbone=theta, heads=heads)
         accs = [accuracy(model, tid, test) for tid, test in tests.items()]

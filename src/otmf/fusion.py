@@ -315,7 +315,7 @@ def continual_merge(
     tasks: Iterable[Task],
     cfg: FusionConfig,
     seed: int = 0,
-    on_step: Callable[[int, np.ndarray, dict[str, Head]], None] | None = None,
+    on_step: Callable[[int, ToyModel], None] | None = None,
 ) -> tuple[np.ndarray, dict[str, Head], list[StepLog]]:
     """Stream the tasks through alternating OT mask training.
 
@@ -323,12 +323,12 @@ def continual_merge(
     keeps one incoming task vector resident next to the merged one. A
     task's id keys its head and names its step's incoming_task. The seen
     tasks' unlabeled sets are kept for the pre-side OT batch, and the
-    previous task's train batch for its head re-tune. on_step, if given,
-    receives (step, merged backbone, heads) after each step. Returns the
-    final merged backbone, the heads and the per-step logs. A task vector
-    whose shape is not the backbone's raises ShapeMismatchError; a
-    repeated id (it would overwrite a head) raises DataError, as does a
-    stream of fewer than two tasks once it is exhausted.
+    previous task's train batch for its head re-tune. on_step(step, model),
+    if given, receives each step's merged ToyModel, re-tuned head included,
+    from step 2 on. Returns the final merged backbone, the heads and the
+    per-step logs. A task vector whose shape is not the backbone's raises
+    ShapeMismatchError; a repeated id (it would overwrite a head) raises
+    DataError, as does a stream of fewer than two tasks once it is exhausted.
     """
     rng = np.random.default_rng(seed)
     spec, theta0 = theta0_model.spec, theta0_model.backbone
@@ -406,7 +406,7 @@ def continual_merge(
         prev_tid, prev_train = tid, train
 
         if on_step is not None:
-            on_step(t, merged_model.backbone, dict(heads))
+            on_step(t, ToyModel(spec=spec, backbone=merged_model.backbone, heads=heads))
 
         logs.append(
             StepLog(

@@ -96,7 +96,8 @@ class ToyModel:
     Construction keeps write-protected copies of every array. It raises
     ShapeMismatchError unless the backbone has the spec's parameter count
     and each head a (k, feature_dim) weight and a (k,) bias with k >= 1,
-    and NumericalError on a non-finite parameter.
+    NumericalError on a non-finite parameter, and DataError on a head name
+    holding whitespace (a checkpoint header's words are whitespace-split).
     """
 
     spec: ModelSpec
@@ -111,6 +112,8 @@ class ToyModel:
                 f"backbone has shape {backbone.shape}, the spec needs ({size},)")
         heads = {}
         for task, head in self.heads.items():
+            if any(c.isspace() for c in task):
+                raise DataError(f"head name {task!r} holds whitespace")
             if set(head) != {"weight", "bias"}:
                 raise ShapeMismatchError(f"head '{task}' has arrays {sorted(head)}")
             w = _frozen(head["weight"], f"head '{task}'")

@@ -87,7 +87,7 @@ def run_otmf(seed, cfg=None):
     final, merged_heads, logs = continual_merge(
         theta0, zip([td.task_id for td in tasks], deltas, heads, train_batches, pools), cfg,
         seed=seed,
-        on_step=lambda step, theta, hs: snapshots.__setitem__(step, (theta, hs)),
+        on_step=lambda step, model: snapshots.__setitem__(step, (model.backbone, model.heads)),
     )
     return tasks, theta0, sfts, deltas, final, merged_heads, logs, snapshots
 

@@ -663,7 +663,7 @@ def test_continual_merge_keys_heads_and_logs_by_the_given_ids():
     seen = []
     final, named_heads, logs = continual_merge(
         theta0_model, stream(deltas, heads, batches, pools, ids=ids), cfg, seed=0,
-        on_step=lambda step, theta, hs: seen.append(sorted(hs)))
+        on_step=lambda step, model: seen.append(sorted(model.heads)))
     assert sorted(named_heads) == sorted(ids)
     assert [lg.incoming_task for lg in logs] == ["alpha", "mid"]
     assert seen == [["alpha", "zeta"], ["alpha", "mid", "zeta"]]
@@ -706,13 +706,23 @@ def test_continual_merge_on_step_callback():
     theta0_model, deltas, heads, batches, pools = world(seed=13, T=3)
     cfg = FusionConfig(ot_epochs=4, batch_size=8)
     seen = []
-    final, _, _ = continual_merge(
+    final, final_heads, _ = continual_merge(
         theta0_model, stream(deltas, heads, batches, pools), cfg, seed=0,
-        on_step=lambda step, theta, hs: seen.append((step, theta, sorted(hs))),
+        on_step=lambda step, model: seen.append((step, model)),
     )
-    assert [s for s, _, _ in seen] == [2, 3]
-    assert np.array_equal(seen[-1][1], final)
-    assert seen[0][2] == ["task01", "task02"]
+    assert [s for s, _ in seen] == [2, 3]
+    assert all(isinstance(model, ToyModel) for _, model in seen)
+    assert sorted(seen[0][1].heads) == ["task01", "task02"]
+    # the last step's model is the merge's result, the head re-tuned at
+    # that step (task02's) included
+    last = seen[-1][1]
+    assert np.array_equal(last.backbone, final)
+    assert last.heads.keys() == final_heads.keys() == {"task01", "task02", "task03"}
+    for tid, head in final_heads.items():
+        assert all(np.array_equal(last.heads[tid][n], head[n]) for n in ("weight", "bias"))
+    assert not np.array_equal(last.heads["task02"]["weight"], heads[1]["weight"])
+    # and step 2's model carries its own re-tune, task01's
+    assert not np.array_equal(seen[0][1].heads["task01"]["weight"], heads[0]["weight"])
 
 
 def test_continual_merge_input_validation():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from otmf.io import (
     save_matrix,
     save_report,
 )
-from otmf.models import Batch, ModelSpec, init_model
+from otmf.models import Batch, ModelSpec, ToyModel, init_model
 
 
 def test_checkpoint_roundtrip(rng, tmp_path):
@@ -41,6 +42,26 @@ def test_checkpoint_save_load_save_bit_exact(rng, tmp_path):
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     save_checkpoint(p1, model)
     save_checkpoint(p2, load_checkpoint(p1))
+    assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["a b", "x\ny", "tab\there", "nb\u00a0sp"])
+def test_model_rejects_head_names_a_header_cannot_carry(rng, name):
+    # a checkpoint header's lines are split into words at whitespace, so a
+    # model with such a head would save a checkpoint that does not load
+    model = small_model(rng, num_heads=1)
+    with pytest.raises(DataError, match=re.escape(repr(name))):
+        ToyModel(spec=model.spec, backbone=model.backbone, heads={name: model.heads["task01"]})
+
+
+def test_checkpoint_roundtrips_a_head_name_with_a_slash(rng, tmp_path):
+    model = small_model(rng, num_heads=1)
+    model = ToyModel(spec=model.spec, backbone=model.backbone, heads={"a/b": model.heads["task01"]})
+    p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    save_checkpoint(p1, model)
+    loaded = load_checkpoint(p1)
+    assert list(loaded.heads) == ["a/b"]
+    save_checkpoint(p2, loaded)
     assert p1.read_bytes() == p2.read_bytes()
 
 

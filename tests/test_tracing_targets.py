@@ -5,17 +5,20 @@ wherever the package binds them. A name the package no longer defines is
 skipped without failing the traced run, so its per-layer metrics would
 silently read 0, and a count reader that no longer fits its call's result
 is skipped the same way. These tests read that file (it is executed from
-its source, never written), check every name against the package and run
-the count readers on real results.
+its source, never written), check every name against the package, run
+the count readers on real results and check that the benchmark's stages
+call every name.
 """
 
 import importlib
+import json
 import types
 from pathlib import Path
 
 import numpy as np
 
 import otmf
+import otmf.cli
 from otmf.fusion import FusionConfig, continual_merge
 from otmf.models import Batch, ModelSpec, init_head, init_model
 from otmf.sinkhorn import SinkhornConfig, pairwise_cost, sinkhorn_plan
@@ -71,3 +74,33 @@ def test_count_readers_read_real_results():
     assert counts["pair_loss"] == [[lg.initial_pair_loss, lg.final_pair_loss] for lg in result[2]]
     assert [lg.step for lg in result[2]] == list(range(2, T + 1))
     assert all(isinstance(loss, float) for pair in counts["pair_loss"] for loss in pair)
+
+
+def test_every_tracer_target_runs_on_the_benchmark_stages(tmp_path):
+    # a rewiring that moves work off a traced name would zero its per-layer
+    # metrics without failing the traced run; the stages are stream-default's
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "stream": {"num_tasks": 2, "input_dim": 4, "classes_per_task": 3,
+                   "samples_per_task": 40},
+        "model": {"layer_dims": [4, 8, 4]},
+        "fusion": {"ot_epochs": 6, "batch_size": 16},
+        "sft": {"epochs": 30, "lr": 0.1},
+        "output_dir": str(tmp_path / "run"),
+    }))
+    final = tmp_path / "run" / "seed0" / "merged" / "otmf" / "final.ckpt"
+    stages = [["gen"], ["train"], ["merge", "--method", "otmf"], ["merge", "--method", "ties"],
+              ["eval", "--checkpoint", str(final)]]
+    tracing = _tracing_module()
+    tracer = tracing.Tracer()
+    patched, missing = tracing.install(tracer)
+    try:
+        codes = [otmf.cli.main([*stage, "--config", str(cfg)]) for stage in stages]
+    finally:
+        restored = tracing.restore(patched)
+    assert codes == [0] * len(stages)
+    assert missing == [] and restored
+    called = {span[0] for span in tracer.spans}
+    uncalled = [f"{layer}.{name}" for layer, names in tracing.TARGETS.items()
+                for name in names if f"{layer}.{name}" not in called]
+    assert uncalled == []

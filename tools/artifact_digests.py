@@ -12,8 +12,10 @@ mapping each file's path under the run directory to its sha256, leaving out
 the wall-clock sidecars (timings_*.json).
 
 Two trees whose outputs are equal wrote byte-identical reports,
-checkpoints, datasets and feature dumps. Run both on one machine with one
-BLAS thread setting: the n = 128 shift solves' last bits depend on it.
+checkpoints, datasets and feature dumps. Run both on one machine. The
+CLI runs get one BLAS thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS set to 1, whatever the caller set): the n = 128 shift
+solves' last bits depend on the thread count.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ STAGES = (
     ["eval", "--checkpoint", "merged/ties/final.ckpt"],
     ["ablate-alpha", "--grid", "0.2,0.8"],
 )
+_ONE_THREAD = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
 
 
 def _workload_configs() -> dict[str, dict]:
@@ -50,7 +53,8 @@ def _workload_configs() -> dict[str, dict]:
 def _cli(src: Path, cwd: Path, args: list[str]) -> None:
     path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "otmf.cli", *args], cwd=cwd,
-                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+                          env=dict(os.environ, PYTHONPATH=path, **_ONE_THREAD),
+                          capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"otmf {' '.join(args)} exited {proc.returncode}:\n{proc.stderr}")
 
