@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import METHODS, BaselineConfig, baseline_fold
+from .baselines import METHODS, BaselineConfig
 from .errors import (
     ConfigError,
     DataError,
@@ -42,7 +42,7 @@ from .errors import (
     OtmfError,
     ShapeMismatchError,
 )
-from .fusion import FusionConfig, continual_merge
+from .fusion import FusionConfig, merge_stream
 from .io import (
     load_batch,
     load_checkpoint,
@@ -320,15 +320,17 @@ def _load_theta0(cfg: RunConfig, seed: int) -> ToyModel:
     return ToyModel(spec=pre.spec, backbone=pre.backbone, heads={})
 
 
-def _read_tasks(cfg: RunConfig, seed: int):
-    """Yield each task's (id, fine-tuned model, train batch, test batch,
-    unlabeled set), reading its datasets and checkpoint when it is pulled."""
+def _read_tasks(cfg: RunConfig, seed: int, theta0: ToyModel):
+    """Yield each task, read when it is pulled, as a fusion.Task (id, task
+    vector from theta0, fine-tuned head, train batch, unlabeled set) with
+    its fine-tuned model and test batch."""
     data = _data_dir(cfg, seed)
     for tid in task_ids(cfg.stream.num_tasks):
         train = _load_set(cfg, data / f"{tid}_train.csv")
         test = _load_set(cfg, data / f"{tid}_test.csv")
         unlabeled = _load_set(cfg, data / f"{tid}_unlabeled.csv", labeled=False)
-        yield tid, _load_trained(cfg, seed, tid), train, test, unlabeled
+        sft = _load_trained(cfg, seed, tid)
+        yield (tid, task_vector(sft, theta0), sft.heads[tid], train, unlabeled), sft, test
 
 
 def _merge_tallies(logs) -> dict[str, SolverState]:
@@ -378,8 +380,7 @@ def cmd_merge(cfg: RunConfig, seed: int, method: str) -> dict:
     step_dir.mkdir(parents=True, exist_ok=True)
     # mat[t - 1, i - 1]: the accuracy after merge step t on task i, NaN above the diagonal
     mat = np.full((cfg.stream.num_tasks, cfg.stream.num_tasks), np.nan)
-    # the read tasks' test sets and fine-tuned heads (a baseline's heads)
-    tests, sft_heads = {}, {}
+    tests = {}  # the read tasks' test sets
     shifts, shift_solver = [], SolverState()
     # the fine-tuned model and unlabeled set read last, the step's incoming
     # side, and the model its pre side compares against: task01's
@@ -391,16 +392,17 @@ def cmd_merge(cfg: RunConfig, seed: int, method: str) -> dict:
 
     def tasks():
         nonlocal incoming, unlabeled, prev
-        for tid, sft, train, test, task_unlabeled in _read_tasks(cfg, seed):
+        for task, sft, test in _read_tasks(cfg, seed, theta0):
+            tid = task[0]
             if prev is None:
                 prev = sft
                 # accuracy row 1 is the first fine-tuned model alone
                 mat[0, 0] = accuracy(sft, tid, test)
             else:
                 seen.add(unlabeled)
-            tests[tid], sft_heads[tid] = test, sft.heads[tid]
-            incoming, unlabeled = sft, task_unlabeled
-            yield tid, task_vector(sft, theta0), sft.heads[tid], train, unlabeled
+            tests[tid] = test
+            incoming, unlabeled = sft, task[4]
+            yield task
 
     def on_step(step: int, model: ToyModel) -> None:
         nonlocal max_shift_n, prev
@@ -417,8 +419,10 @@ def cmd_merge(cfg: RunConfig, seed: int, method: str) -> dict:
         shift_solver.record(post.plan)
         prev = model
 
-    if method == "otmf":
-        _, _, logs = continual_merge(theta0, tasks(), cfg.fusion, seed=seed, on_step=on_step)
+    _, _, logs = merge_stream(method, theta0, tasks(), cfg.fusion, cfg.baseline, seed=seed,
+                              on_step=on_step)
+    extra, tallies = {}, {}
+    if logs:  # otmf's step logs; a baseline has none
         tallies = _merge_tallies(logs)
         extra = {
             "pair_loss": [
@@ -436,13 +440,6 @@ def cmd_merge(cfg: RunConfig, seed: int, method: str) -> dict:
                 for e, side, loss in lg.ot_loss_history
             ],
         }
-    else:
-        extra, tallies = {}, {}
-        fold = baseline_fold(method, cfg.baseline, (delta for _, delta, *_ in tasks()))
-        for step, delta_m in enumerate(fold, start=1):
-            if step >= 2:
-                on_step(step, ToyModel(spec=cfg.model, backbone=theta0.backbone + delta_m,
-                                       heads=sft_heads))
     # the last step's merged model
     save_checkpoint(step_dir / "final.ckpt", prev)
 
@@ -511,13 +508,17 @@ def cmd_ablate_alpha(cfg: RunConfig, seed: int, grid: list[float]) -> dict:
         raise ConfigError(f"alpha grid values must lie in [0, 1]: {grid}")
     t0 = time.perf_counter()
     theta0 = _load_theta0(cfg, seed)
-    tests = {}  # the test sets, by task id, for the accuracy table, filed by the unpacking
+    # the stream, parsed once for every grid point: the T tasks, and their
+    # test sets by task id for the accuracy table
+    tasks, tests = [], {}
+    for task, _, test in _read_tasks(cfg, seed, theta0):
+        tasks.append(task)
+        tests[task[0]] = test
     rows, logs = [], []
     for alpha in grid:
         fcfg = dataclasses.replace(cfg.fusion, alpha=float(alpha))
-        tasks = ((tid, task_vector(sft, theta0), sft.heads[tid], train, unlabeled)
-                 for tid, sft, train, tests[tid], unlabeled in _read_tasks(cfg, seed))
-        theta, heads, alpha_logs = continual_merge(theta0, tasks, fcfg, seed=seed)
+        theta, heads, alpha_logs = merge_stream("otmf", theta0, tasks, fcfg, cfg.baseline,
+                                                seed=seed)
         logs += alpha_logs
         model = ToyModel(spec=cfg.model, backbone=theta, heads=heads)
         accs = [accuracy(model, tid, test) for tid, test in tests.items()]

@@ -43,6 +43,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
+from .baselines import BaselineConfig, baseline_fold
 from .errors import ConfigError, DataError, ShapeMismatchError
 from .metrics import normalized_feature_scale
 from .models import (
@@ -423,3 +424,31 @@ def continual_merge(
     if not logs:
         raise DataError("continual merging needs at least 2 task vectors")
     return merged_model.backbone, heads, logs
+
+
+def merge_stream(method: str, theta0_model: ToyModel, tasks: Iterable[Task], cfg: FusionConfig,
+                 baseline: BaselineConfig, seed: int = 0,
+                 on_step: Callable[[int, ToyModel], None] | None = None,
+                 ) -> tuple[np.ndarray, dict[str, Head], list[StepLog]]:
+    """Stream the tasks through one merge method, "otmf" or a baseline:
+    (final merged backbone, heads, step logs). otmf is continual_merge as
+    it is. A baseline folds the task vectors (baseline_fold), each task
+    keeping its own head; on_step, if given, receives each step's merged
+    ToyModel from step 2 on, and the logs are []. A repeated id raises
+    DataError, an unknown method ConfigError."""
+    if method == "otmf":
+        return continual_merge(theta0_model, tasks, cfg, seed=seed, on_step=on_step)
+    heads: dict[str, Head] = {}
+
+    def vectors():
+        for tid, delta, head, *_ in tasks:
+            if tid in heads:
+                raise DataError(f"task id '{tid}' appears twice in the stream")
+            heads[tid] = head
+            yield delta
+
+    for step, merged in enumerate(baseline_fold(method, baseline, vectors()), start=1):
+        backbone = theta0_model.backbone + merged
+        if on_step is not None and step >= 2:
+            on_step(step, ToyModel(spec=theta0_model.spec, backbone=backbone, heads=heads))
+    return backbone, heads, []

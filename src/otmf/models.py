@@ -97,7 +97,8 @@ class ToyModel:
     ShapeMismatchError unless the backbone has the spec's parameter count
     and each head a (k, feature_dim) weight and a (k,) bias with k >= 1,
     NumericalError on a non-finite parameter, and DataError on a head name
-    holding whitespace (a checkpoint header's words are whitespace-split).
+    holding whitespace (a checkpoint header's words are whitespace-split) or
+    one that does not encode as UTF-8 (the header's encoding).
     """
 
     spec: ModelSpec
@@ -114,6 +115,10 @@ class ToyModel:
         for task, head in self.heads.items():
             if any(c.isspace() for c in task):
                 raise DataError(f"head name {task!r} holds whitespace")
+            try:
+                task.encode("utf-8")
+            except UnicodeEncodeError as exc:  # a lone surrogate
+                raise DataError(f"head name {task!r} does not encode as UTF-8") from exc
             if set(head) != {"weight", "bias"}:
                 raise ShapeMismatchError(f"head '{task}' has arrays {sorted(head)}")
             w = _frozen(head["weight"], f"head '{task}'")

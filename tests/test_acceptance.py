@@ -23,6 +23,7 @@ from otmf.fusion import (
     continual_merge,
     head_finetune,
     masked_fuse,
+    merge_stream,
     ot_mask_epoch,
 )
 from otmf.metrics import accuracy, bwt, l1_shift, normalized_feature_scale
@@ -70,33 +71,23 @@ def build_world(seed):
     return stream, tasks, theta0, sfts
 
 
-def merge_inputs(tasks, theta0, sfts):
-    deltas = [task_vector(m, theta0) for m in sfts]
-    heads = [m.heads[td.task_id] for m, td in zip(sfts, tasks)]
-    train_batches = [td.train for td in tasks]
-    pools = [td.unlabeled for td in tasks]
-    return deltas, heads, train_batches, pools
-
-
-def run_otmf(seed, cfg=None):
-    """Full merge with per-step snapshots for matrix/shift evaluation."""
-    stream, tasks, theta0, sfts = build_world(seed)
-    deltas, heads, train_batches, pools = merge_inputs(tasks, theta0, sfts)
-    cfg = cfg or FusionConfig()
+def run_otmf(seed, cfg=None, method="otmf"):
+    """Full merge by one method (merge_stream, the call `otmf merge` makes),
+    with each step's merged model from step 2 on, by step."""
+    _, tasks, theta0, sfts = build_world(seed)
+    stream = [(td.task_id, task_vector(m, theta0), m.heads[td.task_id], td.train, td.unlabeled)
+              for m, td in zip(sfts, tasks)]
     snapshots = {}
-    final, merged_heads, logs = continual_merge(
-        theta0, zip([td.task_id for td in tasks], deltas, heads, train_batches, pools), cfg,
-        seed=seed,
-        on_step=lambda step, model: snapshots.__setitem__(step, (model.backbone, model.heads)),
-    )
-    return tasks, theta0, sfts, deltas, final, merged_heads, logs, snapshots
+    final, merged_heads, logs = merge_stream(method, theta0, stream, cfg or FusionConfig(),
+                                             BaselineConfig(), seed=seed,
+                                             on_step=snapshots.__setitem__)
+    return tasks, sfts, final, merged_heads, logs, snapshots
 
 
 def accuracy_matrix_from_snapshots(tasks, sfts, snapshots):
     mat = np.full((len(tasks), len(tasks)), np.nan)
     mat[0, 0] = accuracy(sfts[0], tasks[0].task_id, tasks[0].test)
-    for step, (theta, hs) in sorted(snapshots.items()):
-        model = ToyModel(spec=MODEL, backbone=theta, heads=hs)
+    for step, model in sorted(snapshots.items()):
         for i in range(1, step + 1):
             mat[step - 1, i - 1] = accuracy(model, tasks[i - 1].task_id, tasks[i - 1].test)
     return mat
@@ -283,26 +274,23 @@ def test_criterion_4_schedule_conformance(capsys):
 
 def test_criterion_5_alignment_efficacy(capsys):
     t0 = time.perf_counter()
-    tasks, theta0, sfts, deltas, final, _, logs, snapshots = run_otmf(0)
+    tasks, sfts, _, _, logs, snapshots = run_otmf(0)
     ratios = [lg.final_pair_loss / lg.initial_pair_loss for lg in logs]
 
     # l1 total shift at the final step: merged vs previous merged (pre side)
     # plus merged vs the incoming fine-tuned model (post side)
     pre_inputs = np.concatenate([td.unlabeled for td in tasks[:-1]])
     post_inputs = tasks[-1].unlabeled
-    final_model = ToyModel(spec=MODEL, backbone=final, heads={})
-    prev_model = ToyModel(spec=MODEL, backbone=snapshots[len(tasks) - 1][0], heads={})
+    T = len(tasks)
 
     def l1(merged, reference, inputs):
         return l1_shift(forward_features(merged, inputs), forward_features(reference, inputs))
 
-    otmf_l1 = l1(final_model, prev_model, pre_inputs) + l1(final_model, sfts[-1], post_inputs)
+    def final_l1(steps):
+        return l1(steps[T], steps[T - 1], pre_inputs) + l1(steps[T], sfts[-1], post_inputs)
 
-    *_, ta_prev, ta_full = (
-        ToyModel(spec=MODEL, backbone=theta0.backbone + merged, heads={})
-        for merged in baseline_fold("task_arithmetic", BaselineConfig(scaling=0.3), deltas)
-    )
-    ta_l1 = l1(ta_full, ta_prev, pre_inputs) + l1(ta_full, sfts[-1], post_inputs)
+    otmf_l1 = final_l1(snapshots)
+    ta_l1 = final_l1(run_otmf(0, method="task_arithmetic")[-1])
 
     elapsed = time.perf_counter() - t0
     ok = max(ratios) <= 0.5 and otmf_l1 < ta_l1 and elapsed < 300.0
@@ -317,28 +305,12 @@ def test_criterion_6_forgetting_comparison(capsys):
     avgs = {"otmf": [], "swa": [], "task_arithmetic": [], "ties": []}
     bwts = {"otmf": [], "task_arithmetic": []}
     for seed in range(5):
-        tasks, theta0, sfts, deltas, final, _, logs, snapshots = run_otmf(seed)
-        mat = accuracy_matrix_from_snapshots(tasks, sfts, snapshots)
-        avgs["otmf"].append(float(mat[-1].mean()))
-        bwts["otmf"].append(bwt(mat))
-
-        sft_heads = {td.task_id: m.heads[td.task_id] for m, td in zip(sfts, tasks)}
-        fold_cfg = BaselineConfig(scaling=0.3, trim_fraction=0.2)
-        for name in ("swa", "task_arithmetic", "ties"):
-            mat_b = np.full((len(tasks), len(tasks)), np.nan)
-            mat_b[0, 0] = accuracy(sfts[0], tasks[0].task_id, tasks[0].test)
-            for step, merged in enumerate(baseline_fold(name, fold_cfg, deltas), start=1):
-                if step == 1:
-                    continue
-                model = ToyModel(spec=MODEL,
-                                 backbone=theta0.backbone + merged,
-                                 heads=sft_heads)
-                for i in range(1, step + 1):
-                    mat_b[step - 1, i - 1] = accuracy(model, tasks[i - 1].task_id,
-                                                      tasks[i - 1].test)
-            avgs[name].append(float(mat_b[-1].mean()))
-            if name == "task_arithmetic":
-                bwts[name].append(bwt(mat_b))
+        for name in avgs:
+            tasks, sfts, _, _, _, snapshots = run_otmf(seed, method=name)
+            mat = accuracy_matrix_from_snapshots(tasks, sfts, snapshots)
+            avgs[name].append(float(mat[-1].mean()))
+            if name in bwts:
+                bwts[name].append(bwt(mat))
     means = {k: float(np.mean(v)) for k, v in avgs.items()}
     bwt_means = {k: float(np.mean(v)) for k, v in bwts.items()}
     elapsed = time.perf_counter() - t0
@@ -358,7 +330,7 @@ def test_criterion_7_alpha_ablation_shape(capsys):
     averages = []
     for alpha in grid:
         cfg = FusionConfig(alpha=alpha)
-        tasks, theta0, sfts, deltas, final, heads, logs, _ = run_otmf(0, cfg)
+        tasks, _, final, heads, _, _ = run_otmf(0, cfg)
         model = ToyModel(spec=MODEL, backbone=final, heads=heads)
         accs = [accuracy(model, td.task_id, td.test) for td in tasks]
         averages.append(float(np.mean(accs)))

@@ -937,6 +937,25 @@ def test_ablate_alpha_table(pipeline):
     assert report["best_average_accuracy"] == table[best, 3]
 
 
+def test_ablate_alpha_reads_each_task_file_once(pipeline, monkeypatch):
+    # the stream is parsed once per run, not once per grid point
+    tiny_cfg, _ = pipeline
+    reads = []
+
+    def counting(load):
+        def wrapper(path):
+            reads.append(Path(path).name)
+            return load(path)
+        return wrapper
+
+    for name in ("load_checkpoint", "load_batch", "load_matrix"):
+        monkeypatch.setattr(otmf.cli, name, counting(getattr(otmf.cli, name)))
+    assert run("ablate-alpha", "--config", tiny_cfg, "--grid", "0.2,0.8") == 0
+    assert sorted(r for r in reads if r.startswith("task")) == sorted(
+        f"{tid}{suffix}" for tid in ("task01", "task02")
+        for suffix in (".ckpt", "_train.csv", "_test.csv", "_unlabeled.csv"))
+
+
 def test_ablate_alpha_writes_timings_and_logs_solve_totals(pipeline, caplog):
     tiny_cfg, seed_dir = pipeline
     with caplog.at_level(logging.INFO, logger="otmf"):

@@ -9,6 +9,7 @@ from conftest import cross_entropy_loss
 from otmf import fusion as fusion_module
 from otmf import metrics as metrics_module
 from otmf import models as models_module
+from otmf.baselines import METHODS, BaselineConfig, baseline_fold
 from otmf.errors import ConfigError, DataError, ShapeMismatchError
 from otmf.fusion import (
     FlatStep,
@@ -19,6 +20,7 @@ from otmf.fusion import (
     continual_merge,
     head_finetune,
     masked_fuse,
+    merge_stream,
     ot_mask_epoch,
 )
 from otmf.metrics import normalized_feature_scale
@@ -736,3 +738,74 @@ def test_continual_merge_input_validation():
     with pytest.raises(DataError, match="'task01' appears twice"):
         continual_merge(theta0_model, stream(deltas, heads, batches, pools,
                                              ids=["task01", "task01"]), cfg, seed=0)
+
+
+def same_heads(a, b):
+    """Whether two head dicts hold the same tasks' heads, bit for bit."""
+    return a.keys() == b.keys() and all(
+        np.array_equal(a[t][n], b[t][n]) for t in a for n in ("weight", "bias"))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_merge_stream_baseline_steps_are_theta0_plus_the_fold(method):
+    theta0_model, deltas, heads, batches, pools = world(seed=15, T=4)
+    baseline = BaselineConfig(scaling=0.7, trim_fraction=0.5)
+    seen = []
+    final, final_heads, logs = merge_stream(
+        method, theta0_model, stream(deltas, heads, batches, pools), FusionConfig(), baseline,
+        on_step=lambda step, model: seen.append((step, model)))
+    fold = list(baseline_fold(method, baseline, deltas))
+    assert logs == []
+    assert [step for step, _ in seen] == [2, 3, 4]
+    for step, model in seen:
+        assert np.array_equal(model.backbone, theta0_model.backbone + fold[step - 1])
+        # the seen tasks' own heads
+        assert same_heads(model.heads, dict(zip(task_ids(step), heads)))
+    assert np.array_equal(final, theta0_model.backbone + fold[-1])
+    assert same_heads(final_heads, dict(zip(task_ids(4), heads)))
+
+
+def test_merge_stream_otmf_is_continual_merge():
+    theta0_model, deltas, heads, batches, pools = world(seed=16, T=3)
+    cfg = FusionConfig(ot_epochs=4, batch_size=8)
+    tasks = stream(deltas, heads, batches, pools)
+    steps, want_steps = [], []
+    final, final_heads, logs = merge_stream(
+        "otmf", theta0_model, tasks, cfg, BaselineConfig(), seed=3,
+        on_step=lambda step, model: steps.append((step, model)))
+    want, want_heads, want_logs = continual_merge(
+        theta0_model, tasks, cfg, seed=3,
+        on_step=lambda step, model: want_steps.append((step, model)))
+
+    def summary(logs):
+        return [(lg.step, lg.incoming_task, lg.ot_loss_history, lg.initial_pair_loss,
+                 lg.final_pair_loss, {k: sv.counts() for k, sv in lg.mask_loop_solver.items()},
+                 lg.pair_loss_solver.counts()) for lg in logs]
+
+    assert np.array_equal(final, want) and same_heads(final_heads, want_heads)
+    assert len(logs) == 2 and summary(logs) == summary(want_logs)
+    assert [s for s, _ in steps] == [s for s, _ in want_steps] == [2, 3]
+    for (_, model), (_, want_model) in zip(steps, want_steps):
+        assert np.array_equal(model.backbone, want_model.backbone)
+        assert same_heads(model.heads, want_model.heads)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_merge_stream_baseline_input_validation(method):
+    theta0_model, deltas, heads, batches, pools = world(seed=14, T=2)
+    cfg = FusionConfig(ot_epochs=2)
+    tasks = stream(deltas, heads, batches, pools)
+    for short in (tasks[:1], []):
+        with pytest.raises(DataError, match="at least 2 task vectors"):
+            merge_stream(method, theta0_model, iter(short), cfg, BaselineConfig())
+    with pytest.raises(DataError, match="'task01' appears twice"):
+        merge_stream(method, theta0_model,
+                     stream(deltas, heads, batches, pools, ids=["task01", "task01"]),
+                     cfg, BaselineConfig())
+
+
+def test_merge_stream_rejects_unknown_method():
+    theta0_model, deltas, heads, batches, pools = world(seed=14, T=2)
+    with pytest.raises(ConfigError, match="unknown .*'mean'"):
+        merge_stream("mean", theta0_model, stream(deltas, heads, batches, pools),
+                     FusionConfig(ot_epochs=2), BaselineConfig())

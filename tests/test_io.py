@@ -45,10 +45,11 @@ def test_checkpoint_save_load_save_bit_exact(rng, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-@pytest.mark.parametrize("name", ["a b", "x\ny", "tab\there", "nb\u00a0sp"])
+@pytest.mark.parametrize("name", ["a b", "x\ny", "tab\there", "nb\u00a0sp", "a\ud800"])
 def test_model_rejects_head_names_a_header_cannot_carry(rng, name):
     # a checkpoint header's lines are split into words at whitespace, so a
-    # model with such a head would save a checkpoint that does not load
+    # model with such a head would save a checkpoint that does not load;
+    # and a header is UTF-8 text, in which a lone surrogate has no encoding
     model = small_model(rng, num_heads=1)
     with pytest.raises(DataError, match=re.escape(repr(name))):
         ToyModel(spec=model.spec, backbone=model.backbone, heads={name: model.heads["task01"]})

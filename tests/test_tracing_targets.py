@@ -104,3 +104,8 @@ def test_every_tracer_target_runs_on_the_benchmark_stages(tmp_path):
     uncalled = [f"{layer}.{name}" for layer, names in tracing.TARGETS.items()
                 for name in names if f"{layer}.{name}" not in called]
     assert uncalled == []
+    # merge otmf's continual_merge span carries its pair losses, one
+    # [initial, final] pair per step: T=2 has one step
+    [merge] = [span for span in tracer.spans if span[0] == "fusion.continual_merge"]
+    [pair] = merge[4]["pair_loss"]
+    assert len(pair) == 2 and all(isinstance(loss, float) and loss > 0 for loss in pair)
