@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeMismatchError
+from .errors import ConfigError
 
 METHODS = ("swa", "task_arithmetic", "ties")
 
@@ -63,34 +63,28 @@ def ties_merge_pair(
     return np.divide(total, count, out=np.zeros_like(total), where=count > 0)
 
 
-def baseline_fold(
-    method: str, cfg: BaselineConfig, task_vectors: Iterable[np.ndarray]
-) -> Iterator[np.ndarray]:
-    """Yield the merged task vector after each incoming task vector.
-
-    swa keeps the running mean, task_arithmetic the running sum, scaled by
-    cfg.scaling on output, and ties the left fold of ties_merge_pair. The
-    first yield is the first vector alone (scaled, for task arithmetic).
-    Vectors are pulled one at a time, so a lazy iterable keeps one incoming
-    vector resident. A vector whose shape differs from the first's raises
-    ShapeMismatchError, and a stream of fewer than two vectors raises
-    DataError once it is exhausted.
-    """
+def baseline_fold(method: str, cfg: BaselineConfig) -> Callable[[np.ndarray], np.ndarray]:
+    """The method's streaming fold: a function that takes the next task
+    vector and returns the merged task vector so far. swa keeps the running
+    mean, task_arithmetic the running sum, scaled by cfg.scaling on output,
+    and ties the left fold of ties_merge_pair; the first call returns the
+    first vector alone (scaled, for task arithmetic). The fold keeps only
+    the running merged vector and checks nothing about the stream."""
     if method not in METHODS:
         raise ConfigError(f"unknown baseline method '{method}'")
-    t = 0
-    for t, delta in enumerate(task_vectors, start=1):
+    merged, t = None, 0
+
+    def fold(delta: np.ndarray) -> np.ndarray:
+        nonlocal merged, t
+        t += 1
         if t == 1:
             merged = delta
-        elif np.shape(delta) != np.shape(merged):
-            raise ShapeMismatchError(
-                f"task vector {t} has shape {np.shape(delta)}, the first {np.shape(merged)}")
         elif method == "swa":
             merged = merged + (delta - merged) / t
         elif method == "task_arithmetic":
             merged = merged + delta
         else:
             merged = ties_merge_pair(merged, delta, cfg.trim_fraction)
-        yield cfg.scaling * merged if method == "task_arithmetic" else merged
-    if t < 2:
-        raise DataError("continual merging needs at least 2 task vectors")
+        return cfg.scaling * merged if method == "task_arithmetic" else merged
+
+    return fold

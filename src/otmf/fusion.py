@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -311,6 +311,27 @@ def _ot_batch(rng: np.random.Generator, pool: np.ndarray, size: int) -> np.ndarr
     return pool[np.sort(idx)]
 
 
+def _checked_stream(tasks: Iterable[Task], theta0: np.ndarray,
+                    heads: dict[str, Head]) -> Iterator[tuple[int, Task]]:
+    """Every merge method's stream contract: pull each task once, in stream
+    order, enter its head in heads under its id and yield (step, task). A
+    vector whose shape is not theta0's raises ShapeMismatchError; a repeated
+    id (it would overwrite a head) raises DataError, as does a stream of
+    fewer than two tasks once it is exhausted."""
+    t = 0
+    for t, task in enumerate(tasks, start=1):
+        tid, incoming, head, *_ = task
+        if np.shape(incoming) != theta0.shape:
+            raise ShapeMismatchError(f"task {t}'s vector has shape {np.shape(incoming)}, "
+                                     f"the backbone {theta0.shape}")
+        if tid in heads:
+            raise DataError(f"task id '{tid}' appears twice in the stream")
+        heads[tid] = head
+        yield t, task
+    if t < 2:
+        raise DataError("continual merging needs at least 2 task vectors")
+
+
 def continual_merge(
     theta0_model: ToyModel,
     tasks: Iterable[Task],
@@ -327,9 +348,7 @@ def continual_merge(
     previous task's train batch for its head re-tune. on_step(step, model),
     if given, receives each step's merged ToyModel, re-tuned head included,
     from step 2 on. Returns the final merged backbone, the heads and the
-    per-step logs. A task vector whose shape is not the backbone's raises
-    ShapeMismatchError; a repeated id (it would overwrite a head) raises
-    DataError, as does a stream of fewer than two tasks once it is exhausted.
+    per-step logs. The stream is checked as _checked_stream does.
     """
     rng = np.random.default_rng(seed)
     spec, theta0 = theta0_model.spec, theta0_model.backbone
@@ -337,13 +356,7 @@ def continual_merge(
     seen_unlabeled: list[np.ndarray] = []
     logs: list[StepLog] = []
 
-    for t, (tid, incoming, head, train, unlabeled) in enumerate(tasks, start=1):
-        if np.shape(incoming) != theta0.shape:
-            raise ShapeMismatchError(f"task {t}'s vector has shape {np.shape(incoming)}, "
-                                     f"the backbone {theta0.shape}")
-        if tid in heads:
-            raise DataError(f"task id '{tid}' appears twice in the stream")
-        heads[tid] = head
+    for t, (tid, incoming, _, train, unlabeled) in _checked_stream(tasks, theta0, heads):
         if t == 1:
             merged, prev_tid, prev_train = incoming, tid, train
             merged_model = ToyModel(spec=spec, backbone=theta0 + incoming)
@@ -421,8 +434,6 @@ def continual_merge(
             )
         )
 
-    if not logs:
-        raise DataError("continual merging needs at least 2 task vectors")
     return merged_model.backbone, heads, logs
 
 
@@ -434,21 +445,14 @@ def merge_stream(method: str, theta0_model: ToyModel, tasks: Iterable[Task], cfg
     (final merged backbone, heads, step logs). otmf is continual_merge as
     it is. A baseline folds the task vectors (baseline_fold), each task
     keeping its own head; on_step, if given, receives each step's merged
-    ToyModel from step 2 on, and the logs are []. A repeated id raises
-    DataError, an unknown method ConfigError."""
+    ToyModel from step 2 on, and the logs are []. Every method checks the
+    stream as _checked_stream does; an unknown method raises ConfigError."""
     if method == "otmf":
         return continual_merge(theta0_model, tasks, cfg, seed=seed, on_step=on_step)
+    fold = baseline_fold(method, baseline)
     heads: dict[str, Head] = {}
-
-    def vectors():
-        for tid, delta, head, *_ in tasks:
-            if tid in heads:
-                raise DataError(f"task id '{tid}' appears twice in the stream")
-            heads[tid] = head
-            yield delta
-
-    for step, merged in enumerate(baseline_fold(method, baseline, vectors()), start=1):
-        backbone = theta0_model.backbone + merged
+    for step, (_, delta, *_) in _checked_stream(tasks, theta0_model.backbone, heads):
+        backbone = theta0_model.backbone + fold(delta)
         if on_step is not None and step >= 2:
             on_step(step, ToyModel(spec=theta0_model.spec, backbone=backbone, heads=heads))
     return backbone, heads, []

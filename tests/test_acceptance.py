@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from conftest import exact_ot_oracle
-from otmf.baselines import BaselineConfig, baseline_fold, ties_merge_pair
+from otmf.baselines import METHODS, BaselineConfig, baseline_fold, ties_merge_pair
 from otmf.fusion import (
     FlatStep,
     FusionConfig,
@@ -369,22 +369,25 @@ def test_criterion_8_constant_memory(capsys):
                    Batch(rng.normal(size=(12, 3)), rng.integers(0, 3, size=12)),
                    rng.normal(size=(16, 3)))
 
+    # every method merges through merge_stream, the call `otmf merge` makes
+    methods = ("otmf",) + METHODS
     live = {}
     tracemalloc.start()
     try:
-        for T in (5, 10):
-            live[T] = []
-            continual_merge(theta0_model, tasks(T, live[T]),
-                            FusionConfig(ot_epochs=4, batch_size=8), seed=0)
+        for method in methods:
+            for T in (5, 10):
+                live[method, T] = []
+                merge_stream(method, theta0_model, tasks(T, live[method, T]),
+                             FusionConfig(ot_epochs=4, batch_size=8), BaselineConfig(), seed=0)
     finally:
         tracemalloc.stop()
-    # task t is pulled before step t; from step 3 on every pull sees the
-    # same number of buffers, whatever the step and T
-    steady = {n for counts in live.values() for n in counts[2:]}
-    ok = len(steady) == 1
+    # task t is pulled before step t; from step 3 on every pull of one
+    # method sees the same number of buffers, whatever the step and T
+    steady = {m: sorted({n for T in (5, 10) for n in live[m, T][2:]}) for m in methods}
+    ok = all(len(counts) == 1 for counts in steady.values())
     report(capsys, 8, ok,
            f"live backbone-size buffers at each pull {live}: "
-           f"{sorted(steady)} from step 3 on, independent of step and T")
+           f"{steady} from step 3 on, independent of step and T")
 
 
 def test_criterion_9_determinism(capsys, tmp_path):
@@ -429,7 +432,7 @@ def test_criterion_10_baseline_oracles(capsys):
 
     # (a) swa equals the batch mean to 1e-12
     vecs = [rand_vector() for _ in range(9)]
-    *_, avg = baseline_fold("swa", BaselineConfig(), vecs)
+    *_, avg = map(baseline_fold("swa", BaselineConfig()), vecs)
     swa_err = float(np.abs(avg - np.stack(vecs).mean(axis=0)).max())
 
     # (b) streaming ties equals an independent reimplementation exactly

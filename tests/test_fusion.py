@@ -754,7 +754,7 @@ def test_merge_stream_baseline_steps_are_theta0_plus_the_fold(method):
     final, final_heads, logs = merge_stream(
         method, theta0_model, stream(deltas, heads, batches, pools), FusionConfig(), baseline,
         on_step=lambda step, model: seen.append((step, model)))
-    fold = list(baseline_fold(method, baseline, deltas))
+    fold = list(map(baseline_fold(method, baseline), deltas))
     assert logs == []
     assert [step for step, _ in seen] == [2, 3, 4]
     for step, model in seen:
@@ -790,18 +790,26 @@ def test_merge_stream_otmf_is_continual_merge():
         assert same_heads(model.heads, want_model.heads)
 
 
-@pytest.mark.parametrize("method", METHODS)
-def test_merge_stream_baseline_input_validation(method):
+@pytest.mark.parametrize("method", ("otmf",) + METHODS)
+def test_merge_stream_input_validation(method):
     theta0_model, deltas, heads, batches, pools = world(seed=14, T=2)
-    cfg = FusionConfig(ot_epochs=2)
     tasks = stream(deltas, heads, batches, pools)
+
+    def merge(tasks):
+        return merge_stream(method, theta0_model, iter(tasks), FusionConfig(ot_epochs=2),
+                            BaselineConfig())
+
     for short in (tasks[:1], []):
         with pytest.raises(DataError, match="at least 2 task vectors"):
-            merge_stream(method, theta0_model, iter(short), cfg, BaselineConfig())
+            merge(short)
     with pytest.raises(DataError, match="'task01' appears twice"):
-        merge_stream(method, theta0_model,
-                     stream(deltas, heads, batches, pools, ids=["task01", "task01"]),
-                     cfg, BaselineConfig())
+        merge(stream(deltas, heads, batches, pools, ids=["task01", "task01"]))
+    # a length-1 vector would broadcast over the backbone; a shorter one or
+    # a column of the same entries would not fit it
+    v = deltas[0]
+    for vecs in ([v[:1], v[:1]], [v, v[:1]], [v, v[:-1]], [v, v.reshape(-1, 1)]):
+        with pytest.raises(ShapeMismatchError, match="the backbone"):
+            merge(stream(vecs, heads, batches, pools))
 
 
 def test_merge_stream_rejects_unknown_method():
