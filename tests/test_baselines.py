@@ -92,6 +92,14 @@ def test_continual_ties_is_left_fold():
     assert np.array_equal(folded("ties", vecs, trim_fraction=0.4), step)
 
 
+def test_input_validation():
+    # the stream itself is checked by fusion.merge_stream; the fold checks
+    # only its method, when it is made, before it takes a vector
+    for method in ("mean", "SWA", "otmf", ""):
+        with pytest.raises(ConfigError, match="unknown baseline method"):
+            baseline_fold(method, BaselineConfig())
+
+
 def test_fold_yields_each_prefix_merge():
     vecs = random_vectors(3, 4)
     for method in ("swa", "task_arithmetic", "ties"):

@@ -790,8 +790,9 @@ def test_merge_stream_otmf_is_continual_merge():
         assert same_heads(model.heads, want_model.heads)
 
 
-@pytest.mark.parametrize("method", ("otmf",) + METHODS)
-def test_merge_stream_input_validation(method):
+def assert_rejects_malformed_streams(method):
+    """merge_stream(method, ...) rejects too few tasks, a repeated id and a
+    task vector that does not fit the backbone."""
     theta0_model, deltas, heads, batches, pools = world(seed=14, T=2)
     tasks = stream(deltas, heads, batches, pools)
 
@@ -810,6 +811,15 @@ def test_merge_stream_input_validation(method):
     for vecs in ([v[:1], v[:1]], [v, v[:1]], [v, v[:-1]], [v, v.reshape(-1, 1)]):
         with pytest.raises(ShapeMismatchError, match="the backbone"):
             merge(stream(vecs, heads, batches, pools))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_merge_stream_baseline_input_validation(method):
+    assert_rejects_malformed_streams(method)
+
+
+def test_merge_stream_otmf_input_validation():
+    assert_rejects_malformed_streams("otmf")
 
 
 def test_merge_stream_rejects_unknown_method():
