@@ -24,6 +24,7 @@ import json
 import logging
 import math
 import os
+import random
 import reprlib
 import resource
 import sys
@@ -210,9 +211,10 @@ def _close_stage(cfg: RunConfig, seed: int, stage: str, t0: float, detail: str =
                  tallies: dict[str, SolverState] | None = None, sidecar: str = "", key: str = "",
                  **fields) -> None:
     """End one seed's stage, begun at perf_counter() t0: write its wall time
-    (<key>_seconds), fields, the peak RSS and the numpy build and BLAS thread
-    settings the artifacts' bits depend on to timings_<sidecar>.json (key defaults
-    to sidecar, sidecar to stage); log time, RSS and detail, and the tallies' totals."""
+    (<key>_seconds), fields, the peak RSS and the Python version, numpy build and
+    BLAS thread settings the artifacts' bits depend on to timings_<sidecar>.json
+    (key defaults to sidecar, sidecar to stage); log time, RSS and detail, and
+    the tallies' totals."""
     seconds, sidecar = time.perf_counter() - t0, sidecar or stage
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -220,6 +222,7 @@ def _close_stage(cfg: RunConfig, seed: int, stage: str, t0: float, detail: str =
         blas = {}
     timings = {f"{key or sidecar}_seconds": seconds, **fields,
                "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+               "python_version": ".".join(map(str, sys.version_info[:3])),
                "numpy_version": np.__version__, "blas_name": blas.get("name"),
                "blas_version": blas.get("version"),
                **{var: os.environ.get(var)
@@ -345,11 +348,14 @@ class _Reservoir:
     (Vitter 1985, Algorithm R), holding as many rows as the first block.
 
     The first block is copied in whole; each later row, the n-th added
-    (0-based), replaces a uniform slot j in [0, n] when j is a slot.
+    (0-based), replaces a uniform slot j in [0, n] when j is a slot. The
+    slots come from the standard library's random.Random(seed), not numpy's
+    Generator, so a baseline merge never imports numpy.random and its RNG
+    extensions (about 6 MB of resident memory).
     """
 
     def __init__(self, seed: int):
-        self.rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        self.rng = random.Random(seed)
         self.rows: np.ndarray | None = None
         self.added = 0
 
@@ -357,8 +363,8 @@ class _Reservoir:
         if self.rows is None:
             self.rows = np.array(block, dtype=np.float64)
         else:
-            slots = self.rng.integers(0, self.added + np.arange(1, len(block) + 1))
-            for row, j in zip(block, slots):
+            for n, row in enumerate(block, self.added):
+                j = self.rng.randrange(n + 1)
                 if j < len(self.rows):
                     self.rows[j] = row
         self.added += len(block)

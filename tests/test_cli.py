@@ -518,8 +518,9 @@ def test_sft_overflow_exits_4_without_warnings(tmp_path):
     assert "RuntimeWarning" not in out.stderr
 
 
-# the numpy build and BLAS thread settings every timings sidecar records
-BUILD_KEYS = {"numpy_version", "blas_name", "blas_version",
+# the Python version, numpy build and BLAS thread settings every timings
+# sidecar records
+BUILD_KEYS = {"python_version", "numpy_version", "blas_name", "blas_version",
               "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
 
 
@@ -536,8 +537,9 @@ def test_gen_and_train_write_timings(pipeline):
 
 
 def test_timings_sidecars_record_blas_build_and_threads(tiny_cfg, tmp_path, monkeypatch):
-    # the artifacts' bits depend on the BLAS build and thread count, so
-    # every sidecar records what the process saw, and no report does
+    # the artifacts' bits depend on the BLAS build and thread count, and
+    # the merge reports' on CPython's random.Random, so every sidecar
+    # records what the process saw, and no report does
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setenv("OMP_NUM_THREADS", "2")
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
@@ -551,6 +553,7 @@ def test_timings_sidecars_record_blas_build_and_threads(tiny_cfg, tmp_path, monk
     for name in sidecars:
         timings = json.loads((seed_dir / name).read_text())
         assert {k: timings[k] for k in BUILD_KEYS} == {
+            "python_version": ".".join(map(str, sys.version_info[:3])),
             "numpy_version": np.__version__, "blas_name": blas["name"],
             "blas_version": blas["version"], "OPENBLAS_NUM_THREADS": "1",
             "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None}, name
@@ -722,6 +725,26 @@ def test_reservoir_is_uniform_over_blocks():
             res.add(block)
         shares.append(np.bincount(res.rows[:, 0].astype(int), minlength=4) / 32)
     np.testing.assert_allclose(np.mean(shares, axis=0), 0.25, atol=0.02)
+
+
+def test_reservoir_draws_are_pinned():
+    # the kept rows of three 128-row blocks at seed 0, slot by slot: the
+    # merge reports' pre-side shifts from step 3 on depend on these draws,
+    # so a change to CPython's random.Random must fail here first
+    res = _Reservoir(seed=0)
+    for block in np.arange(3 * 128.0).reshape(3, 128, 1):
+        res.add(block)
+    assert res.added == 384
+    assert res.rows[:, 0].astype(int).tolist() == [
+        368, 1, 2, 166, 4, 5, 344, 7, 264, 228, 130, 295, 12, 279, 14, 164,
+        383, 221, 287, 19, 310, 21, 222, 348, 143, 153, 26, 189, 28, 321, 30, 307,
+        32, 225, 34, 300, 302, 278, 227, 39, 346, 367, 257, 43, 44, 45, 284, 215,
+        213, 49, 50, 312, 198, 53, 54, 245, 179, 57, 58, 286, 327, 282, 174, 291,
+        144, 65, 219, 362, 68, 351, 253, 71, 141, 202, 274, 75, 76, 190, 342, 147,
+        156, 373, 323, 175, 150, 196, 319, 269, 88, 330, 154, 137, 306, 93, 290, 95,
+        281, 262, 370, 289, 236, 101, 314, 134, 320, 105, 106, 293, 108, 109, 110, 155,
+        275, 301, 375, 254, 116, 117, 118, 119, 151, 220, 374, 123, 263, 188, 172, 127,
+    ]
 
 
 def _stream_cfg(root: Path, num_tasks: int) -> Path:
@@ -997,23 +1020,44 @@ def test_cli_import_leaves_scipy_unloaded(tiny_cfg):
     assert out.stdout.strip() == "[]"
 
 
+def _loads(module: str, *args) -> bool:
+    """Whether `main(args)`, run in a fresh process, leaves module imported."""
+    probe = (
+        "import sys\n"
+        "from otmf.cli import main\n"
+        "if main(sys.argv[2:]) != 0:\n"
+        "    sys.exit('command failed')\n"
+        "print(sys.argv[1] in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe, module, *map(str, args)], env=_cli_env(),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    return {"True": True, "False": False}[out.stdout.strip()]
+
+
 def test_merge_otmf_leaves_numpy_ma_unloaded(pipeline):
     # np.unique imports numpy.ma, about 12 ms per process; the head
     # subsample finds its classes with np.bincount instead
     cfg, _ = pipeline
-    probe = (
-        "import sys\n"
-        "from otmf.cli import main\n"
-        "if main(['merge', '--method', 'otmf', '--config', sys.argv[1]]) != 0:\n"
-        "    sys.exit('merge failed')\n"
-        "print('numpy.ma' in sys.modules)\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", probe, str(cfg)], env=_cli_env(),
-        capture_output=True, text=True, timeout=120,
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert not _loads("numpy.ma", "merge", "--method", "otmf", "--config", cfg)
+
+
+def test_only_merge_otmf_loads_numpy_random(long_stream):
+    # numpy.random loads eight Cython extensions and OpenSSL's libcrypto,
+    # about 6 MB of resident memory; the shift reservoir draws from the
+    # standard library's generator, so no baseline merge or eval needs it.
+    # merge otmf still does: its OT batches and head subsample draw from
+    # numpy's Generator, and their draws fix the merged model's bits
+    cfgs, seed_dir = long_stream
+    final = seed_dir / "merged" / "otmf" / "final.ckpt"
+    for args, loads in ((["merge", "--method", "otmf"], True),
+                        (["merge", "--method", "swa"], False),
+                        (["merge", "--method", "task_arithmetic"], False),
+                        (["merge", "--method", "ties"], False),
+                        (["eval", "--checkpoint", final], False)):
+        assert _loads("numpy.random", *args, "--config", cfgs[4]) == loads, args
 
 
 def test_default_config_solves_all_converge(tmp_path, monkeypatch, caplog):
