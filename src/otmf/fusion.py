@@ -25,14 +25,16 @@ gradient; the initial and final pair losses (the sum of both sides' OT
 losses) are the same pass and solve, without the backward pass. The
 step's merged vectors are the buffer itself.
 
-Each side keeps, next to its optimizer moments, a SolverState
-(otmf.sinkhorn), both created afresh at every step because the OT batches
-are redrawn. Its mask-loop solves are warm-started from the side's
-previous plan, the first from the side's cold initial pair-loss solve,
-and the side's final pair-loss solve from its last; a third SolverState
-tallies the four pair-loss solves. Each step logs its per-side mask-loop
-counts at INFO, and its unconverged and fallen-back solves at WARNING;
-its StepLog keeps the three SolverStates, counts only.
+Each side's OTTarget keeps the duals of the last solve against it, and
+every solve starts from them and leaves its own there: the side's initial
+pair-loss solve is cold, and each later one, mask loop and final pair
+loss, is warm-started from the one before. Each side also keeps its
+optimizer moments and a SolverState (otmf.sinkhorn) that counts its
+mask-loop solves; a third SolverState counts the four pair-loss solves.
+All are created afresh at every step because the OT batches are redrawn.
+Each step logs its per-side mask-loop counts at INFO, and its unconverged
+and fallen-back solves at WARNING; its StepLog keeps the three
+SolverStates.
 """
 
 from __future__ import annotations
@@ -183,15 +185,18 @@ class FlatStep:
         return self.backbone
 
 
-@dataclass(frozen=True)
+@dataclass
 class OTTarget:
     """One side's OT target for a continual step: the batch inputs, and the
     target model's features on them scaled to unit mean norm (s * f_t)
-    with their scale s. Both stay constant for the step."""
+    with their scale s, all constant for the step; and duals, the
+    (log_u, log_v) of the last solve against the target, from which the
+    next one starts (None before the first)."""
 
     inputs: np.ndarray
     scale: float
     features: np.ndarray
+    duals: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def of(cls, model: ToyModel, inputs: np.ndarray) -> "OTTarget":
@@ -205,22 +210,21 @@ def _ot_loss(
     backbone: Mapping[str, np.ndarray],
     target: OTTarget,
     cfg: SinkhornConfig,
-    solver: SolverState | None,
+    solver: SolverState,
 ) -> tuple[float, TransportPlan, np.ndarray, tuple]:
     """Sinkhorn alignment loss between the features of backbone and the
     target's, from one forward pass: (loss, plan, the merged side's scaled
     features, the forward trace).
 
-    Both clouds are scaled to the target's unit-mean-norm convention. With
-    a solver state the solve starts from its duals and records the plan
-    into it.
+    Both clouds are scaled to the target's unit-mean-norm convention. The
+    solve starts from target.duals and leaves its plan's there; solver
+    counts it.
     """
     trace = _forward_trace(spec, backbone, target.inputs)
     fm = target.scale * trace[0][-1]
-    init = None if solver is None else solver.duals
-    dist, plan = sinkhorn_distance(fm, target.features, cfg, init=init)
-    if solver is not None:
-        solver.record(plan)
+    dist, plan = sinkhorn_distance(fm, target.features, cfg, init=target.duals)
+    target.duals = (plan.log_u, plan.log_v)
+    solver.record(plan)
     return dist, plan, fm, trace
 
 
@@ -229,7 +233,7 @@ def ot_alignment_loss_and_grad(
     backbone: Mapping[str, np.ndarray],
     target: OTTarget,
     cfg: SinkhornConfig,
-    solver: SolverState | None = None,
+    solver: SolverState,
 ) -> tuple[float, np.ndarray]:
     """The alignment loss of _ot_loss plus its fixed-plan gradient with
     respect to backbone, flat, back-propagated from the loss's forward pass.
@@ -249,13 +253,14 @@ def ot_mask_epoch(
     side: str,
     cfg: FusionConfig,
     optimizer: _MaskOptimizer,
-    solver: SolverState | None = None,
+    solver: SolverState,
 ) -> tuple[Masks, float]:
     """One alternating mask update: the new (pre, post) masks and the
     epoch's OT loss. Only the selected side's mask moves.
 
     optimizer is any object with step(mask, grad) -> mask; solver, the
-    selected side's SolverState, warm-starts the solve.
+    selected side's SolverState, counts the solve, which is warm-started
+    from the target's duals.
     """
     if side not in ("pre", "post"):
         raise ConfigError(f"side must be 'pre' or 'post', got '{side}'")
@@ -276,8 +281,6 @@ def head_finetune(
 ) -> Head:
     """Cross-entropy gradient descent on one head. The backbone is frozen,
     so the subset's features are computed once."""
-    if labeled_subset.size == 0:
-        raise DataError("empty labeled subset")
     if task not in merged_model.heads:
         raise DataError(f"model has no head for task '{task}'")
     head = merged_model.heads[task]
@@ -295,7 +298,7 @@ class StepLog:
     ot_loss_history: list[tuple[int, str, float]]
     initial_pair_loss: float
     final_pair_loss: float
-    # the step's solve tallies, no duals: the mask loop's by side, the pair losses'
+    # the step's solve tallies: the mask loop's by side, the pair losses'
     mask_loop_solver: dict[str, SolverState]
     pair_loss_solver: SolverState
 
@@ -377,19 +380,13 @@ def continual_merge(
         solver_pre, solver_post, pair = SolverState(), SolverState(), SolverState()
 
         def _pair_loss(masks: Masks) -> float:
-            # each side's solve starts from the side's duals and leaves its
-            # own there; pair tallies it
             backbone = flat.fuse(masks, cfg.alpha)
-            loss = 0.0
-            for target, solver in ((pre_target, solver_pre), (post_target, solver_post)):
-                pair.duals = solver.duals
-                loss += _ot_loss(flat.spec, backbone, target, cfg.sinkhorn, pair)[0]
-                solver.duals = pair.duals
-            return loss
+            return sum(_ot_loss(flat.spec, backbone, target, cfg.sinkhorn, pair)[0]
+                       for target in (pre_target, post_target))
 
         # the pre side's first mask-loop solve is the problem its initial
         # pair-loss solve solves cold, and the post side's is close to it:
-        # both start warm from those duals
+        # both start warm from those duals, which the targets keep
         initial_pair_loss = _pair_loss(masks)
         pre_side = (pre_target, opt_pre, solver_pre)
         post_side = (post_target, opt_post, solver_post)
@@ -407,7 +404,6 @@ def continual_merge(
         final_pair_loss = _pair_loss(masks)
         warn_on_trouble(f"step {t}", {"mask-loop pre": solver_pre,
                                       "mask-loop post": solver_post, "pair-loss": pair})
-        solver_pre.duals = solver_post.duals = pair.duals = None  # the log keeps no arrays
         merged = flat.delta
         # a merge that overflowed fails here, before on_step sees it
         merged_model = ToyModel(spec=spec, backbone=flat.theta, heads=heads)

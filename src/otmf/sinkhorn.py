@@ -49,12 +49,12 @@ the gradient of the regularized objective at the optimal plan; it is
 exact only when the solve converged, and is the quantity validated
 against finite differences.
 
-A SolverState is the one reader of a plan's outcome: record(plan) keeps
-the plan's log-scalings, the warm start of a next solve of nearly the same
-problem, and counts the solve, its marginal checks, Newton directions and
-fallback, and whether it is unconverged; str() renders the counts, and
-tallies add up. Callers keep one per kind of solve: warn_on_trouble writes
-one WARNING for any labelled set of them, log_solves their totals line.
+A SolverState is the one reader of a plan's outcome: record(plan) counts
+the solve, its marginal checks, Newton directions and fallback, and
+whether it is unconverged; str() renders the counts, and tallies add up.
+It keeps no arrays: a warm start belongs to the caller's problem. Callers
+keep one per kind of solve: warn_on_trouble writes one WARNING for any
+labelled set of them, log_solves their totals line.
 """
 
 from __future__ import annotations
@@ -122,9 +122,8 @@ class TransportPlan:
 class SolverState:
     """Counts over the recorded solves (iters sums iterations_used; a
     direction is one dense n x n solve; fallbacks and unconverged count
-    solves) and the last plan's (log_u, log_v), the next solve's warm start."""
+    solves)."""
 
-    duals: tuple[np.ndarray, np.ndarray] | None = None
     solves: int = 0
     iters: int = 0
     directions: int = 0
@@ -132,7 +131,6 @@ class SolverState:
     unconverged: int = 0
 
     def record(self, plan: TransportPlan) -> None:
-        self.duals = (plan.log_u, plan.log_v)
         self.solves += 1
         self.iters += plan.iterations_used
         directions, fell_back = plan.newton
@@ -141,13 +139,12 @@ class SolverState:
         self.unconverged += not plan.converged
 
     def counts(self) -> dict[str, int]:
-        """The counters, without the duals."""
-        return {k: v for k, v in vars(self).items() if k != "duals"}
+        """The counters by name."""
+        return dict(vars(self))
 
     def __add__(self, other: SolverState) -> SolverState:
-        """The summed counters, without duals."""
-        return SolverState(None, *(a + b for a, b in zip(self.counts().values(),
-                                                         other.counts().values())))
+        """The summed counters."""
+        return SolverState(*(a + b for a, b in zip(vars(self).values(), vars(other).values())))
 
     def __str__(self) -> str:
         return (f"{self.solves} solves, {self.iters} marginal checks, {self.directions} Newton "

@@ -40,6 +40,7 @@ from otmf.models import (
 )
 from otmf.sinkhorn import (
     SinkhornConfig,
+    SolverState,
     sinkhorn_distance,
     sinkhorn_grad_features,
     sinkhorn_plan,
@@ -71,15 +72,20 @@ def build_world(seed):
     return stream, tasks, theta0, sfts
 
 
-def run_otmf(seed, cfg=None, method="otmf"):
-    """Full merge by one method (merge_stream, the call `otmf merge` makes),
-    with each step's merged model from step 2 on, by step."""
+def run_otmf(seed, cfg=None, method="otmf", merge_seed=None):
+    """Full merge by one method (merge_stream, the call `otmf merge` makes)
+    on world seed, with each step's merged model from step 2 on, by step.
+
+    merge_seed (default: seed) seeds the merge alone: another value on the
+    same world re-draws otmf's OT batches and the labeled subsample of its
+    head re-tune."""
     _, tasks, theta0, sfts = build_world(seed)
     stream = [(td.task_id, task_vector(m, theta0), m.heads[td.task_id], td.train, td.unlabeled)
               for m, td in zip(sfts, tasks)]
     snapshots = {}
     final, merged_heads, logs = merge_stream(method, theta0, stream, cfg or FusionConfig(),
-                                             BaselineConfig(), seed=seed,
+                                             BaselineConfig(),
+                                             seed=seed if merge_seed is None else merge_seed,
                                              on_step=snapshots.__setitem__)
     return tasks, sfts, final, merged_heads, logs, snapshots
 
@@ -187,7 +193,7 @@ def test_criterion_2_gradient_fidelity(capsys):
             m_pre = np.ones(d_pre.size)
             ot_mask_epoch((m_pre, m_post), FlatStep(theta0_model, d_pre, d_post),
                           OTTarget(inputs, s, s * ft), "pre",
-                          FusionConfig(alpha=alpha, sinkhorn=scfg), recorder)
+                          FusionConfig(alpha=alpha, sinkhorn=scfg), recorder, SolverState())
             g_mask = recorder.grad
             fd_mask = np.zeros_like(m_pre)
             for i in range(m_pre.size):
@@ -250,7 +256,7 @@ def test_criterion_4_schedule_conformance(capsys):
         target = pre_target if side == "pre" else post_target
         before_pre, before_post = (m.copy() for m in masks)
         masks, _ = ot_mask_epoch(masks, step, OTTarget.of(target, inputs),
-                                 side, cfg, opts[side])
+                                 side, cfg, opts[side], SolverState())
         if side == "pre":
             frozen_ok &= np.array_equal(masks[1], before_post)
         else:
@@ -292,11 +298,19 @@ def test_criterion_5_alignment_efficacy(capsys):
     otmf_l1 = final_l1(snapshots)
     ta_l1 = final_l1(run_otmf(0, method="task_arithmetic")[-1])
 
+    # the ratios on seeds 0-9: only seed 0 keeps every step at or below 0.5
+    # (seed 5's step 2 raises its pair loss), so over seeds only the median
+    # step is asserted to halve it
+    by_seed = [ratios] + [[lg.final_pair_loss / lg.initial_pair_loss for lg in run_otmf(s)[4]]
+                          for s in range(1, 10)]
+    median = float(np.median(by_seed))
+
     elapsed = time.perf_counter() - t0
-    ok = max(ratios) <= 0.5 and otmf_l1 < ta_l1 and elapsed < 300.0
+    ok = max(ratios) <= 0.5 and otmf_l1 < ta_l1 and median <= 0.5 and elapsed < 300.0
     report(capsys, 5, ok,
            f"pair-loss ratios {[f'{r:.3f}' for r in ratios]} (<= 0.5), "
-           f"final l1 shift {otmf_l1:.3f} < task arithmetic {ta_l1:.3f}, "
+           f"final l1 shift {otmf_l1:.3f} < task arithmetic {ta_l1:.3f}; seeds 0-9 ratios "
+           f"{[[round(r, 3) for r in rs] for rs in by_seed]}, median {median:.3f} (<= 0.5), "
            f"{elapsed:.0f}s (<300s)")
 
 
@@ -327,22 +341,35 @@ def test_criterion_6_forgetting_comparison(capsys):
 def test_criterion_7_alpha_ablation_shape(capsys):
     t0 = time.perf_counter()
     grid = [i / 10 for i in range(11)]
-    averages = []
-    for alpha in grid:
-        cfg = FusionConfig(alpha=alpha)
-        tasks, _, final, heads, _, _ = run_otmf(0, cfg)
-        model = ToyModel(spec=MODEL, backbone=final, heads=heads)
-        accs = [accuracy(model, td.task_id, td.test) for td in tasks]
-        averages.append(float(np.mean(accs)))
+
+    def curve(merge_seed):
+        averages = []
+        for alpha in grid:
+            cfg = FusionConfig(alpha=alpha)
+            tasks, _, final, heads, _, _ = run_otmf(0, cfg, merge_seed=merge_seed)
+            model = ToyModel(spec=MODEL, backbone=final, heads=heads)
+            accs = [accuracy(model, td.task_id, td.test) for td in tasks]
+            averages.append(float(np.mean(accs)))
+        return averages
+
+    # 8 merge draws on world 0, draw 0 the asserted one: the argmax moves
+    # between draws, so over draws only the shape is asserted, both
+    # endpoints below the curve's maximum
+    curves = [curve(draw) for draw in range(8)]
+    averages = curves[0]
     best = int(np.argmax(averages))
+    shape_ok = all(c[0] < max(c) and c[-1] < max(c) for c in curves)
     elapsed = time.perf_counter() - t0
     ok = (0.5 <= grid[best] <= 0.9
           and averages[0] < averages[best]
           and averages[-1] < averages[best]
+          and shape_ok
           and elapsed < 1800.0)
     report(capsys, 7, ok,
            f"argmax alpha {grid[best]} in [0.5, 0.9], curve "
-           f"{[round(a, 3) for a in averages]}, endpoints below max, "
+           f"{[round(a, 3) for a in averages]}, endpoints below max; merge draws 0-7: argmax "
+           f"{[grid[int(np.argmax(c))] for c in curves]}, curves "
+           f"{[[round(a, 3) for a in c] for c in curves]}, endpoints below max {shape_ok}, "
            f"{elapsed:.0f}s (<1800s)")
 
 

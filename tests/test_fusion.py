@@ -188,9 +188,10 @@ def test_mask_gradient_matches_fd(side):
             return mask
 
     opt = Recorder()
-    solver = SolverState(duals=init)
+    solver = SolverState()
+    ot_target = dataclasses.replace(OTTarget.of(target, inputs), duals=init)
     ot_mask_epoch((m_pre, m_post), FlatStep(theta0_model, d_pre, d_post),
-                  OTTarget.of(target, inputs), side, cfg=cfg, optimizer=opt, solver=solver)
+                  ot_target, side, cfg=cfg, optimizer=opt, solver=solver)
     assert solver.solves == 1 and solver.unconverged == 0
     base = m_pre if side == "pre" else m_post
 
@@ -222,17 +223,17 @@ def test_ot_loss_decreases_toward_target():
     step, ot_target = FlatStep(theta0_model, d_pre, d_post), OTTarget.of(target, inputs)
     losses = []
     for _ in range(30):
-        masks, loss = ot_mask_epoch(masks, step, ot_target, "pre", cfg, opt)
+        masks, loss = ot_mask_epoch(masks, step, ot_target, "pre", cfg, opt, SolverState())
         losses.append(loss)
     assert losses[-1] < 0.5 * losses[0]
 
 
 def _reference_epoch(masks, theta0_model, d_pre, d_post, target, inputs, side, cfg, opt,
-                     solver):
+                     solver, duals):
     """The epoch that ot_mask_epoch replaces: masked_fuse, the merged
     backbone as separate per-layer arrays, both models' features, the
-    solve, and a backward pass from a second forward trace of the merged
-    backbone."""
+    solve from duals[side], which then holds the plan's, and a backward
+    pass from a second forward trace of the merged backbone."""
     m_pre, m_post = masks
     fused = masked_fuse(d_pre, d_post, m_pre, m_post, cfg.alpha)
     layout = backbone_layout(SPEC)
@@ -241,7 +242,8 @@ def _reference_epoch(masks, theta0_model, d_pre, d_post, target, inputs, side, c
     fm = models_module._forward_trace(SPEC, merged, inputs)[0][-1]
     ft = forward_features(target, inputs)
     s = normalized_feature_scale(ft)
-    loss, plan = sinkhorn_distance(s * fm, s * ft, cfg.sinkhorn, init=solver.duals)
+    loss, plan = sinkhorn_distance(s * fm, s * ft, cfg.sinkhorn, init=duals[side])
+    duals[side] = (plan.log_u, plan.log_v)
     solver.record(plan)
     g_feat = s * sinkhorn_grad_features(s * fm, s * ft, plan)
     trace = models_module._forward_trace(SPEC, merged, inputs)
@@ -259,6 +261,7 @@ def test_flat_epoch_equals_the_param_vector_composition(alpha):
     inputs = {"pre": pools[0], "post": pools[1]}
     step = FlatStep(theta0_model, d_pre, d_post)
     targets = {side: OTTarget.of(models[side], inputs[side]) for side in models}
+    ref_duals = {side: None for side in models}
     runs = {}
     for name in ("flat", "reference"):
         masks = ones(d_pre)
@@ -273,7 +276,7 @@ def test_flat_epoch_equals_the_param_vector_composition(alpha):
             else:
                 masks, loss = _reference_epoch(masks, theta0_model, d_pre, d_post,
                                                models[side], inputs[side], side, cfg,
-                                               opts[side], solvers[side])
+                                               opts[side], solvers[side], ref_duals)
             trail.append((masks, loss))
         runs[name] = trail, solvers
     (flat, flat_solvers), (ref, ref_solvers) = runs["flat"], runs["reference"]
@@ -283,8 +286,7 @@ def test_flat_epoch_equals_the_param_vector_composition(alpha):
         assert np.array_equal(masks[1], ref_masks[1])
     for side in ("pre", "post"):
         assert flat_solvers[side].counts() == ref_solvers[side].counts()
-        assert all(np.array_equal(a, b)
-                   for a, b in zip(flat_solvers[side].duals, ref_solvers[side].duals))
+        assert all(np.array_equal(a, b) for a, b in zip(targets[side].duals, ref_duals[side]))
     # the masks moved, so the comparison covers fused backbones away from theta0 + pre + post
     assert not np.array_equal(flat[-1][0][0], ones(d_pre)[0])
 
@@ -324,7 +326,7 @@ def test_alternation_schedule_and_frozen_state():
         target = pre_target if side == "pre" else post_target
         before = tuple(m.copy() for m in masks)
         masks, _ = ot_mask_epoch(masks, step, OTTarget.of(target, pools[0]),
-                                 side, cfg, opts[side])
+                                 side, cfg, opts[side], SolverState())
         # the non-selected mask and both task vectors are bit-identical
         if side == "pre":
             assert np.array_equal(masks[1], before[1])
@@ -350,7 +352,7 @@ def test_ot_mask_epoch_rejects_bad_side():
     with pytest.raises(ConfigError):
         ot_mask_epoch(masks, FlatStep(theta0_model, d_pre, d_post),
                       OTTarget.of(theta0_model, pools[0]), "both", cfg,
-                      _MaskOptimizer(masks[0], cfg))
+                      _MaskOptimizer(masks[0], cfg), SolverState())
 
 
 def test_mask_epochs_warm_start_from_their_side_duals(monkeypatch):
@@ -371,18 +373,18 @@ def test_mask_epochs_warm_start_from_their_side_duals(monkeypatch):
     duals_before = []
     for e in range(1, cfg.ot_epochs + 1):
         side = "pre" if e % 2 == 1 else "post"
-        duals_before.append(solvers[side].duals)
+        duals_before.append(targets[side].duals)
         masks, _ = ot_mask_epoch(masks, step, targets[side], side, cfg, opts[side],
                                  solvers[side])
-    # each side starts cold, then from the duals its own last solve recorded
+    # each side starts cold, then from the duals its own last solve left on its target
     assert inits[0] is None and inits[1] is None
     assert inits[2] is duals_before[2] is not None
     assert inits[3] is duals_before[3] is not None
     assert inits[2] is not inits[3]
-    for solver in solvers.values():
+    for side, solver in solvers.items():
         assert solver.solves == 2
         assert solver.iters >= 2 and 0 <= solver.unconverged <= 2
-        log_u, log_v = solver.duals
+        log_u, log_v = targets[side].duals
         assert log_u.shape == log_v.shape == (pools[0].shape[0],)
 
 
@@ -507,14 +509,15 @@ def test_continual_merge_logs_solver_counts_per_step(caplog):
     for step, line, lg in zip((2, 3), lines, logs):
         assert line.startswith(f"step {step} ")
         assert "pre 3 solves" in line and "post 2 solves" in line
-        # the line's counts are the step log's tallies, which keep no duals
+        # the line's counts are the step log's tallies, which keep no arrays
         pre, post = lg.mask_loop_solver["pre"], lg.mask_loop_solver["post"]
         assert line == f"step {step} mask-loop Sinkhorn: " + "; ".join(
             f"{side} {n.solves} solves, {n.iters} marginal checks, "
             f"{n.directions} Newton directions, {n.fallbacks} fallbacks, "
             f"{n.unconverged} unconverged" for side, n in (("pre", pre), ("post", post)))
         assert (pre.solves, post.solves, lg.pair_loss_solver.solves) == (3, 2, 4)
-        assert pre.duals is post.duals is lg.pair_loss_solver.duals is None
+        assert all(type(v) is int
+                   for s in (pre, post, lg.pair_loss_solver) for v in vars(s).values())
 
 
 def test_solver_state_counts_newton_directions_and_fallbacks(rng):
@@ -524,7 +527,7 @@ def test_solver_state_counts_newton_directions_and_fallbacks(rng):
     solver = SolverState()
     _, cold = sinkhorn_distance(X, Y, cfg)
     solver.record(cold)
-    log_u, log_v = solver.duals
+    log_u, log_v = cold.log_u, cold.log_v
     _, warm = sinkhorn_distance(X + 0.02, Y, cfg, init=(log_u, log_v))
     solver.record(warm)
     log_v_far = log_v.copy()

@@ -392,6 +392,48 @@ def test_newton_falls_back_to_the_scaling_loop_from_its_iterate(rng, monkeypatch
         assert outcomes[0] == (0, 0, True)
 
 
+@pytest.mark.parametrize("reject", ["not-ascent", "no-armijo-step"])
+def test_newton_falls_back_when_its_direction_cannot_raise_the_dual(rng, monkeypatch, reject):
+    X, Y, (log_u, log_v) = _newton_problem(rng)
+    C = pairwise_cost(X, Y)
+    cfg = SinkhornConfig()
+    halvings = sinkhorn_module._ARMIJO_HALVINGS
+    direction, dual = sinkhorn_module._newton_direction, sinkhorn_module._dual
+    slopes, duals = [], []
+
+    def bad_direction(P, rows, cols, r, c, e):
+        if reject == "not-ascent":
+            # the Newton direction reversed: the dual falls along it
+            df, dg = (-d for d in direction(P, rows, cols, r, c, e))
+        else:
+            # the dual's gradient, scaled so that even the shortest trial
+            # step moves a potential by 100 eps: within exp's range, so the
+            # line search runs, but every trial step overshoots
+            df, dg = r - rows, c - cols
+            scale = 100 * e / (0.5**halvings * max(np.abs(df).max(), np.abs(dg).max()))
+            df, dg = scale * df, scale * dg
+        slopes.append(float((r - rows) @ df + (c - cols) @ dg))
+        return df, dg
+
+    monkeypatch.setattr(sinkhorn_module, "_newton_direction", bad_direction)
+    monkeypatch.setattr(sinkhorn_module, "_dual", lambda *a: duals.append(1) or dual(*a))
+    plan = sinkhorn_plan(C, cfg, init=(log_u, log_v))
+    [slope] = slopes
+    assert plan.newton == (1, True)
+    if reject == "not-ascent":
+        # no trial step: the dual is only evaluated at the start
+        assert slope < 0 and len(duals) == 1
+    else:
+        # the start's dual and one per trial step length, each failing Armijo
+        assert slope > 0 and len(duals) == 1 + (halvings + 1)
+    # the scaling loop runs from the start with the rest of the budget
+    rest = SinkhornConfig(max_iters=cfg.max_iters - 1)
+    P, reg, it, ref_converged = _reference_log_sinkhorn(C, rest, init=(log_u, log_v))
+    assert (plan.iterations_used, plan.converged) == (1 + it, ref_converged)
+    np.testing.assert_allclose(plan.plan, P, rtol=0, atol=1e-12)
+    assert plan.reg_objective == pytest.approx(reg, rel=0, abs=1e-12)
+
+
 @pytest.mark.parametrize("tolerance", [1e-6, 1e-300])
 def test_converged_means_marginal_error_within_tolerance(tolerance):
     # cold, warm and fallen-back solves alike. At 1e-300 a scaling loop that

@@ -136,6 +136,16 @@ def test_subsample_equals_the_unique_version(labels, fraction, seed):
     np.testing.assert_array_equal(sub.labels, ref.labels)
 
 
+def test_subsample_trims_the_one_per_class_floor_back_to_the_budget():
+    # 4 of 100 rows: flooring 0.04 * [1, 1, 1, 97] gives [0, 0, 0, 3], one
+    # row per class lifts that to 6 rows, and the trim takes the two extra
+    # from the largest class
+    labels = np.repeat(np.arange(4), [1, 1, 1, 97])
+    batch = Batch(np.arange(200.0).reshape(100, 2), labels)
+    sub = subsample_labeled(batch, 0.04, seed=0)
+    assert np.bincount(sub.labels).tolist() == [1, 1, 1, 1]
+
+
 def test_subsample_deterministic(rng):
     batch = Batch(rng.normal(size=(40, 3)), rng.integers(0, 4, size=40))
     a = subsample_labeled(batch, 0.25, seed=9)
