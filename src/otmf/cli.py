@@ -350,8 +350,8 @@ class _Reservoir:
     The first block is copied in whole; each later row, the n-th added
     (0-based), replaces a uniform slot j in [0, n] when j is a slot. The
     slots come from the standard library's random.Random(seed), not numpy's
-    Generator, so a baseline merge never imports numpy.random and its RNG
-    extensions (about 6 MB of resident memory).
+    Generator, so a merge never imports numpy.random and its RNG
+    extensions (about 5.5 MB of resident memory).
     """
 
     def __init__(self, seed: int):

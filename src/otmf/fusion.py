@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -69,6 +69,9 @@ from .sinkhorn import (
     warn_on_trouble,
 )
 from .taskgen import subsample_labeled
+
+if TYPE_CHECKING:
+    from ._pcg import PCG64
 
 log = logging.getLogger(__name__)
 
@@ -307,11 +310,10 @@ class StepLog:
 Task = tuple[str, np.ndarray, Head, Batch, np.ndarray]
 
 
-def _ot_batch(rng: np.random.Generator, pool: np.ndarray, size: int) -> np.ndarray:
+def _ot_batch(rng: PCG64, pool: np.ndarray, size: int) -> np.ndarray:
     if pool.shape[0] <= size:
         return pool.copy()
-    idx = rng.choice(pool.shape[0], size=size, replace=False)
-    return pool[np.sort(idx)]
+    return pool[sorted(rng.choice(pool.shape[0], size))]
 
 
 def _checked_stream(tasks: Iterable[Task], theta0: np.ndarray,
@@ -352,8 +354,15 @@ def continual_merge(
     if given, receives each step's merged ToyModel, re-tuned head included,
     from step 2 on. Returns the final merged backbone, the heads and the
     per-step logs. The stream is checked as _checked_stream does.
+
+    The OT batches draw from seed's stream and step t's head subsample from
+    seed + t's, both through otmf._pcg, the same integers numpy's
+    default_rng would give without importing numpy.random. A negative seed
+    raises ConfigError.
     """
-    rng = np.random.default_rng(seed)
+    from ._pcg import PCG64  # only a merge compiles it; see otmf._pcg
+
+    rng = PCG64(seed)
     spec, theta0 = theta0_model.spec, theta0_model.backbone
     heads: dict[str, Head] = {}
     seen_unlabeled: list[np.ndarray] = []

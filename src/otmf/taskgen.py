@@ -115,7 +115,9 @@ def subsample_labeled(batch: Batch, fraction: float, seed: int) -> Batch:
     """Deterministic stratified subsample of ceil(fraction * n) labels,
     apportioned over the classes by largest remainder, each class keeping
     at least one when the budget allows: 120 labels in 4 classes of 30 at
-    fraction 0.25 keep 8, 8, 7 and 7."""
+    fraction 0.25 keep 8, 8, 7 and 7. Each class keeps the first of its
+    rows in the order np.random.default_rng(seed).permutation would give,
+    drawn through otmf._pcg; a negative seed raises ConfigError."""
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
     if fraction == 1.0:
@@ -146,10 +148,12 @@ def subsample_labeled(batch: Batch, fraction: float, seed: int) -> Batch:
         j = int(np.argmax(counts))
         counts[j] -= 1
 
-    rng = np.random.default_rng(seed)
+    from ._pcg import PCG64  # only a merge compiles it; see otmf._pcg
+
+    rng = PCG64(seed)
     keep = []
     for c, cnt in zip(classes, counts):
         idx = np.flatnonzero(batch.labels == c)
-        keep.append(rng.permutation(idx)[:cnt])
+        keep.append(idx[rng.permutation(idx.size)[:cnt]])
     sel = np.sort(np.concatenate(keep))
     return Batch(batch.inputs[sel], batch.labels[sel])

@@ -1020,44 +1020,49 @@ def test_cli_import_leaves_scipy_unloaded(tiny_cfg):
     assert out.stdout.strip() == "[]"
 
 
-def _loads(module: str, *args) -> bool:
-    """Whether `main(args)`, run in a fresh process, leaves module imported."""
+def _loaded(modules: tuple[str, ...], *args) -> tuple[bool, ...]:
+    """Whether `main(args)`, run in a fresh process, leaves each of modules imported."""
     probe = (
         "import sys\n"
         "from otmf.cli import main\n"
         "if main(sys.argv[2:]) != 0:\n"
         "    sys.exit('command failed')\n"
-        "print(sys.argv[1] in sys.modules)\n"
+        "print(*(m in sys.modules for m in sys.argv[1].split(',')))\n"
     )
     out = subprocess.run(
-        [sys.executable, "-c", probe, module, *map(str, args)], env=_cli_env(),
+        [sys.executable, "-c", probe, ",".join(modules), *map(str, args)], env=_cli_env(),
         capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    return {"True": True, "False": False}[out.stdout.strip()]
+    return tuple({"True": True, "False": False}[w] for w in out.stdout.split())
 
 
 def test_merge_otmf_leaves_numpy_ma_unloaded(pipeline):
     # np.unique imports numpy.ma, about 12 ms per process; the head
     # subsample finds its classes with np.bincount instead
     cfg, _ = pipeline
-    assert not _loads("numpy.ma", "merge", "--method", "otmf", "--config", cfg)
+    assert _loaded(("numpy.ma",), "merge", "--method", "otmf", "--config", cfg) == (False,)
 
 
-def test_only_merge_otmf_loads_numpy_random(long_stream):
+def test_only_gen_and_train_load_numpy_random(tmp_path):
     # numpy.random loads eight Cython extensions and OpenSSL's libcrypto,
-    # about 6 MB of resident memory; the shift reservoir draws from the
-    # standard library's generator, so no baseline merge or eval needs it.
-    # merge otmf still does: its OT batches and head subsample draw from
-    # numpy's Generator, and their draws fix the merged model's bits
-    cfgs, seed_dir = long_stream
-    final = seed_dir / "merged" / "otmf" / "final.ckpt"
-    for args, loads in ((["merge", "--method", "otmf"], True),
-                        (["merge", "--method", "swa"], False),
-                        (["merge", "--method", "task_arithmetic"], False),
-                        (["merge", "--method", "ties"], False),
-                        (["eval", "--checkpoint", final], False)):
-        assert _loads("numpy.random", *args, "--config", cfgs[4]) == loads, args
+    # about 5.5 MB of resident memory. gen and train draw from numpy's
+    # Generator; every later stage draws from the standard library's
+    # random.Random (the shift reservoir) or from otmf._pcg's port of
+    # numpy's default_rng (the otmf merge's OT batches and head subsample),
+    # which only the stages that run that merge import. A 4-task stream,
+    # so that the reservoir draws its slots at merge steps 3 and 4
+    cfg = _stream_cfg(tmp_path, 4)
+    final = tmp_path / "run" / "seed0" / "merged" / "otmf" / "final.ckpt"
+    for args, loads in ((["gen"], (True, False)),
+                        (["train"], (True, False)),
+                        (["merge", "--method", "otmf"], (False, True)),
+                        (["merge", "--method", "swa"], (False, False)),
+                        (["merge", "--method", "task_arithmetic"], (False, False)),
+                        (["merge", "--method", "ties"], (False, False)),
+                        (["eval", "--checkpoint", final], (False, False)),
+                        (["ablate-alpha", "--grid", "0.5"], (False, True))):
+        assert _loaded(("numpy.random", "otmf._pcg"), *args, "--config", cfg) == loads, args
 
 
 def test_default_config_solves_all_converge(tmp_path, monkeypatch, caplog):

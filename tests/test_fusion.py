@@ -743,6 +743,20 @@ def test_continual_merge_input_validation():
                                              ids=["task01", "task01"]), cfg, seed=0)
 
 
+def test_continual_merge_rejects_a_negative_seed():
+    theta0_model, deltas, heads, batches, pools = world(seed=14, T=2)
+    pulled = []
+
+    def tasks():
+        for task in stream(deltas, heads, batches, pools):
+            pulled.append(task[0])
+            yield task
+
+    with pytest.raises(ConfigError, match="non-negative"):
+        continual_merge(theta0_model, tasks(), FusionConfig(ot_epochs=2), seed=-1)
+    assert pulled == []
+
+
 def same_heads(a, b):
     """Whether two head dicts hold the same tasks' heads, bit for bit."""
     return a.keys() == b.keys() and all(

@@ -167,6 +167,12 @@ def test_subsample_rejects_bad_fraction(rng):
         subsample_labeled(batch, 1.5, seed=0)
 
 
+def test_subsample_rejects_a_negative_seed(rng):
+    batch = Batch(rng.normal(size=(8, 2)), np.arange(8) % 2)
+    with pytest.raises(ConfigError, match="non-negative"):
+        subsample_labeled(batch, 0.5, seed=-1)
+
+
 @pytest.mark.parametrize("h", [0.0, 3.5, 10.0])
 def test_rotation_matches_scipy_expm(h):
     rng = np.random.default_rng(int(h * 10))
