@@ -189,13 +189,12 @@ def pairwise_cost(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         raise DataError("feature cloud is empty")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
         raise NumericalError("feature cloud contains non-finite values")
-    # one feature dimension at a time: two n x m arrays, never n x m x d
-    values = np.zeros((X.shape[0], Y.shape[0]))
-    diff = np.empty_like(values)
-    for k in range(X.shape[1]):
-        np.subtract.outer(X[:, k], Y[:, k], out=diff)
-        diff *= diff
-        values += diff
+    # ||x||^2 + ||y||^2 - 2 X Y^T in one n x m array; where x_i is near
+    # y_j the sum cancels, and rounding can leave it just below 0
+    values = X @ Y.T
+    values *= -2.0
+    values += np.einsum("ij,ij->i", X, X)[:, None]
+    values += np.einsum("ij,ij->i", Y, Y)
     np.maximum(values, 0.0, out=values)
     return values
 

@@ -55,13 +55,22 @@ def test_cost_matrix_validation():
 # pairwise cost
 
 
-@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 4), st.integers(0, 10))
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 4), st.integers(0, 10),
+       st.sampled_from([0.0, 1.0, 1e3]))
 @settings(deadline=None, max_examples=30)
-def test_pairwise_cost_matches_cdist(n, m, d, seed):
+def test_pairwise_cost_matches_cdist(n, m, d, seed, offset):
+    # both clouds sit around one point up to offset from the origin, where
+    # the Gram form ||x||^2 + ||y||^2 - 2 x.y cancels most; their first
+    # min(n, m) rows coincide, so those costs are 0 up to rounding
     rng = np.random.default_rng(seed)
-    X, Y = rng.normal(size=(n, d)), rng.normal(size=(m, d))
+    center = offset * rng.uniform(-1.0, 1.0, size=d)
+    X, Y = center + rng.normal(size=(n, d)), center + rng.normal(size=(m, d))
+    k = min(n, m)
+    Y[:k] = X[:k]
     C = pairwise_cost(X, Y)
-    np.testing.assert_allclose(C, cdist(X, Y, "sqeuclidean"), atol=1e-12)
+    sq_norms = (X * X).sum(axis=1).max() + (Y * Y).sum(axis=1).max()
+    atol = 8 * np.finfo(np.float64).eps * sq_norms
+    np.testing.assert_allclose(C, cdist(X, Y, "sqeuclidean"), rtol=0, atol=atol)
     assert np.all(C >= 0)
 
 
