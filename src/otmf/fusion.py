@@ -83,7 +83,7 @@ _ADAM_EPS = 1e-8
 @dataclass(frozen=True)
 class FusionConfig:
     alpha: float = 0.8
-    ot_epochs: int = 100
+    ot_epochs: int = 50
     mask_lr: float = 0.2
     batch_size: int = 64
     head_epochs: int = 100

@@ -298,20 +298,22 @@ def test_criterion_5_alignment_efficacy(capsys):
     otmf_l1 = final_l1(snapshots)
     ta_l1 = final_l1(run_otmf(0, method="task_arithmetic")[-1])
 
-    # the ratios on seeds 0-9: only seed 0 keeps every step at or below 0.5
-    # (seed 5's step 2 raises its pair loss), so over seeds only the median
-    # step is asserted to halve it
+    # the ratios on seeds 0-9: every step lowers its pair loss, but seeds 1,
+    # 3, 5 and 6 each have a step above 0.5 (seed 5's step 2 ends at about
+    # 0.96), so over seeds only the median step is asserted to halve it
     by_seed = [ratios] + [[lg.final_pair_loss / lg.initial_pair_loss for lg in run_otmf(s)[4]]
                           for s in range(1, 10)]
     median = float(np.median(by_seed))
+    worst = float(np.max(by_seed))
 
     elapsed = time.perf_counter() - t0
-    ok = max(ratios) <= 0.5 and otmf_l1 < ta_l1 and median <= 0.5 and elapsed < 300.0
+    ok = (max(ratios) <= 0.5 and otmf_l1 < ta_l1 and median <= 0.5 and worst < 1.0
+          and elapsed < 300.0)
     report(capsys, 5, ok,
            f"pair-loss ratios {[f'{r:.3f}' for r in ratios]} (<= 0.5), "
            f"final l1 shift {otmf_l1:.3f} < task arithmetic {ta_l1:.3f}; seeds 0-9 ratios "
            f"{[[round(r, 3) for r in rs] for rs in by_seed]}, median {median:.3f} (<= 0.5), "
-           f"{elapsed:.0f}s (<300s)")
+           f"max {worst:.3f} (< 1), {elapsed:.0f}s (<300s)")
 
 
 def test_criterion_6_forgetting_comparison(capsys):
