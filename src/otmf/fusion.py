@@ -15,26 +15,29 @@ training the step's merged vector is frozen and the previous task's
 classification head is lightly re-tuned on a small labeled subsample.
 
 The backbone, the task vectors and the masks are flat arrays of one shape
-(otmf.models). A step runs on one flat buffer (FlatStep) next to the
-frozen backbone and both task vectors, and each side's target features
-are computed once (OTTarget). masked_fuse, the one place the rule above
-is written, writes the merged task vector into the buffer, next to the
-merged backbone. Each mask epoch takes one forward pass on the backbone's
-per-layer views, solves, and back-propagates from that pass into a flat
-gradient; the initial and final pair losses (the sum of both sides' OT
-losses) are the same pass and solve, without the backward pass. The
-step's merged vectors are the buffer itself.
+(otmf.models). Each side of a step is one MaskSide: its frozen task vector
+and that vector's weight in the rule above, its OT target (OTTarget, the
+target features computed once), its mask with the mask's Adam moments,
+and a SolverState (otmf.sinkhorn) that counts its mask-loop solves. A
+step runs on one flat buffer (FlatStep) next to the frozen backbone and
+the two sides. masked_fuse, the one place the rule above is written,
+writes the merged task vector into the buffer, next to the merged
+backbone. Each mask epoch takes one forward pass on the backbone's
+per-layer views, solves against its side's target, back-propagates from
+that pass into a flat gradient and moves its side's mask; the initial and
+final pair losses (the sum of both sides' OT losses) are the same pass and
+solve, without the backward pass. The step's merged vectors are the
+buffer itself.
 
 Each side's OTTarget keeps the duals of the last solve against it, and
 every solve starts from them and leaves its own there: the side's initial
 pair-loss solve is cold, and each later one, mask loop and final pair
-loss, is warm-started from the one before. Each side also keeps its
-optimizer moments and a SolverState (otmf.sinkhorn) that counts its
-mask-loop solves; a third SolverState counts the four pair-loss solves.
-All are created afresh at every step because the OT batches are redrawn.
-Each step logs its per-side mask-loop counts at INFO, and its unconverged
-and fallen-back solves at WARNING; its StepLog keeps the three
-SolverStates.
+loss, is warm-started from the one before. A third SolverState counts the
+four pair-loss solves. Both sides are created afresh at every step
+because the OT batches are redrawn. Each step logs its per-side mask-loop
+counts at INFO, and its unconverged and fallen-back solves at WARNING;
+its StepLog keeps the three SolverStates and no side, whose arrays are
+backbone-size.
 """
 
 from __future__ import annotations
@@ -108,30 +111,6 @@ class FusionConfig:
             raise ConfigError(f"head_fraction must be in (0, 1], got {self.head_fraction}")
 
 
-# a mask pair (pre, post): float64 arrays the shape of the flat task
-# vectors, elementwise multipliers that start at exactly 1
-Masks = tuple[np.ndarray, np.ndarray]
-
-
-class _MaskOptimizer:
-    """Adam over one flat mask."""
-
-    def __init__(self, template: np.ndarray, cfg: FusionConfig):
-        self.lr = cfg.mask_lr
-        self.t = 0
-        self.m = np.zeros_like(template)
-        self.v = np.zeros_like(template)
-
-    def step(self, mask: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        self.t += 1
-        b1, b2 = _ADAM_BETA1, _ADAM_BETA2
-        self.m = b1 * self.m + (1 - b1) * grad
-        self.v = b2 * self.v + (1 - b2) * grad**2
-        mhat = self.m / (1 - b1**self.t)
-        vhat = self.v / (1 - b2**self.t)
-        return mask - self.lr * mhat / (np.sqrt(vhat) + _ADAM_EPS)
-
-
 def masked_fuse(
     pre: np.ndarray,
     post: np.ndarray,
@@ -161,33 +140,6 @@ def masked_fuse(
     return out
 
 
-class FlatStep:
-    """One continual step's frozen backbone and task vectors.
-
-    theta0, pre and post are flat arrays of one shape, read and never
-    written. fuse() writes the merged task vector (masked_fuse) into delta
-    and the merged backbone theta0 + delta into theta, and returns theta's
-    per-layer views.
-    """
-
-    def __init__(self, theta0_model: ToyModel, pre: np.ndarray, post: np.ndarray):
-        self.spec = theta0_model.spec
-        self.theta0 = theta0_model.backbone
-        for side, delta in (("pre", pre), ("post", post)):
-            if np.shape(delta) != self.theta0.shape:
-                raise ShapeMismatchError(f"{side} task vector has shape {np.shape(delta)}, "
-                                         f"the backbone {self.theta0.shape}")
-        self.pre, self.post = pre, post
-        self.delta = np.empty_like(self.theta0)
-        self.theta = np.empty_like(self.theta0)
-        self.backbone = layer_views(self.theta, backbone_layout(self.spec))
-
-    def fuse(self, masks: Masks, alpha: float) -> dict[str, np.ndarray]:
-        masked_fuse(self.pre, self.post, *masks, alpha, out=self.delta)
-        np.add(self.delta, self.theta0, out=self.theta)
-        return self.backbone
-
-
 @dataclass
 class OTTarget:
     """One side's OT target for a continual step: the batch inputs, and the
@@ -206,6 +158,64 @@ class OTTarget:
         ft = forward_features(model, inputs)
         s = normalized_feature_scale(ft)
         return cls(inputs, s, s * ft)
+
+
+class MaskSide:
+    """One side of a continual step's mask loop.
+
+    name labels the side in logs ("pre" or "post"). vector is the side's
+    frozen flat task vector and weight its factor in masked_fuse (alpha on
+    pre, 1 - alpha on post); target is its OTTarget. mask starts at exactly
+    1, the vector's shape; step() moves it by Adam (moments m, v after t
+    steps, learning rate lr). solver counts the side's mask-loop solves.
+    """
+
+    def __init__(self, name: str, vector: np.ndarray, weight: float, target: OTTarget,
+                 lr: float):
+        self.name, self.vector, self.weight, self.target, self.lr = name, vector, weight, target, lr
+        self.mask = np.ones(np.shape(vector))
+        self.t = 0
+        self.m = np.zeros_like(self.mask)
+        self.v = np.zeros_like(self.mask)
+        self.solver = SolverState()
+
+    def step(self, grad: np.ndarray) -> None:
+        self.t += 1
+        b1, b2 = _ADAM_BETA1, _ADAM_BETA2
+        self.m = b1 * self.m + (1 - b1) * grad
+        self.v = b2 * self.v + (1 - b2) * grad**2
+        mhat = self.m / (1 - b1**self.t)
+        vhat = self.v / (1 - b2**self.t)
+        self.mask = self.mask - self.lr * mhat / (np.sqrt(vhat) + _ADAM_EPS)
+
+
+class FlatStep:
+    """One continual step's frozen backbone and its two mask sides.
+
+    theta0 and the sides' vectors are flat arrays of one shape, read and
+    never written. fuse() writes the merged task vector of the sides'
+    current masks (masked_fuse) into delta and the merged backbone
+    theta0 + delta into theta, and returns theta's per-layer views.
+    """
+
+    def __init__(self, theta0_model: ToyModel, pre: MaskSide, post: MaskSide):
+        self.spec = theta0_model.spec
+        self.theta0 = theta0_model.backbone
+        for side in (pre, post):
+            shape = np.shape(side.vector)
+            if shape != self.theta0.shape:
+                raise ShapeMismatchError(f"{side.name} task vector has shape {shape}, "
+                                         f"the backbone {self.theta0.shape}")
+        self.pre, self.post = pre, post
+        self.delta = np.empty_like(self.theta0)
+        self.theta = np.empty_like(self.theta0)
+        self.backbone = layer_views(self.theta, backbone_layout(self.spec))
+
+    def fuse(self, alpha: float) -> dict[str, np.ndarray]:
+        pre, post = self.pre, self.post
+        masked_fuse(pre.vector, post.vector, pre.mask, post.mask, alpha, out=self.delta)
+        np.add(self.delta, self.theta0, out=self.theta)
+        return self.backbone
 
 
 def _ot_loss(
@@ -249,30 +259,15 @@ def ot_alignment_loss_and_grad(
     return dist, backward(spec, backbone, trace, g_feat)
 
 
-def ot_mask_epoch(
-    masks: Masks,
-    step: FlatStep,
-    target: OTTarget,
-    side: str,
-    cfg: FusionConfig,
-    optimizer: _MaskOptimizer,
-    solver: SolverState,
-) -> tuple[Masks, float]:
-    """One alternating mask update: the new (pre, post) masks and the
-    epoch's OT loss. Only the selected side's mask moves.
-
-    optimizer is any object with step(mask, grad) -> mask; solver, the
-    selected side's SolverState, counts the solve, which is warm-started
-    from the target's duals.
-    """
-    if side not in ("pre", "post"):
-        raise ConfigError(f"side must be 'pre' or 'post', got '{side}'")
-    backbone = step.fuse(masks, cfg.alpha)
-    loss, grad = ot_alignment_loss_and_grad(step.spec, backbone, target, cfg.sinkhorn, solver)
-    m_pre, m_post = masks
-    if side == "pre":
-        return (optimizer.step(m_pre, cfg.alpha * (step.pre * grad)), m_post), loss
-    return (m_pre, optimizer.step(m_post, (1.0 - cfg.alpha) * (step.post * grad))), loss
+def ot_mask_epoch(step: FlatStep, side: MaskSide, cfg: FusionConfig) -> float:
+    """One alternating mask update of side, one of step's two sides: the
+    epoch's OT loss. Only side's mask moves. side.solver counts the solve,
+    which is warm-started from side.target's duals."""
+    backbone = step.fuse(cfg.alpha)
+    loss, grad = ot_alignment_loss_and_grad(step.spec, backbone, side.target, cfg.sinkhorn,
+                                            side.solver)
+    side.step(side.weight * (side.vector * grad))
+    return loss
 
 
 def head_finetune(
@@ -381,38 +376,32 @@ def continual_merge(
         seen_unlabeled.append(unlabeled)
         pre_target = OTTarget.of(merged_model, pre_batch)
         post_target = OTTarget.of(ToyModel(spec=spec, backbone=theta0 + incoming), post_batch)
-        flat = FlatStep(theta0_model, merged, incoming)
+        pre = MaskSide("pre", merged, cfg.alpha, pre_target, cfg.mask_lr)
+        post = MaskSide("post", incoming, 1.0 - cfg.alpha, post_target, cfg.mask_lr)
+        flat = FlatStep(theta0_model, pre, post)
+        pair = SolverState()
 
-        masks = (np.ones(flat.theta.size), np.ones(flat.theta.size))
-        opt_pre = _MaskOptimizer(masks[0], cfg)
-        opt_post = _MaskOptimizer(masks[1], cfg)
-        solver_pre, solver_post, pair = SolverState(), SolverState(), SolverState()
-
-        def _pair_loss(masks: Masks) -> float:
-            backbone = flat.fuse(masks, cfg.alpha)
-            return sum(_ot_loss(flat.spec, backbone, target, cfg.sinkhorn, pair)[0]
-                       for target in (pre_target, post_target))
+        def _pair_loss() -> float:
+            backbone = flat.fuse(cfg.alpha)
+            return sum(_ot_loss(flat.spec, backbone, side.target, cfg.sinkhorn, pair)[0]
+                       for side in (pre, post))
 
         # the pre side's first mask-loop solve is the problem its initial
         # pair-loss solve solves cold, and the post side's is close to it:
         # both start warm from those duals, which the targets keep
-        initial_pair_loss = _pair_loss(masks)
-        pre_side = (pre_target, opt_pre, solver_pre)
-        post_side = (post_target, opt_post, solver_post)
+        initial_pair_loss = _pair_loss()
         history: list[tuple[int, str, float]] = []
         for e in range(1, cfg.ot_epochs + 1):
-            side = "pre" if e % 2 == 1 else "post"
-            target, opt, solver = pre_side if side == "pre" else post_side
-            masks, loss = ot_mask_epoch(masks, flat, target, side, cfg, opt, solver)
-            history.append((e, side, loss))
-        log.info("step %d mask-loop Sinkhorn: pre %s; post %s", t, solver_pre, solver_post)
+            side = pre if e % 2 == 1 else post
+            history.append((e, side.name, ot_mask_epoch(flat, side, cfg)))
+        log.info("step %d mask-loop Sinkhorn: pre %s; post %s", t, pre.solver, post.solver)
 
         # each side of the final pair loss is one mask update away from the
         # side's last mask-loop solve, and starts from its duals. It leaves
         # the final masks' fuse in flat's buffers: the step's merged vectors
-        final_pair_loss = _pair_loss(masks)
-        warn_on_trouble(f"step {t}", {"mask-loop pre": solver_pre,
-                                      "mask-loop post": solver_post, "pair-loss": pair})
+        final_pair_loss = _pair_loss()
+        warn_on_trouble(f"step {t}", {"mask-loop pre": pre.solver,
+                                      "mask-loop post": post.solver, "pair-loss": pair})
         merged = flat.delta
         # a merge that overflowed fails here, before on_step sees it
         merged_model = ToyModel(spec=spec, backbone=flat.theta, heads=heads)
@@ -434,7 +423,7 @@ def continual_merge(
                 ot_loss_history=history,
                 initial_pair_loss=initial_pair_loss,
                 final_pair_loss=final_pair_loss,
-                mask_loop_solver={"pre": solver_pre, "post": solver_post},
+                mask_loop_solver={"pre": pre.solver, "post": post.solver},
                 pair_loss_solver=pair,
             )
         )

@@ -1,5 +1,5 @@
-"""Shared fixtures: small random models, the cross-entropy loss and the OT
-oracle."""
+"""Shared fixtures: small random models, the cross-entropy loss, the OT
+oracle and a continual step's mask sides."""
 
 import itertools
 
@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from otmf.errors import DataError, ShapeMismatchError
+from otmf.fusion import FusionConfig, MaskSide
 from otmf.models import Batch, ModelSpec, ToyModel, _softmax, forward_logits, init_head, init_model
 
 
@@ -43,3 +44,25 @@ def exact_ot_oracle(C: np.ndarray) -> float:
         raise DataError(f"oracle limited to n <= 8, got n={n}")
     perms = itertools.permutations(range(n))
     return min(sum(C[i, p[i]] for i in range(n)) for p in perms) / n
+
+
+def mask_sides(d_pre, d_post, cfg: FusionConfig, targets=(None, None), cls=MaskSide):
+    """A step's (pre, post) sides of class cls as continual_merge builds
+    them, on the OT targets given (None for a test that never solves)."""
+    pre_target, post_target = targets
+    return (cls("pre", d_pre, cfg.alpha, pre_target, cfg.mask_lr),
+            cls("post", d_post, 1.0 - cfg.alpha, post_target, cfg.mask_lr))
+
+
+def side_state(side: MaskSide) -> tuple:
+    """Everything a mask epoch may change on a side, copied: mask, Adam
+    moments and step count, solve counts and the target's duals (replaced,
+    never written in place, by a solve)."""
+    return (side.mask.copy(), side.m.copy(), side.v.copy(), side.t, side.solver.counts(),
+            side.target.duals)
+
+
+def same_state(a: tuple, b: tuple) -> bool:
+    """Whether two side_state snapshots are bit-identical."""
+    return (all(np.array_equal(x, y) for x, y in zip(a[:3], b[:3]))
+            and a[3:5] == b[3:5] and a[5] is b[5])

@@ -13,13 +13,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from conftest import exact_ot_oracle
+from conftest import exact_ot_oracle, mask_sides, same_state, side_state
 from otmf.baselines import METHODS, BaselineConfig, baseline_fold, ties_merge_pair
 from otmf.fusion import (
     FlatStep,
     FusionConfig,
+    MaskSide,
     OTTarget,
-    _MaskOptimizer,
     continual_merge,
     head_finetune,
     masked_fuse,
@@ -40,7 +40,6 @@ from otmf.models import (
 )
 from otmf.sinkhorn import (
     SinkhornConfig,
-    SolverState,
     sinkhorn_distance,
     sinkhorn_grad_features,
     sinkhorn_plan,
@@ -184,17 +183,16 @@ def test_criterion_2_gradient_fidelity(capsys):
             ft = forward_features(target, inputs)
             s = cloud_scale * normalized_feature_scale(ft)
 
-            class Recorder:
-                def step(self, mask, grad):
+            class Recorder(MaskSide):
+                def step(self, grad):
                     self.grad = grad
-                    return mask
 
-            recorder = Recorder()
-            m_pre = np.ones(d_pre.size)
-            ot_mask_epoch((m_pre, m_post), FlatStep(theta0_model, d_pre, d_post),
-                          OTTarget(inputs, s, s * ft), "pre",
-                          FusionConfig(alpha=alpha, sinkhorn=scfg), recorder, SolverState())
+            cfg = FusionConfig(alpha=alpha, sinkhorn=scfg)
+            recorder, post = mask_sides(d_pre, d_post, cfg, (OTTarget(inputs, s, s * ft), None),
+                                        cls=Recorder)
+            ot_mask_epoch(FlatStep(theta0_model, recorder, post), recorder, cfg)
             g_mask = recorder.grad
+            m_pre = np.ones(d_pre.size)
             fd_mask = np.zeros_like(m_pre)
             for i in range(m_pre.size):
                 plus, minus = m_pre.copy(), m_pre.copy()
@@ -245,26 +243,22 @@ def test_criterion_4_schedule_conformance(capsys):
     pre_target = ToyModel(spec, theta0 + d_pre)
     post_target = ToyModel(spec, theta0 + d_post)
     inputs = rng.normal(size=(12, 3))
-    masks = (np.ones(d_pre.size), np.ones(d_post.size))
-    opts = {"pre": _MaskOptimizer(masks[0], cfg), "post": _MaskOptimizer(masks[1], cfg)}
+    pre, post = mask_sides(d_pre, d_post, cfg, [OTTarget.of(target, inputs)
+                                                for target in (pre_target, post_target)])
     pre_bits = d_pre.copy()
     post_bits = d_post.copy()
-    step = FlatStep(theta0_model, d_pre, d_post)
+    step = FlatStep(theta0_model, pre, post)
     frozen_ok = True
     for e in range(1, cfg.ot_epochs + 1):
-        side = "pre" if e % 2 == 1 else "post"
-        target = pre_target if side == "pre" else post_target
-        before_pre, before_post = (m.copy() for m in masks)
-        masks, _ = ot_mask_epoch(masks, step, OTTarget.of(target, inputs),
-                                 side, cfg, opts[side], SolverState())
-        if side == "pre":
-            frozen_ok &= np.array_equal(masks[1], before_post)
-        else:
-            frozen_ok &= np.array_equal(masks[0], before_pre)
+        side, idle = (pre, post) if e % 2 == 1 else (post, pre)
+        idle_before = side_state(idle)
+        ot_mask_epoch(step, side, cfg)
+        # the idle side's mask, Adam state, solve counts and duals
+        frozen_ok &= same_state(side_state(idle), idle_before)
         frozen_ok &= np.array_equal(d_pre, pre_bits)
         frozen_ok &= np.array_equal(d_post, post_bits)
         # the vectors the epochs read are those very arrays
-        frozen_ok &= step.pre is d_pre and step.post is d_post
+        frozen_ok &= pre.vector is d_pre and post.vector is d_post
     # the schedule the merge runs: one step fusing d_pre and d_post
     tasks = [(tid, d, init_head(spec, 3, rng),
               Batch(rng.normal(size=(12, 3)), rng.integers(0, 3, size=12)), inputs)

@@ -5,7 +5,7 @@ import logging
 import numpy as np
 import pytest
 
-from conftest import cross_entropy_loss
+from conftest import cross_entropy_loss, mask_sides, same_state, side_state
 from otmf import fusion as fusion_module
 from otmf import metrics as metrics_module
 from otmf import models as models_module
@@ -14,9 +14,9 @@ from otmf.errors import ConfigError, DataError, ShapeMismatchError
 from otmf.fusion import (
     FlatStep,
     FusionConfig,
+    MaskSide,
     OTTarget,
     SolverState,
-    _MaskOptimizer,
     continual_merge,
     head_finetune,
     masked_fuse,
@@ -135,10 +135,11 @@ def test_masked_fuse_rejects_mismatched_shapes():
 
 def test_flat_step_backbone_is_theta0_plus_delta(rng):
     theta0_model, (d_pre, d_post), *_ = world(seed=3)
-    masks = (rng.normal(size=d_pre.size), rng.normal(size=d_post.size))
-    step = FlatStep(theta0_model, d_pre, d_post)
-    backbone = step.fuse(masks, 0.7)
-    delta = masked_fuse(d_pre, d_post, *masks, 0.7)
+    pre, post = mask_sides(d_pre, d_post, FusionConfig(alpha=0.7))
+    pre.mask, post.mask = rng.normal(size=d_pre.size), rng.normal(size=d_post.size)
+    step = FlatStep(theta0_model, pre, post)
+    backbone = step.fuse(0.7)
+    delta = masked_fuse(d_pre, d_post, pre.mask, post.mask, 0.7)
     assert np.array_equal(step.delta, delta)
     assert np.array_equal(step.theta, theta0_model.backbone + delta)
     theta = layer_views(theta0_model.backbone + delta, backbone_layout(SPEC))
@@ -181,18 +182,16 @@ def test_mask_gradient_matches_fd(side):
     assert cold.converged
     init = (cold.log_u, cold.log_v)
 
-    # an optimizer that records the raw gradient it is given
-    class Recorder:
-        def step(self, mask, grad):
+    # a side that records the raw gradient its step is given
+    class Recorder(MaskSide):
+        def step(self, grad):
             self.grad = grad
-            return mask
 
-    opt = Recorder()
-    solver = SolverState()
     ot_target = dataclasses.replace(OTTarget.of(target, inputs), duals=init)
-    ot_mask_epoch((m_pre, m_post), FlatStep(theta0_model, d_pre, d_post),
-                  ot_target, side, cfg=cfg, optimizer=opt, solver=solver)
-    assert solver.solves == 1 and solver.unconverged == 0
+    pre, post = mask_sides(d_pre, d_post, cfg, (ot_target, ot_target), cls=Recorder)
+    recorder = pre if side == "pre" else post
+    ot_mask_epoch(FlatStep(theta0_model, pre, post), recorder, cfg)
+    assert recorder.solver.solves == 1 and recorder.solver.unconverged == 0
     base = m_pre if side == "pre" else m_post
 
     h = 1e-6
@@ -210,30 +209,27 @@ def test_mask_gradient_matches_fd(side):
         assert pp.converged and pm.converged
         assert pp.iterations_used > 1 and pm.iterations_used > 1
         fd[i] = (pp.reg_objective - pm.reg_objective) / (2 * h)
-    assert np.linalg.norm(opt.grad - fd) / np.linalg.norm(fd) < 1e-4
+    assert np.linalg.norm(recorder.grad - fd) / np.linalg.norm(fd) < 1e-4
 
 
 def test_ot_loss_decreases_toward_target():
     theta0_model, (d_pre, d_post), _, _, pools = world(seed=5)
     cfg = FusionConfig(alpha=0.5, mask_lr=0.1)
     target = plus(theta0_model, d_pre)
-    inputs = pools[0]
-    masks = ones(d_pre)
-    opt = _MaskOptimizer(masks[0], cfg)
-    step, ot_target = FlatStep(theta0_model, d_pre, d_post), OTTarget.of(target, inputs)
-    losses = []
-    for _ in range(30):
-        masks, loss = ot_mask_epoch(masks, step, ot_target, "pre", cfg, opt, SolverState())
-        losses.append(loss)
+    pre, post = mask_sides(d_pre, d_post, cfg, (OTTarget.of(target, pools[0]), None))
+    step = FlatStep(theta0_model, pre, post)
+    losses = [ot_mask_epoch(step, pre, cfg) for _ in range(30)]
     assert losses[-1] < 0.5 * losses[0]
 
 
-def _reference_epoch(masks, theta0_model, d_pre, d_post, target, inputs, side, cfg, opt,
+def _reference_epoch(masks, adam, theta0_model, d_pre, d_post, target, inputs, side, cfg,
                      solver, duals):
     """The epoch that ot_mask_epoch replaces: masked_fuse, the merged
     backbone as separate per-layer arrays, both models' features, the
-    solve from duals[side], which then holds the plan's, and a backward
-    pass from a second forward trace of the merged backbone."""
+    solve from duals[side], which then holds the plan's, a backward pass
+    from a second forward trace of the merged backbone, and Adam (beta1
+    0.9, beta2 0.999, eps 1e-8) written out on adam[side], the side's
+    (m, v, t), which then holds the updated moments."""
     m_pre, m_post = masks
     fused = masked_fuse(d_pre, d_post, m_pre, m_post, cfg.alpha)
     layout = backbone_layout(SPEC)
@@ -249,8 +245,16 @@ def _reference_epoch(masks, theta0_model, d_pre, d_post, target, inputs, side, c
     trace = models_module._forward_trace(SPEC, merged, inputs)
     g_backbone = backward(SPEC, merged, trace, g_feat)
     if side == "pre":
-        return (opt.step(m_pre, cfg.alpha * (d_pre * g_backbone)), m_post), loss
-    return (m_pre, opt.step(m_post, (1.0 - cfg.alpha) * (d_post * g_backbone))), loss
+        grad, mask = cfg.alpha * (d_pre * g_backbone), m_pre
+    else:
+        grad, mask = (1.0 - cfg.alpha) * (d_post * g_backbone), m_post
+    m, v, t = adam[side]
+    t += 1
+    m = 0.9 * m + (1 - 0.9) * grad
+    v = 0.999 * v + (1 - 0.999) * grad**2
+    mask = mask - cfg.mask_lr * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
+    adam[side] = m, v, t
+    return ((mask, m_post) if side == "pre" else (m_pre, mask)), loss
 
 
 @pytest.mark.parametrize("alpha", [0.8, 0.35])
@@ -259,52 +263,39 @@ def test_flat_epoch_equals_the_param_vector_composition(alpha):
     cfg = FusionConfig(alpha=alpha)
     models = {"pre": plus(theta0_model, d_pre), "post": plus(theta0_model, d_post)}
     inputs = {"pre": pools[0], "post": pools[1]}
-    step = FlatStep(theta0_model, d_pre, d_post)
-    targets = {side: OTTarget.of(models[side], inputs[side]) for side in models}
-    ref_duals = {side: None for side in models}
-    runs = {}
-    for name in ("flat", "reference"):
-        masks = ones(d_pre)
-        opts = {side: _MaskOptimizer(masks[0], cfg) for side in models}
-        solvers = {side: SolverState() for side in models}
-        trail = []
-        for e in range(1, 9):
-            side = "pre" if e % 2 == 1 else "post"
-            if name == "flat":
-                masks, loss = ot_mask_epoch(masks, step, targets[side], side, cfg,
-                                            opts[side], solvers[side])
-            else:
-                masks, loss = _reference_epoch(masks, theta0_model, d_pre, d_post,
-                                               models[side], inputs[side], side, cfg,
-                                               opts[side], solvers[side], ref_duals)
-            trail.append((masks, loss))
-        runs[name] = trail, solvers
-    (flat, flat_solvers), (ref, ref_solvers) = runs["flat"], runs["reference"]
-    for (masks, loss), (ref_masks, ref_loss) in zip(flat, ref):
+    pre, post = mask_sides(d_pre, d_post, cfg, [OTTarget.of(models[n], inputs[n]) for n in models])
+    step = FlatStep(theta0_model, pre, post)
+    # the reference's own masks, Adam state, solve counts and duals
+    masks = ones(d_pre)
+    adam = {n: (np.zeros(d_pre.size), np.zeros(d_pre.size), 0) for n in models}
+    ref_solvers = {n: SolverState() for n in models}
+    ref_duals = {n: None for n in models}
+    for e in range(1, 9):
+        side = pre if e % 2 == 1 else post
+        loss = ot_mask_epoch(step, side, cfg)
+        masks, ref_loss = _reference_epoch(masks, adam, theta0_model, d_pre, d_post,
+                                           models[side.name], inputs[side.name], side.name, cfg,
+                                           ref_solvers[side.name], ref_duals)
         assert loss == ref_loss
-        assert np.array_equal(masks[0], ref_masks[0])
-        assert np.array_equal(masks[1], ref_masks[1])
-    for side in ("pre", "post"):
-        assert flat_solvers[side].counts() == ref_solvers[side].counts()
-        assert all(np.array_equal(a, b) for a, b in zip(targets[side].duals, ref_duals[side]))
+        assert np.array_equal(pre.mask, masks[0])
+        assert np.array_equal(post.mask, masks[1])
+        m, v, t = adam[side.name]
+        assert side.t == t and np.array_equal(side.m, m) and np.array_equal(side.v, v)
+    for side in (pre, post):
+        assert side.solver.counts() == ref_solvers[side.name].counts()
+        assert all(np.array_equal(a, b) for a, b in zip(side.target.duals, ref_duals[side.name]))
     # the masks moved, so the comparison covers fused backbones away from theta0 + pre + post
-    assert not np.array_equal(flat[-1][0][0], ones(d_pre)[0])
+    assert not np.array_equal(pre.mask, ones(d_pre)[0])
 
 
 def test_flat_step_rejects_mismatched_layouts_and_masks():
     theta0_model, (d_pre, d_post), *_ = world(seed=2)
-    n = d_pre.size
+    n, cfg = d_pre.size, FusionConfig()
     for bad in (np.ones(1), np.ones(n - 1), np.ones((n, 1))):
         with pytest.raises(ShapeMismatchError):
-            FlatStep(theta0_model, d_pre, bad)
+            FlatStep(theta0_model, *mask_sides(d_pre, bad, cfg))
         with pytest.raises(ShapeMismatchError):
-            FlatStep(theta0_model, bad, d_post)
-    step = FlatStep(theta0_model, d_pre, d_post)
-    for bad in (np.ones(1), np.ones(n - 1), np.ones((n, 1))):
-        with pytest.raises(ShapeMismatchError):
-            step.fuse((bad, np.ones(n)), 0.5)
-        with pytest.raises(ShapeMismatchError):
-            step.fuse((np.ones(n), bad), 0.5)
+            FlatStep(theta0_model, *mask_sides(bad, d_post, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -314,29 +305,22 @@ def test_flat_step_rejects_mismatched_layouts_and_masks():
 def test_alternation_schedule_and_frozen_state():
     theta0_model, (d_pre, d_post), _, _, pools = world(seed=6)
     cfg = FusionConfig(ot_epochs=10)
-    pre_target = plus(theta0_model, d_pre)
-    post_target = plus(theta0_model, d_post)
-    masks = ones(d_pre)
-    opts = {"pre": _MaskOptimizer(masks[0], cfg), "post": _MaskOptimizer(masks[1], cfg)}
+    targets = [OTTarget.of(plus(theta0_model, d), pools[0]) for d in (d_pre, d_post)]
+    pre, post = mask_sides(d_pre, d_post, cfg, targets)
     pre_snapshot = d_pre.copy()
     post_snapshot = d_post.copy()
-    step = FlatStep(theta0_model, d_pre, d_post)
+    step = FlatStep(theta0_model, pre, post)
     for e in range(1, cfg.ot_epochs + 1):
-        side = "pre" if e % 2 == 1 else "post"
-        target = pre_target if side == "pre" else post_target
-        before = tuple(m.copy() for m in masks)
-        masks, _ = ot_mask_epoch(masks, step, OTTarget.of(target, pools[0]),
-                                 side, cfg, opts[side], SolverState())
-        # the non-selected mask and both task vectors are bit-identical
-        if side == "pre":
-            assert np.array_equal(masks[1], before[1])
-            assert not np.array_equal(masks[0], before[0])
-        else:
-            assert np.array_equal(masks[0], before[0])
-            assert not np.array_equal(masks[1], before[1])
+        side, idle = (pre, post) if e % 2 == 1 else (post, pre)
+        before, idle_before = side_state(side), side_state(idle)
+        ot_mask_epoch(step, side, cfg)
+        # the whole non-selected side and both task vectors are bit-identical
+        assert same_state(side_state(idle), idle_before)
+        assert not np.array_equal(side.mask, before[0])
+        assert side.t == before[3] + 1 and side.solver.solves == before[4]["solves"] + 1
         assert np.array_equal(d_pre, pre_snapshot)
         assert np.array_equal(d_post, post_snapshot)
-        assert step.pre is d_pre and step.post is d_post
+        assert pre.vector is d_pre and post.vector is d_post
     # continual_merge records each epoch's (epoch, side) in that order
     theta0_model, deltas, heads, batches, pools = world(seed=6, T=2)
     _, _, [lg] = continual_merge(theta0_model, stream(deltas, heads, batches, pools),
@@ -345,25 +329,12 @@ def test_alternation_schedule_and_frozen_state():
     assert [s for _, s, _ in lg.ot_loss_history] == ["pre", "post"] * 5
 
 
-def test_ot_mask_epoch_rejects_bad_side():
-    theta0_model, (d_pre, d_post), _, _, pools = world(seed=7)
-    cfg = FusionConfig()
-    masks = ones(d_pre)
-    with pytest.raises(ConfigError):
-        ot_mask_epoch(masks, FlatStep(theta0_model, d_pre, d_post),
-                      OTTarget.of(theta0_model, pools[0]), "both", cfg,
-                      _MaskOptimizer(masks[0], cfg), SolverState())
-
-
 def test_mask_epochs_warm_start_from_their_side_duals(monkeypatch):
     theta0_model, (d_pre, d_post), _, _, pools = world(seed=16)
     cfg = FusionConfig(ot_epochs=4)
-    targets = {side: OTTarget.of(plus(theta0_model, d), pools[0])
-               for side, d in (("pre", d_pre), ("post", d_post))}
-    step = FlatStep(theta0_model, d_pre, d_post)
-    masks = ones(d_pre)
-    opts = {side: _MaskOptimizer(masks[0], cfg) for side in targets}
-    solvers = {side: SolverState() for side in targets}
+    targets = [OTTarget.of(plus(theta0_model, d), pools[0]) for d in (d_pre, d_post)]
+    pre, post = mask_sides(d_pre, d_post, cfg, targets)
+    step = FlatStep(theta0_model, pre, post)
     inits = []
     distance = fusion_module.sinkhorn_distance
     monkeypatch.setattr(
@@ -372,19 +343,18 @@ def test_mask_epochs_warm_start_from_their_side_duals(monkeypatch):
     )
     duals_before = []
     for e in range(1, cfg.ot_epochs + 1):
-        side = "pre" if e % 2 == 1 else "post"
-        duals_before.append(targets[side].duals)
-        masks, _ = ot_mask_epoch(masks, step, targets[side], side, cfg, opts[side],
-                                 solvers[side])
+        side = pre if e % 2 == 1 else post
+        duals_before.append(side.target.duals)
+        ot_mask_epoch(step, side, cfg)
     # each side starts cold, then from the duals its own last solve left on its target
     assert inits[0] is None and inits[1] is None
     assert inits[2] is duals_before[2] is not None
     assert inits[3] is duals_before[3] is not None
     assert inits[2] is not inits[3]
-    for side, solver in solvers.items():
-        assert solver.solves == 2
-        assert solver.iters >= 2 and 0 <= solver.unconverged <= 2
-        log_u, log_v = targets[side].duals
+    for side in (pre, post):
+        assert side.solver.solves == 2
+        assert side.solver.iters >= 2 and 0 <= side.solver.unconverged <= 2
+        log_u, log_v = side.target.duals
         assert log_u.shape == log_v.shape == (pools[0].shape[0],)
 
 
@@ -455,7 +425,7 @@ def test_pair_losses_are_the_shift_metric_without_calling_it(monkeypatch):
 
     class RecordingStep(FlatStep):
         def __init__(self, theta0_model, pre, post):
-            steps.append((pre, post))
+            steps.append((pre.vector, post.vector))
             super().__init__(theta0_model, pre, post)
 
     ot_batch = fusion_module._ot_batch
