@@ -55,7 +55,7 @@ from .io import (
     save_report,
 )
 from .metrics import accuracy, bwt, score_shift
-from .models import ModelSpec, ToyModel, init_model, task_vector, train_sft
+from .models import ModelSpec, ToyModel, task_vector, train_world
 from .sinkhorn import SolverState, log_solves
 from .taskgen import TaskStreamSpec, generate_stream, task_ids
 
@@ -270,34 +270,21 @@ def _load_set(cfg: RunConfig, path: Path, labeled: bool = True):
 
 
 def cmd_train(cfg: RunConfig, seed: int) -> None:
-    """Fine-tune the pretrained model, then every task model; tasks whose
-    train sets have one size are fine-tuned together as one stack."""
+    """Fine-tune the seed's world (models.train_world) and save its checkpoints."""
     t0 = time.perf_counter()
     data = _data_dir(cfg, seed)
     pretrain = _load_set(cfg, data / "pretrain.csv")
-    groups: dict[int, list] = {}
-    for i, tid in enumerate(task_ids(cfg.stream.num_tasks)):
-        train = _load_set(cfg, data / f"{tid}_train.csv")
-        groups.setdefault(train.size, []).append((tid, train, seed + 100 + i))
+    trains = [(tid, _load_set(cfg, data / f"{tid}_train.csv"))
+              for tid in task_ids(cfg.stream.num_tasks)]
+    pre, models, sft_seconds = train_world(
+        cfg.model, pretrain, trains, cfg.stream.classes_per_task, cfg.sft.epochs, cfg.sft.lr, seed)
     ckpt = _seed_dir(cfg, seed) / "checkpoints"
     ckpt.mkdir(exist_ok=True)
-    sft_seconds = {}
-
-    def sft(init: ToyModel, runs) -> list[ToyModel]:
-        t = time.perf_counter()
-        models = train_sft(init, runs, cfg.stream.classes_per_task, cfg.sft.epochs, cfg.sft.lr)
-        sft_seconds[",".join(task for task, _, _ in runs)] = time.perf_counter() - t
-        return models
-
-    [pre] = sft(init_model(cfg.model, seed=seed), [("pretrain", pretrain, seed)])
     save_checkpoint(ckpt / "pretrained.ckpt", pre)
-    theta0 = ToyModel(spec=cfg.model, backbone=pre.backbone, heads={})
-
-    for runs in groups.values():
-        for (tid, _, _), model in zip(runs, sft(theta0, runs)):
-            save_checkpoint(ckpt / f"{tid}.ckpt", model)
-            log.info("seed %d: trained %s", seed, tid)
-    _close_stage(cfg, seed, "train", t0, f"trained {1 + cfg.stream.num_tasks} models in "
+    for (tid, _), model in zip(trains, models):
+        save_checkpoint(ckpt / f"{tid}.ckpt", model)
+        log.info("seed %d: trained %s", seed, tid)
+    _close_stage(cfg, seed, "train", t0, f"trained {1 + len(models)} models in "
                  f"{len(sft_seconds)} run(s)", sft_seconds=sft_seconds)
 
 
@@ -508,6 +495,8 @@ def cmd_eval(cfg: RunConfig, seed: int, checkpoint: str) -> dict:
 
 
 def cmd_ablate_alpha(cfg: RunConfig, seed: int, grid: list[float]) -> dict:
+    """One otmf merge per alpha in grid, scored on the tasks' test sets; best_alpha and
+    best_average_accuracy are the argmax over those same test sets, not a held-out choice."""
     if not grid:
         raise ConfigError("alpha grid is empty")
     if any(not 0.0 <= a <= 1.0 for a in grid):

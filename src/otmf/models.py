@@ -16,6 +16,7 @@ leading axis, which is how fine-tuning trains several models as one.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -374,6 +375,35 @@ def train_sft(
                  heads={task: {n: a[i] for n, a in params[1].items()}})
         for i, (task, _, _) in enumerate(runs)
     ]
+
+
+def train_world(
+    spec: ModelSpec, pretrain: Batch, trains: Sequence[tuple[str, Batch]], num_classes: int,
+    epochs: int, lr: float, seed: int,
+) -> tuple[ToyModel, list[ToyModel], dict[str, float]]:
+    """Fine-tune a world from seed: init_model(spec, seed) with a "pretrain"
+    head on pretrain, then each (task, train batch) of trains from theta0
+    (that backbone, no heads), the i-th task's head seeded seed + 100 + i,
+    tasks whose train sets share a size in one stack. Returns the pretrained
+    model, the task models in trains' order and each train_sft run's
+    seconds, keyed by its tasks joined with commas."""
+    seconds = {}
+
+    def sft(init: ToyModel, runs) -> list[ToyModel]:
+        t = time.perf_counter()
+        models = train_sft(init, runs, num_classes, epochs, lr)
+        seconds[",".join(task for task, _, _ in runs)] = time.perf_counter() - t
+        return models
+
+    [pre] = sft(init_model(spec, seed=seed), [("pretrain", pretrain, seed)])
+    theta0 = ToyModel(spec=spec, backbone=pre.backbone)
+    groups: dict[int, list] = {}
+    for i, (task, batch) in enumerate(trains):
+        groups.setdefault(batch.size, []).append((task, batch, seed + 100 + i))
+    tuned = {}
+    for runs in groups.values():
+        tuned.update(zip([task for task, _, _ in runs], sft(theta0, runs)))
+    return pre, [tuned[task] for task, _ in trains], seconds
 
 
 def task_vector(model: ToyModel, base: ToyModel) -> np.ndarray:

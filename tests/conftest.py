@@ -1,14 +1,18 @@
 """Shared fixtures: small random models, the cross-entropy loss, the OT
-oracle and a continual step's mask sides."""
+oracle, a continual step's mask sides and the default worlds."""
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from otmf.cli import RunConfig
 from otmf.errors import DataError, ShapeMismatchError
 from otmf.fusion import FusionConfig, MaskSide
-from otmf.models import Batch, ModelSpec, ToyModel, _softmax, forward_logits, init_head, init_model
+from otmf.models import (Batch, ModelSpec, ToyModel, _softmax, forward_logits, init_head,
+                         init_model, train_world)
+from otmf.taskgen import generate_stream
 
 
 @pytest.fixture
@@ -66,3 +70,14 @@ def same_state(a: tuple, b: tuple) -> bool:
     """Whether two side_state snapshots are bit-identical."""
     return (all(np.array_equal(x, y) for x, y in zip(a[:3], b[:3]))
             and a[3:5] == b[3:5] and a[5] is b[5])
+
+
+@lru_cache(maxsize=None)
+def build_world(seed):
+    """The default stream's tasks and the world `otmf train` fine-tunes on them: the
+    pretrained model, theta0 (its backbone, no heads) and the task models."""
+    cfg = RunConfig()
+    pretrain, tasks = generate_stream(cfg.stream, seed)
+    pre, sfts, _ = train_world(cfg.model, pretrain, [(td.task_id, td.train) for td in tasks],
+                               cfg.stream.classes_per_task, cfg.sft.epochs, cfg.sft.lr, seed)
+    return tasks, pre, ToyModel(spec=cfg.model, backbone=pre.backbone), tuple(sfts)

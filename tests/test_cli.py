@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import build_world
 import otmf
 import otmf.cli
 import otmf.metrics
@@ -273,7 +274,7 @@ def test_train_reads_only_the_pretraining_and_train_sets(tiny_cfg, tmp_path):
     assert run("train", "--config", tiny_cfg) == 3
 
 
-def test_ragged_train_sets_train_in_groups_as_each_alone(tmp_path):
+def test_ragged_train_sets_train_in_groups_as_each_alone(tmp_path, caplog):
     # task02's train set loses two rows, so task01 and task03 train as one
     # stack and task02 alone; each checkpoint is its solo run, byte for byte
     cfg_path = tmp_path / "cfg.json"
@@ -283,7 +284,14 @@ def test_ragged_train_sets_train_in_groups_as_each_alone(tmp_path):
     seed_dir = tmp_path / "run" / "seed0"
     short = seed_dir / "data" / "task02_train.csv"
     short.write_bytes(b"\n".join(short.read_bytes().split(b"\n")[:-3]) + b"\n")
-    assert run("train", "--config", cfg_path) == 0
+    with caplog.at_level(logging.INFO, logger="otmf"):
+        assert run("train", "--config", cfg_path) == 0
+    # one line per saved task checkpoint, in stream order, then the close
+    lines = [r.getMessage() for r in caplog.records]
+    assert [m for m in lines if m.startswith("seed 0: trained ")] == [
+        "seed 0: trained task01", "seed 0: trained task02", "seed 0: trained task03"]
+    assert lines[-1].startswith("seed 0: train in ")
+    assert lines[-1].endswith(", trained 4 models in 3 run(s)")
     timings = json.loads((seed_dir / "timings_train.json").read_text())
     assert list(timings["sft_seconds"]) == ["pretrain", "task01,task03", "task02"]
 
@@ -298,6 +306,19 @@ def test_ragged_train_sets_train_in_groups_as_each_alone(tmp_path):
         solo = tmp_path / f"{tid}.ckpt"
         save_checkpoint(solo, alone)
         assert solo.read_bytes() == (seed_dir / "checkpoints" / f"{tid}.ckpt").read_bytes()
+
+
+def test_default_train_writes_the_acceptance_world(tmp_path):
+    # `otmf gen` and `otmf train` at the default config write, byte for
+    # byte, the world the acceptance criteria fine-tune in memory from
+    # generate_stream: the builder is one, and the CSV round-trip is exact
+    assert run("gen", "--out", tmp_path / "run") == 0
+    assert run("train", "--out", tmp_path / "run") == 0
+    tasks, pre, _, sfts = build_world(0)
+    ckpts = tmp_path / "run" / "seed0" / "checkpoints"
+    for name, model in [("pretrained", pre), *zip([td.task_id for td in tasks], sfts)]:
+        save_checkpoint(tmp_path / f"{name}.ckpt", model)
+        assert (tmp_path / f"{name}.ckpt").read_bytes() == (ckpts / f"{name}.ckpt").read_bytes()
 
 
 def test_exit_code_bad_grid(pipeline):

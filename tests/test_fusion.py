@@ -5,7 +5,7 @@ import logging
 import numpy as np
 import pytest
 
-from conftest import cross_entropy_loss, mask_sides, same_state, side_state
+from conftest import build_world, cross_entropy_loss, mask_sides, same_state, side_state
 from otmf import fusion as fusion_module
 from otmf import metrics as metrics_module
 from otmf import models as models_module
@@ -38,7 +38,7 @@ from otmf.models import (
     train_sft,
 )
 from otmf.sinkhorn import SinkhornConfig, sinkhorn_distance, sinkhorn_grad_features
-from otmf.taskgen import TaskStreamSpec, generate_stream, task_ids
+from otmf.taskgen import task_ids
 
 SPEC = ModelSpec((3, 4, 3))
 
@@ -543,13 +543,7 @@ def test_first_mask_loop_solves_start_from_initial_pair_loss_duals(monkeypatch):
 def test_default_stream_seed1_mask_loop_solves_converge_without_fallback():
     # default config, seed 1: with scaling updates, step 3 stopped 93 of its
     # 100 mask-loop solves at max_iters
-    spec = ModelSpec((8, 16, 8))
-    pretrain, tasks = generate_stream(TaskStreamSpec(), seed=1)
-    k = TaskStreamSpec().classes_per_task
-    [pre] = train_sft(init_model(spec, seed=1), [("pretrain", pretrain, 1)], k, 300, 0.1)
-    theta0 = ToyModel(spec=spec, backbone=pre.backbone, heads={})
-    sfts = train_sft(theta0, [(td.task_id, td.train, 101 + i) for i, td in enumerate(tasks)],
-                     k, 300, 0.1)
+    tasks, _, theta0, sfts = build_world(1)
     cfg = FusionConfig()
     _, _, logs = continual_merge(
         theta0,
