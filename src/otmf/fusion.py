@@ -277,16 +277,23 @@ def head_finetune(
     epochs: int,
     lr: float,
 ) -> Head:
-    """Cross-entropy gradient descent on one head. The backbone is frozen,
-    so the subset's features are computed once."""
+    """Cross-entropy gradient descent on a copy of one head, one buffer
+    updated in place. The backbone is frozen, so its features are computed once."""
     if task not in merged_model.heads:
         raise DataError(f"model has no head for task '{task}'")
     head = merged_model.heads[task]
+    layout = [(n, head[n].shape) for n in ("weight", "bias")]
+    flat = np.concatenate([head[n].ravel() for n, _ in layout])
+    grad = np.empty_like(flat)
+    head, grads = layer_views(flat, layout), layer_views(grad, layout)
     feats = forward_features(merged_model, labeled_subset.inputs)
+    onehot = labeled_subset.labels[:, None] == np.arange(head["bias"].size)
+    logits = np.empty(onehot.shape)
     for _ in range(epochs):
-        g, _ = head_gradient(feats, head, labeled_subset.labels)
-        head = {n: head[n] - lr * g[n] for n in ("weight", "bias")}
-    return dict(head)
+        head_gradient(feats, head, onehot, logits, grads)
+        grad *= lr
+        flat -= grad
+    return head
 
 
 @dataclass

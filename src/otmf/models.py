@@ -172,10 +172,10 @@ def init_head(spec: ModelSpec, num_classes: int, rng: np.random.Generator) -> He
     }
 
 
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
+def _activate(z: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
     if kind == "tanh":
-        return np.tanh(z)
-    return np.maximum(z, 0.0)
+        return np.tanh(z, out=out)
+    return np.maximum(z, 0.0, out=out)
 
 
 def _activate_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
@@ -195,7 +195,8 @@ def _require_finite(values: np.ndarray, message: str, stacked: bool) -> None:
     raise NumericalError(message, model=model)
 
 
-def _forward_trace(spec: ModelSpec, backbone: Mapping[str, np.ndarray], inputs: np.ndarray):
+def _forward_trace(spec: ModelSpec, backbone: Mapping[str, np.ndarray], inputs: np.ndarray,
+                   out=None):
     """Forward pass keeping pre/post-activation values for backprop.
 
     backbone maps each layer name of backbone_layout(spec) to its array
@@ -203,7 +204,8 @@ def _forward_trace(spec: ModelSpec, backbone: Mapping[str, np.ndarray], inputs: 
     (models x n x d) whose backbone arrays carry the same leading axis, one
     model per slice. A non-finite pre-activation (finite weights can
     overflow) raises NumericalError, naming a stacked model; it is checked
-    before the activation, since tanh maps inf to a finite +-1.
+    before the activation, since tanh maps inf to a finite +-1. out, if
+    given, holds per-layer (activations, pre-activations) lists to write into.
     """
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim not in (2, 3) or x.shape[-1] != spec.input_dim:
@@ -215,9 +217,10 @@ def _forward_trace(spec: ModelSpec, backbone: Mapping[str, np.ndarray], inputs: 
         for i in range(spec.num_layers):
             w = backbone[f"layer{i}.weight"]
             b = backbone[f"layer{i}.bias"]
-            z = h @ w.swapaxes(-1, -2) + b[..., None, :]
+            z = np.matmul(h, w.swapaxes(-1, -2), out=out and out[1][i])
+            z += b[..., None, :]
             _require_finite(z, f"layer {i} pre-activation is not finite", x.ndim == 3)
-            h = _activate(z, spec.activation)
+            h = _activate(z, spec.activation, out and out[0][i])
             pre.append(z)
             acts.append(h)
     return acts, pre
@@ -230,12 +233,13 @@ def forward_features(model: ToyModel, inputs: np.ndarray) -> np.ndarray:
     return acts[-1]
 
 
-def _logits(features: np.ndarray, head: Mapping[str, np.ndarray]) -> np.ndarray:
+def _logits(features: np.ndarray, head: Mapping[str, np.ndarray], out=None) -> np.ndarray:
     """The head applied to features (or a stack of heads to a stack of
-    features). A non-finite logit (a finite head can overflow) raises
-    NumericalError, as a non-finite pre-activation does."""
+    features), into out if given. A non-finite logit (a finite head can
+    overflow) raises NumericalError, as a non-finite pre-activation does."""
     with np.errstate(over="ignore", invalid="ignore"):
-        logits = features @ head["weight"].swapaxes(-1, -2) + head["bias"][..., None, :]
+        logits = np.matmul(features, head["weight"].swapaxes(-1, -2), out=out)
+        logits += head["bias"][..., None, :]
     _require_finite(logits, "head logits are not finite", logits.ndim == 3)
     return logits
 
@@ -247,20 +251,27 @@ def forward_logits(model: ToyModel, task: str, inputs: np.ndarray) -> np.ndarray
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Row softmax of logits, written over logits and returned."""
+    # the row maximum column by column: exact, and faster than max(axis=-1)
+    top = logits[..., :1].copy()
+    for j in range(1, logits.shape[-1]):
+        np.maximum(top, logits[..., j : j + 1], out=top)
     # finite logits whose row spread exceeds the float maximum overflow to
     # -inf here, and exp maps -inf to 0, the exact limit
     with np.errstate(over="ignore"):
-        z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+        logits -= top
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def _backprop_backbone(
-    spec: ModelSpec, backbone: Mapping[str, np.ndarray], acts, pre, grad_features: np.ndarray
+    spec: ModelSpec, backbone: Mapping[str, np.ndarray], acts, pre, grad_features: np.ndarray,
+    out: Mapping[str, np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
     """Backbone gradient, in layout order, from a _forward_trace of backbone
     and the loss's gradient with respect to its features (stacked models
-    keep their leading axis)."""
+    keep their leading axis), into out's arrays of the same names if given."""
     grads = {}
     delta = np.asarray(grad_features, dtype=np.float64)
     if delta.shape != acts[-1].shape:
@@ -269,10 +280,11 @@ def _backprop_backbone(
         )
     for i in reversed(range(spec.num_layers)):
         dz = delta * _activate_grad(pre[i], acts[i + 1], spec.activation)
-        grads[f"layer{i}.weight"] = dz.swapaxes(-1, -2) @ acts[i]
-        grads[f"layer{i}.bias"] = dz.sum(axis=-2)
+        w, b = f"layer{i}.weight", f"layer{i}.bias"
+        grads[w] = np.matmul(dz.swapaxes(-1, -2), acts[i], out=out and out[w])
+        grads[b] = dz.sum(axis=-2, out=out and out[b])
         if i > 0:
-            delta = dz @ backbone[f"layer{i}.weight"]
+            delta = dz @ backbone[w]
     return {name: grads[name] for name, _ in backbone_layout(spec)}
 
 
@@ -291,18 +303,20 @@ def backward(
 
 
 def head_gradient(
-    features: np.ndarray, head: Mapping[str, np.ndarray], labels: np.ndarray
+    features: np.ndarray, head: Mapping[str, np.ndarray], onehot: np.ndarray,
+    logits: np.ndarray | None = None, out: Mapping[str, np.ndarray] | None = None,
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Softmax cross-entropy gradient of a head on fixed features.
-
-    Returns the head's gradient ("weight", "bias") and the loss's gradient
-    with respect to the logits. A stack of heads takes a stack of features
-    and labels along the same leading axis.
+    """Softmax cross-entropy gradient of a head on fixed features and the
+    labels' one-hot rows (labels[..., None] == np.arange(k)): the head's
+    ("weight", "bias") and the logits', into out's arrays and logits if
+    given. A stack of heads takes a stack of features and labels along the
+    same leading axis.
     """
-    probs = _softmax(_logits(features, head))
-    dlogits = probs - (labels[..., None] == np.arange(probs.shape[-1]))
+    dlogits = _softmax(_logits(features, head, logits))
+    dlogits -= onehot
     dlogits /= features.shape[-2]
-    return {"weight": dlogits.swapaxes(-1, -2) @ features, "bias": dlogits.sum(axis=-2)}, dlogits
+    return {"weight": np.matmul(dlogits.swapaxes(-1, -2), features, out=out and out["weight"]),
+            "bias": dlogits.sum(axis=-2, out=out and out["bias"])}, dlogits
 
 
 def _label_grads(
@@ -310,13 +324,14 @@ def _label_grads(
     backbone: Mapping[str, np.ndarray],
     head: Mapping[str, np.ndarray],
     inputs: np.ndarray,
-    labels: np.ndarray,
+    onehot: np.ndarray,
+    out=(None, None, None),
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """Backbone and head gradients of the cross-entropy loss on (inputs,
-    labels), from one forward pass; stacked models give stacked gradients."""
-    acts, pre = _forward_trace(spec, backbone, inputs)
-    g_head, dlogits = head_gradient(acts[-1], head, labels)
-    g_back = _backprop_backbone(spec, backbone, acts, pre, dlogits @ head["weight"])
+    """Backbone and head gradients of the cross-entropy loss from one forward
+    pass, stacked for stacked models, into out's (trace, logits, gradients)."""
+    acts, pre = _forward_trace(spec, backbone, inputs, out[0])
+    g_head, dlogits = head_gradient(acts[-1], head, onehot, *out[1:])
+    g_back = _backprop_backbone(spec, backbone, acts, pre, dlogits @ head["weight"], out[2])
     return g_back, g_head
 
 
@@ -333,12 +348,12 @@ def train_sft(
     The runs' batches must share a size: the runs are stacked along a
     leading axis and trained as one. Their parameters live in one flat
     float64 buffer, layer by layer, so each layer is one contiguous
-    (runs x ...) array. Each epoch takes all gradients from one forward
-    pass, subtracts lr times each from its layer in place and checks the
-    buffer once: a non-finite parameter, pre-activation or logit raises
-    NumericalError naming its run's task. Each run's model is what
-    training it alone gives, bit for bit; its seed only affects its head's
-    initialization.
+    (runs x ...) array. Each epoch writes one forward pass's trace, logits
+    and gradients into arrays allocated once per call, takes lr times the
+    flat gradient from the buffer and checks it once: a non-finite
+    parameter, pre-activation or logit raises NumericalError naming its
+    run's task. Each run's model is what training it alone gives, bit for
+    bit; its seed only affects its head's initialization.
     """
     if not runs:
         raise DataError("no fine-tuning runs")
@@ -350,29 +365,32 @@ def train_sft(
     if labels.max() >= num_classes:
         raise DataError(f"label {labels.max()} is not below num_classes {num_classes}")
     heads = [init_head(spec, num_classes, np.random.default_rng(seed)) for _, _, seed in runs]
-    back = {n: np.broadcast_to(a, (len(runs), *a.shape))
-            for n, a in layer_views(init.backbone, backbone_layout(spec)).items()}
-    head = {n: np.stack([h[n] for h in heads]) for n in ("weight", "bias")}
-    flat = np.concatenate([a.ravel() for a in (*back.values(), *head.values())])
-    n_back = len(runs) * init.backbone.size
-    params = (layer_views(flat[:n_back], [(n, a.shape) for n, a in back.items()]),
-              layer_views(flat[n_back:], [(n, a.shape) for n, a in head.items()]))
+    # the layer names differ from the head's, so one mapping serves as both
+    arrays = {**{n: np.broadcast_to(a, (len(runs), *a.shape))
+                 for n, a in layer_views(init.backbone, backbone_layout(spec)).items()},
+              **{n: np.stack([h[n] for h in heads]) for n in ("weight", "bias")}}
+    layout = [(n, a.shape) for n, a in arrays.items()]
+    flat = np.concatenate([a.ravel() for a in arrays.values()])
+    grad = np.empty_like(flat)
+    params = layer_views(flat, layout)
+    trace = [[np.empty((*labels.shape, d)) for d in spec.layer_dims[1:]] for _ in range(2)]
+    workspace = (trace, np.empty((*labels.shape, num_classes)), layer_views(grad, layout))
+    onehot = labels[..., None] == np.arange(num_classes)
     try:
         for _ in range(epochs):
-            grads = _label_grads(spec, *params, inputs, labels)
+            _label_grads(spec, params, params, inputs, onehot, workspace)
             with np.errstate(over="ignore", invalid="ignore"):
-                for views, g in zip(params, grads):
-                    for name, arr in g.items():
-                        views[name] -= lr * arr
+                grad *= lr
+                flat -= grad
             if not np.isfinite(flat).all():
-                for views in params:
-                    for arr in views.values():
-                        _require_finite(arr, "an update left non-finite parameters", True)
+                for arr in params.values():
+                    _require_finite(arr, "an update left non-finite parameters", True)
     except NumericalError as exc:
         raise NumericalError(f"fine-tuning '{runs[exc.model][0]}': {exc}") from exc
     return [
-        ToyModel(spec=spec, backbone=np.concatenate([a[i].ravel() for a in params[0].values()]),
-                 heads={task: {n: a[i] for n, a in params[1].items()}})
+        ToyModel(spec=spec,
+                 backbone=np.concatenate([params[n][i].ravel() for n, _ in backbone_layout(spec)]),
+                 heads={task: {n: params[n][i] for n in ("weight", "bias")}})
         for i, (task, _, _) in enumerate(runs)
     ]
 

@@ -27,6 +27,10 @@ def make_batch(rng, n=12, d=3, k=3):
     return Batch(rng.normal(size=(n, d)), rng.integers(0, k, size=n))
 
 
+def one_hot(labels, k):
+    return labels[..., None] == np.arange(k)
+
+
 def test_spec_validation():
     with pytest.raises(ConfigError):
         ModelSpec((4,))
@@ -153,7 +157,7 @@ def test_overflowing_logits_raise(rng):
     with pytest.raises(NumericalError):
         forward_logits(model, "t", batch.inputs)
     with pytest.raises(NumericalError):
-        head_gradient(forward_features(model, batch.inputs), head, batch.labels)
+        head_gradient(forward_features(model, batch.inputs), head, one_hot(batch.labels, 3))
 
 
 def _fd_check(loss_fn, flat: np.ndarray, g: np.ndarray, h=1e-6, tol=1e-6):
@@ -180,7 +184,7 @@ def _stacked_label_grads(models, task, batches):
                 for n, _ in backbone_layout(spec)}
     head = {n: np.stack([m.heads[task][n] for m in models]) for n in ("weight", "bias")}
     g_back, g_head = _label_grads(spec, backbone, head, np.stack([b.inputs for b in batches]),
-                                  np.stack([b.labels for b in batches]))
+                                  one_hot(np.stack([b.labels for b in batches]), 3))
     return ([np.concatenate([g[i].ravel() for g in g_back.values()]) for i in range(len(models))],
             [np.concatenate([g[i].ravel() for g in g_head.values()]) for i in range(len(models))])
 
@@ -264,7 +268,8 @@ def _reference_sft(spec, init, task, batch, num_classes, epochs, lr, seed):
     head = init_head(spec, num_classes, np.random.default_rng(seed))
     back = {n: a.copy() for n, a in layer_views(init.backbone, backbone_layout(spec)).items()}
     for _ in range(epochs):
-        g_back, g_head = _label_grads(spec, back, head, batch.inputs, batch.labels)
+        g_back, g_head = _label_grads(spec, back, head, batch.inputs,
+                                      one_hot(batch.labels, num_classes))
         back = {n: back[n] - lr * g_back[n] for n in back}
         head = {n: head[n] - lr * g_head[n] for n in ("weight", "bias")}
     return ToyModel(spec=spec, backbone=np.concatenate([a.ravel() for a in back.values()]),
@@ -303,6 +308,44 @@ def test_stacked_sft_equals_one_run_at_a_time(rng, activation):
         [alone] = train_sft(init, [run], 4, epochs=25, lr=0.3)
         _assert_same_bits(got, alone, run[0])
         _assert_same_bits(got, _reference_sft(spec, init, *run[:2], 4, 25, 0.3, run[2]), run[0])
+
+
+def _plain_sft(init, runs, num_classes, epochs, lr):
+    """train_sft's epoch without a workspace: _label_grads allocating its
+    own arrays, then lr times each gradient array taken from its layer's
+    view of one flat buffer, array by array. Each run's (backbone, head)."""
+    spec = init.spec
+    inputs = np.stack([batch.inputs for _, batch, _ in runs])
+    onehot = one_hot(np.stack([batch.labels for _, batch, _ in runs]), num_classes)
+    heads = [init_head(spec, num_classes, np.random.default_rng(seed)) for _, _, seed in runs]
+    arrays = {**{n: np.broadcast_to(a, (len(runs), *a.shape))
+                 for n, a in layer_views(init.backbone, backbone_layout(spec)).items()},
+              **{n: np.stack([h[n] for h in heads]) for n in ("weight", "bias")}}
+    flat = np.concatenate([a.ravel() for a in arrays.values()])
+    views = layer_views(flat, [(n, a.shape) for n, a in arrays.items()])
+    for _ in range(epochs):
+        for g in _label_grads(spec, views, views, inputs, onehot):
+            for name, arr in g.items():
+                views[name] -= lr * arr
+    return [(np.concatenate([views[n][i].ravel() for n, _ in backbone_layout(spec)]),
+             {n: views[n][i] for n in ("weight", "bias")}) for i in range(len(runs))]
+
+
+@pytest.mark.parametrize("num_classes", [1, 4, 9])
+@pytest.mark.parametrize("num_runs", [1, 3])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_workspace_epoch_equals_the_plain_loop(rng, activation, num_runs, num_classes):
+    # the workspace and the one flat update change where results are
+    # written, not how they are computed
+    spec = ModelSpec((4, 7, 5, 3), activation=activation)
+    init = init_model(spec, seed=3)
+    runs = [(f"t{i}", make_batch(rng, n=30, d=4, k=num_classes), 11 + i) for i in range(num_runs)]
+    got = train_sft(init, runs, num_classes, epochs=25, lr=0.3)
+    for (task, _, _), model, (backbone, head) in zip(runs, got,
+                                                     _plain_sft(init, runs, num_classes, 25, 0.3)):
+        assert np.array_equal(model.backbone, backbone)
+        for name in ("weight", "bias"):
+            assert np.array_equal(model.heads[task][name], head[name])
 
 
 def test_train_sft_rejects_bad_runs(rng):
@@ -349,9 +392,39 @@ def test_overflow_in_one_stacked_model_names_its_task(rng, bad):
                   lr=np.finfo(np.float64).max)
 
 
+@pytest.mark.parametrize("bad", [0, 1, 2])
+def test_overflow_at_a_later_epoch_names_its_task_and_layer(rng, bad):
+    # relu, zero inputs and balanced labels give the calm models all-zero
+    # gradients. The bad model's first update scales its weights to about
+    # 1e199, still finite, so its second forward pass overflows at layer 1
+    # (1e199 squared), while the workspace holds the first epoch's values
+    spec = ModelSpec((3, 6, 2), activation="relu")
+    calm = Batch(np.zeros((32, 3)), np.repeat([0, 1], 16))
+    runs = [(f"task{i}", calm, i) for i in range(3)]
+    runs[bad] = (f"task{bad}", Batch(rng.normal(size=(32, 3)), calm.labels), bad)
+    models = train_sft(init_model(spec, seed=0), runs, 2, epochs=1, lr=1e200)
+    assert all(np.isfinite(m.backbone).all() for m in models)
+    with pytest.raises(NumericalError, match=f"'task{bad}': layer 1 pre-activation") as exc:
+        train_sft(init_model(spec, seed=0), runs, 2, epochs=3, lr=1e200)
+    assert exc.value.__cause__.model == bad
+
+
 def test_softmax_survives_overflowing_row_spread():
     # the row spread 2e308 overflows to inf; exp(-inf) = 0 is the exact limit
     np.testing.assert_array_equal(_softmax(np.array([[1e308, -1e308]])), [[1.0, 0.0]])
+    # one class: the row minus its maximum is 0, so exactly 1
+    np.testing.assert_array_equal(_softmax(np.array([[-3.5], [1e308], [-1e308]])), np.ones((3, 1)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 7, 8, 9, 16])
+def test_softmax_column_maximum_is_exact(rng, k):
+    # the column-by-column maximum is the row maximum, so the result is the
+    # max(axis=-1) softmax bit for bit, stacked or not
+    logits = rng.normal(scale=30.0, size=(2, 50, k))
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    want = e / e.sum(axis=-1, keepdims=True)
+    assert np.array_equal(_softmax(logits.copy()), want)
+    assert np.array_equal(_softmax(logits[0].copy()), want[0])
 
 
 def test_task_vector_is_difference(rng):
