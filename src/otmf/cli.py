@@ -499,8 +499,8 @@ def cmd_ablate_alpha(cfg: RunConfig, seed: int, grid: list[float]) -> dict:
     best_average_accuracy are the argmax over those same test sets, not a held-out choice."""
     if not grid:
         raise ConfigError("alpha grid is empty")
-    if any(not 0.0 <= a <= 1.0 for a in grid):
-        raise ConfigError(f"alpha grid values must lie in [0, 1]: {grid}")
+    # every grid point's config, each alpha checked by FusionConfig, before the first merge
+    fusions = [dataclasses.replace(cfg.fusion, alpha=float(alpha)) for alpha in grid]
     t0 = time.perf_counter()
     theta0 = _load_theta0(cfg, seed)
     # the stream, parsed once for every grid point: the T tasks, and their
@@ -510,15 +510,14 @@ def cmd_ablate_alpha(cfg: RunConfig, seed: int, grid: list[float]) -> dict:
         tasks.append(task)
         tests[task[0]] = test
     rows, logs = [], []
-    for alpha in grid:
-        fcfg = dataclasses.replace(cfg.fusion, alpha=float(alpha))
+    for fcfg in fusions:
         theta, heads, alpha_logs = merge_stream("otmf", theta0, tasks, fcfg, cfg.baseline,
                                                 seed=seed)
         logs += alpha_logs
         model = ToyModel(spec=cfg.model, backbone=theta, heads=heads)
         accs = [accuracy(model, tid, test) for tid, test in tests.items()]
-        rows.append([float(alpha), *accs, float(np.mean(accs))])
-        log.info("seed %d: alpha %.2f avg accuracy %.4f", seed, alpha, rows[-1][-1])
+        rows.append([fcfg.alpha, *accs, float(np.mean(accs))])
+        log.info("seed %d: alpha %.2f avg accuracy %.4f", seed, fcfg.alpha, rows[-1][-1])
 
     table = np.array(rows)
     best = int(np.argmax(table[:, -1]))
@@ -567,6 +566,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run(args: argparse.Namespace) -> None:
     cfg = load_config(args.config, args.seed, args.out)
+    if args.command == "ablate-alpha":
+        try:
+            grid = [float(v) for v in args.grid.split(",") if v.strip() != ""]
+        except ValueError as exc:
+            raise ConfigError(f"bad --grid value: {args.grid}") from exc
     for seed in cfg.seeds:
         if args.command == "gen":
             cmd_gen(cfg, seed)
@@ -577,10 +581,6 @@ def _run(args: argparse.Namespace) -> None:
         elif args.command == "eval":
             cmd_eval(cfg, seed, args.checkpoint)
         elif args.command == "ablate-alpha":
-            try:
-                grid = [float(v) for v in args.grid.split(",") if v.strip() != ""]
-            except ValueError as exc:
-                raise ConfigError(f"bad --grid value: {args.grid}") from exc
             cmd_ablate_alpha(cfg, seed, grid)
 
 

@@ -19,8 +19,9 @@ The backbone, the task vectors and the masks are flat arrays of one shape
 and that vector's weight in the rule above, its OT target (OTTarget, the
 target features computed once), its mask with the mask's Adam moments,
 and a SolverState (otmf.sinkhorn) that counts its mask-loop solves. A
-step runs on one flat buffer (FlatStep) next to the frozen backbone and
-the two sides. masked_fuse, the one place the rule above is written,
+step is one FlatStep: it takes the step's alpha, set once there, builds
+both sides from it and runs on one flat buffer next to the frozen
+backbone. masked_fuse, the one place the rule above is written,
 writes the merged task vector into the buffer, next to the merged
 backbone. Each mask epoch takes one forward pass on the backbone's
 per-layer views, solves against its side's target, back-propagates from
@@ -190,30 +191,33 @@ class MaskSide:
 
 
 class FlatStep:
-    """One continual step's frozen backbone and its two mask sides.
+    """One continual step: its frozen backbone and the two mask sides it builds
+    from the step's alpha, set once, here (pre weighted alpha, post 1 - alpha).
 
-    theta0 and the sides' vectors are flat arrays of one shape, read and
-    never written. fuse() writes the merged task vector of the sides'
-    current masks (masked_fuse) into delta and the merged backbone
-    theta0 + delta into theta, and returns theta's per-layer views.
+    theta0 and the task vectors pre and post are flat arrays of one shape, read
+    and never written. fuse() writes masked_fuse of the sides' current masks at
+    alpha into delta and theta0 + delta into theta, and returns theta's per-layer views.
     """
 
-    def __init__(self, theta0_model: ToyModel, pre: MaskSide, post: MaskSide):
+    def __init__(self, theta0_model: ToyModel, pre: np.ndarray, post: np.ndarray,
+                 targets: tuple[OTTarget | None, OTTarget | None], alpha: float, lr: float):
         self.spec = theta0_model.spec
         self.theta0 = theta0_model.backbone
-        for side in (pre, post):
-            shape = np.shape(side.vector)
+        for name, vector in (("pre", pre), ("post", post)):
+            shape = np.shape(vector)
             if shape != self.theta0.shape:
-                raise ShapeMismatchError(f"{side.name} task vector has shape {shape}, "
+                raise ShapeMismatchError(f"{name} task vector has shape {shape}, "
                                          f"the backbone {self.theta0.shape}")
-        self.pre, self.post = pre, post
+        self.alpha = alpha
+        self.pre = MaskSide("pre", pre, alpha, targets[0], lr)
+        self.post = MaskSide("post", post, 1.0 - alpha, targets[1], lr)
         self.delta = np.empty_like(self.theta0)
         self.theta = np.empty_like(self.theta0)
         self.backbone = layer_views(self.theta, backbone_layout(self.spec))
 
-    def fuse(self, alpha: float) -> dict[str, np.ndarray]:
+    def fuse(self) -> dict[str, np.ndarray]:
         pre, post = self.pre, self.post
-        masked_fuse(pre.vector, post.vector, pre.mask, post.mask, alpha, out=self.delta)
+        masked_fuse(pre.vector, post.vector, pre.mask, post.mask, self.alpha, out=self.delta)
         np.add(self.delta, self.theta0, out=self.theta)
         return self.backbone
 
@@ -259,13 +263,12 @@ def ot_alignment_loss_and_grad(
     return dist, backward(spec, backbone, trace, g_feat)
 
 
-def ot_mask_epoch(step: FlatStep, side: MaskSide, cfg: FusionConfig) -> float:
+def ot_mask_epoch(step: FlatStep, side: MaskSide, cfg: SinkhornConfig) -> float:
     """One alternating mask update of side, one of step's two sides: the
     epoch's OT loss. Only side's mask moves. side.solver counts the solve,
     which is warm-started from side.target's duals."""
-    backbone = step.fuse(cfg.alpha)
-    loss, grad = ot_alignment_loss_and_grad(step.spec, backbone, side.target, cfg.sinkhorn,
-                                            side.solver)
+    backbone = step.fuse()
+    loss, grad = ot_alignment_loss_and_grad(step.spec, backbone, side.target, cfg, side.solver)
     side.step(side.weight * (side.vector * grad))
     return loss
 
@@ -381,15 +384,14 @@ def continual_merge(
         pre_batch = _ot_batch(rng, np.concatenate(seen_unlabeled), cfg.batch_size)
         post_batch = _ot_batch(rng, unlabeled, cfg.batch_size)
         seen_unlabeled.append(unlabeled)
-        pre_target = OTTarget.of(merged_model, pre_batch)
-        post_target = OTTarget.of(ToyModel(spec=spec, backbone=theta0 + incoming), post_batch)
-        pre = MaskSide("pre", merged, cfg.alpha, pre_target, cfg.mask_lr)
-        post = MaskSide("post", incoming, 1.0 - cfg.alpha, post_target, cfg.mask_lr)
-        flat = FlatStep(theta0_model, pre, post)
+        targets = (OTTarget.of(merged_model, pre_batch),
+                   OTTarget.of(ToyModel(spec=spec, backbone=theta0 + incoming), post_batch))
+        flat = FlatStep(theta0_model, merged, incoming, targets, cfg.alpha, cfg.mask_lr)
+        pre, post = flat.pre, flat.post
         pair = SolverState()
 
         def _pair_loss() -> float:
-            backbone = flat.fuse(cfg.alpha)
+            backbone = flat.fuse()
             return sum(_ot_loss(flat.spec, backbone, side.target, cfg.sinkhorn, pair)[0]
                        for side in (pre, post))
 
@@ -400,7 +402,7 @@ def continual_merge(
         history: list[tuple[int, str, float]] = []
         for e in range(1, cfg.ot_epochs + 1):
             side = pre if e % 2 == 1 else post
-            history.append((e, side.name, ot_mask_epoch(flat, side, cfg)))
+            history.append((e, side.name, ot_mask_epoch(flat, side, cfg.sinkhorn)))
         log.info("step %d mask-loop Sinkhorn: pre %s; post %s", t, pre.solver, post.solver)
 
         # each side of the final pair loss is one mask update away from the

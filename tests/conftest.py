@@ -1,6 +1,7 @@
 """Shared fixtures: small random models, the cross-entropy loss, the OT
-oracle, a continual step's mask sides and the default worlds."""
+oracle, a mask side's state and the default worlds."""
 
+import dataclasses
 import itertools
 from functools import lru_cache
 
@@ -9,7 +10,7 @@ import pytest
 
 from otmf.cli import RunConfig
 from otmf.errors import DataError, ShapeMismatchError
-from otmf.fusion import FusionConfig, MaskSide
+from otmf.fusion import MaskSide
 from otmf.models import (Batch, ModelSpec, ToyModel, _softmax, forward_logits, init_head,
                          init_model, train_world)
 from otmf.taskgen import generate_stream
@@ -50,14 +51,6 @@ def exact_ot_oracle(C: np.ndarray) -> float:
     return min(sum(C[i, p[i]] for i in range(n)) for p in perms) / n
 
 
-def mask_sides(d_pre, d_post, cfg: FusionConfig, targets=(None, None), cls=MaskSide):
-    """A step's (pre, post) sides of class cls as continual_merge builds
-    them, on the OT targets given (None for a test that never solves)."""
-    pre_target, post_target = targets
-    return (cls("pre", d_pre, cfg.alpha, pre_target, cfg.mask_lr),
-            cls("post", d_post, 1.0 - cfg.alpha, post_target, cfg.mask_lr))
-
-
 def side_state(side: MaskSide) -> tuple:
     """Everything a mask epoch may change on a side, copied: mask, Adam
     moments and step count, solve counts and the target's duals (replaced,
@@ -73,11 +66,11 @@ def same_state(a: tuple, b: tuple) -> bool:
 
 
 @lru_cache(maxsize=None)
-def build_world(seed):
-    """The default stream's tasks and the world `otmf train` fine-tunes on them: the
-    pretrained model, theta0 (its backbone, no heads) and the task models."""
+def build_world(seed, num_tasks=3):
+    """The default stream's tasks (num_tasks of them) and the world `otmf train` fine-tunes
+    on them: the pretrained model, theta0 (its backbone, no heads) and the task models."""
     cfg = RunConfig()
-    pretrain, tasks = generate_stream(cfg.stream, seed)
+    pretrain, tasks = generate_stream(dataclasses.replace(cfg.stream, num_tasks=num_tasks), seed)
     pre, sfts, _ = train_world(cfg.model, pretrain, [(td.task_id, td.train) for td in tasks],
                                cfg.stream.classes_per_task, cfg.sft.epochs, cfg.sft.lr, seed)
     return tasks, pre, ToyModel(spec=cfg.model, backbone=pre.backbone), tuple(sfts)

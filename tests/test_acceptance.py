@@ -12,12 +12,11 @@ import tracemalloc
 
 import numpy as np
 
-from conftest import build_world, exact_ot_oracle, mask_sides, same_state, side_state
+from conftest import build_world, exact_ot_oracle, same_state, side_state
 from otmf.baselines import METHODS, BaselineConfig, baseline_fold, ties_merge_pair
 from otmf.fusion import (
     FlatStep,
     FusionConfig,
-    MaskSide,
     OTTarget,
     continual_merge,
     head_finetune,
@@ -51,14 +50,15 @@ def report(capsys, n, ok, detail):
     assert ok, f"criterion {n}: {detail}"
 
 
-def run_otmf(seed, cfg=None, method="otmf", merge_seed=None):
-    """Full merge by one method (merge_stream, the call `otmf merge` makes)
-    on world seed, with each step's merged model from step 2 on, by step.
+def run_otmf(seed, cfg=None, method="otmf", merge_seed=None, num_tasks=3):
+    """Full merge by one method (merge_stream, the call `otmf merge` makes) on
+    world seed of num_tasks tasks, with each step's merged model from step 2 on, by step.
 
     merge_seed (default: seed) seeds the merge alone: another value on the
     same world re-draws otmf's OT batches and the labeled subsample of its
     head re-tune."""
-    tasks, _, theta0, sfts = build_world(seed)
+    # one cache key per world: the other tests call build_world(seed)
+    tasks, _, theta0, sfts = build_world(seed) if num_tasks == 3 else build_world(seed, num_tasks)
     stream = [(td.task_id, task_vector(m, theta0), m.heads[td.task_id], td.train, td.unlabeled)
               for m, td in zip(sfts, tasks)]
     snapshots = {}
@@ -163,15 +163,12 @@ def test_criterion_2_gradient_fidelity(capsys):
             ft = forward_features(target, inputs)
             s = cloud_scale * normalized_feature_scale(ft)
 
-            class Recorder(MaskSide):
-                def step(self, grad):
-                    self.grad = grad
-
-            cfg = FusionConfig(alpha=alpha, sinkhorn=scfg)
-            recorder, post = mask_sides(d_pre, d_post, cfg, (OTTarget(inputs, s, s * ft), None),
-                                        cls=Recorder)
-            ot_mask_epoch(FlatStep(theta0_model, recorder, post), recorder, cfg)
-            g_mask = recorder.grad
+            step = FlatStep(theta0_model, d_pre, d_post, (OTTarget(inputs, s, s * ft), None),
+                            alpha, 0.2)
+            grads = []
+            step.pre.step = grads.append
+            ot_mask_epoch(step, step.pre, scfg)
+            g_mask = grads[0]
             m_pre = np.ones(d_pre.size)
             fd_mask = np.zeros_like(m_pre)
             for i in range(m_pre.size):
@@ -221,19 +218,17 @@ def test_criterion_4_schedule_conformance(capsys):
     d_pre = 0.3 * rng.normal(size=theta0.shape)
     d_post = 0.3 * rng.normal(size=theta0.shape)
     cfg = FusionConfig(ot_epochs=10)
-    pre_target = ToyModel(spec, theta0 + d_pre)
-    post_target = ToyModel(spec, theta0 + d_post)
     inputs = rng.normal(size=(12, 3))
-    pre, post = mask_sides(d_pre, d_post, cfg, [OTTarget.of(target, inputs)
-                                                for target in (pre_target, post_target)])
+    targets = [OTTarget.of(ToyModel(spec, theta0 + d), inputs) for d in (d_pre, d_post)]
+    step = FlatStep(theta0_model, d_pre, d_post, targets, cfg.alpha, cfg.mask_lr)
+    pre, post = step.pre, step.post
     pre_bits = d_pre.copy()
     post_bits = d_post.copy()
-    step = FlatStep(theta0_model, pre, post)
     frozen_ok = True
     for e in range(1, cfg.ot_epochs + 1):
         side, idle = (pre, post) if e % 2 == 1 else (post, pre)
         idle_before = side_state(idle)
-        ot_mask_epoch(step, side, cfg)
+        ot_mask_epoch(step, side, cfg.sinkhorn)
         # the idle side's mask, Adam state, solve counts and duals
         frozen_ok &= same_state(side_state(idle), idle_before)
         frozen_ok &= np.array_equal(d_pre, pre_bits)
@@ -256,7 +251,11 @@ def test_criterion_4_schedule_conformance(capsys):
 def test_criterion_5_alignment_efficacy(capsys):
     t0 = time.perf_counter()
     tasks, sfts, _, _, logs, snapshots = run_otmf(0)
-    ratios = [lg.final_pair_loss / lg.initial_pair_loss for lg in logs]
+
+    def ratios_of(logs):
+        return [lg.final_pair_loss / lg.initial_pair_loss for lg in logs]
+
+    ratios = ratios_of(logs)
 
     # l1 total shift at the final step: merged vs previous merged (pre side)
     # plus merged vs the incoming fine-tuned model (post side)
@@ -276,19 +275,23 @@ def test_criterion_5_alignment_efficacy(capsys):
     # the ratios on seeds 0-9: every step lowers its pair loss, but seeds 1,
     # 3, 5 and 6 each have a step above 0.5 (seed 5's step 2 ends at about
     # 0.96), so over seeds only the median step is asserted to halve it
-    by_seed = [ratios] + [[lg.final_pair_loss / lg.initial_pair_loss for lg in run_otmf(s)[4]]
-                          for s in range(1, 10)]
-    median = float(np.median(by_seed))
-    worst = float(np.max(by_seed))
+    by_seed = [ratios] + [ratios_of(run_otmf(s)[4]) for s in range(1, 10)]
+    median, worst = float(np.median(by_seed)), float(np.max(by_seed))
+    # the six-task row, seeds 0-9: two steps end above their initial pair
+    # loss (seed 2's step 5, seed 5's step 6), so only the median is asserted
+    by_seed6 = [ratios_of(run_otmf(s, num_tasks=6)[4]) for s in range(10)]
+    median6, worst6 = float(np.median(by_seed6)), float(np.max(by_seed6))
 
     elapsed = time.perf_counter() - t0
     ok = (max(ratios) <= 0.5 and otmf_l1 < ta_l1 and median <= 0.5 and worst < 1.0
-          and elapsed < 300.0)
+          and median6 <= 0.5 and elapsed < 300.0)
     report(capsys, 5, ok,
            f"pair-loss ratios {[f'{r:.3f}' for r in ratios]} (<= 0.5), "
            f"final l1 shift {otmf_l1:.3f} < task arithmetic {ta_l1:.3f}; seeds 0-9 ratios "
            f"{[[round(r, 3) for r in rs] for rs in by_seed]}, median {median:.3f} (<= 0.5), "
-           f"max {worst:.3f} (< 1), {elapsed:.0f}s (<300s)")
+           f"max {worst:.3f} (< 1); T=6 seeds 0-9 ratios "
+           f"{[[round(r, 3) for r in rs] for rs in by_seed6]}, median {median6:.3f} (<= 0.5), "
+           f"max {worst6:.3f}, {elapsed:.0f}s (<300s)")
 
 
 def test_criterion_6_forgetting_comparison(capsys):

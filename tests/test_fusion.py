@@ -5,7 +5,7 @@ import logging
 import numpy as np
 import pytest
 
-from conftest import build_world, cross_entropy_loss, mask_sides, same_state, side_state
+from conftest import build_world, cross_entropy_loss, same_state, side_state
 from otmf import fusion as fusion_module
 from otmf import metrics as metrics_module
 from otmf import models as models_module
@@ -14,7 +14,6 @@ from otmf.errors import ConfigError, DataError, ShapeMismatchError
 from otmf.fusion import (
     FlatStep,
     FusionConfig,
-    MaskSide,
     OTTarget,
     SolverState,
     continual_merge,
@@ -133,13 +132,15 @@ def test_masked_fuse_rejects_mismatched_shapes():
             masked_fuse(pre, post, np.ones(n), bad, 0.5)
 
 
-def test_flat_step_backbone_is_theta0_plus_delta(rng):
+@pytest.mark.parametrize("alpha", [0.7, 0.35])
+def test_flat_step_backbone_is_theta0_plus_delta(rng, alpha):
     theta0_model, (d_pre, d_post), *_ = world(seed=3)
-    pre, post = mask_sides(d_pre, d_post, FusionConfig(alpha=0.7))
+    step = FlatStep(theta0_model, d_pre, d_post, (None, None), alpha, 0.2)
+    pre, post = step.pre, step.post
+    assert pre.weight == alpha and post.weight == 1.0 - alpha
     pre.mask, post.mask = rng.normal(size=d_pre.size), rng.normal(size=d_post.size)
-    step = FlatStep(theta0_model, pre, post)
-    backbone = step.fuse(0.7)
-    delta = masked_fuse(d_pre, d_post, pre.mask, post.mask, 0.7)
+    backbone = step.fuse()
+    delta = masked_fuse(d_pre, d_post, pre.mask, post.mask, alpha)
     assert np.array_equal(step.delta, delta)
     assert np.array_equal(step.theta, theta0_model.backbone + delta)
     theta = layer_views(theta0_model.backbone + delta, backbone_layout(SPEC))
@@ -182,15 +183,12 @@ def test_mask_gradient_matches_fd(side):
     assert cold.converged
     init = (cold.log_u, cold.log_v)
 
-    # a side that records the raw gradient its step is given
-    class Recorder(MaskSide):
-        def step(self, grad):
-            self.grad = grad
-
+    # the side records the raw gradient its step is given
     ot_target = dataclasses.replace(OTTarget.of(target, inputs), duals=init)
-    pre, post = mask_sides(d_pre, d_post, cfg, (ot_target, ot_target), cls=Recorder)
-    recorder = pre if side == "pre" else post
-    ot_mask_epoch(FlatStep(theta0_model, pre, post), recorder, cfg)
+    step = FlatStep(theta0_model, d_pre, d_post, (ot_target, ot_target), cfg.alpha, cfg.mask_lr)
+    recorder, grads = getattr(step, side), []
+    recorder.step = grads.append
+    ot_mask_epoch(step, recorder, cfg.sinkhorn)
     assert recorder.solver.solves == 1 and recorder.solver.unconverged == 0
     base = m_pre if side == "pre" else m_post
 
@@ -209,16 +207,16 @@ def test_mask_gradient_matches_fd(side):
         assert pp.converged and pm.converged
         assert pp.iterations_used > 1 and pm.iterations_used > 1
         fd[i] = (pp.reg_objective - pm.reg_objective) / (2 * h)
-    assert np.linalg.norm(recorder.grad - fd) / np.linalg.norm(fd) < 1e-4
+    assert np.linalg.norm(grads[0] - fd) / np.linalg.norm(fd) < 1e-4
 
 
 def test_ot_loss_decreases_toward_target():
     theta0_model, (d_pre, d_post), _, _, pools = world(seed=5)
     cfg = FusionConfig(alpha=0.5, mask_lr=0.1)
     target = plus(theta0_model, d_pre)
-    pre, post = mask_sides(d_pre, d_post, cfg, (OTTarget.of(target, pools[0]), None))
-    step = FlatStep(theta0_model, pre, post)
-    losses = [ot_mask_epoch(step, pre, cfg) for _ in range(30)]
+    step = FlatStep(theta0_model, d_pre, d_post, (OTTarget.of(target, pools[0]), None),
+                    cfg.alpha, cfg.mask_lr)
+    losses = [ot_mask_epoch(step, step.pre, cfg.sinkhorn) for _ in range(30)]
     assert losses[-1] < 0.5 * losses[0]
 
 
@@ -263,8 +261,9 @@ def test_flat_epoch_equals_the_param_vector_composition(alpha):
     cfg = FusionConfig(alpha=alpha)
     models = {"pre": plus(theta0_model, d_pre), "post": plus(theta0_model, d_post)}
     inputs = {"pre": pools[0], "post": pools[1]}
-    pre, post = mask_sides(d_pre, d_post, cfg, [OTTarget.of(models[n], inputs[n]) for n in models])
-    step = FlatStep(theta0_model, pre, post)
+    step = FlatStep(theta0_model, d_pre, d_post,
+                    [OTTarget.of(models[n], inputs[n]) for n in models], cfg.alpha, cfg.mask_lr)
+    pre, post = step.pre, step.post
     # the reference's own masks, Adam state, solve counts and duals
     masks = ones(d_pre)
     adam = {n: (np.zeros(d_pre.size), np.zeros(d_pre.size), 0) for n in models}
@@ -272,7 +271,7 @@ def test_flat_epoch_equals_the_param_vector_composition(alpha):
     ref_duals = {n: None for n in models}
     for e in range(1, 9):
         side = pre if e % 2 == 1 else post
-        loss = ot_mask_epoch(step, side, cfg)
+        loss = ot_mask_epoch(step, side, cfg.sinkhorn)
         masks, ref_loss = _reference_epoch(masks, adam, theta0_model, d_pre, d_post,
                                            models[side.name], inputs[side.name], side.name, cfg,
                                            ref_solvers[side.name], ref_duals)
@@ -290,12 +289,12 @@ def test_flat_epoch_equals_the_param_vector_composition(alpha):
 
 def test_flat_step_rejects_mismatched_layouts_and_masks():
     theta0_model, (d_pre, d_post), *_ = world(seed=2)
-    n, cfg = d_pre.size, FusionConfig()
+    n, targets = d_pre.size, (None, None)
     for bad in (np.ones(1), np.ones(n - 1), np.ones((n, 1))):
         with pytest.raises(ShapeMismatchError):
-            FlatStep(theta0_model, *mask_sides(d_pre, bad, cfg))
+            FlatStep(theta0_model, d_pre, bad, targets, 0.8, 0.2)
         with pytest.raises(ShapeMismatchError):
-            FlatStep(theta0_model, *mask_sides(bad, d_post, cfg))
+            FlatStep(theta0_model, bad, d_post, targets, 0.8, 0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -306,14 +305,14 @@ def test_alternation_schedule_and_frozen_state():
     theta0_model, (d_pre, d_post), _, _, pools = world(seed=6)
     cfg = FusionConfig(ot_epochs=10)
     targets = [OTTarget.of(plus(theta0_model, d), pools[0]) for d in (d_pre, d_post)]
-    pre, post = mask_sides(d_pre, d_post, cfg, targets)
+    step = FlatStep(theta0_model, d_pre, d_post, targets, cfg.alpha, cfg.mask_lr)
+    pre, post = step.pre, step.post
     pre_snapshot = d_pre.copy()
     post_snapshot = d_post.copy()
-    step = FlatStep(theta0_model, pre, post)
     for e in range(1, cfg.ot_epochs + 1):
         side, idle = (pre, post) if e % 2 == 1 else (post, pre)
         before, idle_before = side_state(side), side_state(idle)
-        ot_mask_epoch(step, side, cfg)
+        ot_mask_epoch(step, side, cfg.sinkhorn)
         # the whole non-selected side and both task vectors are bit-identical
         assert same_state(side_state(idle), idle_before)
         assert not np.array_equal(side.mask, before[0])
@@ -333,8 +332,8 @@ def test_mask_epochs_warm_start_from_their_side_duals(monkeypatch):
     theta0_model, (d_pre, d_post), _, _, pools = world(seed=16)
     cfg = FusionConfig(ot_epochs=4)
     targets = [OTTarget.of(plus(theta0_model, d), pools[0]) for d in (d_pre, d_post)]
-    pre, post = mask_sides(d_pre, d_post, cfg, targets)
-    step = FlatStep(theta0_model, pre, post)
+    step = FlatStep(theta0_model, d_pre, d_post, targets, cfg.alpha, cfg.mask_lr)
+    pre, post = step.pre, step.post
     inits = []
     distance = fusion_module.sinkhorn_distance
     monkeypatch.setattr(
@@ -345,7 +344,7 @@ def test_mask_epochs_warm_start_from_their_side_duals(monkeypatch):
     for e in range(1, cfg.ot_epochs + 1):
         side = pre if e % 2 == 1 else post
         duals_before.append(side.target.duals)
-        ot_mask_epoch(step, side, cfg)
+        ot_mask_epoch(step, side, cfg.sinkhorn)
     # each side starts cold, then from the duals its own last solve left on its target
     assert inits[0] is None and inits[1] is None
     assert inits[2] is duals_before[2] is not None
@@ -424,9 +423,9 @@ def test_pair_losses_are_the_shift_metric_without_calling_it(monkeypatch):
     steps, ot_batches = [], []
 
     class RecordingStep(FlatStep):
-        def __init__(self, theta0_model, pre, post):
-            steps.append((pre.vector, post.vector))
-            super().__init__(theta0_model, pre, post)
+        def __init__(self, theta0_model, pre, post, *args):
+            steps.append((pre, post))
+            super().__init__(theta0_model, pre, post, *args)
 
     ot_batch = fusion_module._ot_batch
     monkeypatch.setattr(metrics_module, "sinkhorn_shift", no_shift)
