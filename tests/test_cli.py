@@ -1086,6 +1086,26 @@ def test_only_gen_and_train_load_numpy_random(tmp_path):
         assert _loaded(("numpy.random", "otmf._pcg"), *args, "--config", cfg) == loads, args
 
 
+def test_merge_otmf_and_eval_call_no_numpy_sort(pipeline, monkeypatch):
+    # the first numpy sort in a process pages in numpy's sort code, which
+    # stays resident through merge otmf's peak; the head subsample orders
+    # its few integers with Python's sorted instead. merge ties is left
+    # out: baselines._trim sorts a model-size task vector, which belongs
+    # in numpy. The ndarray methods .sort() and .argsort() cannot be
+    # patched here, so none may appear on these paths either
+    cfg, seed_dir = pipeline
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy sort called")
+
+    for name in ("sort", "argsort", "unique"):
+        monkeypatch.setattr(np, name, refuse)
+    final = seed_dir / "merged" / "otmf" / "final.ckpt"
+    for args in (["merge", "--method", "otmf"], ["ablate-alpha", "--grid", "0.5"],
+                 ["eval", "--checkpoint", final]):
+        assert run(*args, "--config", cfg) == 0, args
+
+
 def test_default_config_solves_all_converge(tmp_path, monkeypatch, caplog):
     # every OT solve of merge (otmf and ties) and eval on the default
     # config: the mask loop's warm solves and the cold pair-loss and shift

@@ -136,6 +136,26 @@ def test_subsample_equals_the_unique_version(labels, fraction, seed):
     np.testing.assert_array_equal(sub.labels, ref.labels)
 
 
+@pytest.mark.parametrize("sizes, fraction, counts", [
+    # four classes of 7 at 0.3: a budget of 9, floors of 2 each and every
+    # remainder 0.1, so only the sort's stability gives the first class
+    # the ninth row
+    ([7, 7, 7, 7], 0.3, [3, 2, 2, 2]),
+    # a budget of 2 for 5 classes: no class is kept by the one-per-class
+    # floor, and the tie of equal remainders goes to the first classes
+    ([4, 4, 4, 4, 4], 0.1, [1, 1, 0, 0, 0]),
+])
+def test_subsample_breaks_remainder_ties_in_class_order(sizes, fraction, counts):
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    np.random.default_rng(3).shuffle(labels)
+    batch = Batch(np.arange(2.0 * labels.size).reshape(-1, 2), labels)
+    sub = subsample_labeled(batch, fraction, seed=4)
+    ref = _subsample_with_unique(batch, fraction, 4)
+    assert np.bincount(sub.labels, minlength=len(sizes)).tolist() == counts
+    np.testing.assert_array_equal(sub.inputs, ref.inputs)
+    np.testing.assert_array_equal(sub.labels, ref.labels)
+
+
 def test_subsample_trims_the_one_per_class_floor_back_to_the_budget():
     # 4 of 100 rows: flooring 0.04 * [1, 1, 1, 97] gives [0, 0, 0, 3], one
     # row per class lifts that to 6 rows, and the trim takes the two extra
