@@ -19,6 +19,7 @@ any other level name is a config error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import logging
@@ -207,6 +208,13 @@ def _seed_dir(cfg: RunConfig, seed: int) -> Path:
     return d
 
 
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size in MB (ru_maxrss counts KiB on
+    Linux and bytes on macOS)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)
+
+
 def _close_stage(cfg: RunConfig, seed: int, stage: str, t0: float, detail: str = "",
                  tallies: dict[str, SolverState] | None = None, sidecar: str = "", key: str = "",
                  **fields) -> None:
@@ -221,7 +229,7 @@ def _close_stage(cfg: RunConfig, seed: int, stage: str, t0: float, detail: str =
     except (TypeError, KeyError):  # numpy before 1.26 has no dict form
         blas = {}
     timings = {f"{key or sidecar}_seconds": seconds, **fields,
-               "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+               "peak_rss_mb": _peak_rss_mb(),
                "python_version": ".".join(map(str, sys.version_info[:3])),
                "numpy_version": np.__version__, "blas_name": blas.get("name"),
                "blas_version": blas.get("version"),
@@ -584,7 +592,29 @@ def _run(args: argparse.Namespace) -> None:
             cmd_ablate_alpha(cfg, seed, grid)
 
 
+def _release_freed_heap() -> None:
+    """Give the C heap's free pages back to the OS (glibc's malloc_trim(0)).
+
+    A process that compiles otmf from source (PYTHONDONTWRITEBYTECODE set, or
+    no writable __pycache__) has freed about 1 MB of compiler memory by the
+    time the stage starts, but glibc keeps those pages mapped between live
+    heap blocks, so they would count toward every stage's peak resident
+    memory. Returning them changes no result. Without glibc (another
+    platform, or a C library with no malloc_trim) this does nothing.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError):
+        return
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    trim(0)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _release_freed_heap()
     level = os.environ.get("OTMF_LOG_LEVEL", "INFO")
     # basicConfig checks a level name only when the root logger has no handler
     known = isinstance(logging.getLevelName(level.upper()), int)

@@ -1,3 +1,4 @@
+import ctypes
 import json
 import logging
 import math
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import types
 import warnings
 from pathlib import Path
 
@@ -557,6 +559,20 @@ def test_gen_and_train_write_timings(pipeline):
     assert min(gen["peak_rss_mb"], train["peak_rss_mb"]) > 0
 
 
+@pytest.mark.parametrize("platform, maxrss", [("linux", 33 * 1024), ("darwin", 33 * 1024 ** 2)])
+def test_peak_rss_mb_reads_ru_maxrss_in_the_platforms_unit(tiny_cfg, tmp_path, monkeypatch,
+                                                           platform, maxrss):
+    # getrusage's ru_maxrss counts KiB on Linux and bytes on macOS; the
+    # sidecar reports MB on both
+    monkeypatch.setattr(sys, "platform", platform)
+    monkeypatch.setattr(otmf.cli.resource, "getrusage",
+                        lambda who: types.SimpleNamespace(ru_maxrss=maxrss))
+    assert otmf.cli._peak_rss_mb() == 33.0
+    assert run("gen", "--config", tiny_cfg) == 0
+    timings = json.loads((tmp_path / "run" / "seed0" / "timings_gen.json").read_text())
+    assert timings["peak_rss_mb"] == 33.0
+
+
 def test_timings_sidecars_record_blas_build_and_threads(tiny_cfg, tmp_path, monkeypatch):
     # the artifacts' bits depend on the BLAS build and thread count, and
     # the merge reports' on CPython's random.Random, so every sidecar
@@ -1084,6 +1100,60 @@ def test_only_gen_and_train_load_numpy_random(tmp_path):
                         (["eval", "--checkpoint", final], (False, False)),
                         (["ablate-alpha", "--grid", "0.5"], (False, True))):
         assert _loaded(("numpy.random", "otmf._pcg"), *args, "--config", cfg) == loads, args
+
+
+class _FakeLibc:
+    """ctypes.CDLL's stand-in: records which library was opened and each
+    malloc_trim call; without_trim leaves the symbol out."""
+
+    def __init__(self, without_trim: bool = False):
+        self.opened, self.trims = [], []
+        if not without_trim:
+            def malloc_trim(pad):
+                self.trims.append(pad)
+                return 1
+            self.malloc_trim = malloc_trim
+
+    def __call__(self, name):
+        self.opened.append(name)
+        return self
+
+
+def test_release_freed_heap_trims_the_glibc_heap_once(monkeypatch):
+    libc = _FakeLibc()
+    monkeypatch.setattr(sys, "platform", "linux")
+    monkeypatch.setattr(ctypes, "CDLL", libc)
+    otmf.cli._release_freed_heap()
+    assert libc.opened == [None] and libc.trims == [0]
+    assert libc.malloc_trim.argtypes == [ctypes.c_size_t]
+
+
+def _refuse_cdll(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("platform, cdll", [("linux", _FakeLibc(without_trim=True)),
+                                            ("linux", _refuse_cdll),
+                                            ("darwin", _FakeLibc()),
+                                            ("win32", _FakeLibc())])
+def test_release_freed_heap_does_nothing_without_glibc(monkeypatch, platform, cdll):
+    monkeypatch.setattr(sys, "platform", platform)
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    otmf.cli._release_freed_heap()
+    assert getattr(cdll, "trims", []) == []
+    if platform != "linux":
+        assert cdll.opened == []
+
+
+def test_main_releases_freed_heap_before_parsing(monkeypatch):
+    # first thing in main, so a bad argument goes through it too
+    events = []
+    build = otmf.cli.build_parser
+    monkeypatch.setattr(otmf.cli, "_release_freed_heap", lambda: events.append("release"))
+    monkeypatch.setattr(otmf.cli, "build_parser", lambda: events.append("parse") or build())
+    with pytest.raises(SystemExit):
+        main(["no-such-command"])
+    assert events == ["release", "parse"]
 
 
 def test_merge_otmf_and_eval_call_no_numpy_sort(pipeline, monkeypatch):
