@@ -203,9 +203,9 @@ def _report(cfg: RunConfig, seed: int, **fields) -> dict:
 
 
 def _seed_dir(cfg: RunConfig, seed: int) -> Path:
-    d = Path(cfg.output_dir) / f"seed{seed}"
-    d.mkdir(parents=True, exist_ok=True)
-    return d
+    """The seed's artifact directory. Reading it creates nothing: each
+    stage makes the directory it writes, once its inputs have been found."""
+    return Path(cfg.output_dir) / f"seed{seed}"
 
 
 def _peak_rss_mb() -> float:
@@ -245,7 +245,7 @@ def _close_stage(cfg: RunConfig, seed: int, stage: str, t0: float, detail: str =
 def cmd_gen(cfg: RunConfig, seed: int) -> None:
     t0 = time.perf_counter()
     out = _seed_dir(cfg, seed) / "data"
-    out.mkdir(exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
     pretrain, tasks = generate_stream(cfg.stream, seed)
     save_batch(out / "pretrain.csv", pretrain)
     for td in tasks:
@@ -411,13 +411,11 @@ def cmd_merge(cfg: RunConfig, seed: int, method: str) -> dict:
         for i, (tid, test) in enumerate(tests.items()):
             mat[step - 1, i] = accuracy(model, tid, test)
         # shift of the merged model against the two models it fused
-        pre = score_shift(model, prev, seen.rows, cfg.fusion.sinkhorn)
-        post = score_shift(model, incoming, unlabeled, cfg.fusion.sinkhorn)
+        pre = score_shift(model, prev, seen.rows, cfg.fusion.sinkhorn, shift_solver)
+        post = score_shift(model, incoming, unlabeled, cfg.fusion.sinkhorn, shift_solver)
         max_shift_n = max(max_shift_n, len(pre.merged), len(post.merged))
         shifts.append({"step": step, "delta_pre": pre.l1, "delta_post": post.l1,
                        "sinkhorn_pre": pre.sinkhorn, "sinkhorn_post": post.sinkhorn})
-        shift_solver.record(pre.plan)
-        shift_solver.record(post.plan)
         prev = model
 
     _, _, logs = merge_stream(method, theta0, tasks(), cfg.fusion, cfg.baseline, seed=seed,
@@ -487,11 +485,10 @@ def cmd_eval(cfg: RunConfig, seed: int, checkpoint: str) -> dict:
         test = _load_set(cfg, data / f"{tid}_test.csv")
         unlabeled = _load_set(cfg, data / f"{tid}_unlabeled.csv", labeled=False)
         sft = _load_trained(cfg, seed, tid)
-        shift = score_shift(model, sft, unlabeled, cfg.fusion.sinkhorn)
+        shift = score_shift(model, sft, unlabeled, cfg.fusion.sinkhorn, shift_solver)
         entry = {"task": tid, "delta_l1": shift.l1, "delta_sinkhorn": shift.sinkhorn}
         if tid in model.heads:
             entry["accuracy"] = accuracy(model, tid, test)
-        shift_solver.record(shift.plan)
         per_task.append(entry)
         save_features(out / f"features_{tid}_merged.csv", shift.merged, "merged")
         save_features(out / f"features_{tid}_sft.csv", shift.reference, tid)

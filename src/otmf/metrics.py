@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import DataError, ShapeMismatchError
 from .models import Batch, ToyModel, forward_features, forward_logits
-from .sinkhorn import SinkhornConfig, TransportPlan, sinkhorn_distance
+from .sinkhorn import SinkhornConfig, SolverState, TransportPlan, sinkhorn_distance
 
 
 def normalized_feature_scale(reference: np.ndarray) -> float:
@@ -41,24 +41,32 @@ def sinkhorn_shift(
 
 
 class Shift(NamedTuple):
-    """A merged model's shifts from a reference on one input cloud, the plan
-    behind the Sinkhorn one, and the two feature clouds they measure."""
+    """A merged model's shifts from a reference on one input cloud and the
+    two feature clouds they measure. It keeps no plan: score_shift records
+    the Sinkhorn solve in the caller's SolverState, so the n x m plan is
+    freed when the solve returns."""
 
     l1: float
     sinkhorn: float
-    plan: TransportPlan
     merged: np.ndarray
     reference: np.ndarray
 
 
 def score_shift(
-    merged: ToyModel, reference: ToyModel, inputs: np.ndarray, cfg: SinkhornConfig
+    merged: ToyModel,
+    reference: ToyModel,
+    inputs: np.ndarray,
+    cfg: SinkhornConfig,
+    solver: SolverState,
 ) -> Shift:
     """Both shifts of merged from reference on inputs, from one feature
-    pass per model."""
+    pass per model; solver counts the Sinkhorn solve."""
     fm = forward_features(merged, inputs)
     fr = forward_features(reference, inputs)
-    return Shift(l1_shift(fm, fr), *sinkhorn_shift(fm, fr, cfg), fm, fr)
+    l1 = l1_shift(fm, fr)
+    distance, plan = sinkhorn_shift(fm, fr, cfg)
+    solver.record(plan)
+    return Shift(l1, distance, fm, fr)
 
 
 def accuracy(model: ToyModel, task: str, batch: Batch) -> float:

@@ -53,8 +53,10 @@ A SolverState is the one reader of a plan's outcome: record(plan) counts
 the solve, its marginal checks, Newton directions and fallback, and
 whether it is unconverged; str() renders the counts, and tallies add up.
 It keeps no arrays: a warm start belongs to the caller's problem. Callers
-keep one per kind of solve: warn_on_trouble writes one WARNING for any
-labelled set of them, log_solves their totals line.
+keep one per kind of solve and pass it to the function that runs the solve,
+which records it there (fusion's _ot_loss, metrics.score_shift), so no
+plan outlives its use only to be counted. warn_on_trouble writes one
+WARNING for any labelled set of them, log_solves their totals line.
 """
 
 from __future__ import annotations

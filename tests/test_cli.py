@@ -10,6 +10,7 @@ import time
 import tracemalloc
 import types
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -500,6 +501,20 @@ def test_task_set_of_wrong_shape_exits_3_naming_it(trained, tmp_path, caplog, na
     assert str(path) in error
 
 
+def test_a_missing_seed_leaves_the_output_tree_as_it_was(trained, tmp_path):
+    # every reading stage fails on a seed that was never generated, and
+    # only a stage that writes creates directories
+    cfg, trained_run = trained
+    out = tmp_path / "run"
+    shutil.copytree(trained_run, out)
+    before = sorted(out.rglob("*"))
+    ckpt = out / "seed0" / "checkpoints" / "task01.ckpt"
+    for args in (["train"], ["merge", "--method", "otmf"], ["merge", "--method", "ties"],
+                 ["eval", "--checkpoint", ckpt], ["ablate-alpha", "--grid", "0.5"]):
+        assert run(*args, "--config", cfg, "--seed", 98, "--out", out) == 3, args
+        assert sorted(out.rglob("*")) == before, args
+
+
 def test_unknown_method_rejected_by_parser(tiny_cfg):
     with pytest.raises(SystemExit) as exc:
         run("merge", "--config", tiny_cfg, "--method", "magic")
@@ -811,9 +826,9 @@ def test_merge_pre_shift_samples_earlier_tasks(long_stream, monkeypatch):
     cfgs, seed_dir = long_stream
     pools = []
 
-    def recording_score_shift(merged, reference, inputs, cfg):
+    def recording_score_shift(merged, reference, inputs, cfg, solver):
         pools.append(inputs.copy())
-        return score_shift(merged, reference, inputs, cfg)
+        return score_shift(merged, reference, inputs, cfg, solver)
 
     monkeypatch.setattr(otmf.cli, "score_shift", recording_score_shift)
     assert run("merge", "--config", cfgs[12], "--method", "ties") == 0
@@ -861,6 +876,26 @@ def test_scoring_runs_one_feature_pass_per_model_and_cloud(long_stream, monkeypa
     for t, (fm, fr) in enumerate(measured, start=1):
         assert saved[f"features_task{t:02d}_merged.csv"] is fm
         assert saved[f"features_task{t:02d}_sft.csv"] is fr
+
+
+def test_each_shift_plan_is_freed_before_the_next_solve(long_stream, monkeypatch):
+    cfgs, seed_dir = long_stream
+    plans, live_at_start = [], []
+    shift = otmf.metrics.sinkhorn_shift
+
+    def tracking_shift(fm, fr, cfg):
+        live_at_start.append(sum(ref() is not None for ref in plans))
+        distance, plan = shift(fm, fr, cfg)
+        plans.append(weakref.ref(plan.plan))
+        return distance, plan
+
+    monkeypatch.setattr(otmf.metrics, "sinkhorn_shift", tracking_shift)
+    # a 4-task ties merge scores 3 steps pre and post; eval scores 4 tasks
+    assert run("merge", "--config", cfgs[4], "--method", "ties") == 0
+    final = seed_dir / "merged" / "ties" / "final.ckpt"
+    assert run("eval", "--config", cfgs[4], "--checkpoint", final) == 0
+    assert live_at_start == [0] * (2 * 3 + 4)
+    assert all(ref() is None for ref in plans)
 
 
 def test_unconverged_shift_solves_warn_once_per_run(tmp_path, caplog):

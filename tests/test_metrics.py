@@ -9,12 +9,13 @@ from otmf.metrics import (
     accuracy,
     bwt,
     l1_shift,
+    Shift,
     normalized_feature_scale,
     score_shift,
     sinkhorn_shift,
 )
 from otmf.models import Batch, ModelSpec, ToyModel, forward_features
-from otmf.sinkhorn import SinkhornConfig
+from otmf.sinkhorn import SinkhornConfig, SolverState, TransportPlan
 
 
 def test_l1_shift_self_zero_and_symmetric(rng):
@@ -61,14 +62,32 @@ def test_score_shift_is_both_shifts_on_one_feature_pass(rng):
     b = small_model(rng)
     x = rng.normal(size=(8, 3))
     cfg = SinkhornConfig()
-    score = score_shift(a, b, x, cfg)
+    solver = SolverState()
+    score = score_shift(a, b, x, cfg, solver)
     fa, fb = forward_features(a, x), forward_features(b, x)
     np.testing.assert_array_equal(score.merged, fa)
     np.testing.assert_array_equal(score.reference, fb)
     assert score.l1 == l1_shift(fa, fb)
     distance, plan = sinkhorn_shift(fa, fb, cfg)
-    assert score.sinkhorn == distance == score.plan.transport_cost
-    np.testing.assert_array_equal(score.plan.plan, plan.plan)
+    assert score.sinkhorn == distance == plan.transport_cost
+    direct = SolverState()
+    direct.record(plan)
+    assert solver == direct
+
+
+def test_score_shift_records_its_solve_and_keeps_no_plan(rng):
+    a, b = small_model(rng), small_model(rng)
+    x = rng.normal(size=(12, 3))
+    cfg = SinkhornConfig(max_iters=3)  # few checks, so the counts are not all zero
+    solver = SolverState(solves=2, iters=5)  # an earlier tally the solve adds to
+    score = score_shift(a, b, x, cfg, solver)
+    _, plan = sinkhorn_shift(forward_features(a, x), forward_features(b, x), cfg)
+    directions, fell_back = plan.newton
+    assert solver == SolverState(solves=3, iters=5 + plan.iterations_used,
+                                 directions=directions, fallbacks=int(fell_back),
+                                 unconverged=int(not plan.converged))
+    assert Shift._fields == ("l1", "sinkhorn", "merged", "reference")
+    assert not any(isinstance(v, TransportPlan) for v in score)
 
 
 def test_normalized_feature_scale(rng):
