@@ -332,10 +332,9 @@ def _read_tasks(cfg: RunConfig, seed: int, theta0: ToyModel):
 
 
 def _merge_tallies(logs) -> dict[str, SolverState]:
-    """The tallies of continual_merge's solves over its step logs, by kind."""
-    return {"mask loop": sum((s for lg in logs for s in lg.mask_loop_solver.values()),
-                             SolverState()),
-            "pair loss": sum((lg.pair_loss_solver for lg in logs), SolverState())}
+    """The tallies of continual_merge's solves over its step logs (one at least),
+    summed by kind."""
+    return {kind: sum((lg.solvers[kind] for lg in logs), SolverState()) for kind in logs[0].solvers}
 
 
 class _Reservoir:
@@ -429,8 +428,8 @@ def cmd_merge(cfg: RunConfig, seed: int, method: str) -> dict:
                  "initial": lg.initial_pair_loss, "final": lg.final_pair_loss}
                 for lg in logs
             ],
-            "mask_loop_solver": [
-                {"step": lg.step, **{side: s.counts() for side, s in lg.mask_loop_solver.items()}}
+            "solver_counts": [
+                {"step": lg.step, **{kind: s.counts() for kind, s in lg.solvers.items()}}
                 for lg in logs
             ],
             "ot_loss_history": [

@@ -35,15 +35,15 @@ every solve starts from them and leaves its own there: the side's initial
 pair-loss solve is cold, and each later one, mask loop and final pair
 loss, is warm-started from the one before. A third SolverState counts the
 four pair-loss solves. Both sides are created afresh at every step
-because the OT batches are redrawn. Each step logs its per-side mask-loop
-counts at INFO, and its unconverged and fallen-back solves at WARNING;
-its StepLog keeps the three SolverStates and no side, whose arrays are
-backbone-size.
+because the OT batches are redrawn. A step's three SolverStates are one
+dict keyed by kind, mask_pre, mask_post and pair_loss: sinkhorn.log_solves
+writes their counts at INFO and their unconverged and fallen-back solves
+at WARNING, and the step's StepLog keeps the dict and no side, whose arrays
+are backbone-size.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
@@ -68,16 +68,14 @@ from .sinkhorn import (
     SinkhornConfig,
     SolverState,
     TransportPlan,
+    log_solves,
     sinkhorn_distance,
     sinkhorn_grad_features,
-    warn_on_trouble,
 )
 from .taskgen import subsample_labeled
 
 if TYPE_CHECKING:
     from ._pcg import PCG64
-
-log = logging.getLogger(__name__)
 
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
@@ -306,9 +304,8 @@ class StepLog:
     ot_loss_history: list[tuple[int, str, float]]
     initial_pair_loss: float
     final_pair_loss: float
-    # the step's solve tallies: the mask loop's by side, the pair losses'
-    mask_loop_solver: dict[str, SolverState]
-    pair_loss_solver: SolverState
+    # the step's solve tallies by kind: mask_pre, mask_post, pair_loss
+    solvers: dict[str, SolverState]
 
 
 # a task as streamed: (id, flat task vector, head, train batch, unlabeled set)
@@ -389,6 +386,7 @@ def continual_merge(
         flat = FlatStep(theta0_model, merged, incoming, targets, cfg.alpha, cfg.mask_lr)
         pre, post = flat.pre, flat.post
         pair = SolverState()
+        solvers = {"mask_pre": pre.solver, "mask_post": post.solver, "pair_loss": pair}
 
         def _pair_loss() -> float:
             backbone = flat.fuse()
@@ -403,14 +401,12 @@ def continual_merge(
         for e in range(1, cfg.ot_epochs + 1):
             side = pre if e % 2 == 1 else post
             history.append((e, side.name, ot_mask_epoch(flat, side, cfg.sinkhorn)))
-        log.info("step %d mask-loop Sinkhorn: pre %s; post %s", t, pre.solver, post.solver)
 
         # each side of the final pair loss is one mask update away from the
         # side's last mask-loop solve, and starts from its duals. It leaves
         # the final masks' fuse in flat's buffers: the step's merged vectors
         final_pair_loss = _pair_loss()
-        warn_on_trouble(f"step {t}", {"mask-loop pre": pre.solver,
-                                      "mask-loop post": post.solver, "pair-loss": pair})
+        log_solves(f"step {t}", solvers, warn=tuple(solvers))
         merged = flat.delta
         # a merge that overflowed fails here, before on_step sees it
         merged_model = ToyModel(spec=spec, backbone=flat.theta, heads=heads)
@@ -432,8 +428,7 @@ def continual_merge(
                 ot_loss_history=history,
                 initial_pair_loss=initial_pair_loss,
                 final_pair_loss=final_pair_loss,
-                mask_loop_solver={"pre": pre.solver, "post": post.solver},
-                pair_loss_solver=pair,
+                solvers=solvers,
             )
         )
 

@@ -53,10 +53,13 @@ A SolverState is the one reader of a plan's outcome: record(plan) counts
 the solve, its marginal checks, Newton directions and fallback, and
 whether it is unconverged; str() renders the counts, and tallies add up.
 It keeps no arrays: a warm start belongs to the caller's problem. Callers
-keep one per kind of solve and pass it to the function that runs the solve,
-which records it there (fusion's _ot_loss, metrics.score_shift), so no
-plan outlives its use only to be counted. warn_on_trouble writes one
-WARNING for any labelled set of them, log_solves their totals line.
+keep one per kind of solve (mask_pre, mask_post, pair_loss, shift) and pass
+it to the function that runs the solve, which records it there (fusion's
+_ot_loss, metrics.score_shift), so no plan outlives its use only to be
+counted. log_solves writes every line of these counts, a continual step's
+and a CLI stage's alike: one INFO line with each kind's counts, and one
+WARNING naming the unconverged and fallen-back solves of the kinds it is
+asked to warn of.
 """
 
 from __future__ import annotations
@@ -153,27 +156,20 @@ class SolverState:
                 f"directions, {self.fallbacks} fallbacks, {self.unconverged} unconverged")
 
 
-def warn_on_trouble(where: str, tallies: dict[str, SolverState]) -> None:
-    """One WARNING at where naming each labelled tally's unconverged and
-    fallen-back solves, when any tally has some."""
+def log_solves(where: str, kinds: dict[str, SolverState], warn: tuple[str, ...]) -> None:
+    """One INFO line at where with each kind's counts, then, when a kind named
+    in warn has unconverged or fallen-back solves, one WARNING naming them for
+    each of those kinds (other kinds' trouble was warned of as they ran)."""
+    log.info("%s Sinkhorn: %s", where, "; ".join(f"{k} {s}" for k, s in kinds.items()))
+    warned = {k: s for k, s in kinds.items() if k in warn}
     trouble = [
-        f"{what}: " + ", ".join(f"{k} {getattr(s, key)} of {s.solves}" for k, s in tallies.items())
+        f"{what}: " + ", ".join(f"{k} {getattr(s, key)} of {s.solves}" for k, s in warned.items())
         for key, what in (("unconverged", "Sinkhorn solves unconverged, above tolerance"),
                           ("fallbacks", "Sinkhorn solves fell back from Newton to scaling updates"))
-        if any(getattr(s, key) for s in tallies.values())
+        if any(getattr(s, key) for s in warned.values())
     ]
     if trouble:
         log.warning("%s: %s", where, "; ".join(trouble))
-
-
-def log_solves(where: str, kinds: dict[str, SolverState], warn: tuple[str, ...]) -> None:
-    """One INFO line at where with the solve totals by kind, then warn_on_trouble's
-    WARNING for the kinds named in warn (others' trouble was warned of as it ran)."""
-    total = sum(kinds.values(), SolverState())
-    log.info("%s: %d Sinkhorn solves (%s), %d unconverged, %d fell back", where, total.solves,
-             ", ".join(f"{k} {s.solves}" for k, s in kinds.items()),
-             total.unconverged, total.fallbacks)
-    warn_on_trouble(where, {k: s for k, s in kinds.items() if k in warn})
 
 
 def pairwise_cost(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

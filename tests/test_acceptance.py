@@ -296,26 +296,43 @@ def test_criterion_5_alignment_efficacy(capsys):
 
 def test_criterion_6_forgetting_comparison(capsys):
     t0 = time.perf_counter()
-    avgs = {"otmf": [], "swa": [], "task_arithmetic": [], "ties": []}
-    bwts = {"otmf": [], "task_arithmetic": []}
-    for seed in range(5):
-        for name in avgs:
-            tasks, sfts, _, _, _, snapshots = run_otmf(seed, method=name)
-            mat = accuracy_matrix_from_snapshots(tasks, sfts, snapshots)
-            avgs[name].append(float(mat[-1].mean()))
-            if name in bwts:
-                bwts[name].append(bwt(mat))
-    means = {k: float(np.mean(v)) for k, v in avgs.items()}
-    bwt_means = {k: float(np.mean(v)) for k, v in bwts.items()}
+    methods = ("otmf", "swa", "task_arithmetic", "ties")
+
+    def rows(seeds, num_tasks):
+        """Per method, each seed's (final average accuracy, bwt)."""
+        out = {name: [] for name in methods}
+        for seed in seeds:
+            for name in methods:
+                tasks, sfts, _, _, _, snapshots = run_otmf(seed, method=name,
+                                                           num_tasks=num_tasks)
+                mat = accuracy_matrix_from_snapshots(tasks, sfts, snapshots)
+                out[name].append((float(mat[-1].mean()), bwt(mat)))
+        return out
+
+    def means(rows):
+        return {k: [float(m) for m in np.mean(v, axis=0)] for k, v in rows.items()}
+
+    def otmf_leads(means):
+        return (all(means["otmf"][0] >= means[b][0] for b in methods[1:])
+                and means["otmf"][1] >= means["task_arithmetic"][1])
+
+    means3 = means(rows(range(5), 3))
+    # the six-task row, seeds 0-9 on criterion 5's worlds: otmf trails the
+    # best baseline on seeds 4 and 6, so only the means are asserted
+    rows6 = rows(range(10), 6)
+    means6 = means(rows6)
     elapsed = time.perf_counter() - t0
-    acc_ok = all(means["otmf"] >= means[b]
-                 for b in ("swa", "task_arithmetic", "ties"))
-    bwt_ok = bwt_means["otmf"] >= bwt_means["task_arithmetic"]
-    ok = acc_ok and bwt_ok and elapsed < 900.0
+    ok = otmf_leads(means3) and otmf_leads(means6) and elapsed < 900.0
+
+    def text(means):
+        return (f"mean avg acc {json.dumps({k: round(v[0], 4) for k, v in means.items()})}, "
+                f"mean bwt otmf {means['otmf'][1]:+.4f} >= "
+                f"task arithmetic {means['task_arithmetic'][1]:+.4f}")
+
+    per_seed = [{k: [round(x, 4) for x in v[seed]] for k, v in rows6.items()} for seed in range(10)]
     report(capsys, 6, ok,
-           f"mean avg acc {json.dumps({k: round(v, 4) for k, v in means.items()})}, "
-           f"mean bwt otmf {bwt_means['otmf']:+.4f} >= "
-           f"task arithmetic {bwt_means['task_arithmetic']:+.4f}, {elapsed:.0f}s (<900s)")
+           f"T=3 seeds 0-4: {text(means3)}; T=6 seeds 0-9: {text(means6)}, "
+           f"[avg acc, bwt] by seed {json.dumps(per_seed)}; {elapsed:.0f}s (<900s)")
 
 
 def test_criterion_7_alpha_ablation_shape(capsys):
@@ -381,23 +398,33 @@ def test_criterion_8_constant_memory(capsys):
 
     # every method merges through merge_stream, the call `otmf merge` makes
     methods = ("otmf",) + METHODS
-    live = {}
+    live, logs = {}, {}
     tracemalloc.start()
     try:
         for method in methods:
             for T in (5, 10):
                 live[method, T] = []
-                merge_stream(method, theta0_model, tasks(T, live[method, T]),
-                             FusionConfig(ot_epochs=4, batch_size=8), BaselineConfig(), seed=0)
+                logs[method, T] = merge_stream(
+                    method, theta0_model, tasks(T, live[method, T]),
+                    FusionConfig(ot_epochs=4, batch_size=8), BaselineConfig(), seed=0)[2]
     finally:
         tracemalloc.stop()
     # task t is pulled before step t; from step 3 on every pull of one
     # method sees the same number of buffers, whatever the step and T
     steady = {m: sorted({n for T in (5, 10) for n in live[m, T][2:]}) for m in methods}
-    ok = all(len(counts) == 1 for counts in steady.values())
+    # the work of each otmf step at T=10: its mask-loop Newton directions do
+    # not grow with the step. On 10 such streams (rng seeds 8 + 1000k) the
+    # mean of steps 6-10 over that of steps 2-5 was 0.61-1.10
+    work = {lg.step: {k: s.counts() for k, s in lg.solvers.items()} for lg in logs["otmf", 10]}
+    directions = [w["mask_pre"]["directions"] + w["mask_post"]["directions"]
+                  for w in work.values()]
+    early, late = np.mean(directions[:4]), np.mean(directions[4:])
+    ok = all(len(counts) == 1 for counts in steady.values()) and late <= 1.25 * early
     report(capsys, 8, ok,
            f"live backbone-size buffers at each pull {live}: "
-           f"{steady} from step 3 on, independent of step and T")
+           f"{steady} from step 3 on, independent of step and T; T=10 otmf solves by step "
+           f"{work}: mask-loop Newton directions {directions}, mean of steps 6-10 {late:.2f} "
+           f"<= 1.25 x mean of steps 2-5 {early:.2f}")
 
 
 def test_criterion_9_determinism(capsys, tmp_path):

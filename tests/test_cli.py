@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -48,6 +49,22 @@ def tiny_cfg(tmp_path):
 
 def run(*args):
     return main([str(a) for a in args])
+
+
+_KIND = re.compile(r"(\w+) (\d+) solves, (\d+) marginal checks, (\d+) Newton directions, "
+                   r"(\d+) fallbacks, (\d+) unconverged")
+
+
+def kind_counts(line: str) -> dict[str, dict[str, int]]:
+    """The counts of a sinkhorn.log_solves INFO line by kind, in its order,
+    each keyed as SolverState.counts() keys them."""
+    _, _, kinds = line.partition(" Sinkhorn: ")
+    counts = {}
+    for part in kinds.split("; "):
+        kind, *values = _KIND.fullmatch(part).groups()
+        counts[kind] = dict(zip(("solves", "iters", "directions", "fallbacks", "unconverged"),
+                                map(int, values)))
+    return counts
 
 
 def _cli_env():
@@ -626,20 +643,58 @@ def test_merge_and_eval_log_solve_totals_per_seed(pipeline, caplog):
     # baseline merge runs only the shift solves, and eval one per task
     tiny_cfg, seed_dir = pipeline
     final = seed_dir / "merged" / "otmf" / "final.ckpt"
-    for args, line in (
-        (["merge", "--method", "otmf"],
-         "seed 0: merge otmf: 12 Sinkhorn solves (mask loop 6, pair loss 4, shift 2), "
-         "0 unconverged, 0 fell back"),
-        (["merge", "--method", "ties"],
-         "seed 0: merge ties: 2 Sinkhorn solves (shift 2), 0 unconverged, 0 fell back"),
-        (["eval", "--checkpoint", final],
-         "seed 0: eval: 2 Sinkhorn solves (shift 2), 0 unconverged, 0 fell back"),
+    for args, where, solves in (
+        (["merge", "--method", "otmf"], "seed 0: merge otmf",
+         {"mask_pre": 3, "mask_post": 3, "pair_loss": 4, "shift": 2}),
+        (["merge", "--method", "ties"], "seed 0: merge ties", {"shift": 2}),
+        (["eval", "--checkpoint", final], "seed 0: eval", {"shift": 2}),
     ):
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="otmf"):
             assert run(*args, "--config", tiny_cfg) == 0
-        totals = [r.getMessage() for r in caplog.records if "Sinkhorn solves (" in r.getMessage()]
-        assert totals == [line], args
+        totals = [r.getMessage() for r in caplog.records
+                  if r.getMessage().startswith("seed 0: ") and " Sinkhorn: " in r.getMessage()]
+        assert [line.partition(" Sinkhorn: ")[0] for line in totals] == [where], args
+        counts = kind_counts(totals[0])
+        assert [(k, c["solves"]) for k, c in counts.items()] == list(solves.items()), args
+        assert all(c["unconverged"] == c["fallbacks"] == 0 for c in counts.values()), args
+
+
+def test_merge_otmf_names_each_solve_kind_once(tmp_path, caplog, monkeypatch):
+    # a step's solves are mask_pre, mask_post and pair_loss in its report
+    # row and its log line; the stage line sums the rows and adds the shift
+    # solves. Three tasks, so the stage sums two steps
+    cfg = tmp_path / "cfg3.json"
+    cfg.write_text(json.dumps(dict(TINY, stream=dict(TINY["stream"], num_tasks=3),
+                                   output_dir=str(tmp_path / "run"))))
+    assert run("gen", "--config", cfg) == 0 and run("train", "--config", cfg) == 0
+    shift_solvers = []
+
+    def recording(*args):
+        shift_solvers.append(args[-1])
+        return score_shift(*args)
+
+    monkeypatch.setattr(otmf.cli, "score_shift", recording)
+    with caplog.at_level(logging.INFO, logger="otmf"):
+        assert run("merge", "--method", "otmf", "--config", cfg) == 0
+    rows = json.loads((tmp_path / "run" / "seed0" / "report_otmf.json").read_text())[
+        "solver_counts"]
+    lines = [r.getMessage() for r in caplog.records if " Sinkhorn: " in r.getMessage()]
+    step_kinds = ["mask_pre", "mask_post", "pair_loss"]
+    assert [row.pop("step") for row in rows] == [2, 3]
+    # the report's keys are sorted; the log lines keep the kinds' order
+    assert [set(row) for row in rows] == [set(step_kinds)] * 2
+    assert [list(kind_counts(line)) for line in lines] == [step_kinds] * 2 + [
+        [*step_kinds, "shift"]]
+    *steps, stage = lines
+    assert [line.partition(" Sinkhorn: ")[0] for line in lines] == [
+        "step 2", "step 3", "seed 0: merge otmf"]
+    assert [kind_counts(line) for line in steps] == rows
+    [shift] = {id(s): s for s in shift_solvers}.values()
+    summed = {kind: {key: sum(row[kind][key] for row in rows) for key in rows[0][kind]}
+              for kind in step_kinds}
+    assert kind_counts(stage) == {**summed, "shift": shift.counts()}
+    assert shift.solves == 4
 
 
 def test_train_writes_checkpoints(pipeline):
@@ -677,10 +732,11 @@ def test_merge_each_method(pipeline, method):
     if method == "otmf":
         assert len(report["ot_loss_history"]) == 6
         assert report["pair_loss"][0]["step"] == 2
-        [solver] = report["mask_loop_solver"]
+        [solver] = report["solver_counts"]
         assert solver["step"] == 2
-        assert solver["pre"]["solves"] == solver["post"]["solves"] == 3
-        assert set(solver["pre"]) == {"solves", "iters", "directions", "fallbacks", "unconverged"}
+        assert solver["mask_pre"]["solves"] == solver["mask_post"]["solves"] == 3
+        assert set(solver["mask_pre"]) == {"solves", "iters", "directions", "fallbacks",
+                                           "unconverged"}
 
 
 def test_merge_reads_each_task_checkpoint_once(pipeline, monkeypatch):
@@ -1059,9 +1115,13 @@ def test_ablate_alpha_writes_timings_and_logs_solve_totals(pipeline, caplog):
     assert set(timings) == {"ablate_seconds", "peak_rss_mb"} | BUILD_KEYS
     assert timings["ablate_seconds"] > 0 and timings["peak_rss_mb"] > 0
     # one T=2 merge: 6 mask-loop solves and 4 pair-loss solves
-    totals = [r.getMessage() for r in caplog.records if "Sinkhorn solves (" in r.getMessage()]
-    assert totals == ["seed 0: ablate-alpha: 10 Sinkhorn solves (mask loop 6, pair loss 4), "
-                      "0 unconverged, 0 fell back"]
+    totals = [r.getMessage() for r in caplog.records
+              if r.getMessage().startswith("seed 0: ") and " Sinkhorn: " in r.getMessage()]
+    assert [line.partition(" Sinkhorn: ")[0] for line in totals] == ["seed 0: ablate-alpha"]
+    counts = kind_counts(totals[0])
+    assert [(k, c["solves"]) for k, c in counts.items()] == [
+        ("mask_pre", 3), ("mask_post", 3), ("pair_loss", 4)]
+    assert all(c["unconverged"] == c["fallbacks"] == 0 for c in counts.values())
 
 
 def test_seed_override_writes_new_subdir(pipeline, tmp_path):

@@ -470,23 +470,24 @@ def test_continual_merge_deterministic():
 def test_continual_merge_logs_solver_counts_per_step(caplog):
     theta0_model, deltas, heads, batches, pools = world(seed=18, T=3)
     cfg = FusionConfig(ot_epochs=5, batch_size=8)
-    with caplog.at_level(logging.INFO, logger="otmf.fusion"):
+    with caplog.at_level(logging.INFO, logger="otmf.sinkhorn"):
         _, _, logs = continual_merge(
             theta0_model, stream(deltas, heads, batches, pools), cfg, seed=0)
-    lines = [r.getMessage() for r in caplog.records if r.name == "otmf.fusion"]
+    lines = [r.getMessage() for r in caplog.records if r.name == "otmf.sinkhorn"]
     assert len(lines) == 2
     for step, line, lg in zip((2, 3), lines, logs):
         assert line.startswith(f"step {step} ")
-        assert "pre 3 solves" in line and "post 2 solves" in line
+        assert "mask_pre 3 solves" in line and "mask_post 2 solves" in line
         # the line's counts are the step log's tallies, which keep no arrays
-        pre, post = lg.mask_loop_solver["pre"], lg.mask_loop_solver["post"]
-        assert line == f"step {step} mask-loop Sinkhorn: " + "; ".join(
-            f"{side} {n.solves} solves, {n.iters} marginal checks, "
+        pre, post, pair = (lg.solvers[k] for k in ("mask_pre", "mask_post", "pair_loss"))
+        assert line == f"step {step} Sinkhorn: " + "; ".join(
+            f"{kind} {n.solves} solves, {n.iters} marginal checks, "
             f"{n.directions} Newton directions, {n.fallbacks} fallbacks, "
-            f"{n.unconverged} unconverged" for side, n in (("pre", pre), ("post", post)))
-        assert (pre.solves, post.solves, lg.pair_loss_solver.solves) == (3, 2, 4)
+            f"{n.unconverged} unconverged"
+            for kind, n in (("mask_pre", pre), ("mask_post", post), ("pair_loss", pair)))
+        assert (pre.solves, post.solves, pair.solves) == (3, 2, 4)
         assert all(type(v) is int
-                   for s in (pre, post, lg.pair_loss_solver) for v in vars(s).values())
+                   for s in (pre, post, pair) for v in vars(s).values())
 
 
 def test_solver_state_counts_newton_directions_and_fallbacks(rng):
@@ -552,8 +553,8 @@ def test_default_stream_seed1_mask_loop_solves_converge_without_fallback():
     )
     assert [lg.step for lg in logs] == [2, 3]
     for lg in logs:
-        for side in ("pre", "post"):
-            counts = lg.mask_loop_solver[side]
+        for kind in ("mask_pre", "mask_post"):
+            counts = lg.solvers[kind]
             assert counts.solves == cfg.ot_epochs // 2
             assert counts.unconverged == 0 and counts.fallbacks == 0
             assert counts.directions > 0
@@ -563,13 +564,13 @@ def test_continual_merge_warns_on_unconverged_mask_loop_solves(caplog):
     theta0_model, deltas, heads, batches, pools = world(seed=18, T=3)
     cfg = FusionConfig(ot_epochs=4, batch_size=8,
                        sinkhorn=SinkhornConfig(max_iters=1, tolerance=1e-300))
-    with caplog.at_level(logging.INFO, logger="otmf.fusion"):
+    with caplog.at_level(logging.INFO, logger="otmf.sinkhorn"):
         _, _, logs = continual_merge(
             theta0_model, stream(deltas, heads, batches, pools), cfg, seed=0)
     warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
     assert [w.split(":")[0] for w in warnings] == ["step 2", "step 3"]
     for lg in logs:
-        assert lg.mask_loop_solver["pre"].unconverged == 2
+        assert lg.solvers["mask_pre"].unconverged == 2
 
 
 def test_continual_merge_step_warning_names_pair_loss_solves(caplog):
@@ -583,8 +584,8 @@ def test_continual_merge_step_warning_names_pair_loss_solves(caplog):
     warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
     assert warnings == [
         "step 2: Sinkhorn solves unconverged, above tolerance: "
-        "mask-loop pre 2 of 2, mask-loop post 2 of 2, pair-loss 4 of 4"]
-    assert lg.pair_loss_solver.solves == lg.pair_loss_solver.unconverged == 4
+        "mask_pre 2 of 2, mask_post 2 of 2, pair_loss 4 of 4"]
+    assert lg.solvers["pair_loss"].solves == lg.solvers["pair_loss"].unconverged == 4
 
 
 def test_continual_merge_warning_names_only_what_occurred(caplog, monkeypatch):
@@ -598,17 +599,17 @@ def test_continual_merge_warning_names_only_what_occurred(caplog, monkeypatch):
         return dist, dataclasses.replace(plan, newton=(plan.newton[0], True))
 
     monkeypatch.setattr(fusion_module, "sinkhorn_distance", fell_back)
-    with caplog.at_level(logging.INFO, logger="otmf.fusion"):
+    with caplog.at_level(logging.INFO, logger="otmf.sinkhorn"):
         _, _, logs = continual_merge(
             theta0_model, stream(deltas, heads, batches, pools), cfg, seed=0)
     for lg in logs:
-        pre, post = lg.mask_loop_solver["pre"], lg.mask_loop_solver["post"]
+        pre, post = lg.solvers["mask_pre"], lg.solvers["mask_post"]
         assert pre.unconverged == post.unconverged == 0
         assert pre.fallbacks == post.fallbacks == 2
     warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
     assert warnings == [
         f"step {t}: Sinkhorn solves fell back from Newton to scaling updates: "
-        "mask-loop pre 2 of 2, mask-loop post 2 of 2, pair-loss 4 of 4" for t in (2, 3)
+        "mask_pre 2 of 2, mask_post 2 of 2, pair_loss 4 of 4" for t in (2, 3)
     ]
 
 
@@ -759,8 +760,8 @@ def test_merge_stream_otmf_is_continual_merge():
 
     def summary(logs):
         return [(lg.step, lg.incoming_task, lg.ot_loss_history, lg.initial_pair_loss,
-                 lg.final_pair_loss, {k: sv.counts() for k, sv in lg.mask_loop_solver.items()},
-                 lg.pair_loss_solver.counts()) for lg in logs]
+                 lg.final_pair_loss, {k: sv.counts() for k, sv in lg.solvers.items()})
+                for lg in logs]
 
     assert np.array_equal(final, want) and same_heads(final_heads, want_heads)
     assert len(logs) == 2 and summary(logs) == summary(want_logs)

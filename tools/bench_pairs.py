@@ -11,15 +11,22 @@ order of the runs favours neither side. A run's result is the JSON object on
 its last stdout line.
 
 Adds one set to the "sets" list of the output file, which is created if it
-is missing; the file's other keys are kept. A set holds the workload, every
-run's exit code and result line, and summarize()'s output: each side's median
-and quartiles of every end-to-end metric in BENCHMARK.json, the number of
-pairs in which the change read lower, and the total `failed` of each side.
+is missing; the file's other keys are kept. A set holds the workload, each
+tree's source_digest() (a tree made by `git archive` names no commit, so this
+names the sources it measured), every run's exit code and result line, and
+summarize()'s output: each side's median and quartiles of every end-to-end
+metric in BENCHMARK.json, the number of pairs in which the change read lower,
+and the total `failed` of each side.
+
+A tree whose src/ holds a __pycache__ would run from bytecode where the other
+compiles its sources, which moves every metric, so the tool then exits 2,
+naming the tree, before any run.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -64,6 +71,17 @@ def summarize(pairs: list[dict], metrics: list[str]) -> dict:
     return summary
 
 
+def source_digest(tree: Path) -> str:
+    """sha256 of tree's src/**/*.py: each file's path relative to tree, its
+    length and its bytes, in sorted path order."""
+    digest = hashlib.sha256()
+    for rel in sorted(p.relative_to(tree).as_posix() for p in (tree / "src").rglob("*.py")):
+        data = (tree / rel).read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def _run(tree: Path, command: list[str]) -> dict:
     proc = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -87,6 +105,13 @@ def main(argv: list[str] | None = None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = [m["name"] for m in spec["end_to_end"]]
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for side, tree in trees.items():
+        cached = sorted((tree / "src").rglob("__pycache__"))
+        if cached:
+            print(f"the {side} tree {tree} holds {cached[0]}: measure trees without bytecode",
+                  file=sys.stderr)
+            return 2
+    sources = {side: source_digest(tree) for side, tree in trees.items()}
 
     def command(seed: str) -> list[str]:
         return [*spec["command"], "--workload", args.workload, "--seed", seed,
@@ -111,6 +136,7 @@ def main(argv: list[str] | None = None) -> int:
         "seeds": args.seeds,
         "command": " ".join(command("<seed>")),
         "trees": {side: tree.name for side, tree in trees.items()},
+        "src_sha256": sources,
         "first": "parent in even pairs, change in odd ones",
         "summary": summarize([{side: run[side]["result"] for side in SIDES} for run in runs],
                              metrics),
