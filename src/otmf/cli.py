@@ -219,10 +219,11 @@ def _close_stage(cfg: RunConfig, seed: int, stage: str, t0: float, detail: str =
                  tallies: dict[str, SolverState] | None = None, sidecar: str = "", key: str = "",
                  **fields) -> None:
     """End one seed's stage, begun at perf_counter() t0: write its wall time
-    (<key>_seconds), fields, the peak RSS and the Python version, numpy build and
-    BLAS thread settings the artifacts' bits depend on to timings_<sidecar>.json
-    (key defaults to sidecar, sidecar to stage); log time, RSS and detail, and
-    the tallies' totals."""
+    (<key>_seconds), fields, the peak RSS, the Python version and numpy build
+    the artifacts' bits depend on, the BLAS thread variables the process saw and
+    the OpenBLAS thread count the stage ran with (None when unknown) to
+    timings_<sidecar>.json (key defaults to sidecar, sidecar to stage); log
+    time, RSS and detail, and the tallies' totals."""
     seconds, sidecar = time.perf_counter() - t0, sidecar or stage
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -234,7 +235,8 @@ def _close_stage(cfg: RunConfig, seed: int, stage: str, t0: float, detail: str =
                "numpy_version": np.__version__, "blas_name": blas.get("name"),
                "blas_version": blas.get("version"),
                **{var: os.environ.get(var)
-                  for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
+                  for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+               "blas_threads": _openblas_threads()}
     save_report(_seed_dir(cfg, seed) / f"timings_{sidecar}.json", timings)
     log.info("seed %d: %s in %.2f s, peak RSS %.1f MB%s", seed, stage, seconds,
              timings["peak_rss_mb"], f", {detail}" if detail else "")
@@ -609,6 +611,59 @@ def _release_freed_heap() -> None:
     trim(0)
 
 
+def _openblas_path() -> str | None:
+    """The file of the OpenBLAS library mapped into this process (a
+    *openblas*.so* name in /proc/self/maps), or None: on another platform,
+    or with numpy built on another BLAS."""
+    if not sys.platform.startswith("linux"):
+        return None
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            for line in maps:
+                # the path is the last field, and the only one holding a "/"
+                path = "/" + line.partition("/")[2].rstrip("\n")
+                name = os.path.basename(path)
+                if "openblas" in name and ".so" in name:
+                    return path
+    except OSError:
+        pass
+    return None
+
+
+def _openblas_threads(count: int | None = None) -> int | None:
+    """The thread count of the OpenBLAS numpy loaded, set to count afterwards
+    when count is given; None, and nothing set, where no OpenBLAS with
+    thread-count entries is mapped.
+
+    The library is reached through ctypes by its get and set entries:
+    openblas_get_num_threads and openblas_set_num_threads in a system build,
+    with numpy's wheel prefixing scipy_ and suffixing 64_. OpenBLAS reads
+    its thread variables (OPENBLAS_NUM_THREADS and the rest) once, when it
+    loads, so this is the one way to change the count from inside the
+    process; no environment variable is read or written.
+    """
+    path = _openblas_path()
+    if path is None:
+        return None
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError:
+        return None
+    for prefix in ("", "scipy_"):
+        for suffix in ("", "64_"):
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if get is None or put is None:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            found = get()
+            if count is not None:
+                put(count)
+            return found
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     _release_freed_heap()
     level = os.environ.get("OTMF_LOG_LEVEL", "INFO")
@@ -620,6 +675,13 @@ def main(argv: list[str] | None = None) -> int:
         log.error("config error: OTMF_LOG_LEVEL=%r is not a logging level", level)
         return 2
     args = build_parser().parse_args(argv)
+    # One BLAS thread for the stage: at the shift solves' size (n = 128 on
+    # the default stream) a second thread saves no time, holds its own
+    # buffers (about 0.3 MB of peak RSS) and now and then stalls a solve for
+    # about 0.1 s; and from about n = 104 up, LU's bits depend on the thread
+    # count, so one thread keeps the reports' bits whatever count OpenBLAS
+    # started with. The caller's count is put back, for in-process callers.
+    found = _openblas_threads(1)
     try:
         _run(args)
     except ConfigError as exc:
@@ -634,6 +696,9 @@ def main(argv: list[str] | None = None) -> int:
     except OtmfError as exc:  # any other toolkit failure counts as data/shape
         log.error("%s", exc)
         return 3
+    finally:
+        if found is not None:
+            _openblas_threads(found)
     return 0
 
 

@@ -576,7 +576,7 @@ def test_sft_overflow_exits_4_without_warnings(tmp_path):
 # the Python version, numpy build and BLAS thread settings every timings
 # sidecar records
 BUILD_KEYS = {"python_version", "numpy_version", "blas_name", "blas_version",
-              "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+              "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "blas_threads"}
 
 
 def test_gen_and_train_write_timings(pipeline):
@@ -606,10 +606,11 @@ def test_peak_rss_mb_reads_ru_maxrss_in_the_platforms_unit(tiny_cfg, tmp_path, m
 
 
 def test_timings_sidecars_record_blas_build_and_threads(tiny_cfg, tmp_path, monkeypatch):
-    # the artifacts' bits depend on the BLAS build and thread count, and
-    # the merge reports' on CPython's random.Random, so every sidecar
-    # records what the process saw, and no report does
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    # the artifacts' bits depend on the BLAS build, and the merge reports'
+    # on CPython's random.Random, so every sidecar records what the process
+    # saw, and no report does: the thread variables as set, and the one
+    # thread each stage ran its OpenBLAS with, whatever they say
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
     monkeypatch.setenv("OMP_NUM_THREADS", "2")
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     seed_dir = tmp_path / "run" / "seed0"
@@ -619,13 +620,14 @@ def test_timings_sidecars_record_blas_build_and_threads(tiny_cfg, tmp_path, monk
     sidecars = sorted(p.name for p in seed_dir.glob("timings_*.json"))
     assert sidecars == [f"timings_{s}.json" for s in ("eval", "gen", "otmf", "ties", "train")]
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = None if otmf.cli._openblas_threads() is None else 1
     for name in sidecars:
         timings = json.loads((seed_dir / name).read_text())
         assert {k: timings[k] for k in BUILD_KEYS} == {
             "python_version": ".".join(map(str, sys.version_info[:3])),
             "numpy_version": np.__version__, "blas_name": blas["name"],
-            "blas_version": blas["version"], "OPENBLAS_NUM_THREADS": "1",
-            "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None}, name
+            "blas_version": blas["version"], "OPENBLAS_NUM_THREADS": "3",
+            "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None, "blas_threads": threads}, name
         assert timings["peak_rss_mb"] > 0, name
     eval_timings = json.loads((seed_dir / "timings_eval.json").read_text())
     assert set(eval_timings) == {"eval_seconds", "peak_rss_mb"} | BUILD_KEYS
@@ -1249,6 +1251,109 @@ def test_main_releases_freed_heap_before_parsing(monkeypatch):
     with pytest.raises(SystemExit):
         main(["no-such-command"])
     assert events == ["release", "parse"]
+
+
+class _FakeOpenblas:
+    """ctypes.CDLL's stand-in for numpy's OpenBLAS: records which library was
+    opened and each thread count set, starting from threads;
+    without_entries leaves out the thread-count entries."""
+
+    def __init__(self, threads: int = 2, without_entries: bool = False):
+        self.opened, self.threads, self.sets = [], threads, []
+        if not without_entries:
+            def put(count):
+                self.sets.append(count)
+                self.threads = count
+            self.scipy_openblas_get_num_threads64_ = lambda: self.threads
+            self.scipy_openblas_set_num_threads64_ = put
+
+    def __call__(self, name):
+        self.opened.append(name)
+        return self
+
+
+@pytest.mark.parametrize("platform", [sys.platform, "darwin"])
+def test_openblas_path_is_the_mapped_library_numpy_loaded(monkeypatch, platform):
+    # /proc/self/maps is read on Linux only
+    monkeypatch.setattr(sys, "platform", platform)
+    path = otmf.cli._openblas_path()
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if sys.platform.startswith("linux") and "openblas" in blas["name"]:
+        assert "openblas" in Path(path).name and Path(path).is_file()
+    else:
+        assert path is None
+
+
+def test_main_runs_the_stage_on_one_blas_thread_and_puts_back_the_count(tiny_cfg, tmp_path,
+                                                                       monkeypatch):
+    lib = _FakeOpenblas(threads=2)
+    monkeypatch.setattr(otmf.cli, "_release_freed_heap", lambda: None)  # opens no library
+    monkeypatch.setattr(otmf.cli, "_openblas_path", lambda: "/lib/libopenblas.so.0")
+    monkeypatch.setattr(ctypes, "CDLL", lib)
+    assert run("gen", "--config", tiny_cfg) == 0
+    assert lib.sets == [1, 2] and set(lib.opened) == {"/lib/libopenblas.so.0"}
+    timings = json.loads((tmp_path / "run" / "seed0" / "timings_gen.json").read_text())
+    assert timings["blas_threads"] == 1
+    # a failing stage puts the count back too
+    assert run("train", "--config", tiny_cfg, "--seed", "3") == 3
+    assert lib.sets == [1, 2, 1, 2]
+
+
+def _refuse_openblas(name):
+    raise OSError("cannot load")
+
+
+@pytest.mark.parametrize("path, cdll", [(None, _FakeOpenblas()),
+                                        ("/lib/libopenblas.so.0", _refuse_openblas),
+                                        ("/lib/libopenblas.so.0",
+                                         _FakeOpenblas(without_entries=True))])
+def test_blas_pin_does_nothing_without_openblas(tiny_cfg, tmp_path, monkeypatch, path, cdll):
+    # no OpenBLAS mapped (another platform or BLAS), one that cannot be
+    # opened, or one without the thread-count entries: the stage runs on
+    # whatever the BLAS has, and its sidecar says the count is unknown
+    monkeypatch.setattr(otmf.cli, "_release_freed_heap", lambda: None)
+    monkeypatch.setattr(otmf.cli, "_openblas_path", lambda: path)
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert otmf.cli._openblas_threads(1) is None
+    assert run("gen", "--config", tiny_cfg) == 0
+    assert getattr(cdll, "sets", []) == []
+    if path is None:
+        assert cdll.opened == []
+    timings = json.loads((tmp_path / "run" / "seed0" / "timings_gen.json").read_text())
+    assert timings["blas_threads"] is None
+
+
+def test_in_process_main_leaves_the_blas_thread_count_it_found(tiny_cfg):
+    found = otmf.cli._openblas_threads(2)
+    try:
+        assert run("gen", "--config", tiny_cfg) == 0
+        assert otmf.cli._openblas_threads() == (None if found is None else 2)
+    finally:
+        if found is not None:
+            otmf.cli._openblas_threads(found)
+
+
+def test_reports_are_the_same_at_one_and_two_blas_threads(tmp_path):
+    # from about n = 104 points up, OpenBLAS's LU gives bits that depend on
+    # its thread count, and the default stream's n = 128 shift solves are
+    # that large: at seed 7, a merge and an eval started with 1 and with 2
+    # threads wrote different reports before each stage ran on one thread
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seeds": [7], "output_dir": str(tmp_path / "run")}))
+    assert run("gen", "--config", cfg) == 0
+    assert run("train", "--config", cfg) == 0
+    seed_dir = tmp_path / "run" / "seed7"
+    reports = {}
+    for threads in ("1", "2"):
+        for args in (["merge", "--method", "ties"],
+                     ["eval", "--checkpoint", str(seed_dir / "merged" / "ties" / "final.ckpt")]):
+            out = subprocess.run([sys.executable, "-m", "otmf.cli", *args, "--config", str(cfg)],
+                                 env=dict(_cli_env(), OPENBLAS_NUM_THREADS=threads),
+                                 capture_output=True, text=True, timeout=120)
+            assert out.returncode == 0, out.stderr
+        reports[threads] = [(seed_dir / name).read_bytes()
+                            for name in ("report_ties.json", "eval/eval_report.json")]
+    assert reports["1"] == reports["2"]
 
 
 def test_merge_otmf_and_eval_call_no_numpy_sort(pipeline, monkeypatch):

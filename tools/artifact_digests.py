@@ -12,10 +12,13 @@ mapping each file's path under the run directory to its sha256, leaving out
 the wall-clock sidecars (timings_*.json).
 
 Two trees whose outputs are equal wrote byte-identical reports,
-checkpoints, datasets and feature dumps. Run both on one machine. The
-CLI runs get one BLAS thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
-MKL_NUM_THREADS set to 1, whatever the caller set): the n = 128 shift
-solves' last bits depend on the thread count.
+checkpoints, datasets and feature dumps. Run both on one machine. With
+OpenBLAS the CLI runs each stage on one BLAS thread itself, so the
+digests do not depend on the thread variables. The CLI runs still get
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to 1,
+whatever the caller set, for a numpy built on another BLAS: the CLI does
+not set that one's thread count, and the n = 128 shift solves' last bits
+depend on it.
 """
 
 from __future__ import annotations
